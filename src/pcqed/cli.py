@@ -4,10 +4,12 @@ Subcommands: bands, modes, simulate, fit, reproduce-paper. A single JSON
 config document drives each run; the flags --out, --seed and --threads
 override config fields, and the environment variable PCQED_OUT may set only
 the output directory. Identical config + seed produces byte-identical numeric
-outputs (run ids derive from the config hash, never from wall time).
+outputs (run ids hash the effective config and the input bytes, never wall
+time).
 
 Exit codes: 0 success, 2 configuration/input error, 3 solver failure,
-4 fit non-convergence.
+4 fit non-convergence (a batch `fit` still writes every converged result and
+lists the failed inputs in its manifest).
 """
 
 from __future__ import annotations
@@ -137,6 +139,7 @@ class ResultBundle:
     config_hash: str
     out_dir: Path
     outputs: dict = field(default_factory=dict)
+    failed: list = field(default_factory=list)
     summary_lines: list = field(default_factory=list)
 
     def add(self, name: str, path: Path) -> None:
@@ -149,22 +152,39 @@ class ResultBundle:
         summary = self.out_dir / "summary.txt"
         summary.write_text("\n".join(self.summary_lines) + "\n")
         self.outputs["summary"] = "summary.txt"
-        pcio.write_json(
-            self.out_dir / "manifest.json",
-            {
-                "schema_version": pcio.SCHEMA_VERSION,
-                "kind": "result_bundle",
-                "run_id": self.run_id,
-                "config_hash": self.config_hash,
-                "outputs": dict(sorted(self.outputs.items())),
-            },
-        )
+        manifest = {
+            "schema_version": pcio.SCHEMA_VERSION,
+            "kind": "result_bundle",
+            "run_id": self.run_id,
+            "config_hash": self.config_hash,
+            "outputs": dict(sorted(self.outputs.items())),
+        }
+        if self.failed:
+            manifest["failed"] = self.failed
+        pcio.write_manifest_json(self.out_dir / "manifest.json", manifest)
 
 
-def _new_bundle(cfg: dict, out_dir: Path) -> ResultBundle:
+def _input_digests(paths) -> list:
+    """SHA-256 of each input file and of its metadata sidecar."""
+    digests = []
+    for path in map(Path, paths):
+        for part in (path, path.with_suffix(path.suffix + ".meta.json")):
+            if part.exists():
+                digests.append(hashlib.sha256(part.read_bytes()).hexdigest())
+    return digests
+
+
+def _new_bundle(cfg: dict, out_dir: Path, inputs=()) -> ResultBundle:
+    """Bundle whose run id hashes the effective config and every input's bytes.
+
+    `cfg` must already carry the command-line overrides (the seed), so a run
+    id changes whenever the data can: another seed, other input bytes.
+    """
     digest = config_hash(cfg)
+    provenance = {"config": digest, "inputs": _input_digests(inputs)}
+    run_id = hashlib.sha256(pcio.canonical_json(provenance).encode()).hexdigest()[:12]
     out_dir.mkdir(parents=True, exist_ok=True)
-    return ResultBundle(run_id=digest[:12], config_hash=digest, out_dir=out_dir)
+    return ResultBundle(run_id=run_id, config_hash=digest, out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +514,14 @@ def _simulate_scan(cfg, out_dir, bundle, seed):
 
 
 def cmd_simulate(cfg: dict, out_dir: Path, seed: int | None = None) -> ResultBundle:
+    section = _cfg_get(cfg, "simulate")
     if seed is None:
         seed = _cfg_int(cfg, "simulate.seed")
     if seed is None:
         raise ConfigError("simulate.seed: required for stochastic steps (or pass --seed)")
-    bundle = _new_bundle(cfg, out_dir)
-    if _cfg_get(cfg, "simulate") is None:
+    if not isinstance(section, dict):
         raise ConfigError("simulate: section missing")
+    bundle = _new_bundle({**cfg, "simulate": {**section, "seed": seed}}, out_dir)
     _simulate_histogram(cfg, out_dir, bundle, seed)
     _simulate_scan(cfg, out_dir, bundle, seed)
     if not bundle.outputs:
@@ -614,22 +635,42 @@ def _fit_scan_file(cfg, path, out_dir, bundle):
 
 
 def cmd_fit(cfg: dict, out_dir: Path, inputs: list) -> ResultBundle:
+    """Fit every input; one that does not converge does not stop the others.
+
+    Converged results are written and failed inputs listed with their stop
+    reason under "failed" in the manifest; then FitConvergenceError is raised
+    for the batch (exit code 4), carrying the first failed fit's result.
+    """
     if not inputs:
         raise ConfigError("fit: at least one input file is required")
-    bundle = _new_bundle(cfg, out_dir)
-    for path in inputs:
-        path = Path(path)
+    paths = [Path(p) for p in inputs]
+    for path in paths:
         if not path.exists():
             raise ConfigError(f"fit: input file {path} does not exist")
+    bundle = _new_bundle(cfg, out_dir, paths)
+    errors = []
+    for path in paths:
         with path.open() as fh:
             header = fh.readline().strip()
         if header == "time_ps,counts":
-            _fit_histogram_file(cfg, path, out_dir, bundle)
+            fit_file = _fit_histogram_file
         elif header == "wavelength_nm,lifetime_ps,lifetime_err_ps":
-            _fit_scan_file(cfg, path, out_dir, bundle)
+            fit_file = _fit_scan_file
         else:
             raise pcio.ParseError(path, 1, f"unrecognized header {header!r}")
+        try:
+            fit_file(cfg, path, out_dir, bundle)
+        except FitConvergenceError as exc:
+            errors.append(exc)
+            bundle.failed.append([path.name, exc.result.stop_reason])
+            bundle.note(f"fit {path.stem}: failed: {exc}")
     bundle.finish()
+    if errors:
+        raise FitConvergenceError(
+            f"{len(errors)} of {len(paths)} inputs did not converge: "
+            + ", ".join(f"{name} ({reason})" for name, reason in bundle.failed),
+            errors[0].result,
+        )
     return bundle
 
 

@@ -1,16 +1,28 @@
 """Reconvolution decay fits and the spectral detuning-model fit.
 
 Histogram fits maximize the Poisson likelihood (equivalently minimize the
-deviance) of the model from `tcspc.expected_curve` — the fit model and the
-generator share one definition. Minimization is a damped least-squares
-(Levenberg-Marquardt) loop with Fisher scoring; amplitudes, lifetimes and the
-background are parameterized by their logarithms so positivity needs no
-constrained solver, and the IRF shift t0 is clipped to +-2 FWHM. Parameter
-uncertainties come from the inverse curvature at the optimum.
+deviance) of a sum of IRF-convolved exponentials plus a flat background, built
+on the kernel behind `tcspc.expected_curve`: the fit model and the generator
+share one definition.
+
+One engine, `_minimize`, serves every fit: a bounded Levenberg-Marquardt loop
+on the natural parameters with an analytic Jacobian (`tcspc.exp_gauss_terms`
+for histograms), one model-and-Jacobian evaluation per trial point and no
+finite differences. Amplitudes and the background are linear and bounded at
+0, so a vanished component is an active bound rather than a parameter
+drifting off; lifetimes are bounded below by a tenth of the IRF width and the
+IRF shift t0 to +-2 FWHM. The two-component fit starts from the
+one-component optimum with the added amplitude at 0, so its deviance never
+exceeds the mono deviance. Each fit reports why the loop stopped
+(`stop_reason`: step, gradient, stationary or budget); only budget means not
+converged. Uncertainties come from the inverse Fisher information at the
+optimum.
 
 The spectral fit estimates the per-mode enhancement factors and the residual
 decay fraction alpha from a lifetime-vs-wavelength scan, using the same
-Lorentzian response as `cavity.lifetime_ratio_multimode`.
+Lorentzian response as `cavity.lifetime_ratio_multimode`. The same engine
+minimizes the weighted chi-square in tau, started from the non-negative
+linear solve of the model in rate space.
 """
 
 from __future__ import annotations
@@ -19,10 +31,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import nnls
 
 from . import tcspc
-from .cavity import CavityMode, lifetime_ratio_multimode
-from .tcspc import DecayModel, TransientHistogram
+from .cavity import CavityMode, lifetime_ratio_multimode, lorentzian_response
+from .tcspc import TransientHistogram
 
 __all__ = [
     "FitResult",
@@ -39,13 +52,26 @@ __all__ = [
 ]
 
 MAX_ITERATIONS = 200
-STEP_TOLERANCE = 1e-8
-GRADIENT_TOLERANCE = 1e-10
-LOG_PARAM_FLOOR = -25.0  # exp(-25) ~ 1e-11: parameter effectively zero
-LOG_PARAM_CEIL = 30.0  # exp(30) ~ 1e13: keeps runaway trial steps finite
+STEP_TOLERANCE = 1e-8  # Gauss-Newton step relative to |parameter| + 1
+DECREMENT_TOLERANCE = 1e-9  # predicted reduction relative to 1 + statistic
+STOP_REASONS = ("step", "gradient", "stationary", "budget")
+CONVERGED_STOPS = ("step", "gradient", "stationary")
+MU_FLOOR = 1e-12  # expected counts below this weigh as this in the curvature
+# Second-component lifetimes tried by the nested two-component start, in units
+# of the one-component lifetime.
+SECOND_LIFETIME_GRID = (1.0 / 30.0, 0.1, 1.0 / 3.0, 3.0)
 SELECTION_THRESHOLD = 9.0  # deviance improvement required to prefer two components
 DEGENERATE_LIFETIME_RATIO = 1.2
 LOW_STATISTICS_COUNTS = 1000
+MONO_NAMES = ("amplitude", "lifetime_ps", "t0_shift_ps", "background")
+BI_NAMES = (
+    "amplitude_fast",
+    "lifetime_fast_ps",
+    "amplitude_slow",
+    "lifetime_slow_ps",
+    "t0_shift_ps",
+    "background",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +91,7 @@ class FitResult:
     converged: bool
     warnings: tuple = ()
     extras: dict = field(default_factory=dict)
+    stop_reason: str = ""  # one of STOP_REASONS
 
     def __getitem__(self, name: str) -> float:
         return self.parameters[name]
@@ -147,118 +174,133 @@ def _as_tau0_function(ref) -> Callable[[np.ndarray], np.ndarray]:
 def poisson_deviance(counts: np.ndarray, mu: np.ndarray) -> float:
     """2 * sum[mu - y + y*ln(y/mu)], the Poisson likelihood-ratio statistic."""
     mu = np.maximum(mu, 1e-300)
-    y = counts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(y > 0, y * np.log(np.where(y > 0, y, 1.0) / mu) - (y - mu), mu)
-    return 2.0 * float(term.sum())
+    y = np.asarray(counts, dtype=float)
+    seen = np.flatnonzero(y)
+    y_seen = y[seen]
+    return 2.0 * float(mu.sum() - y_seen.sum() + y_seen @ np.log(y_seen / mu[seen]))
 
 
-def _forward_jacobian(model, theta, mu):
-    J = np.empty((len(mu), len(theta)))
-    for j in range(len(theta)):
-        h = 1e-6 * (1.0 + abs(theta[j]))
-        tp = theta.copy()
-        tp[j] += h
-        J[:, j] = (model(tp) - mu) / h
-    return J
+def _gauss_newton(x, mu, J, y, lower, upper, weights=None):
+    """Free coordinates, gradient, normal matrix, damping scale and the
+    Gauss-Newton step (None if the normal matrix is singular) there.
 
-
-def _levenberg_marquardt(
-    theta0: np.ndarray,
-    model: Callable[[np.ndarray], np.ndarray],
-    y: np.ndarray,
-    objective: str,
-    weights: np.ndarray | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-    clamp: Callable[[np.ndarray], np.ndarray] | None = None,
-):
-    """Damped least-squares minimization of the Poisson deviance or weighted chi2.
-
-    Returns (theta, covariance, statistic, iterations, converged). The step
-    equation uses the Fisher-scoring normal matrix with multiplicative
-    damping; accepted steps update the damping through the gain ratio of
-    actual to predicted reduction, rejected ones escalate it geometrically.
+    The normal matrix weighs each point by the observed curvature: y/mu^2 for
+    the Poisson deviance (its exact Hessian in the linear parameters), the
+    weights for chi-square. The damping scale is the diagonal of the Fisher
+    information (weights 1/mu), which stays positive where counts are zero.
+    A coordinate is free unless it sits at a bound that its gradient pushes
+    against, or does not move the model at all (a lifetime whose amplitude
+    is zero).
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    if clamp is not None:
-        theta = clamp(theta)
+    if weights is None:
+        inv_mu = 1.0 / np.maximum(mu, MU_FLOOR)
+        residual = 1.0 - y * inv_mu
+        w = y * inv_mu**2
+    else:
+        residual = -weights * (y - mu)
+        w = inv_mu = weights
+    grad = 2.0 * (J @ residual)
+    free = J.any(axis=1) & ~((x <= lower) & (grad > 0)) & ~((x >= upper) & (grad < 0))
+    g = grad[free]
+    Jf = J[free]
+    N = 2.0 * ((Jf * w) @ Jf.T)
+    scale = 2.0 * ((Jf * Jf) @ inv_mu)
+    try:
+        newton = np.linalg.solve(N, -g)
+    except np.linalg.LinAlgError:
+        newton = None
+    return free, g, N, scale, newton
+
+
+def _minimize(x0, evaluate, y, lower, upper, weights=None,
+              max_iterations=MAX_ITERATIONS, initial=None):
+    """Bounded Levenberg-Marquardt with an analytic Jacobian.
+
+    Minimizes the Poisson deviance of the counts `y` (weights None) or the
+    weighted chi-square. `evaluate(x)` returns the model and its Jacobian,
+    shape (parameters, points), once per trial point; `initial` may carry
+    that pair for `x0`. Steps are taken on the free coordinates of
+    `_gauss_newton` and projected onto the bounds. Returns
+    (x, mu, J, statistic, iterations, stop_reason) with stop_reason one of
+    STOP_REASONS:
+      step        the Gauss-Newton step on the free coordinates is negligible;
+      gradient    its predicted reduction of the statistic is negligible;
+      stationary  no trial point changes the statistic beyond round-off;
+      budget      iterations (or damping) exhausted.
+    """
+    poisson = weights is None
 
     def statistic(mu):
-        if objective == "poisson":
+        if poisson:
             return poisson_deviance(y, mu)
-        return float((weights * (y - mu) ** 2).sum())
+        return float(weights @ (y - mu) ** 2)
 
-    mu = np.maximum(model(theta), 1e-12)
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    mu, J = initial if initial is not None else evaluate(x)
     stat = statistic(mu)
     damping = 1e-3
-    growth = 2.0
+    stop = "budget"
     iterations = 0
-    converged = False
-    for iterations in range(1, max_iterations + 1):
-        J = _forward_jacobian(model, theta, mu)
-        if objective == "poisson":
-            grad = 2.0 * ((1.0 - y / mu) @ J)
-            normal = 2.0 * ((J.T * (1.0 / mu)) @ J)
-        else:
-            grad = -2.0 * ((weights * (y - mu)) @ J)
-            normal = 2.0 * ((J.T * weights) @ J)
-        diag_scale = np.diag(np.maximum(np.diag(normal), 1e-30))
+    while iterations < max_iterations:
+        iterations += 1
+        free, g, N, scale, newton = _gauss_newton(x, mu, J, y, lower, upper, weights)
+        if not free.any():
+            stop = "gradient"
+            break
+        if newton is not None:
+            if 0.0 <= -0.5 * float(g @ newton) <= DECREMENT_TOLERANCE * (1.0 + stat):
+                stop = "gradient"
+                break
+            if np.all(np.abs(newton) <= STEP_TOLERANCE * (np.abs(x[free]) + 1.0)):
+                stop = "step"
+                break
+        growth = 2.0
+        smallest_change = np.inf
         accepted = False
-        stalled_change = np.inf
-        for _ in range(60):
+        while damping <= 1e13:
             try:
-                delta = np.linalg.solve(normal + damping * diag_scale, -grad)
+                delta = np.linalg.solve(N + np.diag(damping * scale), -g)
             except np.linalg.LinAlgError:
                 delta = None
             if delta is not None and np.all(np.isfinite(delta)):
-                candidate = theta + delta
-                if clamp is not None:
-                    candidate = clamp(candidate)
-                step = candidate - theta
-                mu_new = np.maximum(model(candidate), 1e-12)
+                candidate = x.copy()
+                candidate[free] += delta
+                candidate = np.clip(candidate, lower, upper)
+                mu_new, J_new = evaluate(candidate)
                 stat_new = statistic(mu_new)
-                if np.isfinite(stat_new) and stat_new < stat:
-                    # Gain ratio, actual over predicted reduction
+                if stat_new < stat:
+                    # Gain ratio of actual to predicted reduction
                     # (Madsen-Nielsen damping update).
-                    predicted = 0.5 * float(
-                        step @ (damping * (diag_scale @ step) - grad)
-                    )
+                    taken = (candidate - x)[free]
+                    predicted = -float(g @ taken + 0.5 * taken @ N @ taken)
                     if predicted > 0:
                         rho = (stat - stat_new) / predicted
                         damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                     else:
                         damping /= 3.0
                     damping = max(damping, 1e-14)
-                    growth = 2.0
                     accepted = True
                     break
                 if np.isfinite(stat_new):
-                    stalled_change = min(stalled_change, abs(stat_new - stat))
-            if damping > 1e13:
-                break
+                    smallest_change = min(smallest_change, abs(stat_new - stat))
             damping *= growth
-            growth = min(growth * 2.0, 1e4)
+            growth = min(2.0 * growth, 1e4)
         if not accepted:
-            # No direction reduces the objective beyond floating-point noise:
-            # the iterate is numerically stationary.
-            if stalled_change <= 1e-9 * max(stat, 1.0):
-                converged = True
+            if smallest_change <= 1e-9 * max(stat, 1.0):
+                stop = "stationary"
             break
-        theta, mu, stat = candidate, mu_new, stat_new
-        if np.all(np.abs(step) <= STEP_TOLERANCE * (np.abs(theta) + 1.0)):
-            converged = True
-            break
-        if np.abs(grad).max() < GRADIENT_TOLERANCE:
-            converged = True
-            break
-    J = _forward_jacobian(model, theta, mu)
-    w = (1.0 / mu) if objective == "poisson" else weights
-    fisher = (J.T * w) @ J
+        x, mu, J, stat = candidate, mu_new, J_new, stat_new
+    return x, mu, J, stat, iterations, stop
+
+
+def _covariance(J, mu, weights=None):
+    """Inverse Fisher information in the natural parameters."""
+    w = 1.0 / np.maximum(mu, MU_FLOOR) if weights is None else weights
+    fisher = (J * w) @ J.T
     try:
-        covariance = np.linalg.inv(fisher)
+        return np.linalg.inv(fisher)
     except np.linalg.LinAlgError:
-        covariance = np.linalg.pinv(fisher)
-    return theta, covariance, stat, iterations, converged
+        return np.linalg.pinv(fisher)
 
 
 def _tail_lifetime_guess(t: np.ndarray, y: np.ndarray) -> float:
@@ -277,161 +319,97 @@ def _tail_lifetime_guess(t: np.ndarray, y: np.ndarray) -> float:
 def _background_guess(y: np.ndarray) -> float:
     peak = int(np.argmax(y))
     head = y[: max(3, peak // 2)]
+    # Started above zero: the Gauss-Newton steps approach a near-zero
+    # background from below only in small geometric steps.
     return max(float(np.median(head)), 0.1)
 
 
-def _natural_covariance(theta, cov_theta, log_mask):
-    scale = np.where(log_mask, np.exp(theta), 1.0)
-    return cov_theta * np.outer(scale, scale)
+class _Reconvolution:
+    """Sum of IRF-convolved exponentials plus background for one histogram.
+
+    Parameters are (amplitude, lifetime) per component, then the IRF shift
+    and the background; amplitudes and background are linear and bounded at
+    0, the shift at +-2 FWHM.
+    """
+
+    def __init__(self, hist: TransientHistogram, n_components: int):
+        self.hist = hist
+        self.y = hist.counts.astype(float)
+        self.t = hist.bin_centers()
+        self.n = n_components
+        span = self.t[-1] - self.t[0] + hist.bin_width
+        t0_bound = 2.0 * hist.irf.fwhm
+        self.lower = np.array([0.0, 0.1 * hist.irf.sigma] * n_components + [-t0_bound, 0.0])
+        self.upper = np.array([np.inf, 100.0 * span] * n_components + [t0_bound, np.inf])
+
+    def __call__(self, x):
+        t0 = self.hist.irf.t0 + x[-2]
+        sigma = self.hist.irf.sigma
+        J = np.empty((len(x), len(self.y)))
+        mu = x[-1]
+        d_t0 = 0.0
+        for k in range(self.n):
+            amplitude = x[2 * k]
+            g, d_tau, d_shift = tcspc.exp_gauss_terms(self.t, x[2 * k + 1], sigma, t0)
+            mu = mu + amplitude * g
+            d_t0 = d_t0 + amplitude * d_shift
+            J[2 * k] = g
+            J[2 * k + 1] = amplitude * d_tau
+        J[-2] = d_t0
+        J[-1] = 1.0
+        return mu, J
 
 
-def _histogram_fit(hist: TransientHistogram, two_components: bool, max_iterations: int):
-    y = hist.counts.astype(float)
-    t = hist.bin_centers()
-    grid = hist.grid
-    irf = hist.irf
-    t0_bound = 2.0 * irf.fwhm
-    warnings = []
-    if hist.total_counts < LOW_STATISTICS_COUNTS:
-        warnings.append(
-            f"low statistics: total counts {hist.total_counts} < {LOW_STATISTICS_COUNTS}"
-        )
-
-    tau_slow0 = _tail_lifetime_guess(t, y)
-    bg0 = _background_guess(y)
-    peak_height = max(float(y.max()), 1.0)
-
-    if not two_components:
-        names = ("amplitude", "lifetime_ps", "t0_shift_ps", "background")
-        log_mask = np.array([True, True, False, True])
-        theta0 = np.array([np.log(peak_height), np.log(tau_slow0), 0.0, np.log(bg0)])
-
-        def model(theta):
-            decay = DecayModel(
-                [(np.exp(theta[0]), np.exp(theta[1]))], background=np.exp(theta[3])
-            )
-            return tcspc.expected_curve(decay, irf.shifted(theta[2]), grid)
-
-    else:
-        # Two-segment tail analysis: the early segment ends where the
-        # cumulative counts reach 30%. When it shows no lifetime clearly
-        # separated from the tail, the data look monoexponential: start the
-        # fast component at negligible amplitude so it can collapse to zero
-        # instead of wandering the flat amplitude/lifetime ridge.
-        cumulative = np.cumsum(y)
-        split = int(np.searchsorted(cumulative, 0.3 * cumulative[-1]))
-        peak = int(np.argmax(y))
-        early = np.zeros(len(y), dtype=bool)
-        early[peak + 2 : max(split, peak + 8)] = True
-        early &= y >= 5
-        tau_fast0 = tau_slow0 / 4.0
-        fast_amp0 = 1e-3 * peak_height
-        if early.sum() >= 4:
-            slope, _ = np.polyfit(t[early], np.log(y[early]), 1, w=np.sqrt(y[early]))
-            if slope < 0 and 0.0 < -1.0 / slope < 0.8 * tau_slow0:
-                tau_fast0 = -1.0 / slope
-                fast_amp0 = 0.5 * peak_height
-        names = (
-            "amplitude_fast",
-            "lifetime_fast_ps",
-            "amplitude_slow",
-            "lifetime_slow_ps",
-            "t0_shift_ps",
-            "background",
-        )
-        log_mask = np.array([True, True, True, True, False, True])
-        theta0 = np.array(
-            [
-                np.log(fast_amp0),
-                np.log(tau_fast0),
-                np.log(max(0.1 * peak_height, 1e-3)),
-                np.log(tau_slow0),
-                0.0,
-                np.log(bg0),
-            ]
-        )
-
-        def model(theta):
-            decay = DecayModel(
-                [
-                    (np.exp(theta[0]), np.exp(theta[1])),
-                    (np.exp(theta[2]), np.exp(theta[3])),
-                ],
-                background=np.exp(theta[5]),
-            )
-            return tcspc.expected_curve(decay, irf.shifted(theta[4]), grid)
-
-    t0_index = names.index("t0_shift_ps")
-    # A component whose expected counts sit below the Poisson noise of the
-    # whole record is statistically absent; parking its amplitude at the
-    # floor lets collapsing fits converge instead of drifting for hundreds
-    # of iterations. Never applied to both components at once.
-    negligible = 0.25 * np.sqrt(max(hist.total_counts, 1.0))
-
-    def clamp(theta):
-        theta = np.where(
-            log_mask, np.clip(theta, LOG_PARAM_FLOOR, LOG_PARAM_CEIL), theta
-        )
-        theta = np.where(log_mask & (theta < LOG_PARAM_FLOOR + 5.0),
-                         LOG_PARAM_FLOOR, theta)
-        if two_components:
-            counts_a = np.exp(theta[0] + theta[1]) / hist.bin_width
-            counts_b = np.exp(theta[2] + theta[3]) / hist.bin_width
-            if counts_a < negligible <= counts_b:
-                theta[0] = LOG_PARAM_FLOOR
-            elif counts_b < negligible <= counts_a:
-                theta[2] = LOG_PARAM_FLOOR
-        theta[t0_index] = np.clip(theta[t0_index], -t0_bound, t0_bound)
-        return theta
-
-    theta, cov_theta, deviance, iterations, converged = _levenberg_marquardt(
-        theta0, model, y, objective="poisson", clamp=clamp,
-        max_iterations=max_iterations,
-    )
-    params = np.where(log_mask, np.exp(theta), theta)
-    covariance = _natural_covariance(theta, cov_theta, log_mask)
-
+def _fit_result(model, names, x, mu, J, deviance, iterations, stop, warnings):
+    covariance = _covariance(J, mu)
+    two_components = names == BI_NAMES
     degenerate = False
-    if two_components and params[1] > params[3]:
+    if two_components and x[1] > x[3]:
         perm = [2, 3, 0, 1, 4, 5]
-        params = params[perm]
+        x = x[perm]
         covariance = covariance[np.ix_(perm, perm)]
     if two_components:
-        ratio = params[3] / params[1]
+        ratio = x[3] / x[1]
         if ratio < DEGENERATE_LIFETIME_RATIO:
             degenerate = True
             warnings.append(
                 f"unidentifiable: lifetime ratio {ratio:.3f} < {DEGENERATE_LIFETIME_RATIO}"
             )
-
     diag = np.diag(covariance)
     if np.any(diag < 0):
         warnings.append("curvature not positive definite; errors unreliable")
     std = np.sqrt(np.maximum(diag, 0.0))
-    n_params = len(names)
+    converged = stop in CONVERGED_STOPS
     result = FitResult(
-        model="biexponential" if two_components else "monoexponential",
-        parameters=dict(zip(names, map(float, params))),
+        model=model,
+        parameters=dict(zip(names, map(float, x))),
         std_errors=dict(zip(names, map(float, std))),
         parameter_order=names,
         covariance=covariance,
         statistic=deviance,
-        goodness=deviance / max(len(y) - n_params, 1),
+        goodness=deviance / max(len(mu) - len(names), 1),
         goodness_kind="poisson-deviance",
-        n_points=len(y),
+        n_points=len(mu),
         iterations=iterations,
         converged=converged,
         warnings=tuple(warnings),
+        stop_reason=stop,
     )
+    # A degenerate (unidentifiable) two-component solution wanders a flat
+    # likelihood valley; it is returned flagged rather than raised, since the
+    # flag explains the stall.
     if not converged and not degenerate:
         raise FitConvergenceError(
-            f"{result.model} fit did not converge in {iterations} iterations",
+            f"{model} fit did not converge in {iterations} iterations ({stop})",
             result,
         )
-    # A degenerate (unidentifiable) two-component solution wanders a flat
-    # likelihood valley and cannot meet the step criterion; it is returned
-    # flagged rather than raised, since the flag explains the stall.
     return result
+
+
+def _low_statistics(hist) -> list:
+    if hist.total_counts < LOW_STATISTICS_COUNTS:
+        return [f"low statistics: total counts {hist.total_counts} < {LOW_STATISTICS_COUNTS}"]
+    return []
 
 
 def fit_monoexponential(
@@ -439,12 +417,53 @@ def fit_monoexponential(
 ) -> FitResult:
     """Poisson reconvolution fit of one decay component plus background.
 
-    Free parameters: amplitude, lifetime, IRF shift (bounded to +-2 FWHM) and
-    a constant background, the positive ones on log scale. Raises
+    Free parameters: amplitude and background (linear, bounded at 0), the
+    lifetime, and the IRF shift (bounded to +-2 FWHM). Raises
     FitConvergenceError (carrying the last iterate) if the iteration budget
     is exhausted.
     """
-    return _histogram_fit(hist, two_components=False, max_iterations=max_iterations)
+    model = _Reconvolution(hist, 1)
+    bg0 = _background_guess(model.y)
+    tau0 = _tail_lifetime_guess(model.t, model.y)
+    shape = tcspc.exp_gauss_component(model.t, 1.0, tau0, hist.irf.sigma, hist.irf.t0)
+    amp0 = max(model.y.sum() - bg0 * len(model.y), 1.0) / shape.sum()
+    x, mu, J, deviance, iterations, stop = _minimize(
+        np.array([amp0, tau0, 0.0, bg0]), model, model.y, model.lower, model.upper,
+        max_iterations=max_iterations,
+    )
+    return _fit_result("monoexponential", MONO_NAMES, x, mu, J, deviance,
+                       iterations, stop, _low_statistics(hist))
+
+
+def _nested_biexponential(hist, mono: FitResult, max_iterations: int) -> FitResult:
+    """Two-component fit started from the one-component optimum.
+
+    The second component enters with amplitude 0, so the start reproduces
+    the mono deviance exactly and the fit can only improve on it. Its
+    lifetime is the grid point (in units of the mono lifetime) whose first
+    Gauss-Newton step promises the largest deviance reduction.
+    """
+    model = _Reconvolution(hist, 2)
+    p = mono.parameters
+    best = None
+    for factor in SECOND_LIFETIME_GRID:
+        x0 = np.clip(
+            np.array([0.0, factor * p["lifetime_ps"], p["amplitude"], p["lifetime_ps"],
+                      p["t0_shift_ps"], p["background"]]),
+            model.lower, model.upper,
+        )
+        mu, J = model(x0)
+        _, g, _, _, newton = _gauss_newton(x0, mu, J, model.y, model.lower, model.upper)
+        gain = 0.0 if newton is None else -float(g @ newton)
+        if best is None or gain > best[0]:
+            best = (gain, x0, (mu, J))
+    _, x0, initial = best
+    x, mu, J, deviance, iterations, stop = _minimize(
+        x0, model, model.y, model.lower, model.upper,
+        max_iterations=max_iterations, initial=initial,
+    )
+    return _fit_result("biexponential", BI_NAMES, x, mu, J, deviance,
+                       iterations, stop, _low_statistics(hist))
 
 
 def fit_biexponential(
@@ -452,10 +471,16 @@ def fit_biexponential(
 ) -> FitResult:
     """Poisson reconvolution fit of two decay components plus background.
 
-    Components are reported with lifetime_fast_ps < lifetime_slow_ps. A
-    lifetime ratio below 1.2 is flagged as unidentifiable in `warnings`.
+    Started from the monoexponential optimum, so its deviance never exceeds
+    the mono fit's. Components are reported with
+    lifetime_fast_ps < lifetime_slow_ps. A lifetime ratio below 1.2 is
+    flagged as unidentifiable in `warnings`.
     """
-    return _histogram_fit(hist, two_components=True, max_iterations=max_iterations)
+    try:
+        mono = fit_monoexponential(hist)
+    except FitConvergenceError as exc:
+        mono = exc.result  # its last iterate is still a valid start
+    return _nested_biexponential(hist, mono, max_iterations)
 
 
 def select_model(
@@ -467,7 +492,7 @@ def select_model(
     `threshold`; ties go to the monoexponential.
     """
     mono = fit_monoexponential(hist)
-    bi = fit_biexponential(hist)
+    bi = _nested_biexponential(hist, mono, MAX_ITERATIONS)
     delta = mono.statistic - bi.statistic
     choice = "bi" if delta > threshold else "mono"
     return ModelSelection(
@@ -504,8 +529,8 @@ def fit_spectral_model(
     Model: tau(lambda) = tau0(lambda) / (sum_m (F_m/3) L_m(lambda) + alpha)
     with L_m the unit-peak Lorentzian of mode m (position and linewidth fixed,
     not fitted). Free parameters are the per-mode enhancements F_m and alpha,
-    kept non-negative through log parameterization. Weights are 1/sigma^2 when
-    the scan carries uncertainties, else 1.
+    bounded at 0. Weights are 1/sigma^2 when the scan carries uncertainties,
+    else 1.
 
     The result's extras report, per mode, the on-resonance lifetime
     tau0(lambda_m) / (F_m/3 + alpha) and the maximal lifetime ratio.
@@ -528,55 +553,45 @@ def fit_spectral_model(
         1.0 / scan.errors**2 if scan.errors is not None else np.ones_like(y)
     )
     tau0_vals = tau0(lam)
-
-    # Initial guesses: alpha from points detuned from every mode, F from the
-    # deepest point attributed to its nearest mode.
-    detached = np.ones_like(lam, dtype=bool)
-    for mode in modes:
-        detached &= np.abs(lam - mode.lambda_c) > 1.5 * mode.linewidth
-    if detached.any():
-        alpha0 = float(np.median(tau0_vals[detached] / y[detached]))
-    else:
-        alpha0 = 0.5
-    alpha0 = max(alpha0, 1e-3)
-    f0 = []
-    for mode in modes:
-        near = np.abs(lam - mode.lambda_c) < 2.0 * mode.linewidth
-        tau_min = float(y[near].min()) if near.any() else float(y.min())
-        f0.append(max(3.0 * (tau0(mode.lambda_c) / tau_min - alpha0), 1.0))
-    theta0 = np.log(np.array(f0 + [alpha0]))
-
-    def model(theta):
-        fps = np.exp(theta[:-1])
-        alpha = np.exp(theta[-1])
-        ratio = lifetime_ratio_multimode(lam, modes, fps, alpha)
-        return tau0_vals / ratio
-
-    def clamp(theta):
-        theta = np.clip(theta, LOG_PARAM_FLOOR, LOG_PARAM_CEIL)
-        return np.where(theta < LOG_PARAM_FLOOR + 5.0, LOG_PARAM_FLOOR, theta)
-
-    theta, cov_theta, chi2, iterations, converged = _levenberg_marquardt(
-        theta0, model, y, objective="wls", weights=weights, clamp=clamp,
-        max_iterations=max_iterations,
+    shapes = np.array(
+        [lorentzian_response(lam, m.lambda_c, m.linewidth) / 3.0 for m in modes]
     )
-    log_mask = np.ones(len(theta), dtype=bool)
-    params = np.exp(theta)
-    covariance = _natural_covariance(theta, cov_theta, log_mask)
+
+    # Start: the model is linear in (F_m, alpha) in rate space,
+    # tau0/tau = sum_m (F_m/3) L_m + alpha; solve it by non-negative least
+    # squares with the tau-space weights carried over to rates.
+    rate_scale = y**2 * np.sqrt(weights) / tau0_vals
+    design = np.vstack([shapes, np.ones_like(lam)]).T
+    x0, _ = nnls(design * rate_scale[:, None], tau0_vals / y * rate_scale)
+    x0[-1] = max(x0[-1], 1e-6)
+
+    def model(x):
+        ratio = lifetime_ratio_multimode(lam, modes, x[:-1], x[-1])
+        mu = tau0_vals / ratio
+        d_ratio = -mu / ratio
+        return mu, np.vstack([shapes * d_ratio, d_ratio])
+
+    n_params = len(modes) + 1
+    x, mu, J, chi2, iterations, stop = _minimize(
+        x0, model, y, np.zeros(n_params), np.full(n_params, np.inf),
+        weights=weights, max_iterations=max_iterations,
+    )
+    covariance = _covariance(J, mu, weights)
     std = np.sqrt(np.maximum(np.diag(covariance), 0.0))
+    converged = stop in CONVERGED_STOPS
 
     if len(modes) == 1:
         names = ("purcell_factor", "alpha")
     else:
         names = tuple(f"purcell_factor_{i + 1}" for i in range(len(modes))) + ("alpha",)
-    alpha = float(params[-1])
-    fps = [float(v) for v in params[:-1]]
+    alpha = float(x[-1])
+    fps = [float(v) for v in x[:-1]]
     ratios = [fp / 3.0 + alpha for fp in fps]
     tau_res = [float(tau0(m.lambda_c)) / r for m, r in zip(modes, ratios)]
     result = FitResult(
         model="spectral-detuning",
-        parameters=dict(zip(names, list(map(float, params)))),
-        std_errors=dict(zip(names, list(map(float, std)))),
+        parameters=dict(zip(names, map(float, x))),
+        std_errors=dict(zip(names, map(float, std))),
         parameter_order=names,
         covariance=covariance,
         statistic=chi2,
@@ -585,6 +600,7 @@ def fit_spectral_model(
         n_points=len(y),
         iterations=iterations,
         converged=converged,
+        stop_reason=stop,
         extras={
             "modes_used": [(m.lambda_c, m.q_factor) for m in modes],
             "tau_on_resonance_ps": tau_res,
@@ -594,7 +610,7 @@ def fit_spectral_model(
     )
     if not converged:
         raise FitConvergenceError(
-            f"spectral fit did not converge in {iterations} iterations", result
+            f"spectral fit did not converge in {iterations} iterations ({stop})", result
         )
     return result
 

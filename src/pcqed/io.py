@@ -22,6 +22,7 @@ __all__ = [
     "ParseError",
     "canonical_json",
     "write_json",
+    "write_manifest_json",
     "write_histogram_csv",
     "read_histogram_csv",
     "write_band_csv",
@@ -59,6 +60,17 @@ def canonical_json(obj) -> str:
 
 def write_json(path, obj) -> None:
     Path(path).write_text(canonical_json(obj) + "\n")
+
+
+def _write_compact_json(path, obj) -> None:
+    # Sorted keys without indentation: fit results and manifests are written
+    # once per fitted file, and indentation would add a fifth to their size.
+    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def write_manifest_json(path, doc: dict) -> None:
+    """Result-bundle manifest: run id, config hash, outputs, failed inputs."""
+    _write_compact_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +227,11 @@ def write_fit_json(path, result: FitResult) -> dict:
         "n_points": result.n_points,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "warnings": list(result.warnings),
         "extras": result.extras,
     }
-    write_json(path, doc)
+    _write_compact_json(path, doc)
     return doc
 
 
@@ -238,6 +251,7 @@ def read_fit_json(path) -> FitResult:
         converged=doc["converged"],
         warnings=tuple(doc["warnings"]),
         extras=doc["extras"],
+        stop_reason=doc.get("stop_reason", ""),
     )
 
 

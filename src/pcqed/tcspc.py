@@ -22,6 +22,7 @@ __all__ = [
     "BinGrid",
     "TransientHistogram",
     "exp_gauss_component",
+    "exp_gauss_terms",
     "expected_curve",
     "sample_histogram",
 ]
@@ -136,6 +137,41 @@ class TransientHistogram:
         return self.grid.centers()
 
 
+# For z < -6, erfc(z) == 2.0 exactly in float64 (erfc(6) ~ 2e-17 is below half
+# an ulp of 2), so beyond that point the EMG is the plain shifted exponential.
+ERFC_SATURATION_Z = -6.0
+# Tail exponents below this are flushed to an exact zero (exp(-700) ~ 1e-304):
+# numpy's exp leaves its fast path for inputs near the underflow threshold.
+EXP_FLOOR = -700.0
+
+
+def _emg(u, sigma, inv_tau, half_amplitude):
+    """Masked EMG kernel on offsets u = t - t0.
+
+    Returns (curve, near, gauss): the special functions are evaluated only on
+    the bins `near` (z >= -6, the few bins around the instrument response);
+    every later bin gets the exact closed form 2*half_amplitude*exp(s^2/2tau^2
+    - u/tau). `gauss` is exp(-u^2/2s^2) on the near bins.
+    """
+    u_cut = sigma * (sigma * inv_tau - np.sqrt(2.0) * ERFC_SATURATION_Z)
+    near = np.flatnonzero(u <= u_cut)
+    un = u[near]
+    z = (sigma * inv_tau - un / sigma) / np.sqrt(2.0)
+    gauss = np.exp(-0.5 * (un / sigma) ** 2)
+    exponent = 0.5 * (sigma * inv_tau) ** 2 - u * inv_tau
+    # The near bins can overflow here; they are overwritten below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = half_amplitude * np.exp(np.maximum(exponent, EXP_FLOOR)) * 2.0
+    out[exponent < EXP_FLOOR] = 0.0
+    early = z >= 0
+    late = ~early
+    values = np.empty_like(un)
+    values[early] = half_amplitude * gauss[early] * erfcx(z[early])
+    values[late] = half_amplitude * np.exp(exponent[near][late]) * erfc(z[late])
+    out[near] = values
+    return out, near, gauss
+
+
 def exp_gauss_component(
     t: np.ndarray, amplitude: float, lifetime: float, sigma: float, t0: float
 ) -> np.ndarray:
@@ -143,23 +179,33 @@ def exp_gauss_component(
 
     Evaluates (A/2) exp(s^2/(2 tau^2) - (t-t0)/tau)
     erfc((s^2/tau - (t-t0)) / (sqrt(2) s)) with an erfcx branch for the
-    early-time region, where the direct form would overflow.
+    early-time region, where the direct form would overflow, and the exact
+    erfc = 2 closed form on the late tail.
     """
     u = np.asarray(t, dtype=float) - t0
     inv_tau = np.float64(1.0) / lifetime  # float64 ops saturate instead of raising
-    z = (sigma * inv_tau - u / sigma) / np.sqrt(2.0)
-    out = np.empty_like(u)
-    early = z >= 0
-    out[early] = (
-        0.5
-        * amplitude
-        * np.exp(-0.5 * (u[early] / sigma) ** 2)
-        * erfcx(z[early])
-    )
-    late = ~early
-    exponent = 0.5 * (sigma * inv_tau) ** 2 - u[late] * inv_tau
-    out[late] = 0.5 * amplitude * np.exp(exponent) * erfc(z[late])
-    return out
+    return _emg(u, sigma, inv_tau, 0.5 * amplitude)[0]
+
+
+def exp_gauss_terms(
+    t: np.ndarray, lifetime: float, sigma: float, t0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-amplitude EMG g and its partial derivatives dg/dtau and dg/dt0.
+
+    With u = t - t0 and N(u) the unit-area Gaussian of width s,
+    dg/dtau = (g (u - s^2/tau) + s^2 N) / tau^2 and dg/dt0 = g/tau - N.
+    Beyond the masked bins N < g exp(-36) / (s sqrt(2 pi)), below the float64
+    resolution of either term, so N is added only on the masked bins.
+    """
+    u = np.asarray(t, dtype=float) - t0
+    inv_tau = np.float64(1.0) / lifetime
+    g, near, gauss = _emg(u, sigma, inv_tau, 0.5)
+    d_tau = g * ((u - sigma**2 * inv_tau) * inv_tau**2)
+    d_t0 = g * inv_tau
+    normal = gauss / (sigma * np.sqrt(2.0 * np.pi))
+    d_tau[near] += (sigma * inv_tau) ** 2 * normal
+    d_t0[near] -= normal
+    return g, d_tau, d_t0
 
 
 def expected_curve(

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.special import erfc, erfcx
 
 from pcqed import tcspc
 from pcqed.cavity import CavityMode, EmitterCoupling, lifetime_ratio
 from pcqed.fitting import (
+    STOP_REASONS,
+    FitConvergenceError,
     SpectralScan,
     fit_biexponential,
     fit_monoexponential,
@@ -111,6 +114,16 @@ def test_fit_reports_goodness_and_iterations():
     assert set(result.parameter_order) == set(result.parameters)
 
 
+def test_stop_reason_reported():
+    hist = synth([(1.0, 840.0)], seed=11)
+    result = fit_monoexponential(hist)
+    assert result.converged and result.stop_reason in STOP_REASONS[:3]
+    with pytest.raises(FitConvergenceError) as err:
+        fit_monoexponential(hist, max_iterations=1)
+    assert err.value.result.stop_reason == "budget"
+    assert not err.value.result.converged
+
+
 def test_shared_curve_definition_wilks():
     # Fitting data with its own generator: the deviance gain of the fitted
     # over the true parameters follows Wilks. Of the four parameters, the
@@ -175,6 +188,41 @@ def test_select_model_smoke():
     sel = select_model(synth([(1.0, 150.0), (1.0 / 18.0, 1800.0)], seed=6001))
     assert sel.choice == "bi"
     assert sel.delta_deviance > 9.0
+
+
+def _emg(t, amplitude, lifetime, sigma, t0):
+    # Closed-form exponentially-modified Gaussian, independent of pcqed.tcspc.
+    u = t - t0
+    z = (sigma / lifetime - u / sigma) / np.sqrt(2.0)
+    early = z >= 0
+    out = np.empty_like(u)
+    out[early] = (0.5 * amplitude * np.exp(-0.5 * (u[early] / sigma) ** 2)
+                  * erfcx(z[early]))
+    late = ~early
+    out[late] = (0.5 * amplitude
+                 * np.exp(0.5 * (sigma / lifetime) ** 2 - u[late] / lifetime)
+                 * erfc(z[late]))
+    return out
+
+
+def test_nested_fits_never_worse_than_mono():
+    # The paper's detuning scan: 51 wavelengths, each a fast cavity-modified
+    # component plus an 1800 ps one. Two components contain one, so at the
+    # optimum the biexponential deviance can never exceed the mono deviance.
+    t = GRID.centers()
+    width = M2.lambda_c / M2.q_factor
+    rng_streams = np.random.SeedSequence(20261018).spawn(51)
+    for lam, stream in zip(np.linspace(1029.0, 1034.0, 51), rng_streams):
+        lorentz = width**2 / (width**2 + 4.0 * (lam - M2.lambda_c) ** 2)
+        tau = 840.0 / (56.0 / 3.0 * lorentz + 0.47)
+        mu = (_emg(t, 1.0, tau, IRF.sigma, IRF.t0)
+              + _emg(t, 0.0556, 1800.0, IRF.sigma, IRF.t0))
+        counts = np.random.default_rng(stream).multinomial(100_000, mu / mu.sum())
+        hist = tcspc.TransientHistogram(
+            bin_width=GRID.bin_width, t_start=GRID.t_start, counts=counts, irf=IRF
+        )
+        sel = select_model(hist)
+        assert sel.bi.statistic <= sel.mono.statistic * (1 + 1e-9), lam
 
 
 def test_scan_lifetime_reductions():

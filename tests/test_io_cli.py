@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from pcqed import io as pcio
+from pcqed import cli
 from pcqed.cli import (
     EXIT_CONFIG,
+    EXIT_FIT,
     ConfigError,
     cmd_bands,
     cmd_fit,
@@ -14,7 +16,7 @@ from pcqed.cli import (
     config_hash,
     main,
 )
-from pcqed.fitting import SpectralScan, fit_monoexponential
+from pcqed.fitting import SpectralScan, fit_monoexponential, select_model
 from pcqed.tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
 
 IRF = InstrumentResponse(fwhm=150.0, t0=600.0)
@@ -248,6 +250,84 @@ def test_simulate_scan_dip_position_and_fit(tmp_path):
     doc = json.loads((fit_dir / "fit_spectral_scan.json").read_text())
     assert doc["parameters"]["purcell_factor"] == pytest.approx(56.0, abs=10.0)
     assert doc["extras"]["lifetime_ratio_max"] == pytest.approx(19.0, abs=4.0)
+
+
+def _simulated_histogram(tmp_path, seed):
+    cfg = sim_config(seed)
+    del cfg["simulate"]["spectral_scan"]
+    out = tmp_path / f"sim{seed}"
+    cmd_simulate(cfg, out)
+    return out / "histogram.csv"
+
+
+def _run_id(out_dir):
+    return json.loads((out_dir / "manifest.json").read_text())["run_id"]
+
+
+def test_fit_run_id_changes_with_input_bytes(tmp_path):
+    cfg = sim_config()
+    a = cmd_fit(cfg, tmp_path / "fit1", [_simulated_histogram(tmp_path, 1)])
+    b = cmd_fit(cfg, tmp_path / "fit2", [_simulated_histogram(tmp_path, 2)])
+    assert a.config_hash == b.config_hash
+    assert a.run_id != b.run_id
+
+
+def test_simulate_run_id_changes_with_seed_flag(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(sim_config()))
+    for seed in ("1", "2"):
+        assert main(["simulate", "--config", str(cfg), "--seed", seed,
+                     "--out", str(tmp_path / seed)]) == 0
+    assert _run_id(tmp_path / "1") != _run_id(tmp_path / "2")
+
+
+def test_rerun_on_identical_inputs_keeps_run_id(tmp_path):
+    cfg = sim_config()
+    hist = _simulated_histogram(tmp_path, 1)
+    copy = tmp_path / "elsewhere" / hist.name
+    copy.parent.mkdir()
+    copy.write_bytes(hist.read_bytes())
+    meta = hist.with_suffix(".csv.meta.json")
+    copy.with_suffix(".csv.meta.json").write_bytes(meta.read_bytes())
+    a = cmd_fit(cfg, tmp_path / "fit1", [hist])
+    b = cmd_fit(cfg, tmp_path / "fit2", [copy])
+    assert a.run_id == b.run_id
+    assert (tmp_path / "fit1" / "manifest.json").read_bytes() == (
+        tmp_path / "fit2" / "manifest.json"
+    ).read_bytes()
+
+
+def test_batch_fit_keeps_going_past_a_failed_input(tmp_path, monkeypatch, capsys):
+    inputs = []
+    for seed, name in ((1, "good1"), (2, "bad"), (3, "good2")):
+        hist = _simulated_histogram(tmp_path, seed)
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(hist.read_bytes())
+        path.with_suffix(".csv.meta.json").write_bytes(
+            hist.with_suffix(".csv.meta.json").read_bytes()
+        )
+        inputs.append(path)
+    bad_counts = pcio.read_histogram_csv(inputs[1]).counts
+
+    def select_or_exhaust(hist):
+        # The middle input gets a one-iteration budget, so its fit cannot
+        # converge.
+        if np.array_equal(hist.counts, bad_counts):
+            fit_monoexponential(hist, max_iterations=1)
+        return select_model(hist)
+
+    monkeypatch.setattr(cli, "select_model", select_or_exhaust)
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps({"fit": {"model": "auto"}}))
+    out = tmp_path / "out"
+    code = main(["fit", "--config", str(cfg), "--out", str(out), *map(str, inputs)])
+    assert code == EXIT_FIT
+    assert "1 of 3 inputs did not converge: bad.csv (budget)" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed"] == [["bad.csv", "budget"]]
+    assert sorted(manifest["outputs"]) == ["fit_good1", "fit_good2", "summary"]
+    assert (out / "fit_good1.json").exists() and (out / "fit_good2.json").exists()
+    assert not (out / "fit_bad.json").exists()
 
 
 def test_cmd_fit_requires_inputs(tmp_path):

@@ -6,6 +6,8 @@ from pcqed.tcspc import (
     DecayModel,
     InstrumentResponse,
     TransientHistogram,
+    exp_gauss_component,
+    exp_gauss_terms,
     expected_curve,
     sample_histogram,
 )
@@ -66,6 +68,27 @@ def test_expected_curve_matches_quadrature_oracle():
     mask = oracle > 1e-9 * oracle.max()
     rel = np.abs(curve[mask] - oracle[mask]) / oracle[mask]
     assert rel.max() < 1e-4
+
+
+@pytest.mark.parametrize("lifetime", [44.0, 400.0, 1800.0])
+@pytest.mark.parametrize("t0", [600.0, 731.7])
+def test_exp_gauss_terms_match_central_differences(lifetime, t0):
+    t = grid().centers()
+    sigma = IRF.sigma
+    g, d_tau, d_t0 = exp_gauss_terms(t, lifetime, sigma, t0)
+    np.testing.assert_array_equal(g, exp_gauss_component(t, 1.0, lifetime, sigma, t0))
+    h_tau = 1e-5 * lifetime
+    fd_tau = (
+        exp_gauss_terms(t, lifetime + h_tau, sigma, t0)[0]
+        - exp_gauss_terms(t, lifetime - h_tau, sigma, t0)[0]
+    ) / (2.0 * h_tau)
+    h_t0 = 1e-3
+    fd_t0 = (
+        exp_gauss_terms(t, lifetime, sigma, t0 + h_t0)[0]
+        - exp_gauss_terms(t, lifetime, sigma, t0 - h_t0)[0]
+    ) / (2.0 * h_t0)
+    np.testing.assert_allclose(d_tau, fd_tau, rtol=1e-5, atol=1e-7 * np.abs(fd_tau).max())
+    np.testing.assert_allclose(d_t0, fd_t0, rtol=1e-5, atol=1e-7 * np.abs(fd_t0).max())
 
 
 def test_curve_never_below_background():
