@@ -14,9 +14,7 @@ are reported in dimensionless units a/lambda.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import eigh
@@ -255,13 +253,11 @@ def compute_bands(
     kpath: KPath,
     basis: PlaneWaveBasis,
     n_bands: int,
-    workers: int = 1,
 ) -> BandStructure:
     """Lowest `n_bands` TE bands along `kpath`.
 
     Eigenvalues lambda of the TE operator are converted to a/lambda via
-    (a/2pi) * sqrt(lambda). k-points are independent; `workers` > 1 solves
-    them in a thread pool (LAPACK releases the GIL), 0 picks the CPU count.
+    (a/2pi) * sqrt(lambda), one k-point at a time.
     """
     if n_bands > len(basis):
         raise ValueError(f"n_bands={n_bands} exceeds basis size {len(basis)}")
@@ -284,14 +280,7 @@ def compute_bands(
             ) from exc
         return np.sqrt(np.clip(vals, 0.0, None))
 
-    items = list(enumerate(kpts))
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(solve_one, items))
-    else:
-        rows = [solve_one(it) for it in items]
+    rows = [solve_one(item) for item in enumerate(kpts)]
     freqs = lattice.period_a / (2.0 * np.pi) * np.array(rows)
     return BandStructure(
         kpath=kpath,

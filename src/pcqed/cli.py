@@ -1,11 +1,12 @@
 """Config-driven command line tying the solvers together.
 
 Subcommands: bands, modes, simulate, fit, reproduce-paper. A single JSON
-config document drives each run; the flags --out, --seed and --threads
-override config fields, and the environment variable PCQED_OUT may set only
-the output directory. Identical config + seed produces byte-identical numeric
-outputs (run ids hash the effective config and the input bytes, never wall
-time).
+config document drives each run; it is parsed once into frozen dataclasses,
+and an unknown key, a wrong type or an out-of-range value fails with its
+dotted path. The flags --out and --seed override config fields, and the
+environment variable PCQED_OUT may set only the output directory. Identical
+config + seed produces byte-identical numeric outputs (run ids hash the
+effective config and the input bytes, never wall time).
 
 Exit codes: 0 success, 2 configuration/input error, 3 solver failure,
 4 fit non-convergence (a batch `fit` still writes every converged result and
@@ -18,10 +19,14 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import sys
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -51,7 +56,13 @@ from .fitting import (
     select_model,
     synthesize_spectral_scan,
 )
-from .geometry import SlabWaveguide, TriangularLattice, effective_index, kpath_gamma_m_k
+from .geometry import (
+    NoGuidedModeError,
+    SlabWaveguide,
+    TriangularLattice,
+    effective_index,
+    kpath_gamma_m_k,
+)
 from .tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
 
 EXIT_OK = 0
@@ -67,62 +78,258 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config access helpers with path-precise error messages.
+# The typed config: one frozen dataclass per JSON object, built by `_parse`.
+# A field without a default is required; the bounds given to `_setting` apply
+# to every number the field holds. `__post_init__` checks cross-field rules.
 # ---------------------------------------------------------------------------
 
-def _cfg_get(cfg: dict, dotted: str, default=None, required=False):
-    node = cfg
-    parts = dotted.split(".")
-    for i, part in enumerate(parts):
-        if not isinstance(node, dict) or part not in node:
-            if required:
-                raise ConfigError(f"{dotted}: required field missing")
-            return default
-        node = node[part]
-    return node
+_BOUNDS = {"minimum": (operator.ge, ">="), "above": (operator.gt, ">"),
+           "below": (operator.lt, "<")}
 
 
-def _cfg_number(cfg, dotted, default=None, required=False, minimum=None,
-                maximum=None, exclusive_min=False):
-    value = _cfg_get(cfg, dotted, default=default, required=required)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{dotted}: expected a number, got {value!r}")
-    value = float(value)
-    if minimum is not None:
-        if exclusive_min and not value > minimum:
-            raise ConfigError(f"{dotted}: must be > {minimum}, got {value}")
-        if not exclusive_min and not value >= minimum:
-            raise ConfigError(f"{dotted}: must be >= {minimum}, got {value}")
-    if maximum is not None and not value <= maximum:
-        raise ConfigError(f"{dotted}: must be <= {maximum}, got {value}")
-    return value
+def _setting(default=MISSING, **bounds):
+    return field(default=default, metadata=bounds)
 
 
-def _cfg_int(cfg, dotted, default=None, required=False, minimum=None):
-    value = _cfg_get(cfg, dotted, default=default, required=required)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{dotted}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{dotted}: must be >= {minimum}, got {value}")
-    return value
+@dataclass(frozen=True, kw_only=True)
+class Slab:
+    thickness_nm: float = _setting(400.0, above=0.0)
+    n_core: float = 3.4
+    n_clad: float = _setting(1.0, minimum=1.0)
+
+    def waveguide(self) -> SlabWaveguide:
+        return SlabWaveguide(self.thickness_nm, self.n_core, self.n_clad)
 
 
-def load_config(path) -> dict:
+@dataclass(frozen=True, kw_only=True)
+class Crystal:
+    period_nm: float = _setting(above=0.0)
+    hole_ratio: float | None = _setting(None, minimum=0.0, below=0.5)
+    hole_ratio_values: tuple[float, ...] | None = _setting(None, minimum=0.0, below=0.5)
+    slab: Slab = Slab()
+    reference_wavelength_nm: float = _setting(1050.0, above=0.0)
+    eps_background: float | None = None  # default: the slab's n_eff squared
+    eps_hole: float = _setting(1.0, minimum=1.0)
+
+    def __post_init__(self):
+        if self.hole_ratio is None and self.hole_ratio_values is None:
+            raise ValueError("hole_ratio: required (or hole_ratio_values)")
+        try:
+            slab = self.slab.waveguide()
+            if self.eps_background is None:
+                n_eff = effective_index(slab, self.reference_wavelength_nm)
+                object.__setattr__(self, "eps_background", n_eff**2)
+        except (ValueError, NoGuidedModeError) as exc:
+            raise ValueError(f"slab: {exc}") from exc
+        self.lattice(self.hole_ratios[0])  # eps_background must exceed eps_hole
+
+    @property
+    def hole_ratios(self) -> tuple:
+        return self.hole_ratio_values or (self.hole_ratio,)
+
+    def lattice(self, hole_ratio: float) -> TriangularLattice:
+        return TriangularLattice(self.period_nm, hole_ratio, self.eps_background, self.eps_hole)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Bands:
+    cutoff: int = _setting(7, minimum=1)
+    samples_per_segment: int = _setting(16, minimum=2)
+    n_bands: int = _setting(5, minimum=2)
+
+    def __post_init__(self):
+        if self.n_bands > (2 * self.cutoff + 1) ** 2:  # the bulk basis size
+            raise ValueError(f"n_bands: exceeds the {(2 * self.cutoff + 1) ** 2} plane waves "
+                             f"of cutoff {self.cutoff}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class Modes:
+    supercell_size: int = _setting(7, minimum=5)
+    cutoff: int = _setting(12, minimum=1)
+    grid_per_period: int = _setting(64, minimum=64)
+    export_profiles: Literal["doublet", "all", "none"] = "doublet"
+    mode_height_nm: float | None = _setting(None, above=0.0)
+    volume_index: float | None = _setting(None, above=0.0)
+
+    def __post_init__(self):
+        if self.supercell_size % 2 == 0:
+            raise ValueError(f"supercell_size: must be odd, got {self.supercell_size}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class Mode:
+    wavelength_nm: float = _setting(above=0.0)
+    q_factor: float = _setting(above=1.0)
+    v_mode: float = _setting(1.0, above=0.0)
+
+    def cavity(self) -> CavityMode:
+        return CavityMode(self.wavelength_nm, self.q_factor, self.v_mode)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Irf:
+    fwhm_ps: float = _setting(150.0, above=0.0)
+    t0_ps: float = 600.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class Grid:
+    bin_width_ps: float = _setting(12.0, above=0.0)
+    n_bins: int = _setting(4096, minimum=1)
+    t_start_ps: float = 0.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class Histogram:
+    components: tuple[tuple[float, float], ...]
+    total_counts: int = _setting(minimum=1)
+    irf: Irf = Irf()
+    grid: Grid = Grid()
+    background_rate_per_bin: float = _setting(0.0, minimum=0.0)
+
+    def __post_init__(self):
+        try:
+            DecayModel(self.components)
+        except ValueError as exc:
+            raise ValueError(f"components: {exc}") from exc
+
+
+@dataclass(frozen=True, kw_only=True)
+class Scan:
+    modes: tuple[Mode, ...]
+    purcell_factors: tuple[float, ...] = _setting(minimum=0.0)
+    alpha: float = _setting(minimum=0.0)
+    tau0_ps: float = _setting(above=0.0)
+    span_nm: float = _setting(2.5, above=0.0)
+    step_nm: float = _setting(0.1, above=0.0)
+    noise_fraction: float = _setting(0.05, minimum=0.0)
+
+    def __post_init__(self):
+        if len(self.purcell_factors) != len(self.modes):
+            raise ValueError("purcell_factors: need one value per mode")
+
+
+@dataclass(frozen=True, kw_only=True)
+class Simulate:
+    seed: int | None = _setting(None, minimum=0)
+    histogram: Histogram | None = None
+    spectral_scan: Scan | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class Spectral:
+    modes: tuple[Mode, ...] | None = None
+    tau0_ps: float | None = _setting(None, above=0.0)
+
+
+@dataclass(frozen=True, kw_only=True)
+class Fit:
+    model: Literal["auto", "mono", "bi"] = "auto"
+    spectral: Spectral = Spectral()
+
+
+@dataclass(frozen=True, kw_only=True)
+class Config:
+    output_dir: str | None = None
+    crystal: Crystal | None = None
+    bands: Bands = Bands()
+    modes: Modes = Modes()
+    simulate: Simulate | None = None
+    fit: Fit = Fit()
+    document: dict = field(default_factory=dict, repr=False)  # hashed into run ids
+
+    def require(self, section: str):
+        if getattr(self, section) is None:
+            raise ConfigError(f"{section}: required")
+        return getattr(self, section)
+
+    def with_seed(self, seed: int | None) -> Config:
+        """This config with `simulate.seed` set to `seed`; None keeps it."""
+        if seed is None:
+            return self
+        if seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {seed}")
+        simulate = dataclasses.replace(self.require("simulate"), seed=seed)
+        document = {**self.document, "simulate": {**self.document["simulate"], "seed": seed}}
+        return dataclasses.replace(self, simulate=simulate, document=document)
+
+
+def _parse(cls, node, prefix: str):
+    """Config dataclass `cls` from the JSON object `node`; `prefix` is its path + '.'."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{prefix[:-1]}: expected an object, got {node!r}")
+    settings = {f.name: f for f in dataclasses.fields(cls) if f.name != "document"}
+    for key in node:
+        if key not in settings:
+            raise ConfigError(f"{prefix}{key}: unknown key")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, spec in settings.items():
+        if node.get(name) is not None:
+            values[name] = _value(hints[name], node[name], prefix + name, spec.metadata)
+        elif spec.default is MISSING:
+            raise ConfigError(f"{prefix}{name}: required")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _value(hint, value, path: str, bounds):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # `T | None`; None means absent
+        return _value(args[0], value, path, bounds)
+    if dataclasses.is_dataclass(hint):
+        return _parse(hint, value, path + ".")
+    if origin is Literal:
+        if value not in args:
+            raise ConfigError(f"{path}: expected {'|'.join(args)}, got {value!r}")
+        return value
+    if origin is tuple:
+        size = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, list) or not value or size not in (None, len(value)):
+            raise ConfigError(f"{path}: expected a non-empty list of {size or 'any number of'} "
+                              f"values, got {value!r}")
+        return tuple(_value(args[0] if size is None else args[i], v, f"{path}[{i}]", bounds)
+                     for i, v in enumerate(value))
+    if hint is str and isinstance(value, str):
+        return value
+    if hint is str or isinstance(value, bool) or not isinstance(value, (int, hint)):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    for key, bound in bounds.items():
+        holds, relation = _BOUNDS[key]
+        if not holds(value, bound):
+            raise ConfigError(f"{path}: must be {relation} {bound}, got {value}")
+    return hint(value)
+
+
+def parse_config(document: dict) -> Config:
+    """The typed config of a JSON document; ConfigError names the dotted path."""
+    return dataclasses.replace(_parse(Config, document, ""), document=document)
+
+
+def _as_config(cfg) -> Config:
+    return cfg if isinstance(cfg, Config) else parse_config(cfg)
+
+
+def load_config(path) -> Config:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(cfg, dict):
+    if not isinstance(document, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return cfg
+    try:
+        return parse_config(document)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def config_hash(cfg: dict) -> str:
@@ -147,6 +354,12 @@ class ResultBundle:
 
     def note(self, line: str) -> None:
         self.summary_lines.append(line)
+
+    def include(self, part: ResultBundle, prefix: str) -> None:
+        """Adopt a sub-run's summary lines and its outputs under `prefix/`."""
+        self.summary_lines.extend(part.summary_lines)
+        for key, rel in part.outputs.items():
+            self.outputs[f"{prefix}/{key}"] = f"{prefix}/{rel}"
 
     def finish(self) -> None:
         summary = self.out_dir / "summary.txt"
@@ -174,76 +387,17 @@ def _input_digests(paths) -> list:
     return digests
 
 
-def _new_bundle(cfg: dict, out_dir: Path, inputs=()) -> ResultBundle:
+def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
     """Bundle whose run id hashes the effective config and every input's bytes.
 
     `cfg` must already carry the command-line overrides (the seed), so a run
     id changes whenever the data can: another seed, other input bytes.
     """
-    digest = config_hash(cfg)
+    digest = config_hash(cfg.document)
     provenance = {"config": digest, "inputs": _input_digests(inputs)}
     run_id = hashlib.sha256(pcio.canonical_json(provenance).encode()).hexdigest()[:12]
     out_dir.mkdir(parents=True, exist_ok=True)
     return ResultBundle(run_id=run_id, config_hash=digest, out_dir=out_dir)
-
-
-# ---------------------------------------------------------------------------
-# Crystal/solver construction from config.
-# ---------------------------------------------------------------------------
-
-def _slab_from_config(cfg) -> SlabWaveguide:
-    thickness = _cfg_number(cfg, "crystal.slab.thickness_nm", default=400.0,
-                            minimum=0.0, exclusive_min=True)
-    n_core = _cfg_number(cfg, "crystal.slab.n_core", default=3.4)
-    n_clad = _cfg_number(cfg, "crystal.slab.n_clad", default=1.0, minimum=1.0)
-    try:
-        return SlabWaveguide(thickness=thickness, n_core=n_core, n_clad=n_clad)
-    except ValueError as exc:
-        raise ConfigError(f"crystal.slab: {exc}") from exc
-
-
-def _eps_background(cfg) -> float:
-    explicit = _cfg_number(cfg, "crystal.eps_background")
-    if explicit is not None:
-        return explicit
-    slab = _slab_from_config(cfg)
-    lam_ref = _cfg_number(cfg, "crystal.reference_wavelength_nm", default=1050.0,
-                          minimum=0.0, exclusive_min=True)
-    return effective_index(slab, lam_ref) ** 2
-
-
-def _hole_ratios(cfg) -> list:
-    values = _cfg_get(cfg, "crystal.hole_ratio_values")
-    if values is not None:
-        if not isinstance(values, list) or not values:
-            raise ConfigError("crystal.hole_ratio_values: expected a non-empty list")
-        out = []
-        for i, v in enumerate(values):
-            if not isinstance(v, (int, float)) or not 0.0 <= v < 0.5:
-                raise ConfigError(
-                    f"crystal.hole_ratio_values[{i}]: expected number in [0, 0.5)"
-                )
-            out.append(float(v))
-        return out
-    single = _cfg_number(cfg, "crystal.hole_ratio", required=True)
-    if not 0.0 <= single < 0.5:
-        raise ConfigError(f"crystal.hole_ratio: must lie in [0, 0.5), got {single}")
-    return [single]
-
-
-def _lattice(cfg, hole_ratio: float) -> TriangularLattice:
-    period = _cfg_number(cfg, "crystal.period_nm", required=True,
-                         minimum=0.0, exclusive_min=True)
-    eps_hole = _cfg_number(cfg, "crystal.eps_hole", default=1.0, minimum=1.0)
-    try:
-        return TriangularLattice(
-            period_a=period,
-            hole_ratio=hole_ratio,
-            eps_background=_eps_background(cfg),
-            eps_hole=eps_hole,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"crystal: {exc}") from exc
 
 
 def _ra_tag(value: float) -> str:
@@ -251,27 +405,24 @@ def _ra_tag(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands. Each takes a Config (or a config document, parsed on entry).
 # ---------------------------------------------------------------------------
 
-def cmd_bands(cfg: dict, out_dir: Path, threads: int = 1) -> ResultBundle:
+def cmd_bands(cfg: Config | dict, out_dir: Path) -> ResultBundle:
+    cfg = _as_config(cfg)
+    crystal, settings = cfg.require("crystal"), cfg.bands
     bundle = _new_bundle(cfg, out_dir)
-    cutoff = _cfg_int(cfg, "bands.cutoff", default=7, minimum=1)
-    samples = _cfg_int(cfg, "bands.samples_per_segment", default=16, minimum=2)
-    n_bands = _cfg_int(cfg, "bands.n_bands", default=5, minimum=2)
-    kpath = kpath_gamma_m_k(samples)
+    kpath = kpath_gamma_m_k(settings.samples_per_segment)
     table = ["hole_ratio,gap_present,lower_edge,upper_edge,midgap,midgap_wavelength_nm,gap_width"]
-    gaps = {}
-    for ra in _hole_ratios(cfg):
-        lattice = _lattice(cfg, ra)
-        basis = PlaneWaveBasis.bulk(lattice, cutoff)
-        bands = compute_bands(lattice, kpath, basis, n_bands, workers=threads)
+    for ra in crystal.hole_ratios:
+        lattice = crystal.lattice(ra)
+        basis = PlaneWaveBasis.bulk(lattice, settings.cutoff)
+        bands = compute_bands(lattice, kpath, basis, settings.n_bands)
         tag = _ra_tag(ra)
         band_path = out_dir / f"bands_ra{tag}.csv"
         pcio.write_band_csv(band_path, bands)
         bundle.add(f"bands_ra{tag}", band_path)
         gap = find_te_gap(bands)
-        gaps[ra] = gap
         gap_path = out_dir / f"gap_ra{tag}.json"
         pcio.write_gap_json(gap_path, gap, lattice.period_a, ra)
         bundle.add(f"gap_ra{tag}", gap_path)
@@ -296,27 +447,18 @@ def cmd_bands(cfg: dict, out_dir: Path, threads: int = 1) -> ResultBundle:
     return bundle
 
 
-def cmd_modes(cfg: dict, out_dir: Path) -> ResultBundle:
+def cmd_modes(cfg: Config | dict, out_dir: Path) -> ResultBundle:
+    cfg = _as_config(cfg)
+    crystal, settings = cfg.require("crystal"), cfg.modes
     bundle = _new_bundle(cfg, out_dir)
-    supercell = _cfg_int(cfg, "modes.supercell_size", default=7, minimum=5)
-    if supercell % 2 == 0:
-        raise ConfigError(f"modes.supercell_size: must be odd, got {supercell}")
-    cutoff = _cfg_int(cfg, "modes.cutoff", default=12, minimum=1)
-    grid_pp = _cfg_int(cfg, "modes.grid_per_period", default=64, minimum=64)
-    export = _cfg_get(cfg, "modes.export_profiles", default="doublet")
-    if export not in ("doublet", "all", "none"):
-        raise ConfigError(
-            f"modes.export_profiles: expected doublet|all|none, got {export!r}"
-        )
-    height = _cfg_number(cfg, "modes.mode_height_nm", minimum=0.0, exclusive_min=True)
-    vol_index = _cfg_number(cfg, "modes.volume_index", minimum=0.0, exclusive_min=True)
-    slab = _slab_from_config(cfg)
+    supercell = settings.supercell_size
+    slab = crystal.slab.waveguide()
 
-    for ra in _hole_ratios(cfg):
-        lattice = _lattice(cfg, ra)
-        basis = PlaneWaveBasis.supercell(lattice, supercell, cutoff)
+    for ra in crystal.hole_ratios:
+        lattice = crystal.lattice(ra)
+        basis = PlaneWaveBasis.supercell(lattice, supercell, settings.cutoff)
         modes = solve_h1_modes(
-            lattice, supercell, basis, grid_per_period=grid_pp
+            lattice, supercell, basis, grid_per_period=settings.grid_per_period
         )
         doublets = dipole_doublets(modes)
         tag = _ra_tag(ra)
@@ -324,7 +466,7 @@ def cmd_modes(cfg: dict, out_dir: Path) -> ResultBundle:
         for i, mode in enumerate(modes):
             volume = mode_volume(
                 mode, slab, mode.wavelength,
-                vertical_height=height, index=vol_index,
+                vertical_height=settings.mode_height_nm, index=settings.volume_index,
             )
             entries.append(
                 {
@@ -366,63 +508,27 @@ def cmd_modes(cfg: dict, out_dir: Path) -> ResultBundle:
                 f"modes r/a={ra}: {len(modes)} in-gap modes at {lams} nm; "
                 f"{len(doublets)} dipole doublet(s)"
             )
-        to_export = []
-        if export == "all":
-            to_export = list(enumerate(modes))
-        elif export == "doublet":
-            flat = [m for pair in doublets for m in pair]
-            to_export = [
-                (i, m) for i, m in enumerate(modes) if any(m is f for f in flat)
-            ]
-        for i, mode in to_export:
-            volume = mode_volume(
-                mode, slab, mode.wavelength,
-                vertical_height=height, index=vol_index,
-            )
-            p_path = out_dir / f"profile_ra{tag}_mode{i}.json"
-            pcio.write_profile_json(p_path, mode, volume)
-            bundle.add(f"profile_ra{tag}_mode{i}", p_path)
+        exported = {
+            "all": modes, "none": [], "doublet": [m for pair in doublets for m in pair],
+        }[settings.export_profiles]
+        for i, mode in enumerate(modes):
+            if any(mode is m for m in exported):
+                p_path = out_dir / f"profile_ra{tag}_mode{i}.json"
+                pcio.write_profile_json(p_path, mode, entries[i]["mode_volume"])
+                bundle.add(f"profile_ra{tag}_mode{i}", p_path)
     bundle.finish()
     return bundle
 
 
-def _simulate_histogram(cfg, out_dir, bundle, seed):
-    hcfg = _cfg_get(cfg, "simulate.histogram")
-    if hcfg is None:
-        return
-    comps = _cfg_get(cfg, "simulate.histogram.components", required=True)
-    if not isinstance(comps, list) or not comps:
-        raise ConfigError("simulate.histogram.components: expected a non-empty list")
-    pairs = []
-    for i, comp in enumerate(comps):
-        if (
-            not isinstance(comp, (list, tuple))
-            or len(comp) != 2
-            or not all(isinstance(v, (int, float)) for v in comp)
-        ):
-            raise ConfigError(
-                f"simulate.histogram.components[{i}]: expected [amplitude, lifetime_ps]"
-            )
-        pairs.append((float(comp[0]), float(comp[1])))
-    total = _cfg_int(cfg, "simulate.histogram.total_counts", required=True, minimum=1)
-    fwhm = _cfg_number(cfg, "simulate.histogram.irf.fwhm_ps", default=150.0,
-                       minimum=0.0, exclusive_min=True)
-    irf_t0 = _cfg_number(cfg, "simulate.histogram.irf.t0_ps", default=600.0)
-    width = _cfg_number(cfg, "simulate.histogram.grid.bin_width_ps", default=12.0,
-                        minimum=0.0, exclusive_min=True)
-    n_bins = _cfg_int(cfg, "simulate.histogram.grid.n_bins", default=4096, minimum=1)
-    t_start = _cfg_number(cfg, "simulate.histogram.grid.t_start_ps", default=0.0)
-    bg_rate = _cfg_number(cfg, "simulate.histogram.background_rate_per_bin",
-                          default=0.0, minimum=0.0)
-    try:
-        model = DecayModel(pairs)
-    except ValueError as exc:
-        raise ConfigError(f"simulate.histogram.components: {exc}") from exc
-    irf = InstrumentResponse(fwhm=fwhm, t0=irf_t0)
-    grid = BinGrid(bin_width=width, n_bins=n_bins, t_start=t_start)
+def _simulate_histogram(spec: Histogram, out_dir, bundle, seed):
+    model = DecayModel(spec.components)
+    irf = InstrumentResponse(fwhm=spec.irf.fwhm_ps, t0=spec.irf.t0_ps)
+    grid = BinGrid(bin_width=spec.grid.bin_width_ps, n_bins=spec.grid.n_bins,
+                   t_start=spec.grid.t_start_ps)
     curve = expected_curve(model, irf, grid)
     hist = sample_histogram(
-        curve, total, seed, grid=grid, irf=irf, background_rate=bg_rate
+        curve, spec.total_counts, seed, grid=grid, irf=irf,
+        background_rate=spec.background_rate_per_bin,
     )
     path = out_dir / "histogram.csv"
     pcio.write_histogram_csv(
@@ -430,7 +536,7 @@ def _simulate_histogram(cfg, out_dir, bundle, seed):
         hist,
         metadata={
             "seed": seed,
-            "background_rate_per_bin": bg_rate,
+            "background_rate_per_bin": spec.background_rate_per_bin,
             "model": {
                 "components": [[a, tau] for a, tau in model.components],
                 "background_per_bin": model.background,
@@ -440,57 +546,19 @@ def _simulate_histogram(cfg, out_dir, bundle, seed):
     bundle.add("histogram", path)
     bundle.note(
         f"simulate: histogram with {hist.total_counts} counts over "
-        f"{n_bins} bins of {width} ps (seed {seed})"
+        f"{grid.n_bins} bins of {grid.bin_width} ps (seed {seed})"
     )
 
 
-def _scan_modes_from_config(cfg, dotted):
-    raw = _cfg_get(cfg, dotted)
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{dotted}: expected a non-empty list of modes")
-    modes = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{dotted}[{i}]: expected an object")
-        lam = entry.get("wavelength_nm")
-        q = entry.get("q_factor")
-        if not isinstance(lam, (int, float)) or not isinstance(q, (int, float)):
-            raise ConfigError(
-                f"{dotted}[{i}]: expected wavelength_nm and q_factor numbers"
-            )
-        v = entry.get("v_mode", 1.0)
-        modes.append(CavityMode(lambda_c=float(lam), q_factor=float(q), v_mode=float(v)))
-    return modes
-
-
-def _simulate_scan(cfg, out_dir, bundle, seed):
-    scfg = _cfg_get(cfg, "simulate.spectral_scan")
-    if scfg is None:
-        return
-    modes = _scan_modes_from_config(cfg, "simulate.spectral_scan.modes")
-    if modes is None:
-        raise ConfigError("simulate.spectral_scan.modes: required field missing")
-    fps = _cfg_get(cfg, "simulate.spectral_scan.purcell_factors", required=True)
-    if not isinstance(fps, list) or len(fps) != len(modes):
-        raise ConfigError(
-            "simulate.spectral_scan.purcell_factors: need one value per mode"
-        )
-    alpha = _cfg_number(cfg, "simulate.spectral_scan.alpha", required=True, minimum=0.0)
-    tau0 = _cfg_number(cfg, "simulate.spectral_scan.tau0_ps", required=True,
-                       minimum=0.0, exclusive_min=True)
-    span = _cfg_number(cfg, "simulate.spectral_scan.span_nm", default=2.5,
-                       minimum=0.0, exclusive_min=True)
-    step = _cfg_number(cfg, "simulate.spectral_scan.step_nm", default=0.1,
-                       minimum=0.0, exclusive_min=True)
-    noise = _cfg_number(cfg, "simulate.spectral_scan.noise_fraction", default=0.05,
-                        minimum=0.0)
+def _simulate_scan(spec: Scan, out_dir, bundle, seed):
+    modes = [m.cavity() for m in spec.modes]
+    fps = list(spec.purcell_factors)
     centers = [m.lambda_c for m in modes]
-    lam = np.arange(min(centers) - span, max(centers) + span + step / 2.0, step)
+    lam = np.arange(min(centers) - spec.span_nm,
+                    max(centers) + spec.span_nm + spec.step_nm / 2.0, spec.step_nm)
     scan_seed = seed + 1
     scan = synthesize_spectral_scan(
-        modes, [float(v) for v in fps], alpha, tau0, lam, noise, scan_seed
+        modes, fps, spec.alpha, spec.tau0_ps, lam, spec.noise_fraction, scan_seed
     )
     path = out_dir / "spectral_scan.csv"
     pcio.write_scan_csv(
@@ -501,9 +569,9 @@ def _simulate_scan(cfg, out_dir, bundle, seed):
             "modes": [
                 {"wavelength_nm": m.lambda_c, "q_factor": m.q_factor} for m in modes
             ],
-            "purcell_factors": [float(v) for v in fps],
-            "alpha": alpha,
-            "noise_fraction": noise,
+            "purcell_factors": fps,
+            "alpha": spec.alpha,
+            "noise_fraction": spec.noise_fraction,
         },
     )
     bundle.add("spectral_scan", path)
@@ -513,19 +581,18 @@ def _simulate_scan(cfg, out_dir, bundle, seed):
     )
 
 
-def cmd_simulate(cfg: dict, out_dir: Path, seed: int | None = None) -> ResultBundle:
-    section = _cfg_get(cfg, "simulate")
-    if seed is None:
-        seed = _cfg_int(cfg, "simulate.seed")
-    if seed is None:
+def cmd_simulate(cfg: Config | dict, out_dir: Path, seed: int | None = None) -> ResultBundle:
+    cfg = _as_config(cfg).with_seed(seed)
+    spec = cfg.require("simulate")
+    if spec.seed is None:
         raise ConfigError("simulate.seed: required for stochastic steps (or pass --seed)")
-    if not isinstance(section, dict):
-        raise ConfigError("simulate: section missing")
-    bundle = _new_bundle({**cfg, "simulate": {**section, "seed": seed}}, out_dir)
-    _simulate_histogram(cfg, out_dir, bundle, seed)
-    _simulate_scan(cfg, out_dir, bundle, seed)
-    if not bundle.outputs:
+    if spec.histogram is None and spec.spectral_scan is None:
         raise ConfigError("simulate: nothing to do (no histogram or spectral_scan)")
+    bundle = _new_bundle(cfg, out_dir)
+    if spec.histogram is not None:
+        _simulate_histogram(spec.histogram, out_dir, bundle, spec.seed)
+    if spec.spectral_scan is not None:
+        _simulate_scan(spec.spectral_scan, out_dir, bundle, spec.seed)
     bundle.finish()
     return bundle
 
@@ -544,114 +611,93 @@ def _beta_from_bi(result) -> tuple[float, float]:
     return beta, np.sqrt(max(var, 0.0))
 
 
-def _fit_histogram_file(cfg, path, out_dir, bundle):
+def _fit_histogram_file(cfg: Config, path, bundle):
     hist = pcio.read_histogram_csv(path)
-    which = _cfg_get(cfg, "fit.model", default="auto")
-    if which not in ("auto", "mono", "bi"):
-        raise ConfigError(f"fit.model: expected auto|mono|bi, got {which!r}")
-    if which == "auto":
+    stem = Path(path).stem
+    if cfg.fit.model == "auto":
         selection = select_model(hist)
         result = selection.best
-        extra_note = (
-            f"model selection: {selection.choice} "
+        bundle.note(
+            f"fit {stem}: model selection: {selection.choice} "
             f"(delta deviance {selection.delta_deviance:.1f})"
         )
-    elif which == "mono":
+    elif cfg.fit.model == "mono":
         result = fit_monoexponential(hist)
-        extra_note = None
     else:
         result = fit_biexponential(hist)
-        extra_note = None
-    extras = dict(result.extras)
-    if result.model == "biexponential":
-        beta, beta_err = _beta_from_bi(result)
-        extras["beta"] = beta
-        extras["beta_std_error"] = beta_err
-    result = dataclasses.replace(result, extras=extras)
-    stem = Path(path).stem
-    fit_path = out_dir / f"fit_{stem}.json"
-    pcio.write_fit_json(fit_path, result)
-    bundle.add(f"fit_{stem}", fit_path)
-    if extra_note:
-        bundle.note(f"fit {stem}: {extra_note}")
-    if result.model == "biexponential":
-        bundle.note(
-            f"fit {stem}: biexponential lifetimes "
-            f"{result['lifetime_fast_ps']:.1f}/{result['lifetime_slow_ps']:.1f} ps, "
-            f"beta = {extras['beta']:.4f} +- {extras['beta_std_error']:.4f}"
-        )
-    else:
+    if result.model != "biexponential":
         bundle.note(
             f"fit {stem}: monoexponential lifetime "
             f"{result['lifetime_ps']:.1f} +- {result.std_errors['lifetime_ps']:.1f} ps"
         )
+        return result
+    beta, beta_err = _beta_from_bi(result)
+    bundle.note(
+        f"fit {stem}: biexponential lifetimes "
+        f"{result['lifetime_fast_ps']:.1f}/{result['lifetime_slow_ps']:.1f} ps, "
+        f"beta = {beta:.4f} +- {beta_err:.4f}"
+    )
+    return dataclasses.replace(
+        result, extras={**result.extras, "beta": beta, "beta_std_error": beta_err}
+    )
 
 
-def _fit_scan_file(cfg, path, out_dir, bundle):
+def _fit_scan_file(cfg: Config, path, bundle):
     scan, meta = pcio.read_scan_csv(path)
-    modes = _scan_modes_from_config(cfg, "fit.spectral.modes")
-    if modes is None:
-        raw = meta.get("modes")
-        if not raw:
-            raise ConfigError(
-                "fit.spectral.modes: required (scan sidecar carries no modes)"
-            )
-        modes = [
-            CavityMode(lambda_c=float(m["wavelength_nm"]), q_factor=float(m["q_factor"]))
-            for m in raw
-        ]
-    tau0 = _cfg_number(cfg, "fit.spectral.tau0_ps")
-    if tau0 is None:
-        tau0 = scan.reference_tau0
+    spec = cfg.fit.spectral
+    if spec.modes is None and meta.get("modes") is None:
+        raise ConfigError("fit.spectral.modes: required (scan sidecar carries no modes)")
+    # A sidecar's modes are held to the rule of fit.spectral.modes.
+    modes = spec.modes or _value(tuple[Mode, ...], meta["modes"], f"{path}.meta.json:1: modes", {})
+    modes = [m.cavity() for m in modes]
+    tau0 = spec.tau0_ps or scan.reference_tau0
     if tau0 is None:
         raise ConfigError("fit.spectral.tau0_ps: required (no tau0 in scan sidecar)")
-    result = fit_spectral_model(scan, modes, tau0_ref=tau0)
-    extras = dict(result.extras)
+    try:
+        result = fit_spectral_model(scan, modes, tau0_ref=tau0)
+    except ValueError as exc:  # the scan does not span a mode
+        raise ConfigError(f"{path}: {exc}") from exc
     alpha = result["alpha"]
-    betas = []
-    for mode, tau_res in zip(modes, extras["tau_on_resonance_ps"]):
-        t0v = float(tau0) if np.isscalar(tau0) else float(
-            scan.tau0_function()(mode.lambda_c)
-        )
-        tau_off = t0v / alpha
-        betas.append(coupling_efficiency(tau_res, tau_off))
-    extras["beta_per_mode"] = betas
-    result = dataclasses.replace(result, extras=extras)
-    stem = Path(path).stem
-    fit_path = out_dir / f"fit_{stem}.json"
-    pcio.write_fit_json(fit_path, result)
-    bundle.add(f"fit_{stem}", fit_path)
+    # beta = 1 - tau_res / tau_off with tau_off = tau0 / alpha: tau0 cancels.
+    betas = [1.0 - alpha / ratio for ratio in result.extras["lifetime_ratio_per_mode"]]
     fp_names = [n for n in result.parameter_order if n.startswith("purcell")]
     fp_text = ", ".join(
         f"{n}={result[n]:.1f}+-{result.std_errors[n]:.1f}" for n in fp_names
     )
     bundle.note(
-        f"fit {stem}: spectral model {fp_text}, alpha={alpha:.3f}, "
+        f"fit {Path(path).stem}: spectral model {fp_text}, alpha={alpha:.3f}, "
         f"tau on resonance "
-        + "/".join(f"{t:.1f}" for t in extras["tau_on_resonance_ps"])
-        + f" ps, max lifetime ratio {extras['lifetime_ratio_max']:.1f}, beta "
+        + "/".join(f"{t:.1f}" for t in result.extras["tau_on_resonance_ps"])
+        + f" ps, max lifetime ratio {result.extras['lifetime_ratio_max']:.1f}, beta "
         + "/".join(f"{b:.3f}" for b in betas)
     )
+    return dataclasses.replace(result, extras={**result.extras, "beta_per_mode": betas})
 
 
-def cmd_fit(cfg: dict, out_dir: Path, inputs: list) -> ResultBundle:
+def cmd_fit(cfg: Config | dict, out_dir: Path, inputs: list) -> ResultBundle:
     """Fit every input; one that does not converge does not stop the others.
 
     Converged results are written and failed inputs listed with their stop
     reason under "failed" in the manifest; then FitConvergenceError is raised
     for the batch (exit code 4), carrying the first failed fit's result.
+    Inputs whose results would share a file name are rejected up front.
     """
+    cfg = _as_config(cfg)
     if not inputs:
         raise ConfigError("fit: at least one input file is required")
     paths = [Path(p) for p in inputs]
+    by_stem = {}
     for path in paths:
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"fit: input file {path} does not exist")
+        if path.stem in by_stem:
+            raise ConfigError(f"fit: inputs {by_stem[path.stem]} and {path} would both "
+                              f"write fit_{path.stem}.json")
+        by_stem[path.stem] = path
     bundle = _new_bundle(cfg, out_dir, paths)
     errors = []
     for path in paths:
-        with path.open() as fh:
-            header = fh.readline().strip()
+        header = pcio.read_header(path)
         if header == "time_ps,counts":
             fit_file = _fit_histogram_file
         elif header == "wavelength_nm,lifetime_ps,lifetime_err_ps":
@@ -659,11 +705,15 @@ def cmd_fit(cfg: dict, out_dir: Path, inputs: list) -> ResultBundle:
         else:
             raise pcio.ParseError(path, 1, f"unrecognized header {header!r}")
         try:
-            fit_file(cfg, path, out_dir, bundle)
+            result = fit_file(cfg, path, bundle)
         except FitConvergenceError as exc:
             errors.append(exc)
             bundle.failed.append([path.name, exc.result.stop_reason])
             bundle.note(f"fit {path.stem}: failed: {exc}")
+            continue
+        fit_path = out_dir / f"fit_{path.stem}.json"
+        pcio.write_fit_json(fit_path, result)
+        bundle.add(f"fit_{path.stem}", fit_path)
     bundle.finish()
     if errors:
         raise FitConvergenceError(
@@ -716,12 +766,9 @@ def _check(bundle, name, value, condition, target) -> None:
     bundle.note(f"check {name}: computed {value} vs target {target}: {verdict}")
 
 
-def cmd_reproduce_paper(out_dir: Path, seed: int | None = None,
-                        threads: int = 1) -> ResultBundle:
+def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
     """Run bands, modes, simulation and fits with the built-in scenario."""
-    cfg = json.loads(json.dumps(REPRODUCE_CONFIG))
-    if seed is not None:
-        cfg["simulate"]["seed"] = seed
+    cfg = parse_config(REPRODUCE_CONFIG).with_seed(seed)
     bundle = _new_bundle(cfg, out_dir)
     bundle.note("end-to-end scenario: closed-form checks, bands, H1 modes, "
                 "synthetic transients, fits")
@@ -746,14 +793,10 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None,
 
     # Band structures and the gap trend.
     sub = out_dir / "bands"
-    bands_bundle = cmd_bands(cfg, sub, threads=threads)
-    for line in bands_bundle.summary_lines:
-        bundle.note(line)
-    for key, rel in bands_bundle.outputs.items():
-        bundle.outputs[f"bands/{key}"] = f"bands/{rel}"
+    bundle.include(cmd_bands(cfg, sub), "bands")
     gap_widths = {}
     midgaps = {}
-    for ra in cfg["crystal"]["hole_ratio_values"]:
+    for ra in cfg.crystal.hole_ratios:
         doc = json.loads((sub / f"gap_ra{_ra_tag(ra)}.json").read_text())
         if doc["gap_present"]:
             gap_widths[ra] = doc["gap_width"]
@@ -762,26 +805,18 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None,
     _check(bundle, "TE gap width grows with r/a",
            "[" + ", ".join(f"{w:.4f}" for w in widths) + "]",
            all(b > a for a, b in zip(widths, widths[1:])), "monotone increase")
-    mid37 = midgaps.get(0.37)
-    _check(bundle, "midgap wavelength at r/a=0.37",
-           f"{mid37:.1f} nm" if mid37 else "no gap",
-           mid37 is not None and abs(mid37 - 1100.0) <= 75.0, "1100 +- 75 nm")
-    mid33 = midgaps.get(0.33)
-    _check(bundle, "midgap wavelength at r/a=0.33",
-           f"{mid33:.1f} nm" if mid33 else "no gap",
-           mid33 is not None and abs(mid33 - 1100.0) <= 75.0, "1100 +- 75 nm")
+    for ra in (0.37, 0.33):
+        mid = midgaps.get(ra)
+        _check(bundle, f"midgap wavelength at r/a={ra}", f"{mid:.1f} nm" if mid else "no gap",
+               mid is not None and abs(mid - 1100.0) <= 75.0, "1100 +- 75 nm")
 
     # Defect modes: doublet degeneracy and monotone shift.
     sub = out_dir / "modes"
-    modes_bundle = cmd_modes(cfg, sub)
-    for line in modes_bundle.summary_lines:
-        bundle.note(line)
-    for key, rel in modes_bundle.outputs.items():
-        bundle.outputs[f"modes/{key}"] = f"modes/{rel}"
+    bundle.include(cmd_modes(cfg, sub), "modes")
     doublet_lams = {}
     split37 = None
     volume37 = None
-    for ra in cfg["crystal"]["hole_ratio_values"]:
+    for ra in cfg.crystal.hole_ratios:
         doc = json.loads((sub / f"modes_ra{_ra_tag(ra)}.json").read_text())
         if doc["doublet_found"]:
             pair = doc["doublets"][0]
@@ -807,17 +842,10 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None,
 
     # Synthetic transients and fits.
     sub = out_dir / "sim"
-    sim_bundle = cmd_simulate(cfg, sub, seed=cfg["simulate"]["seed"])
-    for line in sim_bundle.summary_lines:
-        bundle.note(line)
-    for key, rel in sim_bundle.outputs.items():
-        bundle.outputs[f"sim/{key}"] = f"sim/{rel}"
+    bundle.include(cmd_simulate(cfg, sub), "sim")
     fit_out = out_dir / "fits"
     fit_bundle = cmd_fit(cfg, fit_out, [sub / "histogram.csv", sub / "spectral_scan.csv"])
-    for line in fit_bundle.summary_lines:
-        bundle.note(line)
-    for key, rel in fit_bundle.outputs.items():
-        bundle.outputs[f"fits/{key}"] = f"fits/{rel}"
+    bundle.include(fit_bundle, "fits")
 
     bi_doc = json.loads((fit_out / "fit_histogram.json").read_text())
     tau_f = bi_doc["parameters"]["lifetime_fast_ps"]
@@ -861,8 +889,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override RNG seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for k-points (0 = auto)")
 
     common(sub.add_parser("bands", help="TE band structures and gap sweep"))
     common(sub.add_parser("modes", help="H1 defect modes in a supercell"))
@@ -876,33 +902,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out_dir(args, cfg: dict | None) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    if cfg is not None:
-        configured = _cfg_get(cfg, "output_dir")
-        if configured is not None:
-            if not isinstance(configured, str):
-                raise ConfigError("output_dir: expected a string")
-            return Path(configured)
-    return Path("out")
+def _resolve_out_dir(args, cfg: Config | None) -> Path:
+    configured = cfg.output_dir if cfg is not None else None
+    return Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or configured or "out")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce-paper":
-            bundle = cmd_reproduce_paper(
-                _resolve_out_dir(args, None), seed=args.seed, threads=args.threads
-            )
+            bundle = cmd_reproduce_paper(_resolve_out_dir(args, None), seed=args.seed)
         else:
             cfg = load_config(args.config)
             out_dir = _resolve_out_dir(args, cfg)
             if args.command == "bands":
-                bundle = cmd_bands(cfg, out_dir, threads=args.threads)
+                bundle = cmd_bands(cfg, out_dir)
             elif args.command == "modes":
                 bundle = cmd_modes(cfg, out_dir)
             elif args.command == "simulate":

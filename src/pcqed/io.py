@@ -9,6 +9,7 @@ each header or metadata block.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "ParseError",
     "canonical_json",
+    "read_header",
     "write_json",
     "write_manifest_json",
     "write_histogram_csv",
@@ -101,35 +103,104 @@ def write_histogram_csv(path, hist: TransientHistogram, metadata: dict | None = 
     return meta
 
 
-def read_histogram_csv(path) -> TransientHistogram:
-    """Reconstruct a TransientHistogram from CSV + sidecar."""
-    path = Path(path)
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, 1, "not UTF-8 text") from exc
+
+
+def read_header(path) -> str:
+    """First line of a text input, stripped; '' for an empty file."""
+    lines = _read_text(path).splitlines()
+    return lines[0].strip() if lines else ""
+
+
+def _read_sidecar(path: Path) -> tuple[Path, dict | None]:
+    """The `<path>.meta.json` sidecar and its JSON object (None when absent)."""
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if not meta_path.exists():
+        return meta_path, None
+    try:
+        meta = json.loads(_read_text(meta_path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(meta_path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(meta, dict):
+        raise ParseError(meta_path, 1, "expected a JSON object")
+    return meta_path, meta
+
+
+def _number(value, name: str, path, line: int, kind=(int, float), positive=False):
+    """`value` if it is a finite number of `kind` (and > 0 if `positive`)."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
+        wanted = "a positive" if positive else "a finite"
+        raise ParseError(path, line, f"{name}: expected {wanted} number, got {value!r}")
+    return value
+
+
+def _column(path, numbers, cells, dtype) -> np.ndarray:
+    """One CSV column as an array; a cell that does not convert is named by line."""
+    try:
+        return np.array(cells, dtype=dtype)
+    except (ValueError, OverflowError):
+        for i, cell in zip(numbers, cells):
+            try:
+                dtype(cell)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(path, i, f"bad value {cell!r}") from exc
+        raise
+
+
+def read_histogram_csv(path) -> TransientHistogram:
+    """Reconstruct a TransientHistogram from CSV + sidecar.
+
+    The rows must match the sidecar: `n_bins` rows summing to `total_counts`,
+    each `time_ps` at its bin centre t_start + (i + 1/2) * bin_width.
+    """
+    path = Path(path)
+    meta_path, meta = _read_sidecar(path)
+    if meta is None:
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    lines = path.read_text().splitlines()
+    keys = ("bin_width_ps", "t_start_ps", "irf_fwhm_ps", "irf_t0_ps")
+    width, t_start, fwhm, irf_t0 = (
+        _number(meta.get(key), key, meta_path, 1) for key in keys
+    )
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "time_ps,counts":
         raise ParseError(path, 1, "expected header 'time_ps,counts'")
-    counts = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ParseError(path, i, f"expected 2 fields, got {len(fields)}")
-        try:
-            counts.append(int(fields[1]))
-        except ValueError as exc:
-            raise ParseError(path, i, f"bad count {fields[1]!r}") from exc
-    return TransientHistogram(
-        bin_width=float(meta["bin_width_ps"]),
-        t_start=float(meta["t_start_ps"]),
-        counts=np.array(counts, dtype=np.int64),
-        irf=InstrumentResponse(
-            fwhm=float(meta["irf_fwhm_ps"]), t0=float(meta["irf_t0_ps"])
-        ),
-    )
+    numbers = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
+    if not numbers:
+        raise ParseError(path, len(lines), "no data rows")
+    rows = [lines[i - 1] for i in numbers]
+    for i, row in zip(numbers, rows):
+        if row.count(",") != 1:
+            raise ParseError(path, i, f"expected 2 fields, got {row.count(',') + 1}")
+    # One split and one conversion per column; rows are visited again only on error.
+    cells = ",".join(rows).split(",")
+    times = _column(path, numbers, cells[0::2], float)
+    counts = _column(path, numbers, cells[1::2], np.int64)
+    centres = t_start + (np.arange(len(rows)) + 0.5) * width
+    bad = np.flatnonzero((counts < 0) | ~(np.abs(times - centres) <= 1e-6 * width))
+    if bad.size:
+        k = bad[0]
+        raise ParseError(path, numbers[k], f"negative count {int(counts[k])}" if counts[k] < 0
+                         else f"time_ps {float(times[k])!r} is not the bin centre "
+                         f"{float(centres[k])!r}")
+    n_bins = _number(meta.get("n_bins"), "n_bins", meta_path, 1, kind=int)
+    total = _number(meta.get("total_counts"), "total_counts", meta_path, 1, kind=int)
+    if len(rows) != n_bins or int(counts.sum()) != total:
+        raise ParseError(path, len(lines), f"{len(rows)} rows with {int(counts.sum())} counts, "
+                         f"sidecar says n_bins {n_bins}, total_counts {total}")
+    try:
+        return TransientHistogram(
+            bin_width=float(width),
+            t_start=float(t_start),
+            counts=counts,
+            irf=InstrumentResponse(fwhm=float(fwhm), t0=float(irf_t0)),
+        )
+    except ValueError as exc:
+        raise ParseError(meta_path, 1, str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +389,12 @@ def write_scan_csv(path, scan: SpectralScan, metadata: dict | None = None) -> di
 
 
 def read_scan_csv(path) -> tuple[SpectralScan, dict]:
+    """Scan and sidecar metadata; wavelengths must increase, lifetimes and
+    uncertainties be positive, and a tau0 reference be positive."""
     path = Path(path)
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-    lines = path.read_text().splitlines()
+    meta_path, meta = _read_sidecar(path)
+    meta = meta or {}
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "wavelength_nm,lifetime_ps,lifetime_err_ps":
         raise ParseError(path, 1, "bad spectral-scan header")
     lams, taus, errs = [], [], []
@@ -332,17 +405,36 @@ def read_scan_csv(path) -> tuple[SpectralScan, dict]:
         if len(fields) != 3:
             raise ParseError(path, i, f"expected 3 fields, got {len(fields)}")
         try:
-            lams.append(float(fields[0]))
-            taus.append(float(fields[1]))
-            errs.append(float(fields[2]) if fields[2] else np.nan)
+            lam, tau = float(fields[0]), float(fields[1])
+            err = float(fields[2]) if fields[2] else None
         except ValueError as exc:
             raise ParseError(path, i, str(exc)) from exc
+        _number(lam, "wavelength_nm", path, i, positive=True)
+        _number(tau, "lifetime_ps", path, i, positive=True)
+        if lams and not lam > lams[-1]:
+            raise ParseError(path, i, f"wavelength {lam!r} does not increase")
+        lams.append(lam)
+        taus.append(tau)
+        errs.append(np.nan if err is None else _number(err, "lifetime_err_ps", path, i,
+                                                       positive=True))
+    if not lams:
+        raise ParseError(path, len(lines), "no data rows")
     errors = np.array(errs)
     if np.isnan(errors).all():
         errors = None
     elif np.isnan(errors).any():
         raise ParseError(path, 1, "mixed present/absent uncertainties")
     tau0 = meta.get("tau0_ps", meta.get("tau0_table"))
+    if "tau0_ps" in meta:
+        _number(tau0, "tau0_ps", meta_path, 1, positive=True)
+    elif tau0 is not None:
+        if not isinstance(tau0, list) or not tau0 or not all(
+            isinstance(row, list) and len(row) == 2 for row in tau0
+        ):
+            raise ParseError(meta_path, 1, "tau0_table: expected rows [wavelength_nm, tau0_ps]")
+        for row in tau0:
+            for value in row:
+                _number(value, "tau0_table", meta_path, 1, positive=True)
     scan = SpectralScan(
         wavelengths=np.array(lams),
         lifetimes=np.array(taus),

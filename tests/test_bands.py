@@ -245,15 +245,6 @@ def test_point_group_degeneracies_reproduced_across_cutoffs():
         assert any(m > 1 for m in patterns[0])  # symmetry-forced pairs exist
 
 
-def test_workers_do_not_change_results():
-    lat = device_lattice(0.35)
-    path = kpath_gamma_m_k(6)
-    basis = PlaneWaveBasis.bulk(lat, 4)
-    serial = compute_bands(lat, path, basis, 3, workers=1)
-    threaded = compute_bands(lat, path, basis, 3, workers=4)
-    np.testing.assert_array_equal(serial.frequencies, threaded.frequencies)
-
-
 def test_n_bands_exceeding_basis_rejected():
     lat = device_lattice()
     basis = PlaneWaveBasis.bulk(lat, 2)
