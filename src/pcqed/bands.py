@@ -242,11 +242,6 @@ class BandGap:
         """Midgap free-space wavelength in nm: a / (a/lambda)_mid."""
         return period_a / self.midgap
 
-    def contains(self, frequency: float, margin: float = 0.0) -> bool:
-        lo = self.lower_edge * (1.0 + margin)
-        hi = self.upper_edge * (1.0 - margin)
-        return lo < frequency < hi
-
 
 def compute_bands(
     lattice: TriangularLattice,

@@ -514,8 +514,10 @@ def cmd_modes(cfg: Config | dict, out_dir: Path) -> ResultBundle:
         for i, mode in enumerate(modes):
             if any(mode is m for m in exported):
                 p_path = out_dir / f"profile_ra{tag}_mode{i}.json"
-                pcio.write_profile_json(p_path, mode, entries[i]["mode_volume"])
+                p_doc = pcio.write_profile_json(p_path, mode, entries[i]["mode_volume"])
                 bundle.add(f"profile_ra{tag}_mode{i}", p_path)
+                bundle.add(f"profile_ra{tag}_mode{i}_energy_density",
+                           out_dir / p_doc["energy_density_file"])
     bundle.finish()
     return bundle
 

@@ -549,9 +549,18 @@ def fit_spectral_model(
                 f"scan must span at least 3 linewidths around the mode at "
                 f"{mode.lambda_c} nm"
             )
-    weights = (
-        1.0 / scan.errors**2 if scan.errors is not None else np.ones_like(y)
-    )
+    if scan.errors is None:
+        weights = np.ones_like(y)
+    else:
+        with np.errstate(over="ignore", divide="ignore"):
+            weights = 1.0 / scan.errors**2
+        bad = np.flatnonzero(~np.isfinite(weights))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"scan point {k} at {lam[k]!r} nm: uncertainty {scan.errors[k]!r} ps "
+                f"gives a non-finite weight 1/sigma^2"
+            )
     tau0_vals = tau0(lam)
     shapes = np.array(
         [lorentzian_response(lam, m.lambda_c, m.linewidth) / 3.0 for m in modes]

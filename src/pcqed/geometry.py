@@ -145,10 +145,6 @@ class KPath:
             if np.any(np.abs(f) > 1.0):
                 raise ValueError(f"vertex {label!r} outside [-1, 1]^2: {frac}")
 
-    @property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.vertices)
-
     def fractional_points(self) -> np.ndarray:
         """All sampled points, shape (n_segments*(s-1) + 1, 2)."""
         s = self.samples_per_segment
@@ -158,10 +154,6 @@ class KPath:
             for t in np.linspace(0.0, 1.0, s)[1:]:
                 pts.append(start + t * (stop - start))
         return np.array(pts)
-
-    def vertex_indices(self) -> np.ndarray:
-        """Index of each vertex within `fractional_points()`."""
-        return np.arange(len(self.vertices)) * (self.samples_per_segment - 1)
 
 
 def real_basis(lattice: TriangularLattice) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,19 @@
-"""File formats: histogram/band/scan CSV, gap/fit/profile JSON.
+"""File formats: histogram/band/scan CSV, gap/fit JSON, and mode profiles as
+JSON metadata plus a `.npy` energy-density sidecar checked by SHA-256.
 
 All numeric text is written with `repr` so floats round-trip exactly and
-repeated runs produce byte-identical files. Every JSON document carries a
+repeated runs produce byte-identical files; the profile grid is stored as
+binary float64, which round-trips bit for bit. Every JSON document carries a
 `schema_version` field. Units are nm, ps and dimensionless a/lambda, stated in
 each header or metadata block.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +33,6 @@ __all__ = [
     "read_histogram_csv",
     "write_band_csv",
     "read_band_csv",
-    "gap_document",
     "write_gap_json",
     "write_fit_json",
     "read_fit_json",
@@ -39,7 +42,7 @@ __all__ = [
     "read_profile_json",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ParseError(ValueError):
@@ -121,13 +124,18 @@ def _read_sidecar(path: Path) -> tuple[Path, dict | None]:
     meta_path = path.with_suffix(path.suffix + ".meta.json")
     if not meta_path.exists():
         return meta_path, None
+    return meta_path, _json_object(meta_path, _read_text(meta_path))
+
+
+def _json_object(path, text: str) -> dict:
+    """`text` parsed as a JSON object; malformed text fails at its line."""
     try:
-        meta = json.loads(_read_text(meta_path))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(meta_path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(meta, dict):
-        raise ParseError(meta_path, 1, "expected a JSON object")
-    return meta_path, meta
+        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(path, 1, "expected a JSON object")
+    return doc
 
 
 def _number(value, name: str, path, line: int, kind=(int, float), positive=False):
@@ -249,7 +257,7 @@ def read_band_csv(path):
 # Gap, fit-result and mode-profile JSON documents.
 # ---------------------------------------------------------------------------
 
-def gap_document(gap: BandGap | None, period_a: float, hole_ratio: float) -> dict:
+def write_gap_json(path, gap: BandGap | None, period_a: float, hole_ratio: float):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "band_gap",
@@ -273,11 +281,6 @@ def gap_document(gap: BandGap | None, period_a: float, hole_ratio: float) -> dic
             lower_edge_wavelength_nm=period_a / gap.upper_edge,
             upper_edge_wavelength_nm=period_a / gap.lower_edge,
         )
-    return doc
-
-
-def write_gap_json(path, gap: BandGap | None, period_a: float, hole_ratio: float):
-    doc = gap_document(gap, period_a, hole_ratio)
     write_json(path, doc)
     return doc
 
@@ -327,7 +330,18 @@ def read_fit_json(path) -> FitResult:
 
 
 def write_profile_json(path, profile: CavityModeProfile, mode_volume: float | None):
-    """Mode profile with grid metadata; the energy-density grid is row-major."""
+    """Mode-profile metadata as JSON, the energy-density grid as a `.npy` sidecar.
+
+    The sidecar is `path` with the suffix `.npy`; the document names it in
+    `energy_density_file` and records the SHA-256 of its bytes.
+    """
+    path = Path(path)
+    buffer = BytesIO()
+    np.save(buffer, np.ascontiguousarray(profile.energy_density, dtype=np.float64),
+            allow_pickle=False)
+    grid_bytes = buffer.getvalue()
+    grid_path = path.with_suffix(".npy")
+    grid_path.write_bytes(grid_bytes)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": "cavity_mode_profile",
@@ -343,20 +357,57 @@ def write_profile_json(path, profile: CavityModeProfile, mode_volume: float | No
         "period_nm": profile.lattice.period_a,
         "hole_ratio": profile.lattice.hole_ratio,
         "energy_density_max": float(profile.energy_density.max()),
-        "energy_density": [
-            [float(v) for v in row] for row in profile.energy_density
-        ],
+        "energy_density_file": grid_path.name,
+        "energy_density_sha256": hashlib.sha256(grid_bytes).hexdigest(),
     }
     write_json(path, doc)
     return doc
 
 
+def _key_line(text: str, key: str) -> int:
+    """1-based line of `"key":` in a JSON text; 1 when the key is absent."""
+    at = text.find(f'"{key}":')
+    return text.count("\n", 0, at) + 1 if at >= 0 else 1
+
+
 def read_profile_json(path) -> tuple[dict, np.ndarray]:
-    """Profile metadata and the energy-density grid, exactly as written."""
-    doc = json.loads(Path(path).read_text())
-    grid = np.array(doc.pop("energy_density"), dtype=float)
-    if list(grid.shape) != doc["grid_shape"]:
-        raise ParseError(path, 1, "energy_density shape disagrees with grid_shape")
+    """Profile metadata and the energy-density grid, bit for bit as written.
+
+    The grid comes from the `.npy` sidecar named by `energy_density_file`, in
+    the profile's directory. It must match `energy_density_sha256`, hold
+    float64 values (no pickled objects) and have the shape `grid_shape`.
+    """
+    path = Path(path)
+    text = _read_text(path)
+    doc = _json_object(path, text)
+    if "energy_density" in doc:
+        raise ParseError(path, _key_line(text, "energy_density"),
+                         "inline energy_density grid (schema 1); this reader takes "
+                         "the .npy sidecar named by energy_density_file")
+    name = doc.get("energy_density_file")
+    line = _key_line(text, "energy_density_file")
+    if not isinstance(name, str) or Path(name).name != name:
+        raise ParseError(path, line, f"energy_density_file: expected a file name, got {name!r}")
+    grid_path = path.parent / name
+    if not grid_path.is_file():
+        raise ParseError(path, line, f"energy_density_file: {grid_path} does not exist")
+    grid_bytes = grid_path.read_bytes()
+    digest = hashlib.sha256(grid_bytes).hexdigest()
+    if digest != doc.get("energy_density_sha256"):
+        raise ParseError(path, _key_line(text, "energy_density_sha256"),
+                         f"energy_density_sha256: {grid_path} has SHA-256 {digest}")
+    try:
+        grid = np.lib.format.read_array(BytesIO(grid_bytes), allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ParseError(path, line, f"energy_density_file: {grid_path} is not a "
+                         f"plain .npy array: {exc}") from exc
+    if grid.dtype != np.float64:
+        raise ParseError(path, line, f"energy_density_file: dtype {grid.dtype}, "
+                         "expected float64")
+    if list(grid.shape) != doc.get("grid_shape"):
+        raise ParseError(path, _key_line(text, "grid_shape"),
+                         f"grid_shape: {doc.get('grid_shape')!r} disagrees with the "
+                         f"grid's shape {list(grid.shape)}")
     return doc, grid
 
 

@@ -199,6 +199,28 @@ def test_scan_sidecar_modes_follow_the_config_rule(tmp_path, capsys):
     assert f"{scan}.meta.json:1: modes[0].q_factor" in capsys.readouterr().err
 
 
+def _set_uncertainty(scan, row, sigma):
+    lines = scan.read_text().splitlines()
+    cells = lines[row].split(",")
+    lines[row] = ",".join(cells[:2] + [repr(sigma)])
+    scan.write_text("\n".join(lines) + "\n")
+
+
+def test_vanishing_scan_uncertainty_exits_2_without_warnings(tmp_path, capsys, recwarn):
+    # 1/sigma^2 overflows to inf below about 1e-154 ps.
+    scan = _write_scan(tmp_path / "scan.csv")
+    _set_uncertainty(scan, 4, 1e-200)
+    assert _fit(tmp_path, scan) == EXIT_CONFIG
+    assert f"{scan}: scan point 3 at " in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_tiny_finite_weight_still_fits(tmp_path):
+    scan = _write_scan(tmp_path / "scan.csv")
+    _set_uncertainty(scan, 4, 1e-140)
+    assert _fit(tmp_path, scan) == EXIT_OK
+
+
 def test_same_named_inputs_rejected_before_fitting(tmp_path, capsys):
     for name in "ab":
         (tmp_path / name).mkdir()

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -144,10 +147,92 @@ def test_profile_json_round_trip(tmp_path):
     path = tmp_path / "p.json"
     pcio.write_profile_json(path, a, volume)
     doc, grid = pcio.read_profile_json(path)
-    np.testing.assert_array_equal(grid, a.energy_density)
+    assert grid.dtype == np.float64
+    assert grid.tobytes() == a.energy_density.tobytes()
     assert doc["frequency"] == a.frequency
     assert doc["mode_volume"] == volume
     assert doc["supercell_size"] == 5
+    assert doc["energy_density_file"] == "p.npy"
+    assert "energy_density" not in json.loads(path.read_text())
+
+
+def _small_profile_json(tmp_path):
+    """A synthetic 24x24 profile written by write_profile_json: (path, document)."""
+    from pcqed.bands import CavityModeProfile
+    from pcqed.geometry import TriangularLattice
+
+    n = 3 * 8
+    density = np.linspace(0.0, 1.0, n * n).reshape(n, n)
+    profile = CavityModeProfile(
+        frequency=0.29, field_grid=density, energy_density=density,
+        eps_grid=np.full((n, n), 10.0), lattice=TriangularLattice(300.0, 0.37, 10.0),
+        supercell_size=3, grid_per_period=8, localization=0.9, parity=-1.0,
+    )
+    path = tmp_path / "p.json"
+    return path, pcio.write_profile_json(path, profile, 1.5)
+
+
+def _npy_bytes(array, allow_pickle=False):
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=allow_pickle)
+    return buffer.getvalue()
+
+
+def _replace_grid(path, doc, data: bytes):
+    """Put `data` in the sidecar and record its hash, so only its content is wrong."""
+    (path.parent / doc["energy_density_file"]).write_bytes(data)
+    pcio.write_json(path, {**doc, "energy_density_sha256": hashlib.sha256(data).hexdigest()})
+
+
+def _profile_rejected(path, message):
+    with pytest.raises(pcio.ParseError, match=message) as err:
+        pcio.read_profile_json(path)
+    assert str(err.value).startswith(f"{path}:{err.value.line_number}: ")
+    assert err.value.line_number > 1  # the line of the offending key
+
+
+def test_profile_reader_rejects_missing_sidecar(tmp_path):
+    path, doc = _small_profile_json(tmp_path)
+    (tmp_path / doc["energy_density_file"]).unlink()
+    _profile_rejected(path, "does not exist")
+
+
+def test_profile_reader_rejects_hash_mismatch(tmp_path):
+    path, doc = _small_profile_json(tmp_path)
+    grid_path = tmp_path / doc["energy_density_file"]
+    data = bytearray(grid_path.read_bytes())
+    data[-1] ^= 1
+    grid_path.write_bytes(bytes(data))
+    _profile_rejected(path, "energy_density_sha256")
+
+
+@pytest.mark.parametrize("array, message", [
+    (np.zeros((24, 23)), "grid_shape"),
+    (np.zeros((24, 24), dtype=np.float32), "dtype float32, expected float64"),
+], ids=["shape", "dtype"])
+def test_profile_reader_rejects_wrong_grid(tmp_path, array, message):
+    path, doc = _small_profile_json(tmp_path)
+    _replace_grid(path, doc, _npy_bytes(array))
+    _profile_rejected(path, message)
+
+
+@pytest.mark.parametrize("data", [
+    pickle.dumps(np.zeros((24, 24))),
+    _npy_bytes(np.array([None] * 24 * 24, dtype=object).reshape(24, 24), allow_pickle=True),
+    b"0.0,1.0\n",
+], ids=["pickle", "object-npy", "text"])
+def test_profile_reader_rejects_non_npy(tmp_path, data):
+    path, doc = _small_profile_json(tmp_path)
+    _replace_grid(path, doc, data)
+    _profile_rejected(path, "not a plain .npy array")
+
+
+def test_profile_reader_rejects_inline_schema1_grid(tmp_path):
+    path, doc = _small_profile_json(tmp_path)
+    legacy = {k: v for k, v in doc.items() if not k.startswith("energy_density_")}
+    pcio.write_json(path, {**legacy, "schema_version": 1,
+                           "energy_density": np.zeros((24, 24)).tolist()})
+    _profile_rejected(path, "inline energy_density")
 
 
 def test_gap_json_reports_absence(tmp_path):
@@ -191,17 +276,19 @@ def test_cmd_bands_byte_identical_reruns(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+MODES_CONFIG = {
+    "crystal": {
+        "period_nm": 300.0,
+        "hole_ratio": 0.37,
+        "slab": {"thickness_nm": 400.0, "n_core": 3.4, "n_clad": 1.0},
+        "reference_wavelength_nm": 1050.0,
+    },
+    "modes": {"supercell_size": 5, "cutoff": 9, "export_profiles": "doublet"},
+}
+
+
 def test_cmd_modes_structured_output(tmp_path):
-    cfg = {
-        "crystal": {
-            "period_nm": 300.0,
-            "hole_ratio": 0.37,
-            "slab": {"thickness_nm": 400.0, "n_core": 3.4, "n_clad": 1.0},
-            "reference_wavelength_nm": 1050.0,
-        },
-        "modes": {"supercell_size": 5, "cutoff": 9, "export_profiles": "doublet"},
-    }
-    cmd_modes(cfg, tmp_path / "out")
+    cmd_modes(MODES_CONFIG, tmp_path / "out")
     doc = json.loads((tmp_path / "out" / "modes_ra0p370.json").read_text())
     assert doc["doublet_found"] is True
     assert doc["doublets"][0]["fractional_splitting"] < 1e-3
@@ -211,6 +298,21 @@ def test_cmd_modes_structured_output(tmp_path):
     pdoc = json.loads(profiles[0].read_text())
     assert pdoc["energy_density_max"] == 1.0
     assert pdoc["grid_shape"] == [5 * 64, 5 * 64]
+    grids = sorted(p.name for p in (tmp_path / "out").glob("profile_*.npy"))
+    assert grids == sorted(p.with_suffix(".npy").name for p in profiles)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    listed = set(manifest["outputs"].values())
+    assert listed == {p.name for p in (tmp_path / "out").iterdir()} - {"manifest.json"}
+
+
+def test_cmd_modes_byte_identical_reruns(tmp_path):
+    cmd_modes(MODES_CONFIG, tmp_path / "a")
+    cmd_modes(MODES_CONFIG, tmp_path / "b")
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    assert sum(name.endswith(".npy") for name in names) == 2
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_cmd_simulate_requires_seed(tmp_path):
