@@ -197,6 +197,12 @@ def test_profile_reader_rejects_missing_sidecar(tmp_path):
     _profile_rejected(path, "does not exist")
 
 
+def test_profile_reader_rejects_sidecar_outside_its_directory(tmp_path):
+    path, doc = _small_profile_json(tmp_path)
+    pcio.write_json(path, {**doc, "energy_density_file": "../p.npy"})
+    _profile_rejected(path, "expected a file name")
+
+
 def test_profile_reader_rejects_hash_mismatch(tmp_path):
     path, doc = _small_profile_json(tmp_path)
     grid_path = tmp_path / doc["energy_density_file"]
