@@ -5,65 +5,8 @@ Layered toolkit: `geometry` describes the triangular-lattice crystal and slab,
 `cavity` provides the closed-form cavity-QED quantities, `tcspc` synthesizes
 photon-counting decay histograms, `fitting` recovers lifetimes and enhancement
 factors by reconvolution and spectral fits, and `cli` ties everything into a
-config-driven pipeline.
+config-driven pipeline. Import names from these submodules, e.g.
+`from pcqed.bands import compute_bands`.
 """
-
-from .geometry import (
-    KPath,
-    NoGuidedModeError,
-    ReciprocalLatticeError,
-    SlabWaveguide,
-    TriangularLattice,
-    dielectric_fourier,
-    effective_index,
-    kpath_cartesian,
-    kpath_gamma_m_k,
-    real_basis,
-    reciprocal_basis,
-)
-from .bands import (
-    BandGap,
-    BandSolverError,
-    BandStructure,
-    CavityModeProfile,
-    PlaneWaveBasis,
-    build_te_operator,
-    compute_bands,
-    dipole_doublets,
-    find_te_gap,
-    mode_volume,
-    solve_h1_modes,
-)
-from .cavity import (
-    CavityMode,
-    EmitterCoupling,
-    coupling_efficiency,
-    enhanced_lifetime,
-    lifetime_ratio,
-    lifetime_ratio_multimode,
-    mode_linewidth,
-    photon_lifetime,
-    purcell_factor,
-)
-from .tcspc import (
-    BinGrid,
-    DecayModel,
-    InstrumentResponse,
-    TransientHistogram,
-    expected_curve,
-    sample_histogram,
-)
-from .fitting import (
-    FitConvergenceError,
-    FitResult,
-    ModelSelection,
-    SpectralScan,
-    fit_biexponential,
-    fit_monoexponential,
-    fit_spectral_model,
-    scan_lifetime,
-    select_model,
-    synthesize_spectral_scan,
-)
 
 __version__ = "0.1.0"

@@ -23,9 +23,9 @@ from .geometry import (
     KPath,
     SlabWaveguide,
     TriangularLattice,
+    _fourier_coefficient,
     _hole_form_factor,
     kpath_cartesian,
-    kpath_gamma_m_k,
     real_basis,
     reciprocal_basis,
 )
@@ -41,17 +41,19 @@ __all__ = [
     "find_te_gap",
     "solve_h1_modes",
     "dipole_doublets",
+    "doublet_splitting",
     "mode_volume",
 ]
 
 
-class BandSolverError(RuntimeError):
-    """Eigensolver failure, annotated with the offending k-point."""
+# `dipole_doublets`: the largest fractional splitting of a doublet and the
+# smallest energy fraction within 1.5 periods of the defect of its modes.
+DOUBLET_MAX_SPLITTING = 1e-3
+DOUBLET_MIN_LOCALIZATION = 0.6
 
-    def __init__(self, message: str, k_index: int | None = None, k=None):
-        super().__init__(message)
-        self.k_index = k_index
-        self.k = None if k is None else np.asarray(k)
+
+class BandSolverError(RuntimeError):
+    """Eigensolver failure; the message names the offending k-point."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,44 +131,33 @@ class PlaneWaveBasis:
         return self.indices @ np.stack([self.g1, self.g2])
 
 
-def _bulk_eps_matrix(lattice: TriangularLattice, basis: PlaneWaveBasis) -> np.ndarray:
-    """Permittivity matrix E[i, j] = eps_hat(G_i - G_j) for the bulk crystal."""
-    idx = basis.indices
-    dm = idx[:, None, 0] - idx[None, :, 0]
-    dn = idx[:, None, 1] - idx[None, :, 1]
-    dg = dm[..., None] * basis.g1 + dn[..., None] * basis.g2
-    gnorm = np.linalg.norm(dg, axis=-1)
-    f = lattice.fill_fraction
-    deps = lattice.eps_hole - lattice.eps_background
-    E = deps * f * _hole_form_factor(gnorm * lattice.hole_radius)
-    E[(dm == 0) & (dn == 0)] = (
-        f * lattice.eps_hole + (1.0 - f) * lattice.eps_background
-    )
-    return E
-
-
-def _supercell_eps_matrix(
-    lattice: TriangularLattice, supercell_size: int, basis: PlaneWaveBasis
+def _eps_matrix(
+    lattice: TriangularLattice, basis: PlaneWaveBasis, supercell_size: int | None = None
 ) -> np.ndarray:
-    """Permittivity matrix for an S x S supercell with the central hole removed.
+    """Permittivity matrix E[i, j] = eps_hat(G_i - G_j).
 
-    The hole arrangement is periodic with the supercell, so its structure
-    factor is analytic: S^2 - 1 on bulk reciprocal vectors (supercell indices
-    that are multiples of S) and -1 elsewhere, times the single-hole form
-    factor.
+    The bulk crystal, or with `supercell_size` S an S x S supercell with the
+    central hole removed. That hole arrangement is periodic with the
+    supercell, so its structure factor is analytic: S^2 - 1 on bulk
+    reciprocal vectors (supercell indices that are multiples of S) and -1
+    elsewhere, times the single-hole form factor.
     """
-    S = supercell_size
     idx = basis.indices
     dm = idx[:, None, 0] - idx[None, :, 0]
     dn = idx[:, None, 1] - idx[None, :, 1]
     dg = dm[..., None] * basis.g1 + dn[..., None] * basis.g2
     gnorm = np.linalg.norm(dg, axis=-1)
-    f_hole = lattice.fill_fraction / S**2  # one hole over the supercell area
+    origin = (dm == 0) & (dn == 0)
+    if supercell_size is None:
+        return _fourier_coefficient(lattice, gnorm, origin)
+    S = supercell_size
     deps = lattice.eps_hole - lattice.eps_background
-    on_bulk = (dm % S == 0) & (dn % S == 0)
-    structure = np.where(on_bulk, float(S * S - 1), -1.0)
-    E = deps * f_hole * structure * _hole_form_factor(gnorm * lattice.hole_radius)
-    E[(dm == 0) & (dn == 0)] += lattice.eps_background
+    structure = np.where((dm % S == 0) & (dn % S == 0), float(S * S - 1), -1.0)
+    # One hole over the supercell area: fill fraction f / S^2.
+    E = deps * (lattice.fill_fraction / S**2) * structure * _hole_form_factor(
+        gnorm * lattice.hole_radius
+    )
+    E[origin] += lattice.eps_background
     return E
 
 
@@ -200,7 +191,7 @@ def build_te_operator(
     (omega/c)^2 >= 0.
     """
     k = _reduce_k(np.asarray(k, dtype=float), *reciprocal_basis(lattice))
-    eta = _inverse_eps_table(_bulk_eps_matrix(lattice, basis))
+    eta = _inverse_eps_table(_eps_matrix(lattice, basis))
     return _assemble_te(eta, k, basis.g_vectors)
 
 
@@ -259,23 +250,19 @@ def compute_bands(
     b1, b2 = reciprocal_basis(lattice)
     frac = kpath.fractional_points()
     kpts, arc = kpath_cartesian(kpath, lattice)
-    eta = _inverse_eps_table(_bulk_eps_matrix(lattice, basis))
+    eta = _inverse_eps_table(_eps_matrix(lattice, basis))
     g = basis.g_vectors
 
-    def solve_one(item):
-        i, k = item
+    rows = []
+    for i, k in enumerate(kpts):
         theta = _assemble_te(eta, _reduce_k(k, b1, b2), g)
         try:
             vals = eigh(
                 theta, eigvals_only=True, subset_by_index=[0, n_bands - 1]
             )
         except np.linalg.LinAlgError as exc:
-            raise BandSolverError(
-                f"eigensolver failed at k-point {i}: {exc}", k_index=i, k=k
-            ) from exc
-        return np.sqrt(np.clip(vals, 0.0, None))
-
-    rows = [solve_one(item) for item in enumerate(kpts)]
+            raise BandSolverError(f"eigensolver failed at k-point {i}: {exc}") from exc
+        rows.append(np.sqrt(np.clip(vals, 0.0, None)))
     freqs = lattice.period_a / (2.0 * np.pi) * np.array(rows)
     return BandStructure(
         kpath=kpath,
@@ -329,18 +316,22 @@ class CavityModeProfile:
         return self.supercell_size**2 * self.lattice.cell_area
 
 
-def _supercell_eps_grid(
-    lattice: TriangularLattice, S: int, ngrid: int
-) -> np.ndarray:
-    """Analytic permittivity on the fractional supercell grid (central hole absent)."""
+def _supercell_grid(lattice: TriangularLattice, S: int, ngrid: int):
+    """Cell-centred grid over the supercell: fractional lattice coordinates
+    (f1, f2) in units of a1, a2 and Cartesian (X, Y) in nm."""
     a1, a2 = real_basis(lattice)
     u = (np.arange(ngrid) + 0.5) / ngrid
     U, V = np.meshgrid(u, u, indexing="ij")
-    X = U * S * a1[0] + V * S * a2[0]
-    Y = U * S * a1[1] + V * S * a2[1]
     f1, f2 = U * S, V * S
+    return f1, f2, f1 * a1[0] + f2 * a2[0], f1 * a1[1] + f2 * a2[1]
+
+
+def _supercell_eps_grid(lattice: TriangularLattice, S: int, ngrid: int) -> np.ndarray:
+    """Analytic permittivity on the supercell grid (central hole absent)."""
+    a1, a2 = real_basis(lattice)
+    f1, f2, X, Y = _supercell_grid(lattice, S, ngrid)
     r2 = (lattice.hole_radius) ** 2
-    in_hole = np.zeros((ngrid, ngrid), dtype=bool)
+    in_hole = np.zeros(X.shape, dtype=bool)
     # The containing site is always among the four cell corners around a point.
     for di in (0, 1):
         for dj in (0, 1):
@@ -351,7 +342,7 @@ def _supercell_eps_grid(
             d2 = (X - cx) ** 2 + (Y - cy) ** 2
             removed = (n1 % S == 0) & (n2 % S == 0)
             in_hole |= (d2 <= r2) & ~removed
-    eps = np.full((ngrid, ngrid), lattice.eps_background)
+    eps = np.full(X.shape, lattice.eps_background)
     eps[in_hole] = lattice.eps_hole
     return eps
 
@@ -359,12 +350,9 @@ def _supercell_eps_grid(
 def _defect_distance_grid(lattice: TriangularLattice, S: int, ngrid: int) -> np.ndarray:
     """Distance from each grid point to the nearest defect site (supercell corners)."""
     a1, a2 = real_basis(lattice)
-    u = (np.arange(ngrid) + 0.5) / ngrid
-    U, V = np.meshgrid(u, u, indexing="ij")
-    X = U * S * a1[0] + V * S * a2[0]
-    Y = U * S * a1[1] + V * S * a2[1]
+    _, _, X, Y = _supercell_grid(lattice, S, ngrid)
     A1, A2 = S * a1, S * a2
-    dmin = np.full((ngrid, ngrid), np.inf)
+    dmin = np.full(X.shape, np.inf)
     for p in (0, 1):
         for q in (0, 1):
             cx = p * A1[0] + q * A2[0]
@@ -398,18 +386,16 @@ def solve_h1_modes(
     supercell_size: int = 7,
     basis: PlaneWaveBasis | None = None,
     *,
-    bulk_cutoff: int = 7,
-    bulk_path_samples: int = 16,
+    gap: BandGap | None,
     grid_per_period: int = 64,
-    gap: BandGap | None = None,
 ) -> list[CavityModeProfile]:
     """Eigenmodes of an H1 defect (central hole removed) inside the bulk TE gap.
 
     Solves the S x S supercell at the supercell Gamma point and keeps states
-    whose frequency falls strictly inside the bulk gap (computed here from a
-    Gamma-M-K-Gamma path unless `gap` is supplied). Returns an empty list when
-    the bulk crystal has no gap or no state lands inside it. Modes are sorted
-    by frequency; field grids use `grid_per_period` points per lattice period.
+    whose frequency falls strictly inside `gap`, the bulk crystal's TE gap
+    (`find_te_gap`). Returns an empty list when the gap is None or no state
+    lands inside it. Modes are sorted by frequency; field grids use
+    `grid_per_period` points per lattice period.
     """
     S = supercell_size
     if S < 5 or S % 2 == 0:
@@ -419,17 +405,9 @@ def solve_h1_modes(
     if basis is None:
         basis = PlaneWaveBasis.supercell(lattice, S)
     if gap is None:
-        bulk = compute_bands(
-            lattice,
-            kpath_gamma_m_k(bulk_path_samples),
-            PlaneWaveBasis.bulk(lattice, bulk_cutoff),
-            n_bands=2,
-        )
-        gap = find_te_gap(bulk)
-    if gap is None:
         return []
 
-    eta = _inverse_eps_table(_supercell_eps_matrix(lattice, S, basis))
+    eta = _inverse_eps_table(_eps_matrix(lattice, basis, S))
     theta = _assemble_te(eta, np.zeros(2), basis.g_vectors)
     margin = 1e-7
     scale = 2.0 * np.pi / lattice.period_a
@@ -480,26 +458,33 @@ def solve_h1_modes(
     return modes
 
 
+def doublet_splitting(f_a: float, f_b: float) -> float:
+    """Fractional splitting |f_b - f_a| / mean(f_a, f_b) of two mode frequencies."""
+    return abs(f_b - f_a) / (0.5 * (f_a + f_b))
+
+
 def dipole_doublets(
     modes: list[CavityModeProfile],
-    max_fractional_split: float = 1e-3,
-    min_localization: float = 0.6,
 ) -> list[tuple[CavityModeProfile, CavityModeProfile]]:
     """Nearly-degenerate pairs of localized, inversion-odd in-gap modes.
 
-    The H1 dipole doublet is inversion-odd and strongly localized; continuum
-    leftovers are delocalized, and other defect families are either even
-    (quadrupole) or non-degenerate singlets (hexapole), so for an ideal H1 the
-    returned list has exactly one pair.
+    Pairs are adjacent in frequency, split by less than
+    `DOUBLET_MAX_SPLITTING` and each at least `DOUBLET_MIN_LOCALIZATION`
+    localized. The H1 dipole doublet is inversion-odd and strongly localized;
+    continuum leftovers are delocalized, and other defect families are either
+    even (quadrupole) or non-degenerate singlets (hexapole), so for an ideal
+    H1 the returned list has exactly one pair.
     """
-    cand = [m for m in modes if m.parity < 0 and m.localization >= min_localization]
+    cand = [
+        m for m in modes if m.parity < 0 and m.localization >= DOUBLET_MIN_LOCALIZATION
+    ]
     cand.sort(key=lambda m: m.frequency)
     pairs = []
     i = 0
     while i + 1 < len(cand):
-        f1, f2 = cand[i].frequency, cand[i + 1].frequency
-        if (f2 - f1) / (0.5 * (f1 + f2)) < max_fractional_split:
-            pairs.append((cand[i], cand[i + 1]))
+        a, b = cand[i], cand[i + 1]
+        if doublet_splitting(a.frequency, b.frequency) < DOUBLET_MAX_SPLITTING:
+            pairs.append((a, b))
             i += 2
         else:
             i += 1

@@ -3,11 +3,12 @@
 Wavelengths are in nm and times in ps throughout. The central object is the
 detuning-dependent lifetime ratio
 
-    tau_free / tau = (F_p / 3) * |E(r)|^2/|E_max|^2
-                     * dl^2 / (dl^2 + 4 (l_cav - l_emitter)^2) + alpha,
+    tau_free / tau = sum_m (F_m / 3) * |E(r)|^2/|E_max|^2
+                     * dl_m^2 / (dl_m^2 + 4 (l_m - l_emitter)^2) + alpha,
 
-a unit-peak Lorentzian in the emitter-cavity detuning times the single-mode
-enhancement, plus a residual-mode decay fraction alpha.
+one unit-peak Lorentzian in the emitter-cavity detuning per mode m times its
+enhancement, plus a residual-mode decay fraction alpha
+(`lifetime_ratio_multimode`).
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ import numpy as np
 __all__ = [
     "SPEED_OF_LIGHT_NM_PER_PS",
     "CavityMode",
-    "EmitterCoupling",
     "purcell_factor",
     "mode_linewidth",
     "photon_lifetime",
     "lorentzian_response",
-    "lifetime_ratio",
     "lifetime_ratio_multimode",
     "coupling_efficiency",
     "enhanced_lifetime",
@@ -60,28 +59,6 @@ class CavityMode:
         return self.lambda_c / self.q_factor
 
 
-@dataclass(frozen=True)
-class EmitterCoupling:
-    """Emitter-cavity coupling: field intensity ratio, wavelength, background.
-
-    `field_ratio` is |E(r)|^2 / |E_max|^2 at the emitter position, `lambda_qd`
-    the emitter wavelength in nm, and `alpha` the decay fraction into residual
-    modes (relative to the free-space rate).
-    """
-
-    field_ratio: float
-    lambda_qd: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.field_ratio <= 1.0:
-            raise ValueError(f"field_ratio must lie in [0, 1], got {self.field_ratio}")
-        if not self.lambda_qd > 0:
-            raise ValueError(f"lambda_qd must be positive, got {self.lambda_qd}")
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-
-
 def purcell_factor(q_factor: float, v_mode: float) -> float:
     """Maximal spontaneous-emission enhancement 3*Q / (4*pi^2 * V)."""
     if not q_factor > 0:
@@ -111,20 +88,6 @@ def lorentzian_response(wavelength, lambda_c: float, linewidth: float):
     return linewidth**2 / (linewidth**2 + 4.0 * detuning**2)
 
 
-def lifetime_ratio(
-    fp: float, coupling: EmitterCoupling, cavity: CavityMode
-) -> float:
-    """Free-space-to-cavity lifetime ratio tau_free / tau for one mode.
-
-    (1/3) * fp * field_ratio * Lorentzian(detuning) + alpha, where the
-    Lorentzian uses the cavity linewidth lambda_c/Q.
-    """
-    if fp < 0:
-        raise ValueError(f"fp must be >= 0, got {fp}")
-    lor = lorentzian_response(coupling.lambda_qd, cavity.lambda_c, cavity.linewidth)
-    return fp / 3.0 * coupling.field_ratio * float(lor) + coupling.alpha
-
-
 def lifetime_ratio_multimode(
     wavelength,
     modes: Sequence[CavityMode],
@@ -134,7 +97,8 @@ def lifetime_ratio_multimode(
 ):
     """Lifetime ratio with one Lorentzian term per mode plus a single alpha.
 
-    Vectorized over `wavelength`; `field_ratios` defaults to 1 for every mode.
+    Vectorized over `wavelength`; `field_ratios` (|E(r)|^2/|E_max|^2 at the
+    emitter) default to 1 for every mode.
     """
     if len(fps) != len(modes):
         raise ValueError("need one enhancement factor per mode")

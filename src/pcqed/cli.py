@@ -36,6 +36,7 @@ from .bands import (
     PlaneWaveBasis,
     compute_bands,
     dipole_doublets,
+    doublet_splitting,
     find_te_gap,
     mode_volume,
     solve_h1_modes,
@@ -57,7 +58,6 @@ from .fitting import (
     synthesize_spectral_scan,
 )
 from .geometry import (
-    NoGuidedModeError,
     SlabWaveguide,
     TriangularLattice,
     effective_index,
@@ -119,7 +119,7 @@ class Crystal:
             if self.eps_background is None:
                 n_eff = effective_index(slab, self.reference_wavelength_nm)
                 object.__setattr__(self, "eps_background", n_eff**2)
-        except (ValueError, NoGuidedModeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"slab: {exc}") from exc
         self.lattice(self.hole_ratios[0])  # eps_background must exceed eps_hole
 
@@ -342,12 +342,17 @@ def config_hash(cfg: dict) -> str:
 
 @dataclass
 class ResultBundle:
+    """A run's files and summary, plus what it computed, in `results`: per
+    hole ratio a BandGap or None (`cmd_bands`) or a ModeSet (`cmd_modes`),
+    per input stem a FitResult (`cmd_fit`)."""
+
     run_id: str
     config_hash: str
     out_dir: Path
     outputs: dict = field(default_factory=dict)
     failed: list = field(default_factory=list)
     summary_lines: list = field(default_factory=list)
+    results: dict = field(default_factory=dict)
 
     def add(self, name: str, path: Path) -> None:
         self.outputs[name] = str(path.relative_to(self.out_dir))
@@ -422,7 +427,7 @@ def cmd_bands(cfg: Config | dict, out_dir: Path) -> ResultBundle:
         band_path = out_dir / f"bands_ra{tag}.csv"
         pcio.write_band_csv(band_path, bands)
         bundle.add(f"bands_ra{tag}", band_path)
-        gap = find_te_gap(bands)
+        gap = bundle.results[ra] = find_te_gap(bands)
         gap_path = out_dir / f"gap_ra{tag}.json"
         pcio.write_gap_json(gap_path, gap, lattice.period_a, ra)
         bundle.add(f"gap_ra{tag}", gap_path)
@@ -447,37 +452,55 @@ def cmd_bands(cfg: Config | dict, out_dir: Path) -> ResultBundle:
     return bundle
 
 
+@dataclass(frozen=True)
+class ModeSet:
+    """One hole ratio's in-gap modes: frequencies (a/lambda), wavelengths (nm)
+    and volumes ((lambda/n)^3), and each dipole doublet as a pair of indices."""
+
+    frequencies: list
+    wavelengths: list
+    volumes: list
+    doublets: list
+
+
 def cmd_modes(cfg: Config | dict, out_dir: Path) -> ResultBundle:
+    """H1 modes per hole ratio, inside the bulk gap computed with the `bands` settings."""
     cfg = _as_config(cfg)
     crystal, settings = cfg.require("crystal"), cfg.modes
     bundle = _new_bundle(cfg, out_dir)
     supercell = settings.supercell_size
     slab = crystal.slab.waveguide()
+    kpath = kpath_gamma_m_k(cfg.bands.samples_per_segment)
 
     for ra in crystal.hole_ratios:
         lattice = crystal.lattice(ra)
+        bulk = compute_bands(lattice, kpath, PlaneWaveBasis.bulk(lattice, cfg.bands.cutoff),
+                             n_bands=2)
         basis = PlaneWaveBasis.supercell(lattice, supercell, settings.cutoff)
-        modes = solve_h1_modes(
-            lattice, supercell, basis, grid_per_period=settings.grid_per_period
+        modes = solve_h1_modes(lattice, supercell, basis, gap=find_te_gap(bulk),
+                               grid_per_period=settings.grid_per_period)
+        pairs = dipole_doublets(modes)
+        doublets = [(modes.index(a), modes.index(b)) for a, b in pairs]
+        volumes = [
+            mode_volume(mode, slab, mode.wavelength,
+                        vertical_height=settings.mode_height_nm, index=settings.volume_index)
+            for mode in modes
+        ]
+        bundle.results[ra] = ModeSet(
+            [m.frequency for m in modes], [m.wavelength for m in modes], volumes, doublets
         )
-        doublets = dipole_doublets(modes)
         tag = _ra_tag(ra)
-        entries = []
-        for i, mode in enumerate(modes):
-            volume = mode_volume(
-                mode, slab, mode.wavelength,
-                vertical_height=settings.mode_height_nm, index=settings.volume_index,
-            )
-            entries.append(
-                {
-                    "index": i,
-                    "frequency": mode.frequency,
-                    "wavelength_nm": mode.wavelength,
-                    "localization": mode.localization,
-                    "parity": mode.parity,
-                    "mode_volume": volume,
-                }
-            )
+        entries = [
+            {
+                "index": i,
+                "frequency": mode.frequency,
+                "wavelength_nm": mode.wavelength,
+                "localization": mode.localization,
+                "parity": mode.parity,
+                "mode_volume": volume,
+            }
+            for i, (mode, volume) in enumerate(zip(modes, volumes))
+        ]
         doc = {
             "schema_version": pcio.SCHEMA_VERSION,
             "kind": "defect_modes",
@@ -491,10 +514,9 @@ def cmd_modes(cfg: Config | dict, out_dir: Path) -> ResultBundle:
                 {
                     "frequencies": [a.frequency, b.frequency],
                     "wavelengths_nm": [a.wavelength, b.wavelength],
-                    "fractional_splitting": abs(b.frequency - a.frequency)
-                    / (0.5 * (a.frequency + b.frequency)),
+                    "fractional_splitting": doublet_splitting(a.frequency, b.frequency),
                 }
-                for a, b in doublets
+                for a, b in pairs
             ],
         }
         doc_path = out_dir / f"modes_ra{tag}.json"
@@ -509,15 +531,14 @@ def cmd_modes(cfg: Config | dict, out_dir: Path) -> ResultBundle:
                 f"{len(doublets)} dipole doublet(s)"
             )
         exported = {
-            "all": modes, "none": [], "doublet": [m for pair in doublets for m in pair],
+            "all": range(len(modes)), "none": [], "doublet": [i for pair in doublets for i in pair],
         }[settings.export_profiles]
-        for i, mode in enumerate(modes):
-            if any(mode is m for m in exported):
-                p_path = out_dir / f"profile_ra{tag}_mode{i}.json"
-                p_doc = pcio.write_profile_json(p_path, mode, entries[i]["mode_volume"])
-                bundle.add(f"profile_ra{tag}_mode{i}", p_path)
-                bundle.add(f"profile_ra{tag}_mode{i}_energy_density",
-                           out_dir / p_doc["energy_density_file"])
+        for i in exported:
+            p_path = out_dir / f"profile_ra{tag}_mode{i}.json"
+            p_doc = pcio.write_profile_json(p_path, modes[i], volumes[i])
+            bundle.add(f"profile_ra{tag}_mode{i}", p_path)
+            bundle.add(f"profile_ra{tag}_mode{i}_energy_density",
+                       out_dir / p_doc["energy_density_file"])
     bundle.finish()
     return bundle
 
@@ -713,6 +734,7 @@ def cmd_fit(cfg: Config | dict, out_dir: Path, inputs: list) -> ResultBundle:
             bundle.failed.append([path.name, exc.result.stop_reason])
             bundle.note(f"fit {path.stem}: failed: {exc}")
             continue
+        bundle.results[path.stem] = result
         fit_path = out_dir / f"fit_{path.stem}.json"
         pcio.write_fit_json(fit_path, result)
         bundle.add(f"fit_{path.stem}", fit_path)
@@ -794,43 +816,34 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
            abs(tau2 - 44.0) < 8.0, "44 +- 8 ps")
 
     # Band structures and the gap trend.
-    sub = out_dir / "bands"
-    bundle.include(cmd_bands(cfg, sub), "bands")
-    gap_widths = {}
-    midgaps = {}
-    for ra in cfg.crystal.hole_ratios:
-        doc = json.loads((sub / f"gap_ra{_ra_tag(ra)}.json").read_text())
-        if doc["gap_present"]:
-            gap_widths[ra] = doc["gap_width"]
-            midgaps[ra] = doc["midgap_wavelength_nm"]
-    widths = [gap_widths[ra] for ra in sorted(gap_widths)]
+    bands = cmd_bands(cfg, out_dir / "bands")
+    bundle.include(bands, "bands")
+    gaps = {ra: gap for ra, gap in bands.results.items() if gap is not None}
+    widths = [gaps[ra].width for ra in sorted(gaps)]
     _check(bundle, "TE gap width grows with r/a",
            "[" + ", ".join(f"{w:.4f}" for w in widths) + "]",
            all(b > a for a, b in zip(widths, widths[1:])), "monotone increase")
     for ra in (0.37, 0.33):
-        mid = midgaps.get(ra)
+        mid = gaps[ra].midgap_wavelength(cfg.crystal.period_nm) if ra in gaps else None
         _check(bundle, f"midgap wavelength at r/a={ra}", f"{mid:.1f} nm" if mid else "no gap",
                mid is not None and abs(mid - 1100.0) <= 75.0, "1100 +- 75 nm")
 
     # Defect modes: doublet degeneracy and monotone shift.
-    sub = out_dir / "modes"
-    bundle.include(cmd_modes(cfg, sub), "modes")
+    modes = cmd_modes(cfg, out_dir / "modes")
+    bundle.include(modes, "modes")
     doublet_lams = {}
     split37 = None
     volume37 = None
-    for ra in cfg.crystal.hole_ratios:
-        doc = json.loads((sub / f"modes_ra{_ra_tag(ra)}.json").read_text())
-        if doc["doublet_found"]:
-            pair = doc["doublets"][0]
-            doublet_lams[ra] = 0.5 * sum(pair["wavelengths_nm"])
+    for ra, found in modes.results.items():
+        if len(found.doublets) == 1:
+            i, j = found.doublets[0]
+            doublet_lams[ra] = 0.5 * (found.wavelengths[i] + found.wavelengths[j])
             if ra == 0.37:
-                split37 = pair["fractional_splitting"]
-                idx = [
-                    e for e in doc["modes"]
-                    if abs(e["wavelength_nm"] - doublet_lams[ra]) < 5.0
-                ]
-                if idx:
-                    volume37 = idx[0]["mode_volume"]
+                split37 = doublet_splitting(found.frequencies[i], found.frequencies[j])
+                near = [v for lam, v in zip(found.wavelengths, found.volumes)
+                        if abs(lam - doublet_lams[ra]) < 5.0]
+                if near:
+                    volume37 = near[0]
     _check(bundle, "one dipole doublet at r/a=0.37 with tiny splitting",
            f"splitting {split37:.2e}" if split37 is not None else "not found",
            split37 is not None and split37 < 1e-3, "< 1e-3")
@@ -845,14 +858,13 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
     # Synthetic transients and fits.
     sub = out_dir / "sim"
     bundle.include(cmd_simulate(cfg, sub), "sim")
-    fit_out = out_dir / "fits"
-    fit_bundle = cmd_fit(cfg, fit_out, [sub / "histogram.csv", sub / "spectral_scan.csv"])
-    bundle.include(fit_bundle, "fits")
+    fits = cmd_fit(cfg, out_dir / "fits", [sub / "histogram.csv", sub / "spectral_scan.csv"])
+    bundle.include(fits, "fits")
 
-    bi_doc = json.loads((fit_out / "fit_histogram.json").read_text())
-    tau_f = bi_doc["parameters"]["lifetime_fast_ps"]
-    tau_s = bi_doc["parameters"]["lifetime_slow_ps"]
-    beta = bi_doc["extras"]["beta"]
+    bi = fits.results["histogram"]
+    tau_f = bi["lifetime_fast_ps"]
+    tau_s = bi["lifetime_slow_ps"]
+    beta = bi.extras["beta"]
     _check(bundle, "biexponential round trip tau_slow", f"{tau_s:.0f} ps",
            abs(tau_s - 1800.0) / 1800.0 < 0.05, "1800 ps +- 5%")
     _check(bundle, "biexponential round trip tau_fast", f"{tau_f:.0f} ps",
@@ -860,10 +872,10 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
     _check(bundle, "coupling efficiency from transient fit", f"{beta:.3f}",
            abs(beta - 0.92) <= 0.02, "0.92 +- 0.02")
 
-    scan_doc = json.loads((fit_out / "fit_spectral_scan.json").read_text())
-    f_fit = scan_doc["parameters"]["purcell_factor"]
-    ratio_fit = scan_doc["extras"]["lifetime_ratio_max"]
-    tau_res = scan_doc["extras"]["tau_on_resonance_ps"][0]
+    spectral = fits.results["spectral_scan"]
+    f_fit = spectral["purcell_factor"]
+    ratio_fit = spectral.extras["lifetime_ratio_max"]
+    tau_res = spectral.extras["tau_on_resonance_ps"][0]
     _check(bundle, "spectral fit enhancement factor", f"{f_fit:.1f}",
            abs(f_fit - 56.0) <= 10.0, "56 +- 10")
     _check(bundle, "spectral fit lifetime ratio", f"{ratio_fit:.1f}",

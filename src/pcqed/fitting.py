@@ -127,8 +127,8 @@ class ModelSelection:
 class SpectralScan:
     """Lifetime vs wavelength points with a free-space lifetime reference.
 
-    `reference_tau0` may be a constant (ps), a callable tau0(lambda_nm), or a
-    table of (wavelength_nm, tau0_ps) rows interpolated linearly.
+    `reference_tau0` may be a constant (ps) or a table of (wavelength_nm,
+    tau0_ps) rows interpolated linearly.
     """
 
     wavelengths: np.ndarray
@@ -153,15 +153,10 @@ class SpectralScan:
                 raise ValueError("errors must be positive and congruent")
             object.__setattr__(self, "errors", e)
 
-    def tau0_function(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _as_tau0_function(self.reference_tau0)
-
 
 def _as_tau0_function(ref) -> Callable[[np.ndarray], np.ndarray]:
     if ref is None:
         raise ValueError("a tau0 reference is required")
-    if callable(ref):
-        return lambda lam: np.asarray(ref(lam), dtype=float)
     if np.isscalar(ref):
         value = float(ref)
         return lambda lam: np.full_like(np.asarray(lam, dtype=float), value)
@@ -558,8 +553,8 @@ def fit_spectral_model(
         if bad.size:
             k = bad[0]
             raise ValueError(
-                f"scan point {k} at {lam[k]!r} nm: uncertainty {scan.errors[k]!r} ps "
-                f"gives a non-finite weight 1/sigma^2"
+                f"scan point {k} at {float(lam[k])!r} nm: uncertainty "
+                f"{float(scan.errors[k])!r} ps gives a non-finite weight 1/sigma^2"
             )
     tau0_vals = tau0(lam)
     shapes = np.array(
@@ -569,7 +564,15 @@ def fit_spectral_model(
     # Start: the model is linear in (F_m, alpha) in rate space,
     # tau0/tau = sum_m (F_m/3) L_m + alpha; solve it by non-negative least
     # squares with the tau-space weights carried over to rates.
-    rate_scale = y**2 * np.sqrt(weights) / tau0_vals
+    with np.errstate(over="ignore"):
+        rate_scale = y**2 * np.sqrt(weights) / tau0_vals
+    bad = np.flatnonzero(~np.isfinite(rate_scale))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"scan point {k} at {float(lam[k])!r} nm: lifetime {float(y[k])!r} ps "
+            "gives a non-finite rate weight tau^2/(sigma*tau0)"
+        )
     design = np.vstack([shapes, np.ones_like(lam)]).T
     x0, _ = nnls(design * rate_scale[:, None], tau0_vals / y * rate_scale)
     x0[-1] = max(x0[-1], 1e-6)

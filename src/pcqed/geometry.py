@@ -24,7 +24,6 @@ __all__ = [
     "TriangularLattice",
     "SlabWaveguide",
     "KPath",
-    "NoGuidedModeError",
     "ReciprocalLatticeError",
     "reciprocal_basis",
     "real_basis",
@@ -41,14 +40,6 @@ LATTICE_MEMBERSHIP_RTOL = 1e-9
 
 class ReciprocalLatticeError(ValueError):
     """A wavevector was required to be a reciprocal-lattice vector but is not."""
-
-
-class NoGuidedModeError(RuntimeError):
-    """The slab dispersion relation has no guided-mode root.
-
-    Cannot occur for a symmetric slab with n_core > n_clad; kept for future
-    asymmetric configurations.
-    """
 
 
 @dataclass(frozen=True)
@@ -183,6 +174,17 @@ def _hole_form_factor(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0, 2.0 * j1(safe) / safe)
 
 
+def _fourier_coefficient(lattice: TriangularLattice, gnorm, origin):
+    """`dielectric_fourier` from |G| (`gnorm`) and a G = 0 mask (`origin`), elementwise."""
+    f = lattice.fill_fraction
+    deps = lattice.eps_hole - lattice.eps_background
+    return np.where(
+        origin,
+        f * lattice.eps_hole + (1.0 - f) * lattice.eps_background,
+        deps * f * _hole_form_factor(gnorm * lattice.hole_radius),
+    )
+
+
 def dielectric_fourier(lattice: TriangularLattice, G) -> float:
     """Fourier coefficient of the permittivity at reciprocal-lattice vector G.
 
@@ -207,11 +209,7 @@ def dielectric_fourier(lattice: TriangularLattice, G) -> float:
             f"G={G.tolist()} is not on the reciprocal lattice "
             f"(fractional coordinates {frac.tolist()})"
         )
-    f = lattice.fill_fraction
-    if np.all(nearest == 0):
-        return float(f * lattice.eps_hole + (1.0 - f) * lattice.eps_background)
-    x = np.linalg.norm(G) * lattice.hole_radius
-    return float((lattice.eps_hole - lattice.eps_background) * f * _hole_form_factor(x))
+    return float(_fourier_coefficient(lattice, np.linalg.norm(G), np.all(nearest == 0)))
 
 
 def kpath_gamma_m_k(samples_per_segment: int) -> KPath:
@@ -247,6 +245,7 @@ def effective_index(slab: SlabWaveguide, wavelength: float) -> float:
     using the continuous equivalent form
     kappa*sin(kappa*d/2) - gamma*cos(kappa*d/2) = 0 on the fundamental-mode
     bracket, where kappa*d/2 < pi/2 guarantees a single sign change.
+    Raises ValueError when that bracket holds no root.
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
@@ -268,7 +267,7 @@ def effective_index(slab: SlabWaveguide, wavelength: float) -> float:
     eps = 1e-12 * nco
     f_lo, f_hi = dispersion(lo + eps), dispersion(nco - eps)
     if not (f_lo > 0 > f_hi or f_lo < 0 < f_hi):
-        raise NoGuidedModeError(
+        raise ValueError(
             f"no guided TE mode for d={d} nm, n_core={nco}, n_clad={ncl}, "
             f"wavelength={wavelength} nm"
         )

@@ -431,7 +431,7 @@ def write_scan_csv(path, scan: SpectralScan, metadata: dict | None = None) -> di
     ref = scan.reference_tau0
     if ref is not None and np.isscalar(ref):
         meta["tau0_ps"] = float(ref)
-    elif ref is not None and not callable(ref):
+    elif ref is not None:
         meta["tau0_table"] = [[float(a), float(b)] for a, b in np.asarray(ref)]
     if metadata:
         meta.update(metadata)

@@ -46,9 +46,6 @@ class InstrumentResponse:
     def sigma(self) -> float:
         return self.fwhm / FWHM_TO_SIGMA
 
-    def shifted(self, dt: float) -> "InstrumentResponse":
-        return InstrumentResponse(fwhm=self.fwhm, t0=self.t0 + dt)
-
 
 @dataclass(frozen=True)
 class DecayModel:
@@ -98,10 +95,6 @@ class BinGrid:
 
     def centers(self) -> np.ndarray:
         return self.t_start + (np.arange(self.n_bins) + 0.5) * self.bin_width
-
-    @property
-    def t_end(self) -> float:
-        return self.t_start + self.n_bins * self.bin_width
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,10 +17,8 @@ from pcqed.bands import (
 )
 from pcqed.cavity import (
     CavityMode,
-    EmitterCoupling,
     coupling_efficiency,
     enhanced_lifetime,
-    lifetime_ratio,
     lifetime_ratio_multimode,
     purcell_factor,
 )
@@ -57,6 +55,13 @@ def device_lattice(ratio):
     return TriangularLattice(300.0, ratio, eps)
 
 
+def h1_modes(ratio):
+    """H1 modes of the device lattice inside its bulk gap (bulk cutoff 7, 16 samples)."""
+    lat = device_lattice(ratio)
+    gap = find_te_gap(compute_bands(lat, kpath_gamma_m_k(16), PlaneWaveBasis.bulk(lat, 7), 2))
+    return solve_h1_modes(lat, 7, gap=gap)
+
+
 def synth(components, total, seed, grid=GRID):
     curve = expected_curve(DecayModel(components), IRF, grid)
     return sample_histogram(curve, total, seed, grid=grid, irf=IRF)
@@ -78,8 +83,7 @@ def test_criterion_2_coupling_efficiency():
 
 def test_criterion_3_detuning_model_consistency():
     mode = CavityMode(lambda_c=1031.5, q_factor=1950.0)
-    coupling = EmitterCoupling(field_ratio=1.0, lambda_qd=1031.5, alpha=0.47)
-    ratio = lifetime_ratio(56.0, coupling, mode)
+    ratio = lifetime_ratio_multimode(1031.5, [mode], [56.0], 0.47)
     tau2 = enhanced_lifetime(840.0, ratio)
     report(3, "on-resonance lifetime ratio and shortened lifetime",
            f"ratio {ratio:.2f}, tau {tau2:.2f} ps",
@@ -123,7 +127,7 @@ def test_criterion_5_gap_placement():
 
 
 def test_criterion_6_defect_mode_structure():
-    modes = solve_h1_modes(device_lattice(0.37), 7)
+    modes = h1_modes(0.37)
     pairs = dipole_doublets(modes)
     one_doublet = len(pairs) == 1
     split = float("nan")
@@ -133,7 +137,7 @@ def test_criterion_6_defect_mode_structure():
     lams = []
     monotone = True
     for ratio in (0.33, 0.36, 0.39, 0.42):
-        sweep_pairs = dipole_doublets(solve_h1_modes(device_lattice(ratio), 7))
+        sweep_pairs = dipole_doublets(h1_modes(ratio))
         if len(sweep_pairs) != 1:
             monotone = False
             break

@@ -4,6 +4,7 @@ import pytest
 from pcqed.bands import (
     BandGap,
     PlaneWaveBasis,
+    _eps_matrix,
     build_te_operator,
     compute_bands,
     find_te_gap,
@@ -11,6 +12,7 @@ from pcqed.bands import (
 from pcqed.geometry import (
     SlabWaveguide,
     TriangularLattice,
+    dielectric_fourier,
     effective_index,
     kpath_cartesian,
     kpath_gamma_m_k,
@@ -52,6 +54,18 @@ def test_hexagonal_basis_closure_under_rotation():
 # ---------------------------------------------------------------------------
 # TE operator
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ratio", [0.33, 0.37, 0.42])
+def test_bulk_eps_matrix_is_the_public_fourier_coefficient(ratio):
+    # The solver's matrix and dielectric_fourier share one formula; entries
+    # differ only by the round-off of the Cartesian G_i - G_j.
+    lat = device_lattice(ratio)
+    basis = PlaneWaveBasis.bulk(lat, 3)
+    g = basis.g_vectors
+    E = _eps_matrix(lat, basis)
+    expected = np.array([[dielectric_fourier(lat, gi - gj) for gj in g] for gi in g])
+    np.testing.assert_allclose(E, expected, rtol=0.0, atol=1e-14)
+
 
 def test_uniform_medium_operator_is_diagonal():
     lat = uniform_lattice(eps=9.0)

@@ -215,6 +215,19 @@ def test_vanishing_scan_uncertainty_exits_2_without_warnings(tmp_path, capsys, r
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_huge_scan_lifetime_exits_2_without_warnings(tmp_path, capsys, recwarn):
+    # tau^2 overflows to inf above about 1.3e154 ps.
+    scan = _write_scan(tmp_path / "scan.csv")
+    lines = scan.read_text().splitlines()
+    cells = lines[4].split(",")
+    lines[4] = ",".join([cells[0], repr(1e200), cells[2]])
+    scan.write_text("\n".join(lines) + "\n")
+    assert _fit(tmp_path, scan) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{scan}: scan point 3 at " in err and "lifetime 1e+200 ps" in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_tiny_finite_weight_still_fits(tmp_path):
     scan = _write_scan(tmp_path / "scan.csv")
     _set_uncertainty(scan, 4, 1e-140)

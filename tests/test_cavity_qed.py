@@ -4,10 +4,8 @@ import pytest
 from pcqed.cavity import (
     SPEED_OF_LIGHT_NM_PER_PS,
     CavityMode,
-    EmitterCoupling,
     coupling_efficiency,
     enhanced_lifetime,
-    lifetime_ratio,
     lifetime_ratio_multimode,
     mode_linewidth,
     photon_lifetime,
@@ -15,6 +13,13 @@ from pcqed.cavity import (
 )
 
 M2 = CavityMode(lambda_c=1031.5, q_factor=1950.0, v_mode=1.5)
+
+
+def single_mode_ratio(fp, field_ratio, lambda_qd, alpha, mode=M2):
+    """Closed form of tau_free/tau for one mode: (fp/3) * field_ratio * L + alpha."""
+    dl = mode.lambda_c / mode.q_factor
+    lorentzian = dl**2 / (dl**2 + 4.0 * (mode.lambda_c - lambda_qd) ** 2)
+    return fp / 3.0 * field_ratio * lorentzian + alpha
 
 
 def test_purcell_factor_values():
@@ -56,8 +61,7 @@ def test_photon_lifetime_dimensional_identity():
 
 
 def test_lifetime_ratio_on_resonance():
-    coupling = EmitterCoupling(field_ratio=1.0, lambda_qd=M2.lambda_c, alpha=0.47)
-    ratio = lifetime_ratio(56.0, coupling, M2)
+    ratio = lifetime_ratio_multimode(M2.lambda_c, [M2], [56.0], 0.47)
     assert ratio == pytest.approx(56.0 / 3.0 + 0.47, rel=1e-12)
     assert ratio == pytest.approx(19.1, abs=0.05)
     assert 15.0 <= ratio <= 23.0  # inside 19 +- 4
@@ -65,25 +69,22 @@ def test_lifetime_ratio_on_resonance():
 
 def test_lifetime_ratio_half_width_identity():
     half = M2.linewidth / 2.0
-    coupling = EmitterCoupling(1.0, M2.lambda_c + half, alpha=0.0)
-    peak = lifetime_ratio(56.0, EmitterCoupling(1.0, M2.lambda_c, alpha=0.0), M2)
-    assert lifetime_ratio(56.0, coupling, M2) == pytest.approx(peak / 2.0, rel=1e-12)
+    peak = lifetime_ratio_multimode(M2.lambda_c, [M2], [56.0], 0.0)
+    value = lifetime_ratio_multimode(M2.lambda_c + half, [M2], [56.0], 0.0)
+    assert value == pytest.approx(peak / 2.0, rel=1e-12)
 
 
 def test_lifetime_ratio_uncoupled_emitter():
-    coupling = EmitterCoupling(field_ratio=0.0, lambda_qd=1010.0, alpha=0.47)
     for fp in (0.0, 10.0, 500.0):
-        assert lifetime_ratio(fp, coupling, M2) == pytest.approx(0.47, rel=1e-12)
+        ratio = lifetime_ratio_multimode(1010.0, [M2], [fp], 0.47, field_ratios=[0.0])
+        assert ratio == pytest.approx(0.47, rel=1e-12)
 
 
 def test_lifetime_ratio_monotone_in_detuning():
     detunings = np.linspace(0.0, 20.0, 81)
-    values = [
-        lifetime_ratio(56.0, EmitterCoupling(1.0, M2.lambda_c + d, alpha=0.47), M2)
-        for d in detunings
-    ]
+    values = lifetime_ratio_multimode(M2.lambda_c + detunings, [M2], [56.0], 0.47)
     assert all(a >= b for a, b in zip(values, values[1:]))
-    far = lifetime_ratio(56.0, EmitterCoupling(1.0, M2.lambda_c + 500.0, alpha=0.47), M2)
+    far = lifetime_ratio_multimode(M2.lambda_c + 500.0, [M2], [56.0], 0.47)
     assert far == pytest.approx(0.47, abs=1e-5)
 
 
@@ -124,9 +125,7 @@ def test_fitted_enhancement_below_ideal_purcell():
 
 def test_multimode_reduces_to_single_mode():
     lam = np.linspace(1028.0, 1035.0, 71)
-    single = np.array([
-        lifetime_ratio(56.0, EmitterCoupling(1.0, x, alpha=0.47), M2) for x in lam
-    ])
+    single = np.array([single_mode_ratio(56.0, 1.0, x, 0.47) for x in lam])
     multi = lifetime_ratio_multimode(lam, [M2], [56.0], 0.47)
     np.testing.assert_allclose(multi, single, rtol=1e-12)
 
@@ -144,7 +143,3 @@ def test_domain_type_validation():
         CavityMode(lambda_c=-1.0, q_factor=100.0)
     with pytest.raises(ValueError):
         CavityMode(lambda_c=1000.0, q_factor=0.5)
-    with pytest.raises(ValueError):
-        EmitterCoupling(field_ratio=1.5, lambda_qd=1000.0)
-    with pytest.raises(ValueError):
-        EmitterCoupling(field_ratio=0.5, lambda_qd=1000.0, alpha=-0.1)

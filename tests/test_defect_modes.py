@@ -25,16 +25,19 @@ def device_lattice(ratio=0.37):
     return TriangularLattice(300.0, ratio, EPS_BG)
 
 
-@pytest.fixture(scope="module")
-def h1_modes():
-    return solve_h1_modes(device_lattice(0.37), 7)
+def gap_of(lat):
+    """Bulk TE gap of `lat` (cutoff 7, 16 samples per path segment), or None."""
+    return find_te_gap(compute_bands(lat, kpath_gamma_m_k(16), PlaneWaveBasis.bulk(lat, 7), 2))
 
 
 @pytest.fixture(scope="module")
 def bulk_gap():
-    lat = device_lattice(0.37)
-    bands = compute_bands(lat, kpath_gamma_m_k(16), PlaneWaveBasis.bulk(lat, 7), 2)
-    return find_te_gap(bands)
+    return gap_of(device_lattice(0.37))
+
+
+@pytest.fixture(scope="module")
+def h1_modes(bulk_gap):
+    return solve_h1_modes(device_lattice(0.37), 7, gap=bulk_gap)
 
 
 def test_modes_found_and_inside_gap(h1_modes, bulk_gap):
@@ -62,7 +65,8 @@ def test_energy_density_normalized(h1_modes):
 def test_doublet_wavelength_monotone_in_hole_ratio():
     lams = []
     for ratio in (0.33, 0.36, 0.39, 0.42):
-        modes = solve_h1_modes(device_lattice(ratio), 7)
+        lat = device_lattice(ratio)
+        modes = solve_h1_modes(lat, 7, gap=gap_of(lat))
         pairs = dipole_doublets(modes)
         assert len(pairs) == 1, f"r/a={ratio}"
         a, b = pairs[0]
@@ -76,7 +80,7 @@ def test_supercell_size_convergence():
     for size, cutoff in ((5, 9), (7, 12)):
         lat = device_lattice(0.37)
         basis = PlaneWaveBasis.supercell(lat, size, cutoff)
-        modes = solve_h1_modes(lat, size, basis)
+        modes = solve_h1_modes(lat, size, basis, gap=gap_of(lat))
         (a, b), = dipole_doublets(modes)
         freqs[size] = 0.5 * (a.frequency + b.frequency)
     assert abs(freqs[7] - freqs[5]) / freqs[7] < 0.01
@@ -84,14 +88,15 @@ def test_supercell_size_convergence():
 
 def test_no_gap_means_no_modes():
     lat = TriangularLattice(300.0, 0.0, 9.0)
-    assert solve_h1_modes(lat, 5) == []
+    assert gap_of(lat) is None
+    assert solve_h1_modes(lat, 5, gap=None) == []
 
 
-def test_supercell_size_validation():
+def test_supercell_size_validation(bulk_gap):
     with pytest.raises(ValueError):
-        solve_h1_modes(device_lattice(), 4)
+        solve_h1_modes(device_lattice(), 4, gap=bulk_gap)
     with pytest.raises(ValueError):
-        solve_h1_modes(device_lattice(), 3)
+        solve_h1_modes(device_lattice(), 3, gap=bulk_gap)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erfc, erfcx
 
 from pcqed import tcspc
-from pcqed.cavity import CavityMode, EmitterCoupling, lifetime_ratio
+from pcqed.cavity import CavityMode
 from pcqed.fitting import (
     STOP_REASONS,
     FitConvergenceError,
@@ -250,9 +250,10 @@ def scan_wavelengths(span=2.5, step=0.1):
 def test_generator_matches_single_mode_formula():
     lam = scan_wavelengths()
     scan = synthesize_spectral_scan([M2], [56.0], 0.47, 840.0, lam, 0.0, seed=1)
+    dl = M2.lambda_c / M2.q_factor
     for x, tau in zip(scan.wavelengths, scan.lifetimes):
-        coupling = EmitterCoupling(field_ratio=1.0, lambda_qd=x, alpha=0.47)
-        assert tau == pytest.approx(840.0 / lifetime_ratio(56.0, coupling, M2), rel=1e-12)
+        ratio = 56.0 / 3.0 * dl**2 / (dl**2 + 4.0 * (M2.lambda_c - x) ** 2) + 0.47
+        assert tau == pytest.approx(840.0 / ratio, rel=1e-12)
 
 
 def test_spectral_round_trip():

@@ -8,6 +8,7 @@ import pytest
 
 from pcqed import io as pcio
 from pcqed import cli
+from pcqed.bands import PlaneWaveBasis, compute_bands, find_te_gap, solve_h1_modes
 from pcqed.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
@@ -20,9 +21,16 @@ from pcqed.cli import (
     main,
 )
 from pcqed.fitting import SpectralScan, fit_monoexponential, select_model
+from pcqed.geometry import kpath_gamma_m_k
 from pcqed.tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
 
 IRF = InstrumentResponse(fwhm=150.0, t0=600.0)
+
+
+def bulk_gap(lat, cutoff=7, samples_per_segment=16):
+    """Bulk TE gap of `lat` from a two-band Gamma-M-K-Gamma solve, or None."""
+    kpath = kpath_gamma_m_k(samples_per_segment)
+    return find_te_gap(compute_bands(lat, kpath, PlaneWaveBasis.bulk(lat, cutoff), 2))
 
 
 def small_band_config(hole_ratios=(0.0, 0.33)):
@@ -136,12 +144,12 @@ def test_fit_json_round_trip(tmp_path):
 
 
 def test_profile_json_round_trip(tmp_path):
-    from pcqed.bands import dipole_doublets, mode_volume, solve_h1_modes
+    from pcqed.bands import dipole_doublets, mode_volume
     from pcqed.geometry import SlabWaveguide, TriangularLattice, effective_index
 
     slab = SlabWaveguide(400.0, 3.4, 1.0)
     lat = TriangularLattice(300.0, 0.37, effective_index(slab, 1050.0) ** 2)
-    modes = solve_h1_modes(lat, 5, grid_per_period=64)
+    modes = solve_h1_modes(lat, 5, grid_per_period=64, gap=bulk_gap(lat))
     (a, _), = dipole_doublets(modes)
     volume = mode_volume(a, slab, a.wavelength)
     path = tmp_path / "p.json"
@@ -319,6 +327,19 @@ def test_cmd_modes_byte_identical_reruns(tmp_path):
     assert sum(name.endswith(".npy") for name in names) == 2
     for name in names:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_cmd_modes_takes_its_gap_from_the_bands_settings(tmp_path):
+    # A coarse bulk solve narrows the gap enough to drop the top in-gap mode.
+    cfg = {**MODES_CONFIG, "bands": {"cutoff": 4, "samples_per_segment": 8, "n_bands": 2}}
+    found = cmd_modes(cfg, tmp_path / "out").results[0.37]
+    lat = cli.parse_config(cfg).crystal.lattice(0.37)
+    basis = PlaneWaveBasis.supercell(lat, 5, 9)
+    expected = solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat, 4, 8))
+    assert found.frequencies == [m.frequency for m in expected]
+    assert len(solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat))) != len(expected)
+    doc = json.loads((tmp_path / "out" / "modes_ra0p370.json").read_text())
+    assert [e["frequency"] for e in doc["modes"]] == [m.frequency for m in expected]
 
 
 def test_cmd_simulate_requires_seed(tmp_path):
