@@ -289,15 +289,13 @@ class CavityModeProfile:
     """Localized supercell eigenmode with real-space field reconstruction.
 
     `energy_density` holds the in-plane electric energy density eps*|E|^2 on a
-    uniform fractional grid over the supercell, normalized to a maximum of 1;
-    `field_grid` holds |H_z| with the same normalization applied. `parity` is
-    the eigenvector's inversion character (+1/-1) and `localization` the energy
-    fraction within 1.5 periods of the defect, used to tell defect modes from
-    folded continuum states.
+    uniform fractional grid over the supercell, normalized to a maximum of 1.
+    `parity` is the eigenvector's inversion character (+1/-1) and
+    `localization` the energy fraction within 1.5 periods of the defect, used
+    to tell defect modes from folded continuum states.
     """
 
     frequency: float  # a/lambda
-    field_grid: np.ndarray
     energy_density: np.ndarray
     eps_grid: np.ndarray
     lattice: TriangularLattice
@@ -361,10 +359,10 @@ def _defect_distance_grid(lattice: TriangularLattice, S: int, ngrid: int) -> np.
     return dmin
 
 
-def _reconstruct_fields(
+def _field_gradient(
     coeffs: np.ndarray, basis: PlaneWaveBasis, ngrid: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H_z and its gradient on the fractional supercell grid via zero-padded FFT."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient of H_z on the fractional supercell grid via zero-padded FFT."""
     idx = basis.indices
     mm = idx[:, 0] % ngrid
     nn = idx[:, 1] % ngrid
@@ -375,10 +373,7 @@ def _reconstruct_fields(
         coeffs[mm, nn] = weights
         return np.fft.ifft2(coeffs) * ngrid**2
 
-    hz = synth(coeffs)
-    dhx = synth(coeffs * 1j * g[:, 0])
-    dhy = synth(coeffs * 1j * g[:, 1])
-    return hz, dhx, dhy
+    return synth(coeffs * 1j * g[:, 0]), synth(coeffs * 1j * g[:, 1])
 
 
 def solve_h1_modes(
@@ -432,19 +427,17 @@ def solve_h1_modes(
     modes = []
     for val, vec in zip(vals, vecs.T):
         freq = lattice.period_a / (2.0 * np.pi) * float(np.sqrt(max(val, 0.0)))
-        hz, dhx, dhy = _reconstruct_fields(vec, basis, ngrid)
+        dhx, dhy = _field_gradient(vec, basis, ngrid)
         u_e = (np.abs(dhx) ** 2 + np.abs(dhy) ** 2) / eps_grid
         peak = u_e.max()
         if peak <= 0.0:
             continue
         u_e /= peak
-        field = np.abs(hz) / np.sqrt(peak)
         loc = float(u_e[near_defect].sum() / u_e.sum())
         parity = float(np.sign(vec @ vec[neg]))
         modes.append(
             CavityModeProfile(
                 frequency=freq,
-                field_grid=field,
                 energy_density=u_e,
                 eps_grid=eps_grid,
                 lattice=lattice,
@@ -491,41 +484,21 @@ def dipole_doublets(
     return pairs
 
 
-def mode_volume(
-    profile: CavityModeProfile,
-    slab: SlabWaveguide,
-    wavelength: float,
-    vertical_height: float | None = None,
-    *,
-    index: float | None = None,
-    region: str = "dielectric",
-) -> float:
-    """Effective mode volume in units of (wavelength/index)^3.
+def mode_volume(profile: CavityModeProfile, slab: SlabWaveguide) -> float:
+    """Effective mode volume in units of (wavelength/n_core)^3.
 
-    V = [integral of eps|E|^2 dA * vertical_height] / max(eps|E|^2), with the
-    maximum taken over `region`: "dielectric" (default) normalizes at the
-    strongest point accessible to an embedded emitter, "all" uses the global
-    peak (which for air-hole lattices sits just inside a hole wall, where the
-    normal E-field jumps by the permittivity contrast).
-
-    `vertical_height` defaults to the slab thickness and `index` to the slab
-    core index.
+    V = [integral of eps|E|^2 dA * slab thickness] / max(eps|E|^2), at the
+    profile's own wavelength and the slab's core index. The maximum is taken
+    over the dielectric, the strongest point accessible to an embedded
+    emitter; the global peak sits just inside a hole wall, where the normal
+    E-field jumps by the permittivity contrast.
     """
     u = profile.energy_density
     if not np.any(u > 0):
         raise ValueError("zero-field profile")
-    if vertical_height is None:
-        vertical_height = slab.thickness
-    if index is None:
-        index = slab.n_core
-    if region == "dielectric":
-        in_diel = profile.eps_grid == profile.lattice.eps_background
-        peak = float(u[in_diel].max())
-    elif region == "all":
-        peak = float(u.max())
-    else:
-        raise ValueError(f"unknown normalization region {region!r}")
+    in_diel = profile.eps_grid == profile.lattice.eps_background
+    peak = float(u[in_diel].max())
     ngrid = u.shape[0]
     area_element = profile.supercell_area / ngrid**2
     integral = float(u.sum()) * area_element
-    return integral * vertical_height / peak / (wavelength / index) ** 3
+    return integral * slab.thickness / peak / (profile.wavelength / slab.n_core) ** 3

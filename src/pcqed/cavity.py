@@ -3,12 +3,11 @@
 Wavelengths are in nm and times in ps throughout. The central object is the
 detuning-dependent lifetime ratio
 
-    tau_free / tau = sum_m (F_m / 3) * |E(r)|^2/|E_max|^2
-                     * dl_m^2 / (dl_m^2 + 4 (l_m - l_emitter)^2) + alpha,
+    tau_free / tau = sum_m (F_m / 3) * dl_m^2 / (dl_m^2 + 4 (l_m - l_emitter)^2) + alpha,
 
 one unit-peak Lorentzian in the emitter-cavity detuning per mode m times its
-enhancement, plus a residual-mode decay fraction alpha
-(`lifetime_ratio_multimode`).
+enhancement (the emitter at the field maximum), plus a residual-mode decay
+fraction alpha (`lifetime_ratio_multimode`).
 """
 
 from __future__ import annotations
@@ -93,21 +92,17 @@ def lifetime_ratio_multimode(
     modes: Sequence[CavityMode],
     fps: Sequence[float],
     alpha: float,
-    field_ratios: Sequence[float] | None = None,
 ):
     """Lifetime ratio with one Lorentzian term per mode plus a single alpha.
 
-    Vectorized over `wavelength`; `field_ratios` (|E(r)|^2/|E_max|^2 at the
-    emitter) default to 1 for every mode.
+    Vectorized over `wavelength`.
     """
     if len(fps) != len(modes):
         raise ValueError("need one enhancement factor per mode")
-    if field_ratios is None:
-        field_ratios = [1.0] * len(modes)
     wavelength = np.asarray(wavelength, dtype=float)
     total = np.full_like(wavelength, float(alpha))
-    for mode, fp, fr in zip(modes, fps, field_ratios):
-        total = total + fp / 3.0 * fr * lorentzian_response(
+    for mode, fp in zip(modes, fps):
+        total = total + fp / 3.0 * lorentzian_response(
             wavelength, mode.lambda_c, mode.linewidth
         )
     return total if total.ndim else float(total)

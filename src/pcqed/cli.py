@@ -3,10 +3,11 @@
 Subcommands: bands, modes, simulate, fit, reproduce-paper. A single JSON
 config document drives each run; it is parsed once into frozen dataclasses,
 and an unknown key, a wrong type or an out-of-range value fails with its
-dotted path. The flags --out and --seed override config fields, and the
-environment variable PCQED_OUT may set only the output directory. Identical
-config + seed produces byte-identical numeric outputs (run ids hash the
-effective config and the input bytes, never wall time).
+dotted path. The flag --out overrides `output_dir` and, for simulate and
+reproduce-paper, --seed overrides `simulate.seed`; the environment variable
+PCQED_OUT may set only the output directory. Identical config + seed
+produces byte-identical numeric outputs (run ids hash the effective config
+and the input bytes, never wall time).
 
 Exit codes: 0 success, 2 configuration/input error, 3 solver failure,
 4 fit non-convergence (a batch `fit` still writes every converged result and
@@ -101,19 +102,27 @@ class Slab:
         return SlabWaveguide(self.thickness_nm, self.n_core, self.n_clad)
 
 
+def _ra_tag(value: float) -> str:
+    """The hole ratio in output file names: 0.37 -> '0p370'."""
+    return f"{value:.3f}".replace(".", "p")
+
+
 @dataclass(frozen=True, kw_only=True)
 class Crystal:
     period_nm: float = _setting(above=0.0)
-    hole_ratio: float | None = _setting(None, minimum=0.0, below=0.5)
-    hole_ratio_values: tuple[float, ...] | None = _setting(None, minimum=0.0, below=0.5)
+    hole_ratio_values: tuple[float, ...] = _setting(minimum=0.0, below=0.5)
     slab: Slab = Slab()
     reference_wavelength_nm: float = _setting(1050.0, above=0.0)
     eps_background: float | None = None  # default: the slab's n_eff squared
     eps_hole: float = _setting(1.0, minimum=1.0)
 
     def __post_init__(self):
-        if self.hole_ratio is None and self.hole_ratio_values is None:
-            raise ValueError("hole_ratio: required (or hole_ratio_values)")
+        tagged = {}
+        for ra in self.hole_ratio_values:  # each ratio names its own output files
+            if (tag := _ra_tag(ra)) in tagged:
+                raise ValueError(f"hole_ratio_values: {tagged[tag]!r} and {ra!r} share the "
+                                 f"file tag ra{tag}")
+            tagged[tag] = ra
         try:
             slab = self.slab.waveguide()
             if self.eps_background is None:
@@ -121,11 +130,7 @@ class Crystal:
                 object.__setattr__(self, "eps_background", n_eff**2)
         except ValueError as exc:
             raise ValueError(f"slab: {exc}") from exc
-        self.lattice(self.hole_ratios[0])  # eps_background must exceed eps_hole
-
-    @property
-    def hole_ratios(self) -> tuple:
-        return self.hole_ratio_values or (self.hole_ratio,)
+        self.lattice(self.hole_ratio_values[0])  # eps_background must exceed eps_hole
 
     def lattice(self, hole_ratio: float) -> TriangularLattice:
         return TriangularLattice(self.period_nm, hole_ratio, self.eps_background, self.eps_hole)
@@ -149,8 +154,6 @@ class Modes:
     cutoff: int = _setting(12, minimum=1)
     grid_per_period: int = _setting(64, minimum=64)
     export_profiles: Literal["doublet", "all", "none"] = "doublet"
-    mode_height_nm: float | None = _setting(None, above=0.0)
-    volume_index: float | None = _setting(None, above=0.0)
 
     def __post_init__(self):
         if self.supercell_size % 2 == 0:
@@ -311,10 +314,6 @@ def parse_config(document: dict) -> Config:
     return dataclasses.replace(_parse(Config, document, ""), document=document)
 
 
-def _as_config(cfg) -> Config:
-    return cfg if isinstance(cfg, Config) else parse_config(cfg)
-
-
 def load_config(path) -> Config:
     try:
         text = Path(path).read_text()
@@ -405,21 +404,16 @@ def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
     return ResultBundle(run_id=run_id, config_hash=digest, out_dir=out_dir)
 
 
-def _ra_tag(value: float) -> str:
-    return f"{value:.3f}".replace(".", "p")
-
-
 # ---------------------------------------------------------------------------
-# Subcommands. Each takes a Config (or a config document, parsed on entry).
+# Subcommands. Each takes a parsed Config.
 # ---------------------------------------------------------------------------
 
-def cmd_bands(cfg: Config | dict, out_dir: Path) -> ResultBundle:
-    cfg = _as_config(cfg)
+def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
     crystal, settings = cfg.require("crystal"), cfg.bands
     bundle = _new_bundle(cfg, out_dir)
     kpath = kpath_gamma_m_k(settings.samples_per_segment)
     table = ["hole_ratio,gap_present,lower_edge,upper_edge,midgap,midgap_wavelength_nm,gap_width"]
-    for ra in crystal.hole_ratios:
+    for ra in crystal.hole_ratio_values:
         lattice = crystal.lattice(ra)
         basis = PlaneWaveBasis.bulk(lattice, settings.cutoff)
         bands = compute_bands(lattice, kpath, basis, settings.n_bands)
@@ -463,16 +457,15 @@ class ModeSet:
     doublets: list
 
 
-def cmd_modes(cfg: Config | dict, out_dir: Path) -> ResultBundle:
+def cmd_modes(cfg: Config, out_dir: Path) -> ResultBundle:
     """H1 modes per hole ratio, inside the bulk gap computed with the `bands` settings."""
-    cfg = _as_config(cfg)
     crystal, settings = cfg.require("crystal"), cfg.modes
     bundle = _new_bundle(cfg, out_dir)
     supercell = settings.supercell_size
     slab = crystal.slab.waveguide()
     kpath = kpath_gamma_m_k(cfg.bands.samples_per_segment)
 
-    for ra in crystal.hole_ratios:
+    for ra in crystal.hole_ratio_values:
         lattice = crystal.lattice(ra)
         bulk = compute_bands(lattice, kpath, PlaneWaveBasis.bulk(lattice, cfg.bands.cutoff),
                              n_bands=2)
@@ -481,11 +474,7 @@ def cmd_modes(cfg: Config | dict, out_dir: Path) -> ResultBundle:
                                grid_per_period=settings.grid_per_period)
         pairs = dipole_doublets(modes)
         doublets = [(modes.index(a), modes.index(b)) for a, b in pairs]
-        volumes = [
-            mode_volume(mode, slab, mode.wavelength,
-                        vertical_height=settings.mode_height_nm, index=settings.volume_index)
-            for mode in modes
-        ]
+        volumes = [mode_volume(mode, slab) for mode in modes]
         bundle.results[ra] = ModeSet(
             [m.frequency for m in modes], [m.wavelength for m in modes], volumes, doublets
         )
@@ -604,8 +593,7 @@ def _simulate_scan(spec: Scan, out_dir, bundle, seed):
     )
 
 
-def cmd_simulate(cfg: Config | dict, out_dir: Path, seed: int | None = None) -> ResultBundle:
-    cfg = _as_config(cfg).with_seed(seed)
+def cmd_simulate(cfg: Config, out_dir: Path) -> ResultBundle:
     spec = cfg.require("simulate")
     if spec.seed is None:
         raise ConfigError("simulate.seed: required for stochastic steps (or pass --seed)")
@@ -673,11 +661,12 @@ def _fit_scan_file(cfg: Config, path, bundle):
     # A sidecar's modes are held to the rule of fit.spectral.modes.
     modes = spec.modes or _value(tuple[Mode, ...], meta["modes"], f"{path}.meta.json:1: modes", {})
     modes = [m.cavity() for m in modes]
-    tau0 = spec.tau0_ps or scan.reference_tau0
-    if tau0 is None:
+    if spec.tau0_ps is not None:
+        scan = dataclasses.replace(scan, reference_tau0=spec.tau0_ps)
+    if scan.reference_tau0 is None:
         raise ConfigError("fit.spectral.tau0_ps: required (no tau0 in scan sidecar)")
     try:
-        result = fit_spectral_model(scan, modes, tau0_ref=tau0)
+        result = fit_spectral_model(scan, modes)
     except ValueError as exc:  # the scan does not span a mode
         raise ConfigError(f"{path}: {exc}") from exc
     alpha = result["alpha"]
@@ -697,7 +686,7 @@ def _fit_scan_file(cfg: Config, path, bundle):
     return dataclasses.replace(result, extras={**result.extras, "beta_per_mode": betas})
 
 
-def cmd_fit(cfg: Config | dict, out_dir: Path, inputs: list) -> ResultBundle:
+def cmd_fit(cfg: Config, out_dir: Path, inputs: list) -> ResultBundle:
     """Fit every input; one that does not converge does not stop the others.
 
     Converged results are written and failed inputs listed with their stop
@@ -705,7 +694,6 @@ def cmd_fit(cfg: Config | dict, out_dir: Path, inputs: list) -> ResultBundle:
     for the batch (exit code 4), carrying the first failed fit's result.
     Inputs whose results would share a file name are rejected up front.
     """
-    cfg = _as_config(cfg)
     if not inputs:
         raise ConfigError("fit: at least one input file is required")
     paths = [Path(p) for p in inputs]
@@ -822,7 +810,8 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
     widths = [gaps[ra].width for ra in sorted(gaps)]
     _check(bundle, "TE gap width grows with r/a",
            "[" + ", ".join(f"{w:.4f}" for w in widths) + "]",
-           all(b > a for a, b in zip(widths, widths[1:])), "monotone increase")
+           len(widths) >= 2 and all(b > a for a, b in zip(widths, widths[1:])),
+           "monotone increase")
     for ra in (0.37, 0.33):
         mid = gaps[ra].midgap_wavelength(cfg.crystal.period_nm) if ra in gaps else None
         _check(bundle, f"midgap wavelength at r/a={ra}", f"{mid:.1f} nm" if mid else "no gap",
@@ -832,28 +821,24 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
     modes = cmd_modes(cfg, out_dir / "modes")
     bundle.include(modes, "modes")
     doublet_lams = {}
-    split37 = None
-    volume37 = None
+    split37 = volume37 = None
     for ra, found in modes.results.items():
         if len(found.doublets) == 1:
             i, j = found.doublets[0]
             doublet_lams[ra] = 0.5 * (found.wavelengths[i] + found.wavelengths[j])
             if ra == 0.37:
                 split37 = doublet_splitting(found.frequencies[i], found.frequencies[j])
-                near = [v for lam, v in zip(found.wavelengths, found.volumes)
-                        if abs(lam - doublet_lams[ra]) < 5.0]
-                if near:
-                    volume37 = near[0]
+                volume37 = found.volumes[i]
     _check(bundle, "one dipole doublet at r/a=0.37 with tiny splitting",
            f"splitting {split37:.2e}" if split37 is not None else "not found",
            split37 is not None and split37 < 1e-3, "< 1e-3")
     lams = [doublet_lams[ra] for ra in sorted(doublet_lams)]
     _check(bundle, "doublet wavelength grows as r/a shrinks",
            "[" + ", ".join(f"{v:.1f}" for v in lams) + "] nm",
-           all(a > b for a, b in zip(lams, lams[1:])), "monotone in r/a")
-    if volume37 is not None:
-        _check(bundle, "dipole mode volume at r/a=0.37", f"{volume37:.2f} (lambda/n)^3",
-               0.5 <= volume37 <= 3.0, "~1.5, within [0.5, 3.0]")
+           len(lams) >= 2 and all(a > b for a, b in zip(lams, lams[1:])), "monotone in r/a")
+    _check(bundle, "dipole mode volume at r/a=0.37",
+           f"{volume37:.2f} (lambda/n)^3" if volume37 is not None else "not found",
+           volume37 is not None and 0.5 <= volume37 <= 3.0, "~1.5, within [0.5, 3.0]")
 
     # Synthetic transients and fits.
     sub = out_dir / "sim"
@@ -898,21 +883,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def command(name, summary, needs_config=True, seeded=False):
+        p = sub.add_parser(name, help=summary)
         if needs_config:
             p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override RNG seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=None, help="override RNG seed")
+        return p
 
-    common(sub.add_parser("bands", help="TE band structures and gap sweep"))
-    common(sub.add_parser("modes", help="H1 defect modes in a supercell"))
-    common(sub.add_parser("simulate", help="synthetic transients and scans"))
-    p_fit = sub.add_parser("fit", help="fit histograms or spectral scans")
-    common(p_fit)
-    p_fit.add_argument("inputs", nargs="+", help="histogram or scan CSV files")
-    common(sub.add_parser("reproduce-paper",
-                          help="built-in end-to-end scenario with summary"),
-           needs_config=False)
+    command("bands", "TE band structures and gap sweep")
+    command("modes", "H1 defect modes in a supercell")
+    command("simulate", "synthetic transients and scans", seeded=True)
+    command("fit", "fit histograms or spectral scans").add_argument(
+        "inputs", nargs="+", help="histogram or scan CSV files")
+    command("reproduce-paper", "built-in end-to-end scenario with summary",
+            needs_config=False, seeded=True)
     return parser
 
 
@@ -934,7 +920,7 @@ def main(argv=None) -> int:
             elif args.command == "modes":
                 bundle = cmd_modes(cfg, out_dir)
             elif args.command == "simulate":
-                bundle = cmd_simulate(cfg, out_dir, seed=args.seed)
+                bundle = cmd_simulate(cfg.with_seed(args.seed), out_dir)
             elif args.command == "fit":
                 bundle = cmd_fit(cfg, out_dir, args.inputs)
             else:  # pragma: no cover - argparse guards this

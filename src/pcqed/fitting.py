@@ -47,7 +47,6 @@ __all__ = [
     "select_model",
     "fit_spectral_model",
     "synthesize_spectral_scan",
-    "scan_lifetime",
     "poisson_deviance",
 ]
 
@@ -114,7 +113,6 @@ class ModelSelection:
 
     choice: str  # "mono" | "bi"
     delta_deviance: float
-    threshold: float
     mono: FitResult
     bi: FitResult
 
@@ -478,45 +476,22 @@ def fit_biexponential(
     return _nested_biexponential(hist, mono, max_iterations)
 
 
-def select_model(
-    hist: TransientHistogram, threshold: float = SELECTION_THRESHOLD
-) -> ModelSelection:
+def select_model(hist: TransientHistogram) -> ModelSelection:
     """Likelihood-ratio choice between one and two decay components.
 
     Prefers the biexponential only when it improves the deviance by more than
-    `threshold`; ties go to the monoexponential.
+    `SELECTION_THRESHOLD`; ties go to the monoexponential.
     """
     mono = fit_monoexponential(hist)
     bi = _nested_biexponential(hist, mono, MAX_ITERATIONS)
     delta = mono.statistic - bi.statistic
-    choice = "bi" if delta > threshold else "mono"
-    return ModelSelection(
-        choice=choice, delta_deviance=delta, threshold=threshold, mono=mono, bi=bi
-    )
-
-
-def scan_lifetime(hist: TransientHistogram, reduction: str = "fast"):
-    """Representative lifetime of one histogram for a spectral scan.
-
-    reduction="fast": the fast constant of the biexponential fit;
-    reduction="selected": run model selection and take the fast constant when
-    the biexponential wins, the single constant otherwise. Returns
-    (lifetime_ps, std_error_ps).
-    """
-    if reduction == "fast":
-        res = fit_biexponential(hist)
-        return res["lifetime_fast_ps"], res.std_errors["lifetime_fast_ps"]
-    if reduction == "selected":
-        sel = select_model(hist)
-        name = "lifetime_fast_ps" if sel.choice == "bi" else "lifetime_ps"
-        return sel.best[name], sel.best.std_errors[name]
-    raise ValueError(f"unknown reduction {reduction!r}")
+    choice = "bi" if delta > SELECTION_THRESHOLD else "mono"
+    return ModelSelection(choice=choice, delta_deviance=delta, mono=mono, bi=bi)
 
 
 def fit_spectral_model(
     scan: SpectralScan,
     modes: Sequence[CavityMode],
-    tau0_ref=None,
     max_iterations: int = MAX_ITERATIONS,
 ) -> FitResult:
     """Weighted fit of the detuning model to a lifetime-vs-wavelength scan.
@@ -524,8 +499,9 @@ def fit_spectral_model(
     Model: tau(lambda) = tau0(lambda) / (sum_m (F_m/3) L_m(lambda) + alpha)
     with L_m the unit-peak Lorentzian of mode m (position and linewidth fixed,
     not fitted). Free parameters are the per-mode enhancements F_m and alpha,
-    bounded at 0. Weights are 1/sigma^2 when the scan carries uncertainties,
-    else 1.
+    bounded at 0. The free-space lifetime tau0 is the scan's
+    `reference_tau0`. Weights are 1/sigma^2 when the scan carries
+    uncertainties, else 1.
 
     The result's extras report, per mode, the on-resonance lifetime
     tau0(lambda_m) / (F_m/3 + alpha) and the maximal lifetime ratio.
@@ -533,7 +509,7 @@ def fit_spectral_model(
     if not modes:
         raise ValueError("at least one cavity mode is required")
     modes = list(modes)
-    tau0 = _as_tau0_function(tau0_ref if tau0_ref is not None else scan.reference_tau0)
+    tau0 = _as_tau0_function(scan.reference_tau0)
     lam = scan.wavelengths
     y = scan.lifetimes
     for mode in modes:
@@ -631,7 +607,7 @@ def synthesize_spectral_scan(
     modes: Sequence[CavityMode],
     fps: Sequence[float],
     alpha: float,
-    tau0_ref,
+    reference_tau0,
     wavelengths: np.ndarray,
     noise_fraction: float,
     seed: int,
@@ -640,10 +616,11 @@ def synthesize_spectral_scan(
 
     The true tau(lambda) from `lifetime_ratio_multimode` gets multiplicative
     Gaussian noise of relative size `noise_fraction`; reported uncertainties
-    are noise_fraction * tau_true. Deterministic for a fixed seed.
+    are noise_fraction * tau_true. `reference_tau0` is tau0 in ps, or a table
+    as in `SpectralScan`. Deterministic for a fixed seed.
     """
     lam = np.asarray(wavelengths, dtype=float)
-    tau0 = _as_tau0_function(tau0_ref)
+    tau0 = _as_tau0_function(reference_tau0)
     ratio = lifetime_ratio_multimode(lam, list(modes), list(fps), alpha)
     tau_true = tau0(lam) / ratio
     rng = np.random.default_rng(seed)
@@ -653,5 +630,5 @@ def synthesize_spectral_scan(
         wavelengths=lam,
         lifetimes=tau,
         errors=noise_fraction * tau_true if noise_fraction > 0 else None,
-        reference_tau0=tau0_ref,
+        reference_tau0=reference_tau0,
     )

@@ -232,24 +232,32 @@ def write_band_csv(path, bands: BandStructure) -> None:
 
 
 def read_band_csv(path):
-    """Return (k_fractions, arc_lengths, frequencies) arrays."""
+    """Return (k_fractions, arc_lengths, frequencies) arrays.
+
+    Every row must hold as many fields as the header, and each value after
+    `k_index` must be a finite number.
+    """
     path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("k_index,k_frac_x,k_frac_y,arc_length"):
+    lines = _read_text(path).splitlines()
+    names = lines[0].strip().split(",") if lines else []
+    if names[:4] != ["k_index", "k_frac_x", "k_frac_y", "arc_length"] or len(names) < 5:
         raise ParseError(path, 1, "bad band CSV header")
     fracs, arcs, rows = [], [], []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split(",")
-        if len(fields) < 5:
-            raise ParseError(path, i, "too few fields")
+        if len(fields) != len(names):
+            raise ParseError(path, i, f"expected {len(names)} fields, got {len(fields)}")
         try:
-            fracs.append([float(fields[1]), float(fields[2])])
-            arcs.append(float(fields[3]))
-            rows.append([float(v) for v in fields[4:]])
+            values = [float(v) for v in fields[1:]]
         except ValueError as exc:
             raise ParseError(path, i, str(exc)) from exc
+        for name, value in zip(names[1:], values):
+            _number(value, name, path, i)
+        fracs.append(values[:2])
+        arcs.append(values[2])
+        rows.append(values[3:])
     return np.array(fracs), np.array(arcs), np.array(rows)
 
 
@@ -310,22 +318,49 @@ def write_fit_json(path, result: FitResult) -> dict:
 
 
 def read_fit_json(path) -> FitResult:
-    doc = json.loads(Path(path).read_text())
+    """The FitResult written by `write_fit_json`. A missing key, a value of
+    the wrong type or a non-finite number fails at the line of its key."""
+    path = Path(path)
+    text = _read_text(path)
+    doc = _json_object(path, text)
+
+    def field(key, kind):
+        value, line = doc.get(key), _key_line(text, key)
+        if kind is int:
+            return _number(value, key, path, line, kind=int)
+        if kind is float:
+            return _number(value, key, path, line)
+        if not isinstance(value, kind):
+            raise ParseError(path, line, f"{key}: expected {kind.__name__}, got {value!r}")
+        return value
+
+    def numbers(key, values):
+        return [_number(v, key, path, _key_line(text, key)) for v in values]
+
+    order = field("parameter_order", list)
+    rows = field("covariance", list)
+    if len(rows) != len(order) or not all(isinstance(r, list) and len(r) == len(order)
+                                          for r in rows):
+        raise ParseError(path, _key_line(text, "covariance"),
+                         f"covariance: expected {len(order)} rows of {len(order)} numbers")
+    parameters, std_errors = field("parameters", dict), field("std_errors", dict)
+    numbers("parameters", parameters.values())
+    numbers("std_errors", std_errors.values())
     return FitResult(
-        model=doc["model"],
-        parameters=doc["parameters"],
-        std_errors=doc["std_errors"],
-        parameter_order=tuple(doc["parameter_order"]),
-        covariance=np.array(doc["covariance"]),
-        statistic=doc["statistic"],
-        goodness=doc["goodness"],
-        goodness_kind=doc["goodness_kind"],
-        n_points=doc["n_points"],
-        iterations=doc["iterations"],
-        converged=doc["converged"],
-        warnings=tuple(doc["warnings"]),
-        extras=doc["extras"],
-        stop_reason=doc.get("stop_reason", ""),
+        model=field("model", str),
+        parameters=parameters,
+        std_errors=std_errors,
+        parameter_order=tuple(order),
+        covariance=np.array([numbers("covariance", row) for row in rows], dtype=float),
+        statistic=field("statistic", float),
+        goodness=field("goodness", float),
+        goodness_kind=field("goodness_kind", str),
+        n_points=field("n_points", int),
+        iterations=field("iterations", int),
+        converged=field("converged", bool),
+        warnings=tuple(field("warnings", list)),
+        extras=field("extras", dict),
+        stop_reason=field("stop_reason", str),
     )
 
 

@@ -77,11 +77,21 @@ def _purcell(values):
     ("simulate", _purcell(["a"]), "simulate.spectral_scan.purcell_factors[0]"),
     ("fit", {"fit": {"modle": "bi"}}, "fit.modle"),
     ("bands", {"crystal": {"period_nm": 300.0}}, "crystal.hole_ratio"),
-    ("modes", {"crystal": {"period_nm": 300.0, "hole_ratio": 0.37},
+    ("modes", {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37]},
                "modes": {"supercell_size": 6}}, "modes.supercell_size"),
     ("simulate", _purcell([56.0, 10.0]), "simulate.spectral_scan.purcell_factors"),
-    ("bands", {"crystal": {"period_nm": 300.0, "hole_ratio": 0.3},
+    ("bands", {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.3]},
                "bands": {"cutoff": 1, "n_bands": 12}}, "bands.n_bands"),
+    # Settings that are no longer read.
+    ("modes", {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37], "hole_ratio": 0.37}},
+     "crystal.hole_ratio: unknown key"),
+    ("modes", {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37]},
+               "modes": {"mode_height_nm": 400.0}}, "modes.mode_height_nm: unknown key"),
+    ("modes", {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37]},
+               "modes": {"volume_index": 3.4}}, "modes.volume_index: unknown key"),
+    # Both ratios would write bands_ra0p370.csv and gap_ra0p370.json.
+    ("bands", {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.33, 0.3701, 0.3704]}},
+     "crystal.hole_ratio_values: 0.3701 and 0.3704 share the file tag ra0p370"),
 ])
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document, dotted):
     cfg = tmp_path / "cfg.json"
@@ -92,13 +102,35 @@ def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{cfg}: {dotted}" in err and "Traceback" not in err
-    assert not list(tmp_path.glob("out/fit_*.json"))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bands", "modes", "fit"])
+def test_seed_flag_only_where_a_seed_is_used(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37]}}))
+    argv = [command, "--config", str(cfg), "--seed", "3", "--out", str(tmp_path / "out")]
+    if command == "fit":
+        argv.append(str(_write_histogram(tmp_path / "h.csv")))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```json\n")[1:]
+    assert len(blocks) == 1
+    cfg = parse_config(json.loads(blocks[0].split("```")[0]))
+    assert cfg.crystal.hole_ratio_values and cfg.simulate.seed is not None
 
 
 def test_parse_keeps_defaults_and_the_document():
     document = {"crystal": {"period_nm": 300, "hole_ratio_values": [0.33, 0.37]}}
     cfg = parse_config(document)
-    assert cfg.crystal.hole_ratios == (0.33, 0.37)
+    assert cfg.crystal.hole_ratio_values == (0.33, 0.37)
     assert cfg.crystal.period_nm == 300.0 and isinstance(cfg.crystal.period_nm, float)
     assert cfg.bands.cutoff == 7 and cfg.modes.export_profiles == "doublet"
     assert cfg.fit.model == "auto" and cfg.simulate is None
@@ -120,7 +152,7 @@ _json_values = st.recursive(
                                                                  max_size=3),
     max_leaves=6,
 )
-_known = [("crystal", "period_nm"), ("crystal", "hole_ratio"), ("crystal", "slab"),
+_known = [("crystal", "period_nm"), ("crystal", "hole_ratio_values"), ("crystal", "slab"),
           ("bands", "cutoff"), ("modes", "export_profiles"), ("simulate", "seed"),
           ("simulate", "histogram"), ("simulate", "spectral_scan"), ("fit", "model"),
           ("fit", "spectral"), ("output_dir", None)]

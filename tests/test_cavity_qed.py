@@ -75,8 +75,9 @@ def test_lifetime_ratio_half_width_identity():
 
 
 def test_lifetime_ratio_uncoupled_emitter():
-    for fp in (0.0, 10.0, 500.0):
-        ratio = lifetime_ratio_multimode(1010.0, [M2], [fp], 0.47, field_ratios=[0.0])
+    # No enhancement leaves only the residual-mode fraction, at any detuning.
+    for lam in (1010.0, M2.lambda_c, 1050.0):
+        ratio = lifetime_ratio_multimode(lam, [M2], [0.0], 0.47)
         assert ratio == pytest.approx(0.47, rel=1e-12)
 
 

@@ -109,7 +109,6 @@ def _uniform_profile(lat, size=5, grid_per_period=64):
     eps = np.full((n, n), lat.eps_background)
     return CavityModeProfile(
         frequency=0.29,
-        field_grid=ones,
         energy_density=ones,
         eps_grid=eps,
         lattice=lat,
@@ -123,16 +122,15 @@ def _uniform_profile(lat, size=5, grid_per_period=64):
 def test_uniform_field_volume_identity():
     lat = device_lattice()
     profile = _uniform_profile(lat)
-    wavelength = 1030.0
-    v = mode_volume(profile, SLAB, wavelength, vertical_height=400.0, index=3.4)
+    v = mode_volume(profile, SLAB)
     area = profile.supercell_area
-    assert v == pytest.approx(area * 400.0 / (wavelength / 3.4) ** 3, rel=1e-12)
+    assert v == pytest.approx(area * 400.0 / (300.0 / 0.29 / 3.4) ** 3, rel=1e-12)
 
 
 def test_dipole_mode_volume_in_range(h1_modes):
     (a, b), = dipole_doublets(h1_modes)
     for mode in (a, b):
-        v = mode_volume(mode, SLAB, mode.wavelength)
+        v = mode_volume(mode, SLAB)
         assert 0.5 <= v <= 3.0
 
 
@@ -142,7 +140,7 @@ def test_mode_volume_grid_refinement(bulk_gap):
     for gpp in (64, 128):
         modes = solve_h1_modes(lat, 7, grid_per_period=gpp, gap=bulk_gap)
         (a, _), = dipole_doublets(modes)
-        volumes.append(mode_volume(a, SLAB, a.wavelength))
+        volumes.append(mode_volume(a, SLAB))
     assert abs(volumes[1] - volumes[0]) / volumes[0] < 0.02
 
 
@@ -151,7 +149,6 @@ def test_zero_field_profile_rejected():
     profile = _uniform_profile(lat)
     dead = CavityModeProfile(
         frequency=profile.frequency,
-        field_grid=np.zeros_like(profile.field_grid),
         energy_density=np.zeros_like(profile.energy_density),
         eps_grid=profile.eps_grid,
         lattice=lat,
@@ -161,14 +158,5 @@ def test_zero_field_profile_rejected():
         parity=1.0,
     )
     with pytest.raises(ValueError):
-        mode_volume(dead, SLAB, 1030.0)
+        mode_volume(dead, SLAB)
 
-
-def test_mode_volume_region_options(h1_modes):
-    (a, _), = dipole_doublets(h1_modes)
-    v_diel = mode_volume(a, SLAB, a.wavelength, region="dielectric")
-    v_all = mode_volume(a, SLAB, a.wavelength, region="all")
-    # the global peak sits in the air holes where the normal field jumps
-    assert v_all < v_diel
-    with pytest.raises(ValueError):
-        mode_volume(a, SLAB, a.wavelength, region="bogus")

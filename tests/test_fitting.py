@@ -12,7 +12,6 @@ from pcqed.fitting import (
     fit_monoexponential,
     fit_spectral_model,
     poisson_deviance,
-    scan_lifetime,
     select_model,
     synthesize_spectral_scan,
 )
@@ -223,20 +222,6 @@ def test_nested_fits_never_worse_than_mono():
         )
         sel = select_model(hist)
         assert sel.bi.statistic <= sel.mono.statistic * (1 + 1e-9), lam
-
-
-def test_scan_lifetime_reductions():
-    hist = synth([(1.0, 150.0), (1.0 / 18.0, 1800.0)], seed=12)
-    tau_fast, err = scan_lifetime(hist, reduction="fast")
-    assert tau_fast == pytest.approx(150.0, rel=0.2)
-    assert err > 0
-    tau_sel, _ = scan_lifetime(hist, reduction="selected")
-    assert tau_sel == pytest.approx(tau_fast, rel=1e-6)
-    hist = synth([(1.0, 840.0)], seed=13)
-    tau_sel, _ = scan_lifetime(hist, reduction="selected")
-    assert tau_sel == pytest.approx(840.0, rel=0.05)
-    with pytest.raises(ValueError):
-        scan_lifetime(hist, reduction="median")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pcqed.cli import (
     cmd_simulate,
     config_hash,
     main,
+    parse_config,
 )
 from pcqed.fitting import SpectralScan, fit_monoexponential, select_model
 from pcqed.geometry import kpath_gamma_m_k
@@ -143,6 +144,71 @@ def test_fit_json_round_trip(tmp_path):
     assert back.converged == result.converged
 
 
+def _written_fit(tmp_path):
+    grid = BinGrid(bin_width=12.0, n_bins=512)
+    curve = expected_curve(DecayModel([(1.0, 400.0)]), IRF, grid)
+    path = tmp_path / "fit.json"
+    pcio.write_fit_json(path, fit_monoexponential(sample_histogram(curve, 20_000, 3, grid=grid,
+                                                                   irf=IRF)))
+    return path
+
+
+def test_fit_json_reader_rejects_a_missing_key(tmp_path):
+    path = _written_fit(tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["stop_reason"]
+    path.write_text(json.dumps(doc, indent=1))
+    with pytest.raises(pcio.ParseError, match=r"fit\.json:1: stop_reason: expected str"):
+        pcio.read_fit_json(path)
+
+
+def test_fit_json_reader_rejects_bad_json(tmp_path):
+    path = _written_fit(tmp_path)
+    path.write_text('{\n "model": "monoexponential",\n "parameters": {,\n}')
+    with pytest.raises(pcio.ParseError, match=r"fit\.json:3: invalid JSON"):
+        pcio.read_fit_json(path)
+
+
+def test_fit_json_reader_rejects_non_finite_covariance(tmp_path):
+    path = _written_fit(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["covariance"][1][1] = float("nan")
+    path.write_text(json.dumps(doc, indent=1))
+    with pytest.raises(pcio.ParseError) as err:
+        pcio.read_fit_json(path)
+    assert "covariance: expected a finite number, got nan" in str(err.value)
+    assert err.value.line_number == path.read_text().splitlines().index(' "covariance": [') + 1
+
+
+def _written_bands(tmp_path):
+    from pcqed.geometry import TriangularLattice
+
+    lat = TriangularLattice(300.0, 0.3, 10.0)
+    path = tmp_path / "b.csv"
+    bands = compute_bands(lat, kpath_gamma_m_k(2), PlaneWaveBasis.bulk(lat, 2), 3)
+    pcio.write_band_csv(path, bands)
+    return path
+
+
+def test_band_csv_reader_rejects_non_utf8(tmp_path):
+    path = _written_bands(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"k_index", b"k_ind\xffx"))
+    with pytest.raises(pcio.ParseError, match=r"b\.csv:1: not UTF-8 text"):
+        pcio.read_band_csv(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_band_csv_reader_rejects_non_finite_values(tmp_path, value):
+    path = _written_bands(tmp_path)
+    lines = path.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[5] = value
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(pcio.ParseError, match=r"b\.csv:4: band_2: expected a finite number"):
+        pcio.read_band_csv(path)
+
+
 def test_profile_json_round_trip(tmp_path):
     from pcqed.bands import dipole_doublets, mode_volume
     from pcqed.geometry import SlabWaveguide, TriangularLattice, effective_index
@@ -151,7 +217,7 @@ def test_profile_json_round_trip(tmp_path):
     lat = TriangularLattice(300.0, 0.37, effective_index(slab, 1050.0) ** 2)
     modes = solve_h1_modes(lat, 5, grid_per_period=64, gap=bulk_gap(lat))
     (a, _), = dipole_doublets(modes)
-    volume = mode_volume(a, slab, a.wavelength)
+    volume = mode_volume(a, slab)
     path = tmp_path / "p.json"
     pcio.write_profile_json(path, a, volume)
     doc, grid = pcio.read_profile_json(path)
@@ -172,7 +238,7 @@ def _small_profile_json(tmp_path):
     n = 3 * 8
     density = np.linspace(0.0, 1.0, n * n).reshape(n, n)
     profile = CavityModeProfile(
-        frequency=0.29, field_grid=density, energy_density=density,
+        frequency=0.29, energy_density=density,
         eps_grid=np.full((n, n), 10.0), lattice=TriangularLattice(300.0, 0.37, 10.0),
         supercell_size=3, grid_per_period=8, localization=0.9, parity=-1.0,
     )
@@ -262,7 +328,7 @@ def test_gap_json_reports_absence(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_cmd_bands_outputs_and_gap_flags(tmp_path):
-    bundle = cmd_bands(small_band_config(), tmp_path / "out")
+    bundle = cmd_bands(parse_config(small_band_config()), tmp_path / "out")
     gap0 = json.loads((tmp_path / "out" / "gap_ra0p000.json").read_text())
     gap33 = json.loads((tmp_path / "out" / "gap_ra0p330.json").read_text())
     assert gap0["gap_present"] is False
@@ -275,7 +341,7 @@ def test_cmd_bands_outputs_and_gap_flags(tmp_path):
 
 
 def test_cmd_bands_gap_grows_with_hole_ratio(tmp_path):
-    cmd_bands(small_band_config((0.33, 0.42)), tmp_path / "out")
+    cmd_bands(parse_config(small_band_config((0.33, 0.42))), tmp_path / "out")
     g33 = json.loads((tmp_path / "out" / "gap_ra0p330.json").read_text())
     g42 = json.loads((tmp_path / "out" / "gap_ra0p420.json").read_text())
     assert g42["gap_width"] > g33["gap_width"]
@@ -283,8 +349,8 @@ def test_cmd_bands_gap_grows_with_hole_ratio(tmp_path):
 
 def test_cmd_bands_byte_identical_reruns(tmp_path):
     cfg = small_band_config()
-    cmd_bands(cfg, tmp_path / "a")
-    cmd_bands(cfg, tmp_path / "b")
+    cmd_bands(parse_config(cfg), tmp_path / "a")
+    cmd_bands(parse_config(cfg), tmp_path / "b")
     for name in ("bands_ra0p330.csv", "gap_ra0p330.json", "gap_vs_hole_ratio.csv",
                  "summary.txt", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
@@ -293,7 +359,7 @@ def test_cmd_bands_byte_identical_reruns(tmp_path):
 MODES_CONFIG = {
     "crystal": {
         "period_nm": 300.0,
-        "hole_ratio": 0.37,
+        "hole_ratio_values": [0.37],
         "slab": {"thickness_nm": 400.0, "n_core": 3.4, "n_clad": 1.0},
         "reference_wavelength_nm": 1050.0,
     },
@@ -302,7 +368,7 @@ MODES_CONFIG = {
 
 
 def test_cmd_modes_structured_output(tmp_path):
-    cmd_modes(MODES_CONFIG, tmp_path / "out")
+    cmd_modes(parse_config(MODES_CONFIG), tmp_path / "out")
     doc = json.loads((tmp_path / "out" / "modes_ra0p370.json").read_text())
     assert doc["doublet_found"] is True
     assert doc["doublets"][0]["fractional_splitting"] < 1e-3
@@ -320,8 +386,8 @@ def test_cmd_modes_structured_output(tmp_path):
 
 
 def test_cmd_modes_byte_identical_reruns(tmp_path):
-    cmd_modes(MODES_CONFIG, tmp_path / "a")
-    cmd_modes(MODES_CONFIG, tmp_path / "b")
+    cmd_modes(parse_config(MODES_CONFIG), tmp_path / "a")
+    cmd_modes(parse_config(MODES_CONFIG), tmp_path / "b")
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     assert sum(name.endswith(".npy") for name in names) == 2
@@ -332,8 +398,8 @@ def test_cmd_modes_byte_identical_reruns(tmp_path):
 def test_cmd_modes_takes_its_gap_from_the_bands_settings(tmp_path):
     # A coarse bulk solve narrows the gap enough to drop the top in-gap mode.
     cfg = {**MODES_CONFIG, "bands": {"cutoff": 4, "samples_per_segment": 8, "n_bands": 2}}
-    found = cmd_modes(cfg, tmp_path / "out").results[0.37]
-    lat = cli.parse_config(cfg).crystal.lattice(0.37)
+    found = cmd_modes(parse_config(cfg), tmp_path / "out").results[0.37]
+    lat = parse_config(cfg).crystal.lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 5, 9)
     expected = solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat, 4, 8))
     assert found.frequencies == [m.frequency for m in expected]
@@ -346,22 +412,22 @@ def test_cmd_simulate_requires_seed(tmp_path):
     cfg = sim_config()
     del cfg["simulate"]["seed"]
     with pytest.raises(ConfigError):
-        cmd_simulate(cfg, tmp_path / "out")
+        cmd_simulate(parse_config(cfg), tmp_path / "out")
 
 
 def test_cmd_simulate_rejects_zero_counts(tmp_path):
     cfg = sim_config()
     cfg["simulate"]["histogram"]["total_counts"] = 0
     with pytest.raises(ConfigError):
-        cmd_simulate(cfg, tmp_path / "out")
+        cmd_simulate(parse_config(cfg), tmp_path / "out")
 
 
 def test_simulate_fit_round_trip_beta(tmp_path):
     cfg = sim_config()
     sim_dir = tmp_path / "sim"
-    cmd_simulate(cfg, sim_dir)
+    cmd_simulate(parse_config(cfg), sim_dir)
     fit_dir = tmp_path / "fit"
-    cmd_fit(cfg, fit_dir, [sim_dir / "histogram.csv"])
+    cmd_fit(parse_config(cfg), fit_dir, [sim_dir / "histogram.csv"])
     doc = json.loads((fit_dir / "fit_histogram.json").read_text())
     assert doc["model"] == "biexponential"
     assert doc["extras"]["beta"] == pytest.approx(0.92, abs=0.02)
@@ -370,12 +436,12 @@ def test_simulate_fit_round_trip_beta(tmp_path):
 def test_simulate_scan_dip_position_and_fit(tmp_path):
     cfg = sim_config()
     sim_dir = tmp_path / "sim"
-    cmd_simulate(cfg, sim_dir)
+    cmd_simulate(parse_config(cfg), sim_dir)
     scan, meta = pcio.read_scan_csv(sim_dir / "spectral_scan.csv")
     dip = scan.wavelengths[np.argmin(scan.lifetimes)]
     assert dip == pytest.approx(1031.5, abs=0.2)
     fit_dir = tmp_path / "fit"
-    cmd_fit(cfg, fit_dir, [sim_dir / "spectral_scan.csv"])
+    cmd_fit(parse_config(cfg), fit_dir, [sim_dir / "spectral_scan.csv"])
     doc = json.loads((fit_dir / "fit_spectral_scan.json").read_text())
     assert doc["parameters"]["purcell_factor"] == pytest.approx(56.0, abs=10.0)
     assert doc["extras"]["lifetime_ratio_max"] == pytest.approx(19.0, abs=4.0)
@@ -385,7 +451,7 @@ def _simulated_histogram(tmp_path, seed):
     cfg = sim_config(seed)
     del cfg["simulate"]["spectral_scan"]
     out = tmp_path / f"sim{seed}"
-    cmd_simulate(cfg, out)
+    cmd_simulate(parse_config(cfg), out)
     return out / "histogram.csv"
 
 
@@ -395,8 +461,8 @@ def _run_id(out_dir):
 
 def test_fit_run_id_changes_with_input_bytes(tmp_path):
     cfg = sim_config()
-    a = cmd_fit(cfg, tmp_path / "fit1", [_simulated_histogram(tmp_path, 1)])
-    b = cmd_fit(cfg, tmp_path / "fit2", [_simulated_histogram(tmp_path, 2)])
+    a = cmd_fit(parse_config(cfg), tmp_path / "fit1", [_simulated_histogram(tmp_path, 1)])
+    b = cmd_fit(parse_config(cfg), tmp_path / "fit2", [_simulated_histogram(tmp_path, 2)])
     assert a.config_hash == b.config_hash
     assert a.run_id != b.run_id
 
@@ -418,8 +484,8 @@ def test_rerun_on_identical_inputs_keeps_run_id(tmp_path):
     copy.write_bytes(hist.read_bytes())
     meta = hist.with_suffix(".csv.meta.json")
     copy.with_suffix(".csv.meta.json").write_bytes(meta.read_bytes())
-    a = cmd_fit(cfg, tmp_path / "fit1", [hist])
-    b = cmd_fit(cfg, tmp_path / "fit2", [copy])
+    a = cmd_fit(parse_config(cfg), tmp_path / "fit1", [hist])
+    b = cmd_fit(parse_config(cfg), tmp_path / "fit2", [copy])
     assert a.run_id == b.run_id
     assert (tmp_path / "fit1" / "manifest.json").read_bytes() == (
         tmp_path / "fit2" / "manifest.json"
@@ -461,14 +527,14 @@ def test_batch_fit_keeps_going_past_a_failed_input(tmp_path, monkeypatch, capsys
 
 def test_cmd_fit_requires_inputs(tmp_path):
     with pytest.raises(ConfigError):
-        cmd_fit(sim_config(), tmp_path / "out", [])
+        cmd_fit(parse_config(sim_config()), tmp_path / "out", [])
 
 
 def test_cmd_fit_rejects_unknown_header(tmp_path):
     bogus = tmp_path / "x.csv"
     bogus.write_text("a,b\n1,2\n")
     with pytest.raises(pcio.ParseError):
-        cmd_fit(sim_config(), tmp_path / "out", [bogus])
+        cmd_fit(parse_config(sim_config()), tmp_path / "out", [bogus])
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +548,7 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 def test_main_invalid_config_value(tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"crystal": {"period_nm": -5, "hole_ratio": 0.3}}))
+    path.write_text(json.dumps({"crystal": {"period_nm": -5, "hole_ratio_values": [0.3]}}))
     assert main(["bands", "--config", str(path)]) == EXIT_CONFIG
     assert "crystal" in capsys.readouterr().err
 
@@ -535,3 +601,22 @@ def test_reproduce_paper_deterministic(tmp_path):
     assert "doublet wavelength grows as r/a shrinks" in text
     assert (tmp_path / "r1" / "fits" / "fit_histogram.json").exists()
     assert (tmp_path / "r1" / "manifest.json").exists()
+
+
+def test_reproduce_paper_reports_every_check_without_a_doublet(tmp_path, monkeypatch, capsys):
+    # With no doublet found, the doublet, its wavelength trend and the mode
+    # volume must each still print a FAIL rather than vanish or pass on
+    # nothing.
+    monkeypatch.setattr(cli, "dipole_doublets", lambda modes: [])
+    assert main(["reproduce-paper", "--out", str(tmp_path / "out")]) == 0
+    checks = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("check ")]
+    assert len(checks) == 17
+    failed = [line.split(":")[0] for line in checks if line.endswith(": FAIL")]
+    assert failed == [
+        "check midgap wavelength at r/a=0.37",
+        "check one dipole doublet at r/a=0.37 with tiny splitting",
+        "check doublet wavelength grows as r/a shrinks",
+        "check dipole mode volume at r/a=0.37",
+    ]
+    assert "computed [] nm" in checks[9] and "not found" in checks[10]
