@@ -188,7 +188,9 @@ def build_te_operator(
 
     k may lie anywhere; it is wrapped into the fundamental reciprocal cell, so
     band frequencies are exactly periodic under k -> k + b1. Eigenvalues are
-    (omega/c)^2 >= 0.
+    (omega/c)^2 >= 0. No solver here calls it: it is the single-k entry
+    point the tests check against analytic oracles (empty lattice,
+    hermiticity, periodicity in k).
     """
     k = _reduce_k(np.asarray(k, dtype=float), *reciprocal_basis(lattice))
     eta = _inverse_eps_table(_eps_matrix(lattice, basis))

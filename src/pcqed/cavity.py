@@ -55,7 +55,7 @@ class CavityMode:
     @property
     def linewidth(self) -> float:
         """FWHM linewidth in nm: lambda_c / Q."""
-        return self.lambda_c / self.q_factor
+        return mode_linewidth(self.lambda_c, self.q_factor)
 
 
 def purcell_factor(q_factor: float, v_mode: float) -> float:

@@ -28,7 +28,7 @@ linear solve of the model in rate space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import nnls
@@ -123,16 +123,13 @@ class ModelSelection:
 
 @dataclass(frozen=True, eq=False)
 class SpectralScan:
-    """Lifetime vs wavelength points with a free-space lifetime reference.
-
-    `reference_tau0` may be a constant (ps) or a table of (wavelength_nm,
-    tau0_ps) rows interpolated linearly.
-    """
+    """Lifetime vs wavelength points with the free-space lifetime
+    `reference_tau0` (ps, the same at every wavelength) when known."""
 
     wavelengths: np.ndarray
     lifetimes: np.ndarray
     errors: np.ndarray | None = None
-    reference_tau0: object = None
+    reference_tau0: float | None = None
 
     def __post_init__(self):
         w = np.asarray(self.wavelengths, dtype=float)
@@ -150,18 +147,6 @@ class SpectralScan:
             if e.shape != w.shape or np.any(e <= 0):
                 raise ValueError("errors must be positive and congruent")
             object.__setattr__(self, "errors", e)
-
-
-def _as_tau0_function(ref) -> Callable[[np.ndarray], np.ndarray]:
-    if ref is None:
-        raise ValueError("a tau0 reference is required")
-    if np.isscalar(ref):
-        value = float(ref)
-        return lambda lam: np.full_like(np.asarray(lam, dtype=float), value)
-    table = np.asarray(ref, dtype=float)
-    if table.ndim != 2 or table.shape[1] != 2:
-        raise ValueError("tau0 table must have rows (wavelength_nm, tau0_ps)")
-    return lambda lam: np.interp(np.asarray(lam, dtype=float), table[:, 0], table[:, 1])
 
 
 def poisson_deviance(counts: np.ndarray, mu: np.ndarray) -> float:
@@ -205,8 +190,7 @@ def _gauss_newton(x, mu, J, y, lower, upper, weights=None):
     return free, g, N, scale, newton
 
 
-def _minimize(x0, evaluate, y, lower, upper, weights=None,
-              max_iterations=MAX_ITERATIONS, initial=None):
+def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
     """Bounded Levenberg-Marquardt with an analytic Jacobian.
 
     Minimizes the Poisson deviance of the counts `y` (weights None) or the
@@ -219,7 +203,7 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None,
       step        the Gauss-Newton step on the free coordinates is negligible;
       gradient    its predicted reduction of the statistic is negligible;
       stationary  no trial point changes the statistic beyond round-off;
-      budget      iterations (or damping) exhausted.
+      budget      MAX_ITERATIONS iterations (or damping) exhausted.
     """
     poisson = weights is None
 
@@ -234,7 +218,7 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None,
     damping = 1e-3
     stop = "budget"
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         free, g, N, scale, newton = _gauss_newton(x, mu, J, y, lower, upper, weights)
         if not free.any():
@@ -353,18 +337,28 @@ class _Reconvolution:
         return mu, J
 
 
-def _fit_result(model, names, x, mu, J, deviance, iterations, stop, warnings):
-    covariance = _covariance(J, mu)
-    two_components = names == BI_NAMES
+def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=None,
+                warnings=(), extras=None):
+    """The FitResult at the end of `_minimize`; raises FitConvergenceError,
+    carrying it, unless the loop converged.
+
+    `weights` None marks a Poisson-deviance fit, else a weighted chi-square
+    with these weights. A two-component result lists the faster component
+    first; a degenerate (unidentifiable) pair wanders a flat likelihood
+    valley and is returned flagged rather than raised, since the flag
+    explains the stall.
+    """
+    warnings = list(warnings)
+    covariance = _covariance(J, mu, weights)
     degenerate = False
-    if two_components and x[1] > x[3]:
-        perm = [2, 3, 0, 1, 4, 5]
-        x = x[perm]
-        covariance = covariance[np.ix_(perm, perm)]
-    if two_components:
+    if names == BI_NAMES:
+        if x[1] > x[3]:
+            perm = [2, 3, 0, 1, 4, 5]
+            x = x[perm]
+            covariance = covariance[np.ix_(perm, perm)]
         ratio = x[3] / x[1]
-        if ratio < DEGENERATE_LIFETIME_RATIO:
-            degenerate = True
+        degenerate = ratio < DEGENERATE_LIFETIME_RATIO
+        if degenerate:
             warnings.append(
                 f"unidentifiable: lifetime ratio {ratio:.3f} < {DEGENERATE_LIFETIME_RATIO}"
             )
@@ -379,18 +373,16 @@ def _fit_result(model, names, x, mu, J, deviance, iterations, stop, warnings):
         std_errors=dict(zip(names, map(float, std))),
         parameter_order=names,
         covariance=covariance,
-        statistic=deviance,
-        goodness=deviance / max(len(mu) - len(names), 1),
-        goodness_kind="poisson-deviance",
+        statistic=statistic,
+        goodness=statistic / max(len(mu) - len(names), 1),
+        goodness_kind="poisson-deviance" if weights is None else "weighted-chi-square",
         n_points=len(mu),
         iterations=iterations,
         converged=converged,
         warnings=tuple(warnings),
+        extras=extras or {},
         stop_reason=stop,
     )
-    # A degenerate (unidentifiable) two-component solution wanders a flat
-    # likelihood valley; it is returned flagged rather than raised, since the
-    # flag explains the stall.
     if not converged and not degenerate:
         raise FitConvergenceError(
             f"{model} fit did not converge in {iterations} iterations ({stop})",
@@ -405,9 +397,7 @@ def _low_statistics(hist) -> list:
     return []
 
 
-def fit_monoexponential(
-    hist: TransientHistogram, max_iterations: int = MAX_ITERATIONS
-) -> FitResult:
+def fit_monoexponential(hist: TransientHistogram) -> FitResult:
     """Poisson reconvolution fit of one decay component plus background.
 
     Free parameters: amplitude and background (linear, bounded at 0), the
@@ -421,14 +411,13 @@ def fit_monoexponential(
     shape = tcspc.exp_gauss_component(model.t, 1.0, tau0, hist.irf.sigma, hist.irf.t0)
     amp0 = max(model.y.sum() - bg0 * len(model.y), 1.0) / shape.sum()
     x, mu, J, deviance, iterations, stop = _minimize(
-        np.array([amp0, tau0, 0.0, bg0]), model, model.y, model.lower, model.upper,
-        max_iterations=max_iterations,
+        np.array([amp0, tau0, 0.0, bg0]), model, model.y, model.lower, model.upper
     )
     return _fit_result("monoexponential", MONO_NAMES, x, mu, J, deviance,
-                       iterations, stop, _low_statistics(hist))
+                       iterations, stop, warnings=_low_statistics(hist))
 
 
-def _nested_biexponential(hist, mono: FitResult, max_iterations: int) -> FitResult:
+def _nested_biexponential(hist, mono: FitResult) -> FitResult:
     """Two-component fit started from the one-component optimum.
 
     The second component enters with amplitude 0, so the start reproduces
@@ -452,16 +441,13 @@ def _nested_biexponential(hist, mono: FitResult, max_iterations: int) -> FitResu
             best = (gain, x0, (mu, J))
     _, x0, initial = best
     x, mu, J, deviance, iterations, stop = _minimize(
-        x0, model, model.y, model.lower, model.upper,
-        max_iterations=max_iterations, initial=initial,
+        x0, model, model.y, model.lower, model.upper, initial=initial
     )
     return _fit_result("biexponential", BI_NAMES, x, mu, J, deviance,
-                       iterations, stop, _low_statistics(hist))
+                       iterations, stop, warnings=_low_statistics(hist))
 
 
-def fit_biexponential(
-    hist: TransientHistogram, max_iterations: int = MAX_ITERATIONS
-) -> FitResult:
+def fit_biexponential(hist: TransientHistogram) -> FitResult:
     """Poisson reconvolution fit of two decay components plus background.
 
     Started from the monoexponential optimum, so its deviance never exceeds
@@ -473,7 +459,7 @@ def fit_biexponential(
         mono = fit_monoexponential(hist)
     except FitConvergenceError as exc:
         mono = exc.result  # its last iterate is still a valid start
-    return _nested_biexponential(hist, mono, max_iterations)
+    return _nested_biexponential(hist, mono)
 
 
 def select_model(hist: TransientHistogram) -> ModelSelection:
@@ -483,20 +469,16 @@ def select_model(hist: TransientHistogram) -> ModelSelection:
     `SELECTION_THRESHOLD`; ties go to the monoexponential.
     """
     mono = fit_monoexponential(hist)
-    bi = _nested_biexponential(hist, mono, MAX_ITERATIONS)
+    bi = _nested_biexponential(hist, mono)
     delta = mono.statistic - bi.statistic
     choice = "bi" if delta > SELECTION_THRESHOLD else "mono"
     return ModelSelection(choice=choice, delta_deviance=delta, mono=mono, bi=bi)
 
 
-def fit_spectral_model(
-    scan: SpectralScan,
-    modes: Sequence[CavityMode],
-    max_iterations: int = MAX_ITERATIONS,
-) -> FitResult:
+def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitResult:
     """Weighted fit of the detuning model to a lifetime-vs-wavelength scan.
 
-    Model: tau(lambda) = tau0(lambda) / (sum_m (F_m/3) L_m(lambda) + alpha)
+    Model: tau(lambda) = tau0 / (sum_m (F_m/3) L_m(lambda) + alpha)
     with L_m the unit-peak Lorentzian of mode m (position and linewidth fixed,
     not fitted). Free parameters are the per-mode enhancements F_m and alpha,
     bounded at 0. The free-space lifetime tau0 is the scan's
@@ -504,12 +486,14 @@ def fit_spectral_model(
     uncertainties, else 1.
 
     The result's extras report, per mode, the on-resonance lifetime
-    tau0(lambda_m) / (F_m/3 + alpha) and the maximal lifetime ratio.
+    tau0 / (F_m/3 + alpha) and the maximal lifetime ratio.
     """
     if not modes:
         raise ValueError("at least one cavity mode is required")
     modes = list(modes)
-    tau0 = _as_tau0_function(scan.reference_tau0)
+    if scan.reference_tau0 is None:
+        raise ValueError("a tau0 reference is required")
+    tau0 = float(scan.reference_tau0)
     lam = scan.wavelengths
     y = scan.lifetimes
     for mode in modes:
@@ -532,7 +516,6 @@ def fit_spectral_model(
                 f"scan point {k} at {float(lam[k])!r} nm: uncertainty "
                 f"{float(scan.errors[k])!r} ps gives a non-finite weight 1/sigma^2"
             )
-    tau0_vals = tau0(lam)
     shapes = np.array(
         [lorentzian_response(lam, m.lambda_c, m.linewidth) / 3.0 for m in modes]
     )
@@ -541,7 +524,7 @@ def fit_spectral_model(
     # tau0/tau = sum_m (F_m/3) L_m + alpha; solve it by non-negative least
     # squares with the tau-space weights carried over to rates.
     with np.errstate(over="ignore"):
-        rate_scale = y**2 * np.sqrt(weights) / tau0_vals
+        rate_scale = y**2 * np.sqrt(weights) / tau0
     bad = np.flatnonzero(~np.isfinite(rate_scale))
     if bad.size:
         k = bad[0]
@@ -550,64 +533,39 @@ def fit_spectral_model(
             "gives a non-finite rate weight tau^2/(sigma*tau0)"
         )
     design = np.vstack([shapes, np.ones_like(lam)]).T
-    x0, _ = nnls(design * rate_scale[:, None], tau0_vals / y * rate_scale)
+    x0, _ = nnls(design * rate_scale[:, None], tau0 / y * rate_scale)
     x0[-1] = max(x0[-1], 1e-6)
 
     def model(x):
         ratio = lifetime_ratio_multimode(lam, modes, x[:-1], x[-1])
-        mu = tau0_vals / ratio
+        mu = tau0 / ratio
         d_ratio = -mu / ratio
         return mu, np.vstack([shapes * d_ratio, d_ratio])
 
     n_params = len(modes) + 1
     x, mu, J, chi2, iterations, stop = _minimize(
-        x0, model, y, np.zeros(n_params), np.full(n_params, np.inf),
-        weights=weights, max_iterations=max_iterations,
+        x0, model, y, np.zeros(n_params), np.full(n_params, np.inf), weights=weights
     )
-    covariance = _covariance(J, mu, weights)
-    std = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-    converged = stop in CONVERGED_STOPS
-
     if len(modes) == 1:
         names = ("purcell_factor", "alpha")
     else:
         names = tuple(f"purcell_factor_{i + 1}" for i in range(len(modes))) + ("alpha",)
-    alpha = float(x[-1])
-    fps = [float(v) for v in x[:-1]]
-    ratios = [fp / 3.0 + alpha for fp in fps]
-    tau_res = [float(tau0(m.lambda_c)) / r for m, r in zip(modes, ratios)]
-    result = FitResult(
-        model="spectral-detuning",
-        parameters=dict(zip(names, map(float, x))),
-        std_errors=dict(zip(names, map(float, std))),
-        parameter_order=names,
-        covariance=covariance,
-        statistic=chi2,
-        goodness=chi2 / max(len(y) - len(names), 1),
-        goodness_kind="weighted-chi-square",
-        n_points=len(y),
-        iterations=iterations,
-        converged=converged,
-        stop_reason=stop,
-        extras={
-            "modes_used": [(m.lambda_c, m.q_factor) for m in modes],
-            "tau_on_resonance_ps": tau_res,
-            "lifetime_ratio_per_mode": ratios,
-            "lifetime_ratio_max": max(ratios),
-        },
-    )
-    if not converged:
-        raise FitConvergenceError(
-            f"spectral fit did not converge in {iterations} iterations ({stop})", result
-        )
-    return result
+    ratios = [float(fp) / 3.0 + float(x[-1]) for fp in x[:-1]]
+    extras = {
+        "modes_used": [(m.lambda_c, m.q_factor) for m in modes],
+        "tau_on_resonance_ps": [tau0 / r for r in ratios],
+        "lifetime_ratio_per_mode": ratios,
+        "lifetime_ratio_max": max(ratios),
+    }
+    return _fit_result("spectral-detuning", names, x, mu, J, chi2, iterations, stop,
+                       weights=weights, extras=extras)
 
 
 def synthesize_spectral_scan(
     modes: Sequence[CavityMode],
     fps: Sequence[float],
     alpha: float,
-    reference_tau0,
+    reference_tau0: float,
     wavelengths: np.ndarray,
     noise_fraction: float,
     seed: int,
@@ -616,13 +574,12 @@ def synthesize_spectral_scan(
 
     The true tau(lambda) from `lifetime_ratio_multimode` gets multiplicative
     Gaussian noise of relative size `noise_fraction`; reported uncertainties
-    are noise_fraction * tau_true. `reference_tau0` is tau0 in ps, or a table
-    as in `SpectralScan`. Deterministic for a fixed seed.
+    are noise_fraction * tau_true. `reference_tau0` is tau0 in ps.
+    Deterministic for a fixed seed.
     """
     lam = np.asarray(wavelengths, dtype=float)
-    tau0 = _as_tau0_function(reference_tau0)
     ratio = lifetime_ratio_multimode(lam, list(modes), list(fps), alpha)
-    tau_true = tau0(lam) / ratio
+    tau_true = float(reference_tau0) / ratio
     rng = np.random.default_rng(seed)
     tau = tau_true * (1.0 + noise_fraction * rng.standard_normal(lam.shape))
     tau = np.maximum(tau, 1e-9)

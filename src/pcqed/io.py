@@ -147,17 +147,48 @@ def _number(value, name: str, path, line: int, kind=(int, float), positive=False
     return value
 
 
-def _column(path, numbers, cells, dtype) -> np.ndarray:
-    """One CSV column as an array; a cell that does not convert is named by line."""
+def _table(path, header_check, what):
+    """Header names, 1-based line numbers and columns of a CSV file.
+
+    `header_check(names)` accepts the header; blank lines are skipped and
+    every other row must hold one field per header name. All rows are split
+    at once, as one joined string.
+    """
+    lines = _read_text(path).splitlines()
+    header = lines[0].strip() if lines else ""
+    names = header.split(",")
+    if not header_check(names):
+        raise ParseError(path, 1, f"bad {what} header {header!r}")
+    numbers = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
+    if not numbers:
+        raise ParseError(path, len(lines), "no data rows")
+    rows = [lines[i - 1] for i in numbers]
+    for i, row in zip(numbers, rows):
+        if row.count(",") != len(names) - 1:
+            raise ParseError(path, i, f"expected {len(names)} fields, got {row.count(',') + 1}")
+    cells = ",".join(rows).split(",")
+    return names, numbers, [cells[j::len(names)] for j in range(len(names))]
+
+
+def _column(path, numbers, name, cells, dtype=float, positive=False) -> np.ndarray:
+    """One CSV column as an array of finite (and, if asked, positive) values;
+    the first bad cell is named by its line and column."""
     try:
-        return np.array(cells, dtype=dtype)
+        values = np.array(cells, dtype=dtype)
     except (ValueError, OverflowError):
         for i, cell in zip(numbers, cells):
             try:
                 dtype(cell)
             except (ValueError, OverflowError) as exc:
-                raise ParseError(path, i, f"bad value {cell!r}") from exc
+                raise ParseError(path, i, f"{name}: bad value {cell!r}") from exc
         raise
+    ok = np.isfinite(values)
+    if positive:
+        ok &= values > 0
+    bad = np.flatnonzero(~ok)
+    if bad.size:  # _number rejects it with the message of a sidecar value
+        _number(values[bad[0]].item(), name, path, numbers[bad[0]], positive=positive)
+    return values
 
 
 def read_histogram_csv(path) -> TransientHistogram:
@@ -174,21 +205,11 @@ def read_histogram_csv(path) -> TransientHistogram:
     width, t_start, fwhm, irf_t0 = (
         _number(meta.get(key), key, meta_path, 1) for key in keys
     )
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0].strip() != "time_ps,counts":
-        raise ParseError(path, 1, "expected header 'time_ps,counts'")
-    numbers = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
-    if not numbers:
-        raise ParseError(path, len(lines), "no data rows")
-    rows = [lines[i - 1] for i in numbers]
-    for i, row in zip(numbers, rows):
-        if row.count(",") != 1:
-            raise ParseError(path, i, f"expected 2 fields, got {row.count(',') + 1}")
-    # One split and one conversion per column; rows are visited again only on error.
-    cells = ",".join(rows).split(",")
-    times = _column(path, numbers, cells[0::2], float)
-    counts = _column(path, numbers, cells[1::2], np.int64)
-    centres = t_start + (np.arange(len(rows)) + 0.5) * width
+    _, numbers, (time_cells, count_cells) = _table(
+        path, lambda names: names == ["time_ps", "counts"], "histogram")
+    times = _column(path, numbers, "time_ps", time_cells)
+    counts = _column(path, numbers, "counts", count_cells, np.int64)
+    centres = t_start + (np.arange(len(numbers)) + 0.5) * width
     bad = np.flatnonzero((counts < 0) | ~(np.abs(times - centres) <= 1e-6 * width))
     if bad.size:
         k = bad[0]
@@ -197,9 +218,9 @@ def read_histogram_csv(path) -> TransientHistogram:
                          f"{float(centres[k])!r}")
     n_bins = _number(meta.get("n_bins"), "n_bins", meta_path, 1, kind=int)
     total = _number(meta.get("total_counts"), "total_counts", meta_path, 1, kind=int)
-    if len(rows) != n_bins or int(counts.sum()) != total:
-        raise ParseError(path, len(lines), f"{len(rows)} rows with {int(counts.sum())} counts, "
-                         f"sidecar says n_bins {n_bins}, total_counts {total}")
+    if len(numbers) != n_bins or int(counts.sum()) != total:
+        raise ParseError(path, numbers[-1], f"{len(numbers)} rows with {int(counts.sum())} "
+                         f"counts, sidecar says n_bins {n_bins}, total_counts {total}")
     try:
         return TransientHistogram(
             bin_width=float(width),
@@ -234,31 +255,15 @@ def write_band_csv(path, bands: BandStructure) -> None:
 def read_band_csv(path):
     """Return (k_fractions, arc_lengths, frequencies) arrays.
 
-    Every row must hold as many fields as the header, and each value after
-    `k_index` must be a finite number.
+    There must be at least one row; every row must hold as many fields as
+    the header, and each value after `k_index` must be a finite number.
     """
-    path = Path(path)
-    lines = _read_text(path).splitlines()
-    names = lines[0].strip().split(",") if lines else []
-    if names[:4] != ["k_index", "k_frac_x", "k_frac_y", "arc_length"] or len(names) < 5:
-        raise ParseError(path, 1, "bad band CSV header")
-    fracs, arcs, rows = [], [], []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != len(names):
-            raise ParseError(path, i, f"expected {len(names)} fields, got {len(fields)}")
-        try:
-            values = [float(v) for v in fields[1:]]
-        except ValueError as exc:
-            raise ParseError(path, i, str(exc)) from exc
-        for name, value in zip(names[1:], values):
-            _number(value, name, path, i)
-        fracs.append(values[:2])
-        arcs.append(values[2])
-        rows.append(values[3:])
-    return np.array(fracs), np.array(arcs), np.array(rows)
+    names, numbers, columns = _table(
+        path, lambda names: names[:4] == ["k_index", "k_frac_x", "k_frac_y", "arc_length"]
+        and len(names) >= 5, "band CSV")
+    values = [_column(path, numbers, name, cells)
+              for name, cells in zip(names[1:], columns[1:])]
+    return np.column_stack(values[:2]), values[2], np.column_stack(values[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +468,8 @@ def write_scan_csv(path, scan: SpectralScan, metadata: dict | None = None) -> di
         "kind": "spectral_scan",
         "units": {"wavelength": "nm", "time": "ps"},
     }
-    ref = scan.reference_tau0
-    if ref is not None and np.isscalar(ref):
-        meta["tau0_ps"] = float(ref)
-    elif ref is not None:
-        meta["tau0_table"] = [[float(a), float(b)] for a, b in np.asarray(ref)]
+    if scan.reference_tau0 is not None:
+        meta["tau0_ps"] = float(scan.reference_tau0)
     if metadata:
         meta.update(metadata)
     write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
@@ -480,51 +482,22 @@ def read_scan_csv(path) -> tuple[SpectralScan, dict]:
     path = Path(path)
     meta_path, meta = _read_sidecar(path)
     meta = meta or {}
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0].strip() != "wavelength_nm,lifetime_ps,lifetime_err_ps":
-        raise ParseError(path, 1, "bad spectral-scan header")
-    lams, taus, errs = [], [], []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(path, i, f"expected 3 fields, got {len(fields)}")
-        try:
-            lam, tau = float(fields[0]), float(fields[1])
-            err = float(fields[2]) if fields[2] else None
-        except ValueError as exc:
-            raise ParseError(path, i, str(exc)) from exc
-        _number(lam, "wavelength_nm", path, i, positive=True)
-        _number(tau, "lifetime_ps", path, i, positive=True)
-        if lams and not lam > lams[-1]:
-            raise ParseError(path, i, f"wavelength {lam!r} does not increase")
-        lams.append(lam)
-        taus.append(tau)
-        errs.append(np.nan if err is None else _number(err, "lifetime_err_ps", path, i,
-                                                       positive=True))
-    if not lams:
-        raise ParseError(path, len(lines), "no data rows")
-    errors = np.array(errs)
-    if np.isnan(errors).all():
-        errors = None
-    elif np.isnan(errors).any():
-        raise ParseError(path, 1, "mixed present/absent uncertainties")
-    tau0 = meta.get("tau0_ps", meta.get("tau0_table"))
+    _, numbers, (lam_cells, tau_cells, err_cells) = _table(
+        path, lambda names: names == ["wavelength_nm", "lifetime_ps", "lifetime_err_ps"],
+        "spectral-scan")
+    lams = _column(path, numbers, "wavelength_nm", lam_cells, positive=True)
+    taus = _column(path, numbers, "lifetime_ps", tau_cells, positive=True)
+    bad = np.flatnonzero(~(np.diff(lams) > 0))
+    if bad.size:
+        k = bad[0] + 1
+        raise ParseError(path, numbers[k], f"wavelength {float(lams[k])!r} does not increase")
+    errors = None
+    if any(err_cells):
+        if not all(err_cells):
+            raise ParseError(path, 1, "mixed present/absent uncertainties")
+        errors = _column(path, numbers, "lifetime_err_ps", err_cells, positive=True)
+    tau0 = meta.get("tau0_ps")
     if "tau0_ps" in meta:
         _number(tau0, "tau0_ps", meta_path, 1, positive=True)
-    elif tau0 is not None:
-        if not isinstance(tau0, list) or not tau0 or not all(
-            isinstance(row, list) and len(row) == 2 for row in tau0
-        ):
-            raise ParseError(meta_path, 1, "tau0_table: expected rows [wavelength_nm, tau0_ps]")
-        for row in tau0:
-            for value in row:
-                _number(value, "tau0_table", meta_path, 1, positive=True)
-    scan = SpectralScan(
-        wavelengths=np.array(lams),
-        lifetimes=np.array(taus),
-        errors=errors,
-        reference_tau0=tau0,
-    )
+    scan = SpectralScan(wavelengths=lams, lifetimes=taus, errors=errors, reference_tau0=tau0)
     return scan, meta

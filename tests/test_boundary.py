@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcqed import io as pcio
+from pcqed.bands import PlaneWaveBasis, compute_bands
 from pcqed.cli import EXIT_CONFIG, EXIT_OK, ConfigError, main, parse_config
 from pcqed.fitting import SpectralScan
+from pcqed.geometry import TriangularLattice, kpath_gamma_m_k
 from pcqed.tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
 
 SCAN_SIM = {
@@ -45,6 +47,13 @@ def _write_scan(path):
     pcio.write_scan_csv(path, scan, metadata={
         "modes": [{"wavelength_nm": 1031.5, "q_factor": 1950.0}],
     })
+    return Path(path)
+
+
+def _write_bands(path):
+    lat = TriangularLattice(300.0, 0.3, 10.0)
+    bands = compute_bands(lat, kpath_gamma_m_k(2), PlaneWaveBasis.bulk(lat, 2), 3)
+    pcio.write_band_csv(path, bands)
     return Path(path)
 
 
@@ -260,6 +269,16 @@ def test_huge_scan_lifetime_exits_2_without_warnings(tmp_path, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_scan_sidecar_tau0_table_is_not_a_reference(tmp_path, capsys):
+    scan = _write_scan(tmp_path / "scan.csv")
+    meta = json.loads(Path(f"{scan}.meta.json").read_text())
+    del meta["tau0_ps"]
+    meta["tau0_table"] = [[1000.0, 650.0], [1040.0, 900.0]]
+    Path(f"{scan}.meta.json").write_text(json.dumps(meta))
+    assert _fit(tmp_path, scan) == EXIT_CONFIG
+    assert "tau0" in capsys.readouterr().err
+
+
 def test_tiny_finite_weight_still_fits(tmp_path):
     scan = _write_scan(tmp_path / "scan.csv")
     _set_uncertainty(scan, 4, 1e-140)
@@ -275,6 +294,38 @@ def test_same_named_inputs_rejected_before_fitting(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(a) in err and str(b) in err
     assert not list(tmp_path.glob("out/fit_*.json"))
+
+
+# ---------------------------------------------------------------------------
+# The CSV table reader shared by the histogram, band and scan formats.
+# ---------------------------------------------------------------------------
+
+def test_band_csv_without_rows(tmp_path):
+    path = _write_bands(tmp_path / "b.csv")
+    path.write_text(path.read_text().splitlines()[0] + "\n\n")
+    with pytest.raises(pcio.ParseError, match=r"b\.csv:2: no data rows"):
+        pcio.read_band_csv(path)
+
+
+@pytest.mark.parametrize("kind, column", [
+    ("histogram", "counts"), ("band", "band_2"), ("scan", "lifetime_ps"),
+])
+def test_non_numeric_cell_is_named(tmp_path, kind, column):
+    write, read = {
+        "histogram": (_write_histogram, pcio.read_histogram_csv),
+        "band": (_write_bands, pcio.read_band_csv),
+        "scan": (_write_scan, pcio.read_scan_csv),
+    }[kind]
+    path = write(tmp_path / "t.csv")
+    lines = path.read_text().splitlines()
+    names = lines[0].split(",")
+    cells = lines[3].split(",")
+    cells[names.index(column)] = "1.0x"
+    lines[3] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(pcio.ParseError) as err:
+        read(path)
+    assert str(err.value) == f"{path}:4: {column}: bad value '1.0x'"
 
 
 _garbage = st.one_of(
@@ -324,10 +375,18 @@ def _mutate_sidecar(text, data):
     return None if action == "delete" else text
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["histogram", "scan"]), data=st.data())
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["histogram", "scan", "band"]), data=st.data())
 def test_malformed_inputs_never_raise(kind, data):
     with tempfile.TemporaryDirectory() as tmp:
+        if kind == "band":
+            path = _write_bands(Path(tmp) / "b.csv")
+            path.write_text(_mutate_csv(path.read_text(), data))
+            try:
+                pcio.read_band_csv(path)
+            except pcio.ParseError:
+                pass
+            return
         path = (_write_histogram(Path(tmp) / "h.csv", n_bins=128) if kind == "histogram"
                 else _write_scan(Path(tmp) / "scan.csv"))
         meta_path = Path(f"{path}.meta.json")

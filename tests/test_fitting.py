@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc, erfcx
 
-from pcqed import tcspc
+from pcqed import fitting, tcspc
 from pcqed.cavity import CavityMode
 from pcqed.fitting import (
     STOP_REASONS,
@@ -113,12 +113,13 @@ def test_fit_reports_goodness_and_iterations():
     assert set(result.parameter_order) == set(result.parameters)
 
 
-def test_stop_reason_reported():
+def test_stop_reason_reported(monkeypatch):
     hist = synth([(1.0, 840.0)], seed=11)
     result = fit_monoexponential(hist)
     assert result.converged and result.stop_reason in STOP_REASONS[:3]
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
     with pytest.raises(FitConvergenceError) as err:
-        fit_monoexponential(hist, max_iterations=1)
+        fit_monoexponential(hist)
     assert err.value.result.stop_reason == "budget"
     assert not err.value.result.converged
 
@@ -283,12 +284,15 @@ def test_spectral_span_requirement():
         fit_spectral_model(scan, [M2])
 
 
-def test_spectral_tau0_table():
-    lam = scan_wavelengths()
-    table = [(1000.0, 650.0), (1040.0, 900.0)]
-    scan = synthesize_spectral_scan([M2], [56.0], 0.47, table, lam, 0.04, seed=8)
-    result = fit_spectral_model(scan, [M2])
-    assert result["purcell_factor"] == pytest.approx(56.0, abs=10.0)
+def test_spectral_fit_out_of_budget_raises_with_its_result(monkeypatch):
+    scan = synthesize_spectral_scan([M2], [56.0], 0.47, 840.0, scan_wavelengths(), 0.03, seed=4)
+    monkeypatch.setattr(fitting, "MAX_ITERATIONS", 1)
+    with pytest.raises(FitConvergenceError, match="spectral-detuning fit did not converge") as err:
+        fit_spectral_model(scan, [M2])
+    result = err.value.result
+    assert result.stop_reason == "budget" and not result.converged
+    assert result.goodness_kind == "weighted-chi-square"
+    assert result.extras["lifetime_ratio_max"] > 0
 
 
 def test_spectral_scan_validation():

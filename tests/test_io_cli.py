@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pcqed import io as pcio
-from pcqed import cli
+from pcqed import cli, fitting
 from pcqed.bands import PlaneWaveBasis, compute_bands, find_te_gap, solve_h1_modes
 from pcqed.cli import (
     EXIT_CONFIG,
@@ -508,7 +508,9 @@ def test_batch_fit_keeps_going_past_a_failed_input(tmp_path, monkeypatch, capsys
         # The middle input gets a one-iteration budget, so its fit cannot
         # converge.
         if np.array_equal(hist.counts, bad_counts):
-            fit_monoexponential(hist, max_iterations=1)
+            with monkeypatch.context() as budget:
+                budget.setattr(fitting, "MAX_ITERATIONS", 1)
+                fit_monoexponential(hist)
         return select_model(hist)
 
     monkeypatch.setattr(cli, "select_model", select_or_exhaust)
