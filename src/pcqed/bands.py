@@ -50,6 +50,8 @@ __all__ = [
 # smallest energy fraction within 1.5 periods of the defect of its modes.
 DOUBLET_MAX_SPLITTING = 1e-3
 DOUBLET_MIN_LOCALIZATION = 0.6
+# `solve_h1_modes`: eigenvalues within this relative distance are degenerate.
+DEGENERACY_RTOL = 1e-10
 
 
 class BandSolverError(RuntimeError):
@@ -60,24 +62,20 @@ class BandSolverError(RuntimeError):
 class PlaneWaveBasis:
     """Truncated set of reciprocal-lattice vectors G = m*g1 + n*g2.
 
-    Two cutoff shapes are supported:
+    Two cutoff shapes, one per constructor:
 
-    * ``"rhombus"``: all |m|, |n| <= N, giving (2N+1)^2 vectors. Default for
-      bulk band structures.
-    * ``"hexagonal"``: all m^2 + n^2 + m*n <= N^2. This integer norm equals
-      |G|^2/|g1|^2 for the 60-degree reciprocal basis, so the set is exactly
-      closed under the full point group of the lattice. Used for supercells,
-      where the cutoff shape would otherwise split symmetry-degenerate defect
-      modes.
+    * `bulk`, a rhombus: all |m|, |n| <= N, giving (2N+1)^2 vectors.
+    * `supercell`, a hexagon: all m^2 + n^2 + m*n <= N^2. This integer norm
+      equals |G|^2/|g1|^2 for the 60-degree reciprocal basis, so the set is
+      exactly closed under the full point group of the lattice, where the
+      cutoff shape would otherwise split symmetry-degenerate defect modes.
 
     Both shapes contain G = 0 and are closed under negation.
     """
 
-    cutoff: int
     g1: np.ndarray
     g2: np.ndarray
     indices: np.ndarray  # (n_pw, 2) integer coefficients (m, n)
-    shape: str = "rhombus"
 
     @classmethod
     def bulk(cls, lattice: TriangularLattice, cutoff: int = 7) -> "PlaneWaveBasis":
@@ -88,7 +86,7 @@ class PlaneWaveBasis:
         ms = np.arange(-cutoff, cutoff + 1)
         mm, nn = np.meshgrid(ms, ms, indexing="ij")
         idx = np.stack([mm.ravel(), nn.ravel()], axis=-1)
-        return cls(cutoff=cutoff, g1=b1, g2=b2, indices=idx, shape="rhombus")
+        return cls(g1=b1, g2=b2, indices=idx)
 
     @classmethod
     def supercell(
@@ -107,19 +105,10 @@ class PlaneWaveBasis:
         idx = np.stack([mm.ravel(), nn.ravel()], axis=-1)
         norm2 = idx[:, 0] ** 2 + idx[:, 1] ** 2 + idx[:, 0] * idx[:, 1]
         idx = idx[norm2 <= cutoff * cutoff]
-        return cls(
-            cutoff=cutoff,
-            g1=b1 / supercell_size,
-            g2=b2 / supercell_size,
-            indices=idx,
-            shape="hexagonal",
-        )
+        return cls(g1=b1 / supercell_size, g2=b2 / supercell_size, indices=idx)
 
     def __post_init__(self):
-        idx = self.indices
-        if self.shape == "rhombus" and len(idx) != (2 * self.cutoff + 1) ** 2:
-            raise ValueError("rhombus basis must contain (2N+1)^2 vectors")
-        if not np.any(np.all(idx == 0, axis=1)):
+        if not np.any(np.all(self.indices == 0, axis=1)):
             raise ValueError("basis must contain G = 0")
 
     def __len__(self) -> int:
@@ -151,7 +140,7 @@ def _eps_matrix(
     if supercell_size is None:
         return _fourier_coefficient(lattice, gnorm, origin)
     S = supercell_size
-    deps = lattice.eps_hole - lattice.eps_background
+    deps = 1.0 - lattice.eps_background  # air holes
     structure = np.where((dm % S == 0) & (dn % S == 0), float(S * S - 1), -1.0)
     # One hole over the supercell area: fill fraction f / S^2.
     E = deps * (lattice.fill_fraction / S**2) * structure * _hole_form_factor(
@@ -201,7 +190,6 @@ def build_te_operator(
 class BandStructure:
     """TE band frequencies (a/lambda) along a k-path; rows sorted ascending."""
 
-    kpath: KPath
     k_fractions: np.ndarray  # (n_k, 2)
     arc_lengths: np.ndarray  # (n_k,)
     frequencies: np.ndarray  # (n_k, n_bands)
@@ -267,11 +255,7 @@ def compute_bands(
         rows.append(np.sqrt(np.clip(vals, 0.0, None)))
     freqs = lattice.period_a / (2.0 * np.pi) * np.array(rows)
     return BandStructure(
-        kpath=kpath,
-        k_fractions=frac,
-        arc_lengths=arc,
-        frequencies=freqs,
-        period_a=lattice.period_a,
+        k_fractions=frac, arc_lengths=arc, frequencies=freqs, period_a=lattice.period_a
     )
 
 
@@ -343,7 +327,7 @@ def _supercell_eps_grid(lattice: TriangularLattice, S: int, ngrid: int) -> np.nd
             removed = (n1 % S == 0) & (n2 % S == 0)
             in_hole |= (d2 <= r2) & ~removed
     eps = np.full(X.shape, lattice.eps_background)
-    eps[in_hole] = lattice.eps_hole
+    eps[in_hole] = 1.0
     return eps
 
 
@@ -378,6 +362,21 @@ def _field_gradient(
     return synth(coeffs * 1j * g[:, 0]), synth(coeffs * 1j * g[:, 1])
 
 
+def _mirror_partners(vals: np.ndarray, vecs: np.ndarray, mirror: np.ndarray) -> None:
+    """Rotate each degenerate group of `vecs` (sorted `vals` within
+    `DEGENERACY_RTOL`) in place onto the eigenbasis of the mirror that sends
+    plane wave i to `mirror[i]`, ordered by mirror character -1, +1."""
+    start = 0
+    for stop in range(1, len(vals) + 1):
+        if stop < len(vals) and vals[stop] - vals[start] <= DEGENERACY_RTOL * vals[stop]:
+            continue
+        if stop - start > 1:
+            group = vecs[:, start:stop]
+            _, rotation = eigh(group.T @ group[mirror])
+            vecs[:, start:stop] = group @ rotation
+        start = stop
+
+
 def solve_h1_modes(
     lattice: TriangularLattice,
     supercell_size: int = 7,
@@ -393,6 +392,13 @@ def solve_h1_modes(
     (`find_te_gap`). Returns an empty list when the gap is None or no state
     lands inside it. Modes are sorted by frequency; field grids use
     `grid_per_period` points per lattice period.
+
+    The partners of a degenerate pair (the dipole doublet) are the mirror
+    y -> -y odd and even states, in that order (Painter, Vuckovic & Scherer,
+    JOSA B 16, 275, 1999), not whatever rotation of the pair the eigensolver
+    returns; so their fields do not depend on the last bits of `gap` or on
+    the BLAS thread count. Each keeps an eigenvalue of the pair, in
+    ascending order.
     """
     S = supercell_size
     if S < 5 or S % 2 == 0:
@@ -422,9 +428,12 @@ def solve_h1_modes(
     dmin = _defect_distance_grid(lattice, S, ngrid)
     near_defect = dmin < 1.5 * lattice.period_a
 
-    # Inversion pairing G -> -G inside the basis for the parity character.
+    # Index maps of the inversion G -> -G (parity character) and of the
+    # mirror y -> -y, which sends (m, n) to (m, -m - n) in this basis.
     order = {(m, n): i for i, (m, n) in enumerate(map(tuple, basis.indices))}
     neg = np.array([order[(-m, -n)] for m, n in map(tuple, basis.indices)])
+    mirror = np.array([order[(m, -m - n)] for m, n in map(tuple, basis.indices)])
+    _mirror_partners(vals, vecs, mirror)
 
     modes = []
     for val, vec in zip(vals, vecs.T):
@@ -449,7 +458,6 @@ def solve_h1_modes(
                 parity=parity,
             )
         )
-    modes.sort(key=lambda m: m.frequency)
     return modes
 
 

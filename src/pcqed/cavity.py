@@ -34,23 +34,19 @@ SPEED_OF_LIGHT_NM_PER_PS = 299_792.458
 
 @dataclass(frozen=True)
 class CavityMode:
-    """A single cavity resonance: wavelength (nm), quality factor, mode volume.
+    """A single cavity resonance: wavelength (nm) and quality factor.
 
-    `v_mode` is dimensionless, in units of (wavelength/index)^3; the linewidth
-    is derived exactly as lambda_c / Q.
+    The linewidth is derived exactly as lambda_c / Q.
     """
 
     lambda_c: float
     q_factor: float
-    v_mode: float = 1.0
 
     def __post_init__(self):
         if not self.lambda_c > 0:
             raise ValueError(f"lambda_c must be positive, got {self.lambda_c}")
         if not self.q_factor > 1:
             raise ValueError(f"q_factor must exceed 1, got {self.q_factor}")
-        if not self.v_mode > 0:
-            raise ValueError(f"v_mode must be positive, got {self.v_mode}")
 
     @property
     def linewidth(self) -> float:

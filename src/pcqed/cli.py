@@ -33,7 +33,9 @@ import numpy as np
 
 from . import io as pcio
 from .bands import (
+    BandGap,
     BandSolverError,
+    BandStructure,
     PlaneWaveBasis,
     compute_bands,
     dipole_doublets,
@@ -114,7 +116,6 @@ class Crystal:
     slab: Slab = Slab()
     reference_wavelength_nm: float = _setting(1050.0, above=0.0)
     eps_background: float | None = None  # default: the slab's n_eff squared
-    eps_hole: float = _setting(1.0, minimum=1.0)
 
     def __post_init__(self):
         tagged = {}
@@ -130,10 +131,10 @@ class Crystal:
                 object.__setattr__(self, "eps_background", n_eff**2)
         except ValueError as exc:
             raise ValueError(f"slab: {exc}") from exc
-        self.lattice(self.hole_ratio_values[0])  # eps_background must exceed eps_hole
+        self.lattice(self.hole_ratio_values[0])  # eps_background must exceed 1 (air)
 
     def lattice(self, hole_ratio: float) -> TriangularLattice:
-        return TriangularLattice(self.period_nm, hole_ratio, self.eps_background, self.eps_hole)
+        return TriangularLattice(self.period_nm, hole_ratio, self.eps_background)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -153,7 +154,6 @@ class Modes:
     supercell_size: int = _setting(7, minimum=5)
     cutoff: int = _setting(12, minimum=1)
     grid_per_period: int = _setting(64, minimum=64)
-    export_profiles: Literal["doublet", "all", "none"] = "doublet"
 
     def __post_init__(self):
         if self.supercell_size % 2 == 0:
@@ -164,10 +164,9 @@ class Modes:
 class Mode:
     wavelength_nm: float = _setting(above=0.0)
     q_factor: float = _setting(above=1.0)
-    v_mode: float = _setting(1.0, above=0.0)
 
     def cavity(self) -> CavityMode:
-        return CavityMode(self.wavelength_nm, self.q_factor, self.v_mode)
+        return CavityMode(self.wavelength_nm, self.q_factor)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -408,22 +407,26 @@ def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
 # Subcommands. Each takes a parsed Config.
 # ---------------------------------------------------------------------------
 
+def _bulk_bands(cfg: Config, ra: float) -> BandStructure:
+    """The bulk TE bands of hole ratio `ra` with the `bands` settings."""
+    lattice, settings = cfg.require("crystal").lattice(ra), cfg.bands
+    return compute_bands(lattice, kpath_gamma_m_k(settings.samples_per_segment),
+                         PlaneWaveBasis.bulk(lattice, settings.cutoff), settings.n_bands)
+
+
 def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
-    crystal, settings = cfg.require("crystal"), cfg.bands
+    crystal = cfg.require("crystal")
     bundle = _new_bundle(cfg, out_dir)
-    kpath = kpath_gamma_m_k(settings.samples_per_segment)
     table = ["hole_ratio,gap_present,lower_edge,upper_edge,midgap,midgap_wavelength_nm,gap_width"]
     for ra in crystal.hole_ratio_values:
-        lattice = crystal.lattice(ra)
-        basis = PlaneWaveBasis.bulk(lattice, settings.cutoff)
-        bands = compute_bands(lattice, kpath, basis, settings.n_bands)
+        bands = _bulk_bands(cfg, ra)
         tag = _ra_tag(ra)
         band_path = out_dir / f"bands_ra{tag}.csv"
         pcio.write_band_csv(band_path, bands)
         bundle.add(f"bands_ra{tag}", band_path)
         gap = bundle.results[ra] = find_te_gap(bands)
         gap_path = out_dir / f"gap_ra{tag}.json"
-        pcio.write_gap_json(gap_path, gap, lattice.period_a, ra)
+        pcio.write_gap_json(gap_path, gap, crystal.period_nm, ra)
         bundle.add(f"gap_ra{tag}", gap_path)
         if gap is None:
             table.append(f"{ra!r},False,,,,,")
@@ -431,13 +434,13 @@ def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
         else:
             table.append(
                 f"{ra!r},True,{gap.lower_edge!r},{gap.upper_edge!r},"
-                f"{gap.midgap!r},{gap.midgap_wavelength(lattice.period_a)!r},"
+                f"{gap.midgap!r},{gap.midgap_wavelength(crystal.period_nm)!r},"
                 f"{gap.width!r}"
             )
             bundle.note(
                 f"bands r/a={ra}: TE gap {gap.lower_edge:.5f}..{gap.upper_edge:.5f} "
                 f"(a/lambda), midgap wavelength "
-                f"{gap.midgap_wavelength(lattice.period_a):.1f} nm"
+                f"{gap.midgap_wavelength(crystal.period_nm):.1f} nm"
             )
     table_path = out_dir / "gap_vs_hole_ratio.csv"
     table_path.write_text("\n".join(table) + "\n")
@@ -457,20 +460,17 @@ class ModeSet:
     doublets: list
 
 
-def cmd_modes(cfg: Config, out_dir: Path) -> ResultBundle:
-    """H1 modes per hole ratio, inside the bulk gap computed with the `bands` settings."""
+def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> ResultBundle:
+    """H1 modes per hole ratio, inside its bulk gap `gaps[ra]` (None: no gap)."""
     crystal, settings = cfg.require("crystal"), cfg.modes
     bundle = _new_bundle(cfg, out_dir)
     supercell = settings.supercell_size
     slab = crystal.slab.waveguide()
-    kpath = kpath_gamma_m_k(cfg.bands.samples_per_segment)
 
     for ra in crystal.hole_ratio_values:
         lattice = crystal.lattice(ra)
-        bulk = compute_bands(lattice, kpath, PlaneWaveBasis.bulk(lattice, cfg.bands.cutoff),
-                             n_bands=2)
         basis = PlaneWaveBasis.supercell(lattice, supercell, settings.cutoff)
-        modes = solve_h1_modes(lattice, supercell, basis, gap=find_te_gap(bulk),
+        modes = solve_h1_modes(lattice, supercell, basis, gap=gaps[ra],
                                grid_per_period=settings.grid_per_period)
         pairs = dipole_doublets(modes)
         doublets = [(modes.index(a), modes.index(b)) for a, b in pairs]
@@ -519,10 +519,7 @@ def cmd_modes(cfg: Config, out_dir: Path) -> ResultBundle:
                 f"modes r/a={ra}: {len(modes)} in-gap modes at {lams} nm; "
                 f"{len(doublets)} dipole doublet(s)"
             )
-        exported = {
-            "all": range(len(modes)), "none": [], "doublet": [i for pair in doublets for i in pair],
-        }[settings.export_profiles]
-        for i in exported:
+        for i in [i for pair in doublets for i in pair]:
             p_path = out_dir / f"profile_ra{tag}_mode{i}.json"
             p_doc = pcio.write_profile_json(p_path, modes[i], volumes[i])
             bundle.add(f"profile_ra{tag}_mode{i}", p_path)
@@ -818,7 +815,7 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
                mid is not None and abs(mid - 1100.0) <= 75.0, "1100 +- 75 nm")
 
     # Defect modes: doublet degeneracy and monotone shift.
-    modes = cmd_modes(cfg, out_dir / "modes")
+    modes = cmd_modes(cfg, out_dir / "modes", bands.results)
     bundle.include(modes, "modes")
     doublet_lams = {}
     split37 = volume37 = None
@@ -918,7 +915,9 @@ def main(argv=None) -> int:
             if args.command == "bands":
                 bundle = cmd_bands(cfg, out_dir)
             elif args.command == "modes":
-                bundle = cmd_modes(cfg, out_dir)
+                gaps = {ra: find_te_gap(_bulk_bands(cfg, ra))
+                        for ra in cfg.require("crystal").hole_ratio_values}
+                bundle = cmd_modes(cfg, out_dir, gaps)
             elif args.command == "simulate":
                 bundle = cmd_simulate(cfg.with_seed(args.seed), out_dir)
             elif args.command == "fit":

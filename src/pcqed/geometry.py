@@ -44,7 +44,7 @@ class ReciprocalLatticeError(ValueError):
 
 @dataclass(frozen=True)
 class TriangularLattice:
-    """Triangular lattice of circular holes in a uniform background.
+    """Triangular lattice of circular air holes in a uniform background.
 
     Parameters
     ----------
@@ -54,28 +54,20 @@ class TriangularLattice:
         Hole radius over period (r/a), in [0, 0.5) so holes never overlap.
     eps_background : float
         Relative permittivity of the background (e.g. the squared effective
-        index of the slab).
-    eps_hole : float
-        Relative permittivity inside the holes (air = 1).
+        index of the slab); must exceed the holes' 1.
     """
 
     period_a: float
     hole_ratio: float
     eps_background: float
-    eps_hole: float = 1.0
 
     def __post_init__(self):
         if not self.period_a > 0:
             raise ValueError(f"period_a must be positive, got {self.period_a}")
         if not 0.0 <= self.hole_ratio < 0.5:
             raise ValueError(f"hole_ratio must lie in [0, 0.5), got {self.hole_ratio}")
-        if not self.eps_hole >= 1.0:
-            raise ValueError(f"eps_hole must be >= 1, got {self.eps_hole}")
-        if not self.eps_background > self.eps_hole:
-            raise ValueError(
-                "eps_background must exceed eps_hole, got "
-                f"{self.eps_background} <= {self.eps_hole}"
-            )
+        if not self.eps_background > 1.0:
+            raise ValueError(f"eps_background must exceed 1 (air), got {self.eps_background}")
 
     @property
     def hole_radius(self) -> float:
@@ -177,20 +169,19 @@ def _hole_form_factor(x: np.ndarray) -> np.ndarray:
 def _fourier_coefficient(lattice: TriangularLattice, gnorm, origin):
     """`dielectric_fourier` from |G| (`gnorm`) and a G = 0 mask (`origin`), elementwise."""
     f = lattice.fill_fraction
-    deps = lattice.eps_hole - lattice.eps_background
     return np.where(
         origin,
-        f * lattice.eps_hole + (1.0 - f) * lattice.eps_background,
-        deps * f * _hole_form_factor(gnorm * lattice.hole_radius),
+        f + (1.0 - f) * lattice.eps_background,
+        (1.0 - lattice.eps_background) * f * _hole_form_factor(gnorm * lattice.hole_radius),
     )
 
 
 def dielectric_fourier(lattice: TriangularLattice, G) -> float:
     """Fourier coefficient of the permittivity at reciprocal-lattice vector G.
 
-    Returns f*eps_hole + (1-f)*eps_background for G = 0 and
-    (eps_hole - eps_background) * 2f * J1(|G| r)/(|G| r) otherwise, where f is
-    the hole fill fraction.
+    Returns f + (1-f)*eps_background for G = 0 and
+    (1 - eps_background) * 2f * J1(|G| r)/(|G| r) otherwise, where f is the
+    fill fraction of the air holes.
 
     Raises
     ------

@@ -492,9 +492,10 @@ def read_scan_csv(path) -> tuple[SpectralScan, dict]:
         k = bad[0] + 1
         raise ParseError(path, numbers[k], f"wavelength {float(lams[k])!r} does not increase")
     errors = None
-    if any(err_cells):
-        if not all(err_cells):
-            raise ParseError(path, 1, "mixed present/absent uncertainties")
+    mixed = [k for k, cell in enumerate(err_cells) if bool(cell) != bool(err_cells[0])]
+    if mixed:
+        raise ParseError(path, numbers[mixed[0]], "mixed present/absent uncertainties")
+    if err_cells[0]:
         errors = _column(path, numbers, "lifetime_err_ps", err_cells, positive=True)
     tau0 = meta.get("tau0_ps")
     if "tau0_ps" in meta:

@@ -101,6 +101,14 @@ def _purcell(values):
     # Both ratios would write bands_ra0p370.csv and gap_ra0p370.json.
     ("bands", {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.33, 0.3701, 0.3704]}},
      "crystal.hole_ratio_values: 0.3701 and 0.3704 share the file tag ra0p370"),
+    ("bands", {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37], "eps_hole": 1.0}},
+     "crystal.eps_hole: unknown key"),
+    ("modes", {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37]},
+               "modes": {"export_profiles": "all"}}, "modes.export_profiles: unknown key"),
+    ("simulate", _scan_mode(v_mode=1.5), "simulate.spectral_scan.modes[0].v_mode: unknown key"),
+    ("fit", {"fit": {"spectral": {"modes": [{"wavelength_nm": 1031.5, "q_factor": 1950.0,
+                                              "v_mode": 1.5}]}}},
+     "fit.spectral.modes[0].v_mode: unknown key"),
 ])
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document, dotted):
     cfg = tmp_path / "cfg.json"
@@ -141,7 +149,7 @@ def test_parse_keeps_defaults_and_the_document():
     cfg = parse_config(document)
     assert cfg.crystal.hole_ratio_values == (0.33, 0.37)
     assert cfg.crystal.period_nm == 300.0 and isinstance(cfg.crystal.period_nm, float)
-    assert cfg.bands.cutoff == 7 and cfg.modes.export_profiles == "doublet"
+    assert cfg.bands.cutoff == 7 and cfg.modes.grid_per_period == 64
     assert cfg.fit.model == "auto" and cfg.simulate is None
     assert cfg.document is document
 
@@ -162,7 +170,7 @@ _json_values = st.recursive(
     max_leaves=6,
 )
 _known = [("crystal", "period_nm"), ("crystal", "hole_ratio_values"), ("crystal", "slab"),
-          ("bands", "cutoff"), ("modes", "export_profiles"), ("simulate", "seed"),
+          ("bands", "cutoff"), ("modes", "grid_per_period"), ("simulate", "seed"),
           ("simulate", "histogram"), ("simulate", "spectral_scan"), ("fit", "model"),
           ("fit", "spectral"), ("output_dir", None)]
 
@@ -238,6 +246,10 @@ def test_scan_sidecar_modes_follow_the_config_rule(tmp_path, capsys):
     Path(f"{scan}.meta.json").write_text(json.dumps(meta))
     assert _fit(tmp_path, scan) == EXIT_CONFIG
     assert f"{scan}.meta.json:1: modes[0].q_factor" in capsys.readouterr().err
+    meta["modes"][0].update(q_factor=1950.0, v_mode=1.5)
+    Path(f"{scan}.meta.json").write_text(json.dumps(meta))
+    assert _fit(tmp_path, scan) == EXIT_CONFIG
+    assert f"{scan}.meta.json:1: modes[0].v_mode: unknown key" in capsys.readouterr().err
 
 
 def _set_uncertainty(scan, row, sigma):
@@ -307,10 +319,16 @@ def test_band_csv_without_rows(tmp_path):
         pcio.read_band_csv(path)
 
 
-@pytest.mark.parametrize("kind, column", [
-    ("histogram", "counts"), ("band", "band_2"), ("scan", "lifetime_ps"),
+@pytest.mark.parametrize("kind, column, cell, message", [
+    pytest.param("histogram", "counts", "1.0x", "counts: bad value '1.0x'", id="histogram-counts"),
+    pytest.param("band", "band_2", "1.0x", "band_2: bad value '1.0x'", id="band-band_2"),
+    pytest.param("scan", "lifetime_ps", "1.0x", "lifetime_ps: bad value '1.0x'",
+                 id="scan-lifetime_ps"),
+    # The first data row sets whether uncertainties are present.
+    pytest.param("scan", "lifetime_err_ps", "", "mixed present/absent uncertainties",
+                 id="scan-lifetime_err_ps-mixed"),
 ])
-def test_non_numeric_cell_is_named(tmp_path, kind, column):
+def test_non_numeric_cell_is_named(tmp_path, kind, column, cell, message):
     write, read = {
         "histogram": (_write_histogram, pcio.read_histogram_csv),
         "band": (_write_bands, pcio.read_band_csv),
@@ -320,12 +338,12 @@ def test_non_numeric_cell_is_named(tmp_path, kind, column):
     lines = path.read_text().splitlines()
     names = lines[0].split(",")
     cells = lines[3].split(",")
-    cells[names.index(column)] = "1.0x"
+    cells[names.index(column)] = cell
     lines[3] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(pcio.ParseError) as err:
         read(path)
-    assert str(err.value) == f"{path}:4: {column}: bad value '1.0x'"
+    assert str(err.value) == f"{path}:4: {message}"
 
 
 _garbage = st.one_of(

@@ -12,7 +12,7 @@ from pcqed.cavity import (
     purcell_factor,
 )
 
-M2 = CavityMode(lambda_c=1031.5, q_factor=1950.0, v_mode=1.5)
+M2 = CavityMode(lambda_c=1031.5, q_factor=1950.0)
 
 
 def single_mode_ratio(fp, field_ratio, lambda_qd, alpha, mode=M2):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pcqed.bands import (
+    BandGap,
     CavityModeProfile,
     PlaneWaveBasis,
     compute_bands,
@@ -97,6 +98,20 @@ def test_supercell_size_validation(bulk_gap):
         solve_h1_modes(device_lattice(), 4, gap=bulk_gap)
     with pytest.raises(ValueError):
         solve_h1_modes(device_lattice(), 3, gap=bulk_gap)
+
+
+@pytest.mark.parametrize("nudge", [1e-15, 3e-15, 1e-14, 1e-13])
+def test_partner_fields_do_not_depend_on_the_gap_bits(bulk_gap, nudge):
+    # An eigensolver returns any rotation of a degenerate pair; a last-bit
+    # change of the gap edge used to rotate the partners' fields by O(1).
+    lat = device_lattice(0.37)
+    basis = PlaneWaveBasis.supercell(lat, 5, 9)
+    ref = solve_h1_modes(lat, 5, basis, gap=bulk_gap)
+    nudged = BandGap(bulk_gap.lower_edge * (1.0 + nudge), bulk_gap.upper_edge)
+    got = solve_h1_modes(lat, 5, basis, gap=nudged)
+    assert len(got) == len(ref) and dipole_doublets(ref)
+    for a, b in zip(ref, got):
+        assert np.abs(a.energy_density - b.energy_density).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from pcqed import io as pcio
 from pcqed import cli, fitting
-from pcqed.bands import PlaneWaveBasis, compute_bands, find_te_gap, solve_h1_modes
+from pcqed.bands import BandGap, PlaneWaveBasis, compute_bands, find_te_gap, solve_h1_modes
 from pcqed.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
@@ -363,13 +363,20 @@ MODES_CONFIG = {
         "slab": {"thickness_nm": 400.0, "n_core": 3.4, "n_clad": 1.0},
         "reference_wavelength_nm": 1050.0,
     },
-    "modes": {"supercell_size": 5, "cutoff": 9, "export_profiles": "doublet"},
+    "modes": {"supercell_size": 5, "cutoff": 9},
 }
 
 
+def run_modes(cfg: dict, out_dir):
+    """`pcqed modes` on the config document `cfg`, writing to `out_dir`."""
+    path = out_dir.parent / f"{out_dir.name}.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["modes", "--config", str(path), "--out", str(out_dir)]) == 0
+    return json.loads((out_dir / "modes_ra0p370.json").read_text())
+
+
 def test_cmd_modes_structured_output(tmp_path):
-    cmd_modes(parse_config(MODES_CONFIG), tmp_path / "out")
-    doc = json.loads((tmp_path / "out" / "modes_ra0p370.json").read_text())
+    doc = run_modes(MODES_CONFIG, tmp_path / "out")
     assert doc["doublet_found"] is True
     assert doc["doublets"][0]["fractional_splitting"] < 1e-3
     assert doc["modes_found"] >= 2
@@ -386,8 +393,10 @@ def test_cmd_modes_structured_output(tmp_path):
 
 
 def test_cmd_modes_byte_identical_reruns(tmp_path):
-    cmd_modes(parse_config(MODES_CONFIG), tmp_path / "a")
-    cmd_modes(parse_config(MODES_CONFIG), tmp_path / "b")
+    cfg = parse_config(MODES_CONFIG)
+    gaps = {0.37: bulk_gap(cfg.crystal.lattice(0.37))}
+    cmd_modes(cfg, tmp_path / "a", gaps)
+    cmd_modes(cfg, tmp_path / "b", gaps)
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
     assert sum(name.endswith(".npy") for name in names) == 2
@@ -398,14 +407,26 @@ def test_cmd_modes_byte_identical_reruns(tmp_path):
 def test_cmd_modes_takes_its_gap_from_the_bands_settings(tmp_path):
     # A coarse bulk solve narrows the gap enough to drop the top in-gap mode.
     cfg = {**MODES_CONFIG, "bands": {"cutoff": 4, "samples_per_segment": 8, "n_bands": 2}}
-    found = cmd_modes(parse_config(cfg), tmp_path / "out").results[0.37]
+    doc = run_modes(cfg, tmp_path / "out")
     lat = parse_config(cfg).crystal.lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 5, 9)
     expected = solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat, 4, 8))
-    assert found.frequencies == [m.frequency for m in expected]
     assert len(solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat))) != len(expected)
-    doc = json.loads((tmp_path / "out" / "modes_ra0p370.json").read_text())
     assert [e["frequency"] for e in doc["modes"]] == [m.frequency for m in expected]
+
+
+def test_modes_keeps_the_states_inside_the_gap_bands_writes(tmp_path):
+    # Default `bands` settings, n_bands 5 included: both commands use one gap.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(MODES_CONFIG))
+    assert main(["bands", "--config", str(cfg_path), "--out", str(tmp_path / "bands")]) == 0
+    written = json.loads((tmp_path / "bands" / "gap_ra0p370.json").read_text())
+    doc = run_modes(MODES_CONFIG, tmp_path / "modes")
+    lat = parse_config(MODES_CONFIG).crystal.lattice(0.37)
+    expected = solve_h1_modes(lat, 5, PlaneWaveBasis.supercell(lat, 5, 9),
+                              gap=BandGap(written["lower_edge"], written["upper_edge"]))
+    assert [e["frequency"] for e in doc["modes"]] == [m.frequency for m in expected]
+    assert doc["modes_found"] == len(expected) > 0
 
 
 def test_cmd_simulate_requires_seed(tmp_path):
@@ -603,6 +624,18 @@ def test_reproduce_paper_deterministic(tmp_path):
     assert "doublet wavelength grows as r/a shrinks" in text
     assert (tmp_path / "r1" / "fits" / "fit_histogram.json").exists()
     assert (tmp_path / "r1" / "manifest.json").exists()
+
+
+def test_reproduce_paper_solves_the_bulk_bands_once_per_hole_ratio(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute_bands(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_bands", counting)
+    cli.cmd_reproduce_paper(tmp_path / "out")
+    assert len(calls) == len(cli.REPRODUCE_CONFIG["crystal"]["hole_ratio_values"]) == 5
 
 
 def test_reproduce_paper_reports_every_check_without_a_doublet(tmp_path, monkeypatch, capsys):
