@@ -20,12 +20,11 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .geometry import (
-    KPath,
     SlabWaveguide,
     TriangularLattice,
     _fourier_coefficient,
     _hole_form_factor,
-    kpath_cartesian,
+    gamma_m_k_path,
     real_basis,
     reciprocal_basis,
 )
@@ -78,7 +77,7 @@ class PlaneWaveBasis:
     indices: np.ndarray  # (n_pw, 2) integer coefficients (m, n)
 
     @classmethod
-    def bulk(cls, lattice: TriangularLattice, cutoff: int = 7) -> "PlaneWaveBasis":
+    def bulk(cls, lattice: TriangularLattice, cutoff: int) -> "PlaneWaveBasis":
         """Rhombus-truncated basis on the bulk reciprocal lattice."""
         if cutoff < 1:
             raise ValueError("cutoff must be >= 1")
@@ -90,7 +89,7 @@ class PlaneWaveBasis:
 
     @classmethod
     def supercell(
-        cls, lattice: TriangularLattice, supercell_size: int, cutoff: int = 12
+        cls, lattice: TriangularLattice, supercell_size: int, cutoff: int
     ) -> "PlaneWaveBasis":
         """Hexagonally-truncated basis on the supercell reciprocal lattice."""
         if cutoff < 1:
@@ -193,7 +192,6 @@ class BandStructure:
     k_fractions: np.ndarray  # (n_k, 2)
     arc_lengths: np.ndarray  # (n_k,)
     frequencies: np.ndarray  # (n_k, n_bands)
-    period_a: float
 
     @property
     def n_bands(self) -> int:
@@ -226,11 +224,12 @@ class BandGap:
 
 def compute_bands(
     lattice: TriangularLattice,
-    kpath: KPath,
+    samples_per_segment: int,
     basis: PlaneWaveBasis,
     n_bands: int,
 ) -> BandStructure:
-    """Lowest `n_bands` TE bands along `kpath`.
+    """Lowest `n_bands` TE bands along the Gamma-M-K-Gamma path (`gamma_m_k_path`)
+    with `samples_per_segment` points per segment.
 
     Eigenvalues lambda of the TE operator are converted to a/lambda via
     (a/2pi) * sqrt(lambda), one k-point at a time.
@@ -238,8 +237,7 @@ def compute_bands(
     if n_bands > len(basis):
         raise ValueError(f"n_bands={n_bands} exceeds basis size {len(basis)}")
     b1, b2 = reciprocal_basis(lattice)
-    frac = kpath.fractional_points()
-    kpts, arc = kpath_cartesian(kpath, lattice)
+    frac, kpts, arc = gamma_m_k_path(lattice, samples_per_segment)
     eta = _inverse_eps_table(_eps_matrix(lattice, basis))
     g = basis.g_vectors
 
@@ -254,9 +252,7 @@ def compute_bands(
             raise BandSolverError(f"eigensolver failed at k-point {i}: {exc}") from exc
         rows.append(np.sqrt(np.clip(vals, 0.0, None)))
     freqs = lattice.period_a / (2.0 * np.pi) * np.array(rows)
-    return BandStructure(
-        k_fractions=frac, arc_lengths=arc, frequencies=freqs, period_a=lattice.period_a
-    )
+    return BandStructure(k_fractions=frac, arc_lengths=arc, frequencies=freqs)
 
 
 def find_te_gap(bands: BandStructure) -> BandGap | None:
@@ -379,15 +375,16 @@ def _mirror_partners(vals: np.ndarray, vecs: np.ndarray, mirror: np.ndarray) -> 
 
 def solve_h1_modes(
     lattice: TriangularLattice,
-    supercell_size: int = 7,
-    basis: PlaneWaveBasis | None = None,
+    supercell_size: int,
+    basis: PlaneWaveBasis,
     *,
     gap: BandGap | None,
-    grid_per_period: int = 64,
+    grid_per_period: int,
 ) -> list[CavityModeProfile]:
     """Eigenmodes of an H1 defect (central hole removed) inside the bulk TE gap.
 
-    Solves the S x S supercell at the supercell Gamma point and keeps states
+    Solves the S x S supercell at the supercell Gamma point in `basis` (a
+    `PlaneWaveBasis.supercell` of the same size) and keeps states
     whose frequency falls strictly inside `gap`, the bulk crystal's TE gap
     (`find_te_gap`). Returns an empty list when the gap is None or no state
     lands inside it. Modes are sorted by frequency; field grids use
@@ -405,8 +402,6 @@ def solve_h1_modes(
         raise ValueError(f"supercell_size must be an odd integer >= 5, got {S}")
     if grid_per_period < 64:
         raise ValueError("grid_per_period must be >= 64")
-    if basis is None:
-        basis = PlaneWaveBasis.supercell(lattice, S)
     if gap is None:
         return []
 

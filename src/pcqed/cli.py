@@ -60,12 +60,7 @@ from .fitting import (
     select_model,
     synthesize_spectral_scan,
 )
-from .geometry import (
-    SlabWaveguide,
-    TriangularLattice,
-    effective_index,
-    kpath_gamma_m_k,
-)
+from .geometry import SlabWaveguide, TriangularLattice, effective_index
 from .tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
 
 EXIT_OK = 0
@@ -410,7 +405,7 @@ def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
 def _bulk_bands(cfg: Config, ra: float) -> BandStructure:
     """The bulk TE bands of hole ratio `ra` with the `bands` settings."""
     lattice, settings = cfg.require("crystal").lattice(ra), cfg.bands
-    return compute_bands(lattice, kpath_gamma_m_k(settings.samples_per_segment),
+    return compute_bands(lattice, settings.samples_per_segment,
                          PlaneWaveBasis.bulk(lattice, settings.cutoff), settings.n_bands)
 
 
@@ -622,17 +617,20 @@ def _beta_from_bi(result) -> tuple[float, float]:
 def _fit_histogram_file(cfg: Config, path, bundle):
     hist = pcio.read_histogram_csv(path)
     stem = Path(path).stem
-    if cfg.fit.model == "auto":
-        selection = select_model(hist)
-        result = selection.best
-        bundle.note(
-            f"fit {stem}: model selection: {selection.choice} "
-            f"(delta deviance {selection.delta_deviance:.1f})"
-        )
-    elif cfg.fit.model == "mono":
-        result = fit_monoexponential(hist)
-    else:
-        result = fit_biexponential(hist)
+    try:
+        if cfg.fit.model == "auto":
+            selection = select_model(hist)
+            result = selection.best
+            bundle.note(
+                f"fit {stem}: model selection: {selection.choice} "
+                f"(delta deviance {selection.delta_deviance:.1f})"
+            )
+        elif cfg.fit.model == "mono":
+            result = fit_monoexponential(hist)
+        else:
+            result = fit_biexponential(hist)
+    except ValueError as exc:  # fewer bins than fit parameters
+        raise ConfigError(f"{path}: {exc}") from exc
     if result.model != "biexponential":
         bundle.note(
             f"fit {stem}: monoexponential lifetime "

@@ -21,8 +21,10 @@ optimum.
 The spectral fit estimates the per-mode enhancement factors and the residual
 decay fraction alpha from a lifetime-vs-wavelength scan, using the same
 Lorentzian response as `cavity.lifetime_ratio_multimode`. The same engine
-minimizes the weighted chi-square in tau, started from the non-negative
-linear solve of the model in rate space.
+minimizes the weighted chi-square in tau, started from its own non-negative
+solve of the model, linear in rate space.
+
+Every fit needs more data points than free parameters.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
 from . import tcspc
 from .cavity import CavityMode, lifetime_ratio_multimode, lorentzian_response
@@ -196,8 +197,11 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
     Minimizes the Poisson deviance of the counts `y` (weights None) or the
     weighted chi-square. `evaluate(x)` returns the model and its Jacobian,
     shape (parameters, points), once per trial point; `initial` may carry
-    that pair for `x0`. Steps are taken on the free coordinates of
-    `_gauss_newton` and projected onto the bounds. Returns
+    that pair for `x0`. Where the model is undefined, `evaluate` returns
+    (None, None) and the trial point is rejected like one with a non-finite
+    statistic. Steps are taken on the free coordinates of `_gauss_newton`
+    and projected onto the bounds. Raises ValueError unless there are more
+    points than parameters. Returns
     (x, mu, J, statistic, iterations, stop_reason) with stop_reason one of
     STOP_REASONS:
       step        the Gauss-Newton step on the free coordinates is negligible;
@@ -205,9 +209,15 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
       stationary  no trial point changes the statistic beyond round-off;
       budget      MAX_ITERATIONS iterations (or damping) exhausted.
     """
+    if len(y) <= len(x0):
+        raise ValueError(
+            f"{len(y)} data points cannot determine {len(x0)} fit parameters"
+        )
     poisson = weights is None
 
     def statistic(mu):
+        if mu is None:
+            return np.inf
         if poisson:
             return poisson_deviance(y, mu)
         return float(weights @ (y - mu) ** 2)
@@ -280,7 +290,7 @@ def _covariance(J, mu, weights=None):
         return np.linalg.pinv(fisher)
 
 
-def _tail_lifetime_guess(t: np.ndarray, y: np.ndarray) -> float:
+def _tail_lifetime_guess(t: np.ndarray, y: np.ndarray, bin_width: float) -> float:
     """Log-linear regression on the decay tail; robust fallback on failure."""
     peak = int(np.argmax(y))
     mask = np.zeros(len(y), dtype=bool)
@@ -290,7 +300,7 @@ def _tail_lifetime_guess(t: np.ndarray, y: np.ndarray) -> float:
         slope, _ = np.polyfit(t[mask], np.log(y[mask]), 1, w=np.sqrt(y[mask]))
         if slope < 0:
             return -1.0 / slope
-    return max((t[-1] - t[peak]) / 5.0, t[1] - t[0])
+    return max((t[-1] - t[peak]) / 5.0, bin_width)
 
 
 def _background_guess(y: np.ndarray) -> float:
@@ -374,7 +384,7 @@ def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=Non
         parameter_order=names,
         covariance=covariance,
         statistic=statistic,
-        goodness=statistic / max(len(mu) - len(names), 1),
+        goodness=statistic / (len(mu) - len(names)),
         goodness_kind="poisson-deviance" if weights is None else "weighted-chi-square",
         n_points=len(mu),
         iterations=iterations,
@@ -407,8 +417,8 @@ def fit_monoexponential(hist: TransientHistogram) -> FitResult:
     """
     model = _Reconvolution(hist, 1)
     bg0 = _background_guess(model.y)
-    tau0 = _tail_lifetime_guess(model.t, model.y)
-    shape = tcspc.exp_gauss_component(model.t, 1.0, tau0, hist.irf.sigma, hist.irf.t0)
+    tau0 = _tail_lifetime_guess(model.t, model.y, hist.bin_width)
+    shape = tcspc.exp_gauss_terms(model.t, tau0, hist.irf.sigma, hist.irf.t0)[0]
     amp0 = max(model.y.sum() - bg0 * len(model.y), 1.0) / shape.sum()
     x, mu, J, deviance, iterations, stop = _minimize(
         np.array([amp0, tau0, 0.0, bg0]), model, model.y, model.lower, model.upper
@@ -521,8 +531,10 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
     )
 
     # Start: the model is linear in (F_m, alpha) in rate space,
-    # tau0/tau = sum_m (F_m/3) L_m + alpha; solve it by non-negative least
-    # squares with the tau-space weights carried over to rates.
+    # tau0/tau = sum_m (F_m/3) L_m + alpha; solve it with non-negative
+    # parameters and the tau-space weights carried over to rates. The
+    # solution does not depend on a common weight scale, and dividing by the
+    # largest scale keeps the squared weights finite.
     with np.errstate(over="ignore"):
         rate_scale = y**2 * np.sqrt(weights) / tau0
     bad = np.flatnonzero(~np.isfinite(rate_scale))
@@ -532,20 +544,22 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
             f"scan point {k} at {float(lam[k])!r} nm: lifetime {float(y[k])!r} ps "
             "gives a non-finite rate weight tau^2/(sigma*tau0)"
         )
-    design = np.vstack([shapes, np.ones_like(lam)]).T
-    x0, _ = nnls(design * rate_scale[:, None], tau0 / y * rate_scale)
+    design = np.vstack([shapes, np.ones_like(lam)])
+    n_params = len(design)
+    lower, upper = np.zeros(n_params), np.full(n_params, np.inf)
+    x0 = _minimize(lower, lambda x: (x @ design, design), tau0 / y, lower, upper,
+                   weights=(rate_scale / rate_scale.max()) ** 2)[0]
     x0[-1] = max(x0[-1], 1e-6)
 
     def model(x):
         ratio = lifetime_ratio_multimode(lam, modes, x[:-1], x[-1])
+        if not np.all(ratio > 0):  # every F_m and alpha at 0: tau is infinite
+            return None, None
         mu = tau0 / ratio
         d_ratio = -mu / ratio
         return mu, np.vstack([shapes * d_ratio, d_ratio])
 
-    n_params = len(modes) + 1
-    x, mu, J, chi2, iterations, stop = _minimize(
-        x0, model, y, np.zeros(n_params), np.full(n_params, np.inf), weights=weights
-    )
+    x, mu, J, chi2, iterations, stop = _minimize(x0, model, y, lower, upper, weights=weights)
     if len(modes) == 1:
         names = ("purcell_factor", "alpha")
     else:

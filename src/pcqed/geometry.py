@@ -23,13 +23,11 @@ from scipy.special import j1
 __all__ = [
     "TriangularLattice",
     "SlabWaveguide",
-    "KPath",
     "ReciprocalLatticeError",
     "reciprocal_basis",
     "real_basis",
     "dielectric_fourier",
-    "kpath_gamma_m_k",
-    "kpath_cartesian",
+    "gamma_m_k_path",
     "effective_index",
 ]
 
@@ -104,41 +102,6 @@ class SlabWaveguide:
             )
 
 
-@dataclass(frozen=True)
-class KPath:
-    """Piecewise-linear path through reciprocal space.
-
-    Vertices are (label, (f1, f2)) pairs in fractional reciprocal coordinates;
-    each segment is sampled with `samples_per_segment` points including both
-    ends, and shared endpoints at segment joins appear exactly once.
-    """
-
-    vertices: tuple
-    samples_per_segment: int
-
-    def __post_init__(self):
-        if len(self.vertices) < 2:
-            raise ValueError("a k-path needs at least two vertices")
-        if self.samples_per_segment < 2:
-            raise ValueError("samples_per_segment must be >= 2")
-        for label, frac in self.vertices:
-            f = np.asarray(frac, dtype=float)
-            if f.shape != (2,):
-                raise ValueError(f"vertex {label!r} must have two coordinates")
-            if np.any(np.abs(f) > 1.0):
-                raise ValueError(f"vertex {label!r} outside [-1, 1]^2: {frac}")
-
-    def fractional_points(self) -> np.ndarray:
-        """All sampled points, shape (n_segments*(s-1) + 1, 2)."""
-        s = self.samples_per_segment
-        verts = [np.asarray(frac, dtype=float) for _, frac in self.vertices]
-        pts = [verts[0]]
-        for start, stop in zip(verts[:-1], verts[1:]):
-            for t in np.linspace(0.0, 1.0, s)[1:]:
-                pts.append(start + t * (stop - start))
-        return np.array(pts)
-
-
 def real_basis(lattice: TriangularLattice) -> tuple[np.ndarray, np.ndarray]:
     """Real-space primitive vectors (a1, a2) in nm."""
     a = lattice.period_a
@@ -203,29 +166,27 @@ def dielectric_fourier(lattice: TriangularLattice, G) -> float:
     return float(_fourier_coefficient(lattice, np.linalg.norm(G), np.all(nearest == 0)))
 
 
-def kpath_gamma_m_k(samples_per_segment: int) -> KPath:
-    """Closed Gamma -> M -> K -> Gamma path of the triangular lattice."""
-    return KPath(
-        vertices=(
-            ("G", (0.0, 0.0)),
-            ("M", (0.5, 0.0)),
-            ("K", (1.0 / 3.0, 1.0 / 3.0)),
-            ("G", (0.0, 0.0)),
-        ),
-        samples_per_segment=samples_per_segment,
+def gamma_m_k_path(
+    lattice: TriangularLattice, samples_per_segment: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed Gamma -> M -> K -> Gamma path of the triangular lattice.
+
+    Each segment is sampled with `samples_per_segment` points including both
+    ends, and shared endpoints at segment joins appear once, so the path has
+    3*(s-1) + 1 points. Returns the fractional reciprocal coordinates, the
+    Cartesian k-points (1/nm) and the cumulative arc length along the path.
+    """
+    if samples_per_segment < 2:
+        raise ValueError("samples_per_segment must be >= 2")
+    verts = np.array([(0.0, 0.0), (0.5, 0.0), (1.0 / 3.0, 1.0 / 3.0), (0.0, 0.0)])
+    t = np.linspace(0.0, 1.0, samples_per_segment)[1:, None]
+    frac = np.concatenate(
+        [verts[:1]] + [start + t * (stop - start) for start, stop in zip(verts[:-1], verts[1:])]
     )
-
-
-def kpath_cartesian(
-    kpath: KPath, lattice: TriangularLattice
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian k-points (1/nm) and cumulative arc length along the path."""
-    b1, b2 = reciprocal_basis(lattice)
-    frac = kpath.fractional_points()
-    pts = frac @ np.stack([b1, b2])
+    pts = frac @ np.stack(reciprocal_basis(lattice))
     steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     arc = np.concatenate([[0.0], np.cumsum(steps)])
-    return pts, arc
+    return frac, pts, arc
 
 
 def effective_index(slab: SlabWaveguide, wavelength: float) -> float:

@@ -21,7 +21,6 @@ __all__ = [
     "DecayModel",
     "BinGrid",
     "TransientHistogram",
-    "exp_gauss_component",
     "exp_gauss_terms",
     "expected_curve",
     "sample_histogram",
@@ -165,21 +164,6 @@ def _emg(u, sigma, inv_tau, half_amplitude):
     return out, near, gauss
 
 
-def exp_gauss_component(
-    t: np.ndarray, amplitude: float, lifetime: float, sigma: float, t0: float
-) -> np.ndarray:
-    """One exponential decay convolved with a unit-area Gaussian.
-
-    Evaluates (A/2) exp(s^2/(2 tau^2) - (t-t0)/tau)
-    erfc((s^2/tau - (t-t0)) / (sqrt(2) s)) with an erfcx branch for the
-    early-time region, where the direct form would overflow, and the exact
-    erfc = 2 closed form on the late tail.
-    """
-    u = np.asarray(t, dtype=float) - t0
-    inv_tau = np.float64(1.0) / lifetime  # float64 ops saturate instead of raising
-    return _emg(u, sigma, inv_tau, 0.5 * amplitude)[0]
-
-
 def exp_gauss_terms(
     t: np.ndarray, lifetime: float, sigma: float, t0: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -206,13 +190,16 @@ def expected_curve(
 ) -> np.ndarray:
     """Per-bin expected counts: IRF-convolved exponentials plus background.
 
-    Evaluated at bin centers; everywhere >= model.background.
+    Each component is the closed-form EMG (A/2) exp(s^2/(2 tau^2) - u/tau)
+    erfc((s^2/tau - u) / (sqrt(2) s)) with u = t - t0 (`_emg`), evaluated at
+    bin centers; everywhere >= model.background.
     """
-    t = grid.centers()
+    u = grid.centers() - irf.t0
     mu = np.full(grid.n_bins, float(model.background))
     for amplitude, lifetime in model.components:
         if amplitude > 0:
-            mu = mu + exp_gauss_component(t, amplitude, lifetime, irf.sigma, irf.t0)
+            # float64 ops saturate instead of raising
+            mu = mu + _emg(u, irf.sigma, np.float64(1.0) / lifetime, 0.5 * amplitude)[0]
     return mu
 
 

@@ -34,8 +34,7 @@ from pcqed.geometry import (
     SlabWaveguide,
     TriangularLattice,
     effective_index,
-    kpath_cartesian,
-    kpath_gamma_m_k,
+    gamma_m_k_path,
     reciprocal_basis,
 )
 from pcqed.tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
@@ -58,8 +57,8 @@ def device_lattice(ratio):
 def h1_modes(ratio):
     """H1 modes of the device lattice inside its bulk gap (bulk cutoff 7, 16 samples)."""
     lat = device_lattice(ratio)
-    gap = find_te_gap(compute_bands(lat, kpath_gamma_m_k(16), PlaneWaveBasis.bulk(lat, 7), 2))
-    return solve_h1_modes(lat, 7, gap=gap)
+    gap = find_te_gap(compute_bands(lat, 16, PlaneWaveBasis.bulk(lat, 7), 2))
+    return solve_h1_modes(lat, 7, PlaneWaveBasis.supercell(lat, 7, 12), gap=gap, grid_per_period=64)
 
 
 def synth(components, total, seed, grid=GRID):
@@ -95,7 +94,7 @@ def test_criterion_4_empty_lattice_exactness():
     lat = TriangularLattice(300.0, 0.0, 9.0)
     basis = PlaneWaveBasis.bulk(lat, 7)
     b1, b2 = reciprocal_basis(lat)
-    path_pts, _ = kpath_cartesian(kpath_gamma_m_k(10), lat)  # 28 points
+    _, path_pts, _ = gamma_m_k_path(lat, 10)  # 28 points
     extra = np.array([0.21 * b1 + 0.13 * b2, -0.37 * b1 + 0.29 * b2])
     kpts = np.vstack([path_pts, extra])
     assert len(kpts) == 30
@@ -118,7 +117,7 @@ def test_criterion_4_empty_lattice_exactness():
 
 def test_criterion_5_gap_placement():
     lat = device_lattice(0.37)
-    bands = compute_bands(lat, kpath_gamma_m_k(16), PlaneWaveBasis.bulk(lat, 7), 2)
+    bands = compute_bands(lat, 16, PlaneWaveBasis.bulk(lat, 7), 2)
     gap = find_te_gap(bands)
     lam_mid = gap.midgap_wavelength(300.0) if gap else float("nan")
     report(5, "midgap wavelength for a=300 nm, r/a=0.37, effective-index slab",

@@ -14,8 +14,7 @@ from pcqed.geometry import (
     TriangularLattice,
     dielectric_fourier,
     effective_index,
-    kpath_cartesian,
-    kpath_gamma_m_k,
+    gamma_m_k_path,
     reciprocal_basis,
 )
 
@@ -117,7 +116,7 @@ def _folded_dispersion(lat, k, n_bands, oracle_cutoff=12):
 
 
 def _thirty_k_points(lat):
-    pts, _ = kpath_cartesian(kpath_gamma_m_k(10), lat)  # 28 path points
+    _, pts, _ = gamma_m_k_path(lat, 10)  # 28 path points
     b1, b2 = reciprocal_basis(lat)
     extra = np.array([0.21 * b1 + 0.13 * b2, -0.37 * b1 + 0.29 * b2])
     return np.vstack([pts, extra])
@@ -128,8 +127,7 @@ def test_empty_lattice_bands_match_folded_dispersion():
     basis = PlaneWaveBasis.bulk(lat, 7)
     kpts = _thirty_k_points(lat)
     assert len(kpts) == 30
-    path = kpath_gamma_m_k(10)
-    bands = compute_bands(lat, path, basis, 5)
+    bands = compute_bands(lat, 10, basis, 5)
     # check the path block via compute_bands and the two extra points directly
     for i, k in enumerate(kpts):
         expected = _folded_dispersion(lat, k, 5)
@@ -146,7 +144,7 @@ def test_empty_lattice_bands_match_folded_dispersion():
 
 def test_empty_lattice_band1_at_m_point():
     lat = uniform_lattice(eps=9.0)
-    bands = compute_bands(lat, kpath_gamma_m_k(2), PlaneWaveBasis.bulk(lat, 5), 1)
+    bands = compute_bands(lat, 2, PlaneWaveBasis.bulk(lat, 5), 1)
     # M point is the second path vertex; |k_M| = |b1|/2
     f_m = bands.frequencies[1, 0]
     assert f_m == pytest.approx(1.0 / (3.0 * np.sqrt(3.0)), rel=1e-10)
@@ -158,7 +156,7 @@ def test_empty_lattice_band1_at_m_point():
 
 def test_rows_sorted_nonnegative_zero_only_at_gamma():
     lat = device_lattice()
-    bands = compute_bands(lat, kpath_gamma_m_k(8), PlaneWaveBasis.bulk(lat, 5), 4)
+    bands = compute_bands(lat, 8, PlaneWaveBasis.bulk(lat, 5), 4)
     f = bands.frequencies
     assert np.all(np.diff(f, axis=1) >= -1e-12)
     assert np.all(f >= 0.0)
@@ -185,7 +183,7 @@ def test_periodicity_under_reciprocal_translation():
 
 def test_device_geometry_has_te_gap():
     lat = device_lattice(0.37)
-    bands = compute_bands(lat, kpath_gamma_m_k(12), PlaneWaveBasis.bulk(lat, 7), 2)
+    bands = compute_bands(lat, 12, PlaneWaveBasis.bulk(lat, 7), 2)
     gap = find_te_gap(bands)
     assert gap is not None
     assert gap.lower_edge < gap.midgap < gap.upper_edge
@@ -197,23 +195,23 @@ def test_midgap_wavelengths_frozen_regression():
     # case lands on the expected ~1100 nm, see also the acceptance suite.
     for ratio, lam_mid in ((0.33, 1095.9), (0.37, 977.7)):
         lat = device_lattice(ratio)
-        bands = compute_bands(lat, kpath_gamma_m_k(16), PlaneWaveBasis.bulk(lat, 7), 2)
+        bands = compute_bands(lat, 16, PlaneWaveBasis.bulk(lat, 7), 2)
         gap = find_te_gap(bands)
         assert gap.midgap_wavelength(300.0) == pytest.approx(lam_mid, abs=1.0)
 
 
 def test_no_gap_for_uniform_medium():
     lat = uniform_lattice(eps=9.0)
-    bands = compute_bands(lat, kpath_gamma_m_k(8), PlaneWaveBasis.bulk(lat, 5), 2)
+    bands = compute_bands(lat, 8, PlaneWaveBasis.bulk(lat, 5), 2)
     assert find_te_gap(bands) is None
 
 
 def test_gap_edges_stable_under_cutoff_doubling():
     lat = device_lattice(0.37)
-    path = kpath_gamma_m_k(8)
+    samples = 8
     gaps = []
     for cutoff in (5, 10):
-        bands = compute_bands(lat, path, PlaneWaveBasis.bulk(lat, cutoff), 2)
+        bands = compute_bands(lat, samples, PlaneWaveBasis.bulk(lat, cutoff), 2)
         gaps.append(find_te_gap(bands))
     for attr in ("lower_edge", "upper_edge"):
         lo, hi = getattr(gaps[0], attr), getattr(gaps[1], attr)
@@ -223,11 +221,11 @@ def test_gap_edges_stable_under_cutoff_doubling():
 @pytest.mark.parametrize("cutoff", [4, 7])
 def test_gap_width_monotone_in_hole_ratio(cutoff):
     # The coarse cutoff acts as the independent confirmation run.
-    path = kpath_gamma_m_k(8)
+    samples = 8
     widths = []
     for ratio in (0.33, 0.36, 0.39, 0.42):
         lat = device_lattice(ratio)
-        bands = compute_bands(lat, path, PlaneWaveBasis.bulk(lat, cutoff), 2)
+        bands = compute_bands(lat, samples, PlaneWaveBasis.bulk(lat, cutoff), 2)
         widths.append(find_te_gap(bands).width)
     assert all(b > a for a, b in zip(widths, widths[1:]))
 
@@ -263,7 +261,7 @@ def test_n_bands_exceeding_basis_rejected():
     lat = device_lattice()
     basis = PlaneWaveBasis.bulk(lat, 2)
     with pytest.raises(ValueError):
-        compute_bands(lat, kpath_gamma_m_k(3), basis, len(basis) + 1)
+        compute_bands(lat, 3, basis, len(basis) + 1)
 
 
 def test_band_gap_validation():

@@ -5,6 +5,7 @@ offending path (a dotted config path, or file:line), never a traceback.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 from pcqed import io as pcio
 from pcqed.bands import PlaneWaveBasis, compute_bands
-from pcqed.cli import EXIT_CONFIG, EXIT_OK, ConfigError, main, parse_config
+from pcqed.cli import EXIT_CONFIG, EXIT_FIT, EXIT_OK, ConfigError, main, parse_config
 from pcqed.fitting import SpectralScan
-from pcqed.geometry import TriangularLattice, kpath_gamma_m_k
+from pcqed.geometry import TriangularLattice
 from pcqed.tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
 
 SCAN_SIM = {
@@ -52,7 +53,7 @@ def _write_scan(path):
 
 def _write_bands(path):
     lat = TriangularLattice(300.0, 0.3, 10.0)
-    bands = compute_bands(lat, kpath_gamma_m_k(2), PlaneWaveBasis.bulk(lat, 2), 3)
+    bands = compute_bands(lat, 2, PlaneWaveBasis.bulk(lat, 2), 3)
     pcio.write_band_csv(path, bands)
     return Path(path)
 
@@ -306,6 +307,38 @@ def test_same_named_inputs_rejected_before_fitting(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(a) in err and str(b) in err
     assert not list(tmp_path.glob("out/fit_*.json"))
+
+
+@pytest.mark.parametrize("model", ["mono", "bi", "auto"])
+def test_one_bin_histogram_exits_2(tmp_path, capsys, model):
+    hist = _write_histogram(tmp_path / "h.csv", n_bins=1)
+    assert _fit(tmp_path, hist, config={"fit": {"model": model}}) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{hist}: 1 data points cannot determine 4 fit parameters" in err
+    assert "Traceback" not in err
+
+
+def test_huge_finite_scan_lifetime_fits_without_warnings(tmp_path, recwarn):
+    # A 1e12-ps row drives the spectral fit towards F = alpha = 0.
+    scan = _write_scan(tmp_path / "scan.csv")
+    lines = scan.read_text().splitlines()
+    cells = lines[4].split(",")
+    lines[4] = ",".join([cells[0], repr(1e12), cells[2]])
+    scan.write_text("\n".join(lines) + "\n")
+    assert _fit(tmp_path, scan) in (EXIT_OK, EXIT_FIT)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    for path in tmp_path.glob("out/fit_scan.json"):
+        numbers = _numbers(json.loads(path.read_text()))
+        assert numbers and all(map(math.isfinite, numbers))
+
+
+def _numbers(node):
+    """Every number in a parsed JSON document (json reads Infinity and NaN)."""
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [x for item in node for x in _numbers(item)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from pcqed.geometry import (
     SlabWaveguide,
     TriangularLattice,
     effective_index,
-    kpath_gamma_m_k,
 )
 
 SLAB = SlabWaveguide(400.0, 3.4, 1.0)
@@ -28,7 +27,7 @@ def device_lattice(ratio=0.37):
 
 def gap_of(lat):
     """Bulk TE gap of `lat` (cutoff 7, 16 samples per path segment), or None."""
-    return find_te_gap(compute_bands(lat, kpath_gamma_m_k(16), PlaneWaveBasis.bulk(lat, 7), 2))
+    return find_te_gap(compute_bands(lat, 16, PlaneWaveBasis.bulk(lat, 7), 2))
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +37,9 @@ def bulk_gap():
 
 @pytest.fixture(scope="module")
 def h1_modes(bulk_gap):
-    return solve_h1_modes(device_lattice(0.37), 7, gap=bulk_gap)
+    lat = device_lattice(0.37)
+    return solve_h1_modes(lat, 7, PlaneWaveBasis.supercell(lat, 7, 12), gap=bulk_gap,
+                          grid_per_period=64)
 
 
 def test_modes_found_and_inside_gap(h1_modes, bulk_gap):
@@ -67,7 +68,8 @@ def test_doublet_wavelength_monotone_in_hole_ratio():
     lams = []
     for ratio in (0.33, 0.36, 0.39, 0.42):
         lat = device_lattice(ratio)
-        modes = solve_h1_modes(lat, 7, gap=gap_of(lat))
+        modes = solve_h1_modes(lat, 7, PlaneWaveBasis.supercell(lat, 7, 12), gap=gap_of(lat),
+                               grid_per_period=64)
         pairs = dipole_doublets(modes)
         assert len(pairs) == 1, f"r/a={ratio}"
         a, b = pairs[0]
@@ -81,7 +83,7 @@ def test_supercell_size_convergence():
     for size, cutoff in ((5, 9), (7, 12)):
         lat = device_lattice(0.37)
         basis = PlaneWaveBasis.supercell(lat, size, cutoff)
-        modes = solve_h1_modes(lat, size, basis, gap=gap_of(lat))
+        modes = solve_h1_modes(lat, size, basis, gap=gap_of(lat), grid_per_period=64)
         (a, b), = dipole_doublets(modes)
         freqs[size] = 0.5 * (a.frequency + b.frequency)
     assert abs(freqs[7] - freqs[5]) / freqs[7] < 0.01
@@ -90,14 +92,16 @@ def test_supercell_size_convergence():
 def test_no_gap_means_no_modes():
     lat = TriangularLattice(300.0, 0.0, 9.0)
     assert gap_of(lat) is None
-    assert solve_h1_modes(lat, 5, gap=None) == []
+    assert solve_h1_modes(lat, 5, PlaneWaveBasis.supercell(lat, 5, 12), gap=None,
+                          grid_per_period=64) == []
 
 
 def test_supercell_size_validation(bulk_gap):
-    with pytest.raises(ValueError):
-        solve_h1_modes(device_lattice(), 4, gap=bulk_gap)
-    with pytest.raises(ValueError):
-        solve_h1_modes(device_lattice(), 3, gap=bulk_gap)
+    lat = device_lattice()
+    for size in (4, 3):
+        with pytest.raises(ValueError):
+            solve_h1_modes(lat, size, PlaneWaveBasis.supercell(lat, size, 12), gap=bulk_gap,
+                           grid_per_period=64)
 
 
 @pytest.mark.parametrize("nudge", [1e-15, 3e-15, 1e-14, 1e-13])
@@ -106,9 +110,9 @@ def test_partner_fields_do_not_depend_on_the_gap_bits(bulk_gap, nudge):
     # change of the gap edge used to rotate the partners' fields by O(1).
     lat = device_lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 5, 9)
-    ref = solve_h1_modes(lat, 5, basis, gap=bulk_gap)
+    ref = solve_h1_modes(lat, 5, basis, gap=bulk_gap, grid_per_period=64)
     nudged = BandGap(bulk_gap.lower_edge * (1.0 + nudge), bulk_gap.upper_edge)
-    got = solve_h1_modes(lat, 5, basis, gap=nudged)
+    got = solve_h1_modes(lat, 5, basis, gap=nudged, grid_per_period=64)
     assert len(got) == len(ref) and dipole_doublets(ref)
     for a, b in zip(ref, got):
         assert np.abs(a.energy_density - b.energy_density).max() <= 1e-10
@@ -153,7 +157,8 @@ def test_mode_volume_grid_refinement(bulk_gap):
     lat = device_lattice(0.37)
     volumes = []
     for gpp in (64, 128):
-        modes = solve_h1_modes(lat, 7, grid_per_period=gpp, gap=bulk_gap)
+        modes = solve_h1_modes(lat, 7, PlaneWaveBasis.supercell(lat, 7, 12), gap=bulk_gap,
+                               grid_per_period=gpp)
         (a, _), = dipole_doublets(modes)
         volumes.append(mode_volume(a, SLAB))
     assert abs(volumes[1] - volumes[0]) / volumes[0] < 0.02

@@ -124,6 +124,14 @@ def test_stop_reason_reported(monkeypatch):
     assert not err.value.result.converged
 
 
+@pytest.mark.parametrize("fit, n_params", [(fit_monoexponential, 4), (fit_biexponential, 6)])
+def test_fit_needs_more_bins_than_parameters(fit, n_params):
+    hist = synth([(1.0, 840.0)], grid=BinGrid(bin_width=12.0, n_bins=n_params), seed=2)
+    message = f"{n_params} data points cannot determine {n_params} fit parameters"
+    with pytest.raises(ValueError, match=message):
+        fit(hist)
+
+
 def test_shared_curve_definition_wilks():
     # Fitting data with its own generator: the deviance gain of the fitted
     # over the true parameters follows Wilks. Of the four parameters, the
@@ -293,6 +301,20 @@ def test_spectral_fit_out_of_budget_raises_with_its_result(monkeypatch):
     assert result.stop_reason == "budget" and not result.converged
     assert result.goodness_kind == "weighted-chi-square"
     assert result.extras["lifetime_ratio_max"] > 0
+
+
+@pytest.mark.parametrize("huge", [1e12, 1e20, 1e60])
+def test_spectral_fit_never_divides_by_a_zero_ratio(huge):
+    # The huge row pulls every F_m and alpha towards their bound 0, where the
+    # model tau0 / ratio is undefined; pytest turns a RuntimeWarning into a failure.
+    scan = synthesize_spectral_scan([M2], [56.0], 0.47, 840.0, scan_wavelengths(), 0.05, seed=5)
+    lifetimes = scan.lifetimes.copy()
+    lifetimes[3] = huge
+    result = fit_spectral_model(
+        SpectralScan(scan.wavelengths, lifetimes, scan.errors, scan.reference_tau0), [M2]
+    )
+    assert np.all(np.isfinite(list(result.parameters.values())))
+    assert np.all(np.isfinite(result.extras["tau_on_resonance_ps"]))
 
 
 def test_spectral_scan_validation():

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 
 from pcqed.geometry import (
-    KPath,
     ReciprocalLatticeError,
     SlabWaveguide,
     TriangularLattice,
     dielectric_fourier,
     effective_index,
-    kpath_cartesian,
-    kpath_gamma_m_k,
+    gamma_m_k_path,
     real_basis,
     reciprocal_basis,
 )
@@ -138,22 +136,23 @@ def test_off_lattice_vector_rejected():
 # ---------------------------------------------------------------------------
 
 def test_kpath_vertex_only():
-    path = kpath_gamma_m_k(2)
-    pts = path.fractional_points()
+    pts, _, _ = gamma_m_k_path(lattice(), 2)
     assert pts.shape == (4, 2)
-    np.testing.assert_allclose(pts[0], [0.0, 0.0])
-    np.testing.assert_allclose(pts[1], [0.5, 0.0])
-    np.testing.assert_allclose(pts[2], [1.0 / 3.0, 1.0 / 3.0])
-    np.testing.assert_allclose(pts[3], [0.0, 0.0])
+    np.testing.assert_array_equal(pts[0], [0.0, 0.0])
+    np.testing.assert_array_equal(pts[1], [0.5, 0.0])
+    np.testing.assert_array_equal(pts[2], [1.0 / 3.0, 1.0 / 3.0])
+    np.testing.assert_array_equal(pts[3], [0.0, 0.0])
 
 
 def test_kpath_point_count():
-    assert kpath_gamma_m_k(10).fractional_points().shape == (28, 2)
+    frac, pts, arc = gamma_m_k_path(lattice(), 10)
+    assert frac.shape == pts.shape == (28, 2)
+    assert arc.shape == (28,)
 
 
 def test_kpath_arc_length_monotone():
     lat = lattice()
-    pts, arc = kpath_cartesian(kpath_gamma_m_k(9), lat)
+    _, pts, arc = gamma_m_k_path(lat, 9)
     assert len(arc) == len(pts)
     assert np.all(np.diff(arc) > 0)
     assert arc[0] == 0.0
@@ -169,11 +168,7 @@ def test_kpath_k_is_zone_corner():
 
 def test_kpath_validation():
     with pytest.raises(ValueError):
-        KPath(vertices=(("G", (0.0, 0.0)),), samples_per_segment=5)
-    with pytest.raises(ValueError):
-        kpath_gamma_m_k(1)
-    with pytest.raises(ValueError):
-        KPath(vertices=(("A", (0.0, 0.0)), ("B", (1.5, 0.0))), samples_per_segment=4)
+        gamma_m_k_path(lattice(), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from pcqed.cli import (
     parse_config,
 )
 from pcqed.fitting import SpectralScan, fit_monoexponential, select_model
-from pcqed.geometry import kpath_gamma_m_k
 from pcqed.tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
 
 IRF = InstrumentResponse(fwhm=150.0, t0=600.0)
@@ -30,8 +29,7 @@ IRF = InstrumentResponse(fwhm=150.0, t0=600.0)
 
 def bulk_gap(lat, cutoff=7, samples_per_segment=16):
     """Bulk TE gap of `lat` from a two-band Gamma-M-K-Gamma solve, or None."""
-    kpath = kpath_gamma_m_k(samples_per_segment)
-    return find_te_gap(compute_bands(lat, kpath, PlaneWaveBasis.bulk(lat, cutoff), 2))
+    return find_te_gap(compute_bands(lat, samples_per_segment, PlaneWaveBasis.bulk(lat, cutoff), 2))
 
 
 def small_band_config(hole_ratios=(0.0, 0.33)):
@@ -99,10 +97,10 @@ def test_histogram_parse_error_line_number(tmp_path):
 
 def test_band_csv_round_trip(tmp_path):
     from pcqed.bands import PlaneWaveBasis, compute_bands
-    from pcqed.geometry import TriangularLattice, kpath_gamma_m_k
+    from pcqed.geometry import TriangularLattice
 
     lat = TriangularLattice(300.0, 0.3, 10.0)
-    bands = compute_bands(lat, kpath_gamma_m_k(4), PlaneWaveBasis.bulk(lat, 3), 3)
+    bands = compute_bands(lat, 4, PlaneWaveBasis.bulk(lat, 3), 3)
     path = tmp_path / "b.csv"
     pcio.write_band_csv(path, bands)
     frac, arc, freqs = pcio.read_band_csv(path)
@@ -185,7 +183,7 @@ def _written_bands(tmp_path):
 
     lat = TriangularLattice(300.0, 0.3, 10.0)
     path = tmp_path / "b.csv"
-    bands = compute_bands(lat, kpath_gamma_m_k(2), PlaneWaveBasis.bulk(lat, 2), 3)
+    bands = compute_bands(lat, 2, PlaneWaveBasis.bulk(lat, 2), 3)
     pcio.write_band_csv(path, bands)
     return path
 
@@ -215,7 +213,8 @@ def test_profile_json_round_trip(tmp_path):
 
     slab = SlabWaveguide(400.0, 3.4, 1.0)
     lat = TriangularLattice(300.0, 0.37, effective_index(slab, 1050.0) ** 2)
-    modes = solve_h1_modes(lat, 5, grid_per_period=64, gap=bulk_gap(lat))
+    modes = solve_h1_modes(lat, 5, PlaneWaveBasis.supercell(lat, 5, 12), gap=bulk_gap(lat),
+                           grid_per_period=64)
     (a, _), = dipole_doublets(modes)
     volume = mode_volume(a, slab)
     path = tmp_path / "p.json"
@@ -410,8 +409,8 @@ def test_cmd_modes_takes_its_gap_from_the_bands_settings(tmp_path):
     doc = run_modes(cfg, tmp_path / "out")
     lat = parse_config(cfg).crystal.lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 5, 9)
-    expected = solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat, 4, 8))
-    assert len(solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat))) != len(expected)
+    expected = solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat, 4, 8), grid_per_period=64)
+    assert len(solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat), grid_per_period=64)) != len(expected)
     assert [e["frequency"] for e in doc["modes"]] == [m.frequency for m in expected]
 
 
@@ -424,7 +423,8 @@ def test_modes_keeps_the_states_inside_the_gap_bands_writes(tmp_path):
     doc = run_modes(MODES_CONFIG, tmp_path / "modes")
     lat = parse_config(MODES_CONFIG).crystal.lattice(0.37)
     expected = solve_h1_modes(lat, 5, PlaneWaveBasis.supercell(lat, 5, 9),
-                              gap=BandGap(written["lower_edge"], written["upper_edge"]))
+                              gap=BandGap(written["lower_edge"], written["upper_edge"]),
+                              grid_per_period=64)
     assert [e["frequency"] for e in doc["modes"]] == [m.frequency for m in expected]
     assert doc["modes_found"] == len(expected) > 0
 

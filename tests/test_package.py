@@ -1,6 +1,9 @@
 """The package's import surface: each public name has one home, its submodule."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +22,15 @@ def test_package_exposes_only_its_version():
 def test_every_exported_name_exists(name):
     module = importlib.import_module(f"pcqed.{name}")
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+def test_fitting_imports_no_scipy_optimize():
+    # Every fit runs on `fitting._minimize`; loading scipy.optimize would only
+    # lengthen the start of each process that fits.
+    src = os.path.dirname(os.path.dirname(pcqed.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, pcqed.fitting; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -6,7 +6,6 @@ from pcqed.tcspc import (
     DecayModel,
     InstrumentResponse,
     TransientHistogram,
-    exp_gauss_component,
     exp_gauss_terms,
     expected_curve,
     sample_histogram,
@@ -76,7 +75,8 @@ def test_exp_gauss_terms_match_central_differences(lifetime, t0):
     t = grid().centers()
     sigma = IRF.sigma
     g, d_tau, d_t0 = exp_gauss_terms(t, lifetime, sigma, t0)
-    np.testing.assert_array_equal(g, exp_gauss_component(t, 1.0, lifetime, sigma, t0))
+    unit = expected_curve(DecayModel([(1.0, lifetime)]), InstrumentResponse(IRF.fwhm, t0), grid())
+    np.testing.assert_array_equal(g, unit)
     h_tau = 1e-5 * lifetime
     fd_tau = (
         exp_gauss_terms(t, lifetime + h_tau, sigma, t0)[0]
