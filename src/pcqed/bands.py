@@ -129,24 +129,32 @@ def _eps_matrix(
     supercell, so its structure factor is analytic: S^2 - 1 on bulk
     reciprocal vectors (supercell indices that are multiples of S) and -1
     elsewhere, times the single-hole form factor.
+
+    E depends on i, j only through the index difference (dm, dn), so the
+    formula is evaluated once per difference, on the table of all |dm|,
+    |dn| <= `span`, and E is gathered from that table.
     """
     idx = basis.indices
-    dm = idx[:, None, 0] - idx[None, :, 0]
-    dn = idx[:, None, 1] - idx[None, :, 1]
+    span = 2 * int(np.abs(idx).max())
+    d = np.arange(-span, span + 1)
+    dm, dn = np.meshgrid(d, d, indexing="ij")
     dg = dm[..., None] * basis.g1 + dn[..., None] * basis.g2
     gnorm = np.linalg.norm(dg, axis=-1)
     origin = (dm == 0) & (dn == 0)
     if supercell_size is None:
-        return _fourier_coefficient(lattice, gnorm, origin)
-    S = supercell_size
-    deps = 1.0 - lattice.eps_background  # air holes
-    structure = np.where((dm % S == 0) & (dn % S == 0), float(S * S - 1), -1.0)
-    # One hole over the supercell area: fill fraction f / S^2.
-    E = deps * (lattice.fill_fraction / S**2) * structure * _hole_form_factor(
-        gnorm * lattice.hole_radius
-    )
-    E[origin] += lattice.eps_background
-    return E
+        table = _fourier_coefficient(lattice, gnorm, origin)
+    else:
+        S = supercell_size
+        deps = 1.0 - lattice.eps_background  # air holes
+        structure = np.where((dm % S == 0) & (dn % S == 0), float(S * S - 1), -1.0)
+        # One hole over the supercell area: fill fraction f / S^2.
+        table = deps * (lattice.fill_fraction / S**2) * structure * _hole_form_factor(
+            gnorm * lattice.hole_radius
+        )
+        table[origin] += lattice.eps_background
+    width = 2 * span + 1
+    flat = idx[:, 0] * width + idx[:, 1]
+    return table.ravel()[flat[:, None] - flat[None, :] + span * (width + 1)]
 
 
 def _inverse_eps_table(E: np.ndarray) -> np.ndarray:
@@ -296,66 +304,95 @@ class CavityModeProfile:
         return self.supercell_size**2 * self.lattice.cell_area
 
 
-def _supercell_grid(lattice: TriangularLattice, S: int, ngrid: int):
-    """Cell-centred grid over the supercell: fractional lattice coordinates
+def _supercell_grid(lattice: TriangularLattice, S: int, ngrid: int, rows, cols):
+    """Points `rows` x `cols` (slices) of the cell-centred
+    ngrid x ngrid grid over the supercell: fractional lattice coordinates
     (f1, f2) in units of a1, a2 and Cartesian (X, Y) in nm."""
     a1, a2 = real_basis(lattice)
     u = (np.arange(ngrid) + 0.5) / ngrid
-    U, V = np.meshgrid(u, u, indexing="ij")
+    U, V = np.meshgrid(u[rows], u[cols], indexing="ij")
     f1, f2 = U * S, V * S
     return f1, f2, f1 * a1[0] + f2 * a2[0], f1 * a1[1] + f2 * a2[1]
 
 
 def _supercell_eps_grid(lattice: TriangularLattice, S: int, ngrid: int) -> np.ndarray:
-    """Analytic permittivity on the supercell grid (central hole absent)."""
+    """Analytic permittivity on the supercell grid (central hole absent).
+
+    Every period cell sees its four corner sites at the same offsets, so the
+    hole mask of the first cell is computed once, per corner, and tiled. The
+    four cells with the removed site (the supercell corners) as a corner then
+    keep only the holes of their other three corners.
+    """
     a1, a2 = real_basis(lattice)
-    f1, f2, X, Y = _supercell_grid(lattice, S, ngrid)
+    gpp = ngrid // S
+    cell = slice(0, gpp)
+    f1, f2, X, Y = _supercell_grid(lattice, S, ngrid, cell, cell)
     r2 = (lattice.hole_radius) ** 2
-    in_hole = np.zeros(X.shape, dtype=bool)
-    # The containing site is always among the four cell corners around a point.
+    corner_holes = {}
     for di in (0, 1):
         for dj in (0, 1):
             n1 = np.floor(f1) + di
             n2 = np.floor(f2) + dj
             cx = n1 * a1[0] + n2 * a2[0]
             cy = n1 * a1[1] + n2 * a2[1]
-            d2 = (X - cx) ** 2 + (Y - cy) ** 2
-            removed = (n1 % S == 0) & (n2 % S == 0)
-            in_hole |= (d2 <= r2) & ~removed
-    eps = np.full(X.shape, lattice.eps_background)
+            corner_holes[di, dj] = (X - cx) ** 2 + (Y - cy) ** 2 <= r2
+    in_hole = np.tile(np.logical_or.reduce(list(corner_holes.values())), (S, S))
+    for di, dj in corner_holes:
+        # The cell whose corner (di, dj) is the removed site.
+        c1, c2 = (S - 1) * di * gpp, (S - 1) * dj * gpp
+        others = [h for key, h in corner_holes.items() if key != (di, dj)]
+        in_hole[c1 : c1 + gpp, c2 : c2 + gpp] = np.logical_or.reduce(others)
+    eps = np.full(in_hole.shape, lattice.eps_background)
     eps[in_hole] = 1.0
     return eps
 
 
-def _defect_distance_grid(lattice: TriangularLattice, S: int, ngrid: int) -> np.ndarray:
-    """Distance from each grid point to the nearest defect site (supercell corners)."""
+def _near_defect_mask(lattice: TriangularLattice, S: int, ngrid: int) -> np.ndarray:
+    """Grid points closer than 1.5 periods to a defect site (supercell corner).
+
+    Such a point lies less than sqrt(3) cells from the site along each
+    lattice axis, so only the two cells next to each corner are tested.
+    """
     a1, a2 = real_basis(lattice)
-    _, _, X, Y = _supercell_grid(lattice, S, ngrid)
     A1, A2 = S * a1, S * a2
-    dmin = np.full(X.shape, np.inf)
+    span = 2 * (ngrid // S)
+    sides = (slice(0, span), slice(ngrid - span, ngrid))
+    near = np.zeros((ngrid, ngrid), dtype=bool)
     for p in (0, 1):
         for q in (0, 1):
+            _, _, X, Y = _supercell_grid(lattice, S, ngrid, sides[p], sides[q])
             cx = p * A1[0] + q * A2[0]
             cy = p * A1[1] + q * A2[1]
-            dmin = np.minimum(dmin, np.hypot(X - cx, Y - cy))
-    return dmin
+            near[sides[p], sides[q]] = np.hypot(X - cx, Y - cy) < 1.5 * lattice.period_a
+    return near
 
 
-def _field_gradient(
-    coeffs: np.ndarray, basis: PlaneWaveBasis, ngrid: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of H_z on the fractional supercell grid via zero-padded FFT."""
-    idx = basis.indices
-    mm = idx[:, 0] % ngrid
-    nn = idx[:, 1] % ngrid
+def _energy_densities(vecs: np.ndarray, basis: PlaneWaveBasis, eps_grid: np.ndarray):
+    """Yield |grad H_z|^2 / eps on the supercell grid for each column of `vecs`.
+
+    The gradient is the zero-padded inverse FFT of i G h_G, with the same
+    per-line arithmetic as `np.fft.ifft2`: the last axis first, where only
+    the rows holding plane waves are transformed, then axis 0 over the whole
+    grid. The padded spectrum and the field are buffers reused across
+    states; each state's density is a fresh array.
+    """
+    ngrid = eps_grid.shape[0]
+    rows, row_of = np.unique(basis.indices[:, 0] % ngrid, return_inverse=True)
+    nn = basis.indices[:, 1] % ngrid
     g = basis.g_vectors
-
-    def synth(weights):
-        coeffs = np.zeros((ngrid, ngrid), dtype=complex)
-        coeffs[mm, nn] = weights
-        return np.fft.ifft2(coeffs) * ngrid**2
-
-    return synth(coeffs * 1j * g[:, 0]), synth(coeffs * 1j * g[:, 1])
+    spectrum = np.zeros((len(rows), ngrid), dtype=complex)
+    padded = np.zeros((ngrid, ngrid), dtype=complex)
+    field = np.empty_like(padded)
+    for vec in vecs.T:
+        u_e = np.zeros(padded.shape)
+        for gc in (g[:, 0], g[:, 1]):
+            spectrum[row_of, nn] = vec * 1j * gc
+            padded[rows] = np.fft.ifft(spectrum, axis=-1)
+            np.fft.ifft(padded, axis=0, out=field)
+            field *= ngrid**2
+            u_e += np.abs(field) ** 2
+        u_e /= eps_grid
+        yield u_e
 
 
 def _mirror_partners(vals: np.ndarray, vecs: np.ndarray, mirror: np.ndarray) -> None:
@@ -420,8 +457,7 @@ def solve_h1_modes(
 
     ngrid = grid_per_period * S
     eps_grid = _supercell_eps_grid(lattice, S, ngrid)
-    dmin = _defect_distance_grid(lattice, S, ngrid)
-    near_defect = dmin < 1.5 * lattice.period_a
+    near_defect = _near_defect_mask(lattice, S, ngrid)
 
     # Index maps of the inversion G -> -G (parity character) and of the
     # mirror y -> -y, which sends (m, n) to (m, -m - n) in this basis.
@@ -431,10 +467,9 @@ def solve_h1_modes(
     _mirror_partners(vals, vecs, mirror)
 
     modes = []
-    for val, vec in zip(vals, vecs.T):
+    densities = _energy_densities(vecs, basis, eps_grid)
+    for val, vec, u_e in zip(vals, vecs.T, densities):
         freq = lattice.period_a / (2.0 * np.pi) * float(np.sqrt(max(val, 0.0)))
-        dhx, dhy = _field_gradient(vec, basis, ngrid)
-        u_e = (np.abs(dhx) ** 2 + np.abs(dhy) ** 2) / eps_grid
         peak = u_e.max()
         if peak <= 0.0:
             continue

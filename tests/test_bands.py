@@ -12,6 +12,8 @@ from pcqed.bands import (
 from pcqed.geometry import (
     SlabWaveguide,
     TriangularLattice,
+    _fourier_coefficient,
+    _hole_form_factor,
     dielectric_fourier,
     effective_index,
     gamma_m_k_path,
@@ -64,6 +66,43 @@ def test_bulk_eps_matrix_is_the_public_fourier_coefficient(ratio):
     E = _eps_matrix(lat, basis)
     expected = np.array([[dielectric_fourier(lat, gi - gj) for gj in g] for gi in g])
     np.testing.assert_allclose(E, expected, rtol=0.0, atol=1e-14)
+
+
+def _pair_table_eps_matrix(lattice, basis, supercell_size=None):
+    """`_eps_matrix` evaluated once per pair (i, j), the form the
+    difference table replaced; the table must reproduce it bit for bit."""
+    idx = basis.indices
+    dm = idx[:, None, 0] - idx[None, :, 0]
+    dn = idx[:, None, 1] - idx[None, :, 1]
+    dg = dm[..., None] * basis.g1 + dn[..., None] * basis.g2
+    gnorm = np.linalg.norm(dg, axis=-1)
+    origin = (dm == 0) & (dn == 0)
+    if supercell_size is None:
+        return _fourier_coefficient(lattice, gnorm, origin)
+    S = supercell_size
+    structure = np.where((dm % S == 0) & (dn % S == 0), float(S * S - 1), -1.0)
+    E = (1.0 - lattice.eps_background) * (lattice.fill_fraction / S**2) * structure * (
+        _hole_form_factor(gnorm * lattice.hole_radius)
+    )
+    E[origin] += lattice.eps_background
+    return E
+
+
+@pytest.mark.parametrize("ratio", [0.2, 0.37])
+@pytest.mark.parametrize("cutoff", [3, 7])
+def test_bulk_eps_matrix_bit_identical_to_pair_table(ratio, cutoff):
+    lat = device_lattice(ratio)
+    basis = PlaneWaveBasis.bulk(lat, cutoff)
+    assert np.array_equal(_eps_matrix(lat, basis), _pair_table_eps_matrix(lat, basis))
+
+
+@pytest.mark.parametrize("size", [5, 7, 9])
+@pytest.mark.parametrize("cutoff", [8, 12])
+def test_supercell_eps_matrix_bit_identical_to_pair_table(size, cutoff):
+    lat = device_lattice(0.37)
+    basis = PlaneWaveBasis.supercell(lat, size, cutoff)
+    E = _eps_matrix(lat, basis, size)
+    assert np.array_equal(E, _pair_table_eps_matrix(lat, basis, size))
 
 
 def test_uniform_medium_operator_is_diagonal():

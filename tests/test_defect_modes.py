@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcqed import bands
 from pcqed.bands import (
     BandGap,
     CavityModeProfile,
@@ -15,6 +16,7 @@ from pcqed.geometry import (
     SlabWaveguide,
     TriangularLattice,
     effective_index,
+    real_basis,
 )
 
 SLAB = SlabWaveguide(400.0, 3.4, 1.0)
@@ -116,6 +118,125 @@ def test_partner_fields_do_not_depend_on_the_gap_bits(bulk_gap, nudge):
     assert len(got) == len(ref) and dipole_doublets(ref)
     for a, b in zip(ref, got):
         assert np.abs(a.energy_density - b.energy_density).max() <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Field reconstruction kernels against their whole-grid forms, bit for bit
+# ---------------------------------------------------------------------------
+
+def _whole_grid(lat, S, ngrid):
+    """Fractional (f1, f2) and Cartesian (X, Y) coordinates of every grid point."""
+    a1, a2 = real_basis(lat)
+    u = (np.arange(ngrid) + 0.5) / ngrid
+    U, V = np.meshgrid(u, u, indexing="ij")
+    f1, f2 = U * S, V * S
+    return f1, f2, f1 * a1[0] + f2 * a2[0], f1 * a1[1] + f2 * a2[1]
+
+
+def _whole_grid_eps(lat, S, ngrid):
+    """Hole test against the four corner sites of every grid point."""
+    a1, a2 = real_basis(lat)
+    f1, f2, X, Y = _whole_grid(lat, S, ngrid)
+    in_hole = np.zeros(X.shape, dtype=bool)
+    for di in (0, 1):
+        for dj in (0, 1):
+            n1 = np.floor(f1) + di
+            n2 = np.floor(f2) + dj
+            cx = n1 * a1[0] + n2 * a2[0]
+            cy = n1 * a1[1] + n2 * a2[1]
+            removed = (n1 % S == 0) & (n2 % S == 0)
+            in_hole |= ((X - cx) ** 2 + (Y - cy) ** 2 <= lat.hole_radius**2) & ~removed
+    eps = np.full(X.shape, lat.eps_background)
+    eps[in_hole] = 1.0
+    return eps
+
+
+def _whole_grid_near_defect(lat, S, ngrid):
+    """Distance of every grid point to each supercell corner, below 1.5 periods."""
+    a1, a2 = real_basis(lat)
+    _, _, X, Y = _whole_grid(lat, S, ngrid)
+    dmin = np.full(X.shape, np.inf)
+    for p in (0, 1):
+        for q in (0, 1):
+            cx = p * S * a1[0] + q * S * a2[0]
+            cy = p * S * a1[1] + q * S * a2[1]
+            dmin = np.minimum(dmin, np.hypot(X - cx, Y - cy))
+    return dmin < 1.5 * lat.period_a
+
+
+def _ifft2_energy_density(vec, basis, eps_grid):
+    """|grad H_z|^2 / eps from `np.fft.ifft2` of the whole zero-padded spectrum."""
+    ngrid = eps_grid.shape[0]
+    g = basis.g_vectors
+
+    def synth(weights):
+        spectrum = np.zeros((ngrid, ngrid), dtype=complex)
+        spectrum[basis.indices[:, 0] % ngrid, basis.indices[:, 1] % ngrid] = weights
+        return np.fft.ifft2(spectrum) * ngrid**2
+
+    dhx, dhy = synth(vec * 1j * g[:, 0]), synth(vec * 1j * g[:, 1])
+    return (np.abs(dhx) ** 2 + np.abs(dhy) ** 2) / eps_grid
+
+
+@pytest.mark.parametrize("ratio", [0.2, 0.37, 0.45, 0.49])
+@pytest.mark.parametrize("grid_per_period", [64, 96])
+@pytest.mark.parametrize("size", [5, 7, 9])
+def test_tiled_grids_bit_identical_to_whole_grid(size, grid_per_period, ratio):
+    lat = device_lattice(ratio)
+    ngrid = size * grid_per_period
+    eps = bands._supercell_eps_grid(lat, size, ngrid)
+    assert np.array_equal(eps, _whole_grid_eps(lat, size, ngrid))
+    near = bands._near_defect_mask(lat, size, ngrid)
+    assert np.array_equal(near, _whole_grid_near_defect(lat, size, ngrid))
+
+
+def _recording_energy_densities(monkeypatch):
+    """Patch `bands._energy_densities` to keep a copy of the states it is given."""
+    seen = []
+    kernel = bands._energy_densities
+
+    def record(vecs, basis, eps_grid):
+        seen.append(vecs.copy())
+        return kernel(vecs, basis, eps_grid)
+
+    monkeypatch.setattr(bands, "_energy_densities", record)
+    return kernel, seen
+
+
+def test_energy_densities_bit_identical_to_ifft2(bulk_gap, monkeypatch):
+    lat = device_lattice(0.37)
+    basis = PlaneWaveBasis.supercell(lat, 7, 12)
+    kernel, seen = _recording_energy_densities(monkeypatch)
+    modes = solve_h1_modes(lat, 7, basis, gap=bulk_gap, grid_per_period=64)
+    in_gap, = seen
+    assert in_gap.shape[1] == len(modes) > 0
+    random = np.random.default_rng(5).standard_normal((len(basis), 3))
+    eps_grid = modes[0].eps_grid
+    for vecs in (in_gap, random):
+        got = list(kernel(vecs, basis, eps_grid))
+        assert len(got) == vecs.shape[1]
+        for vec, u_e in zip(vecs.T, got):
+            assert np.array_equal(u_e, _ifft2_energy_density(vec, basis, eps_grid))
+
+
+def test_mode_grids_do_not_share_the_fft_buffer(bulk_gap, monkeypatch):
+    lat = device_lattice(0.37)
+    basis = PlaneWaveBasis.supercell(lat, 7, 12)
+    kernel, seen = _recording_energy_densities(monkeypatch)
+    modes = solve_h1_modes(lat, 7, basis, gap=bulk_gap, grid_per_period=64)
+    again = solve_h1_modes(lat, 7, basis, gap=bulk_gap, grid_per_period=64)
+    grids = [m.energy_density for m in modes]
+    assert len(grids) > 1
+    for i, a in enumerate(grids):
+        for b in grids[i + 1:]:
+            assert not np.shares_memory(a, b)
+    # After every mode is built, each grid is still what a fresh one-state
+    # reconstruction gives, and a second solve returns the same bytes.
+    vecs = seen[0]
+    for i, mode in enumerate(modes):
+        fresh, = kernel(vecs[:, i:i + 1], basis, mode.eps_grid)
+        assert np.array_equal(mode.energy_density, fresh / fresh.max())
+        assert mode.energy_density.tobytes() == again[i].energy_density.tobytes()
 
 
 # ---------------------------------------------------------------------------
