@@ -6,8 +6,8 @@ and an unknown key, a wrong type or an out-of-range value fails with its
 dotted path. The flag --out overrides `output_dir` and, for simulate and
 reproduce-paper, --seed overrides `simulate.seed`; the environment variable
 PCQED_OUT may set only the output directory. Identical config + seed
-produces byte-identical numeric outputs (run ids hash the effective config
-and the input bytes, never wall time).
+produces byte-identical numeric outputs (run ids hash the parsed config,
+defaults filled in, and the input bytes, never the document text or wall time).
 
 Exit codes: 0 success, 2 configuration/input error, 3 solver failure,
 4 fit non-convergence (a batch `fit` still writes every converged result and
@@ -234,7 +234,6 @@ class Config:
     modes: Modes = Modes()
     simulate: Simulate | None = None
     fit: Fit = Fit()
-    document: dict = field(default_factory=dict, repr=False)  # hashed into run ids
 
     def require(self, section: str):
         if getattr(self, section) is None:
@@ -248,15 +247,14 @@ class Config:
         if seed < 0:
             raise ConfigError(f"--seed: must be >= 0, got {seed}")
         simulate = dataclasses.replace(self.require("simulate"), seed=seed)
-        document = {**self.document, "simulate": {**self.document["simulate"], "seed": seed}}
-        return dataclasses.replace(self, simulate=simulate, document=document)
+        return dataclasses.replace(self, simulate=simulate)
 
 
 def _parse(cls, node, prefix: str):
     """Config dataclass `cls` from the JSON object `node`; `prefix` is its path + '.'."""
     if not isinstance(node, dict):
         raise ConfigError(f"{prefix[:-1]}: expected an object, got {node!r}")
-    settings = {f.name: f for f in dataclasses.fields(cls) if f.name != "document"}
+    settings = {f.name: f for f in dataclasses.fields(cls)}
     for key in node:
         if key not in settings:
             raise ConfigError(f"{prefix}{key}: unknown key")
@@ -305,7 +303,7 @@ def _value(hint, value, path: str, bounds):
 
 def parse_config(document: dict) -> Config:
     """The typed config of a JSON document; ConfigError names the dotted path."""
-    return dataclasses.replace(_parse(Config, document, ""), document=document)
+    return _parse(Config, document, "")
 
 
 def load_config(path) -> Config:
@@ -325,8 +323,9 @@ def load_config(path) -> Config:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def config_hash(cfg: dict) -> str:
-    return hashlib.sha256(pcio.canonical_json(cfg).encode()).hexdigest()
+def config_hash(cfg: Config) -> str:
+    """SHA-256 of the typed config, defaults filled in and overrides applied."""
+    return hashlib.sha256(pcio.canonical_json(dataclasses.asdict(cfg)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +390,7 @@ def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
     `cfg` must already carry the command-line overrides (the seed), so a run
     id changes whenever the data can: another seed, other input bytes.
     """
-    digest = config_hash(cfg.document)
+    digest = config_hash(cfg)
     provenance = {"config": digest, "inputs": _input_digests(inputs)}
     run_id = hashlib.sha256(pcio.canonical_json(provenance).encode()).hexdigest()[:12]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -412,7 +411,9 @@ def _bulk_bands(cfg: Config, ra: float) -> BandStructure:
 def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
     crystal = cfg.require("crystal")
     bundle = _new_bundle(cfg, out_dir)
-    table = ["hole_ratio,gap_present,lower_edge,upper_edge,midgap,midgap_wavelength_nm,gap_width"]
+    columns = ("hole_ratio", "gap_present", "lower_edge", "upper_edge", "midgap",
+               "midgap_wavelength_nm", "gap_width")
+    table = [",".join(columns)]
     for ra in crystal.hole_ratio_values:
         bands = _bulk_bands(cfg, ra)
         tag = _ra_tag(ra)
@@ -421,17 +422,12 @@ def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
         bundle.add(f"bands_ra{tag}", band_path)
         gap = bundle.results[ra] = find_te_gap(bands)
         gap_path = out_dir / f"gap_ra{tag}.json"
-        pcio.write_gap_json(gap_path, gap, crystal.period_nm, ra)
+        doc = pcio.write_gap_json(gap_path, gap, crystal.period_nm, ra)
         bundle.add(f"gap_ra{tag}", gap_path)
+        table.append(",".join("" if doc[c] is None else repr(doc[c]) for c in columns))
         if gap is None:
-            table.append(f"{ra!r},False,,,,,")
             bundle.note(f"bands r/a={ra}: no TE gap")
         else:
-            table.append(
-                f"{ra!r},True,{gap.lower_edge!r},{gap.upper_edge!r},"
-                f"{gap.midgap!r},{gap.midgap_wavelength(crystal.period_nm)!r},"
-                f"{gap.width!r}"
-            )
             bundle.note(
                 f"bands r/a={ra}: TE gap {gap.lower_edge:.5f}..{gap.upper_edge:.5f} "
                 f"(a/lambda), midgap wavelength "
@@ -446,11 +442,10 @@ def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """One hole ratio's in-gap modes: frequencies (a/lambda), wavelengths (nm)
-    and volumes ((lambda/n)^3), and each dipole doublet as a pair of indices."""
+    """One hole ratio's in-gap modes: frequencies (a/lambda) and volumes
+    ((lambda/n)^3), and each dipole doublet as a pair of indices."""
 
     frequencies: list
-    wavelengths: list
     volumes: list
     doublets: list
 
@@ -470,9 +465,7 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
         pairs = dipole_doublets(modes)
         doublets = [(modes.index(a), modes.index(b)) for a, b in pairs]
         volumes = [mode_volume(mode, slab) for mode in modes]
-        bundle.results[ra] = ModeSet(
-            [m.frequency for m in modes], [m.wavelength for m in modes], volumes, doublets
-        )
+        bundle.results[ra] = ModeSet([m.frequency for m in modes], volumes, doublets)
         tag = _ra_tag(ra)
         entries = [
             {
@@ -807,8 +800,9 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
            "[" + ", ".join(f"{w:.4f}" for w in widths) + "]",
            len(widths) >= 2 and all(b > a for a, b in zip(widths, widths[1:])),
            "monotone increase")
+    period = cfg.crystal.period_nm
     for ra in (0.37, 0.33):
-        mid = gaps[ra].midgap_wavelength(cfg.crystal.period_nm) if ra in gaps else None
+        mid = gaps[ra].midgap_wavelength(period) if ra in gaps else None
         _check(bundle, f"midgap wavelength at r/a={ra}", f"{mid:.1f} nm" if mid else "no gap",
                mid is not None and abs(mid - 1100.0) <= 75.0, "1100 +- 75 nm")
 
@@ -820,7 +814,7 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
     for ra, found in modes.results.items():
         if len(found.doublets) == 1:
             i, j = found.doublets[0]
-            doublet_lams[ra] = 0.5 * (found.wavelengths[i] + found.wavelengths[j])
+            doublet_lams[ra] = 0.5 * sum(period / found.frequencies[k] for k in (i, j))
             if ra == 0.37:
                 split37 = doublet_splitting(found.frequencies[i], found.frequencies[j])
                 volume37 = found.volumes[i]

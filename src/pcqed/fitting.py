@@ -76,25 +76,39 @@ BI_NAMES = (
 
 @dataclass(frozen=True, eq=False)
 class FitResult:
-    """Estimates, uncertainties and diagnostics of one fit."""
+    """Estimates, uncertainties and diagnostics of one fit; the verdict,
+    errors and goodness derive from stop reason, covariance and statistic."""
 
     model: str
     parameters: dict
-    std_errors: dict
     parameter_order: tuple
     covariance: np.ndarray
     statistic: float
-    goodness: float
-    goodness_kind: str
     n_points: int
     iterations: int
-    converged: bool
+    stop_reason: str  # one of STOP_REASONS
     warnings: tuple = ()
     extras: dict = field(default_factory=dict)
-    stop_reason: str = ""  # one of STOP_REASONS
 
     def __getitem__(self, name: str) -> float:
         return self.parameters[name]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in CONVERGED_STOPS
+
+    @property
+    def std_errors(self) -> dict:
+        std = np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
+        return dict(zip(self.parameter_order, map(float, std)))
+
+    @property
+    def goodness(self) -> float:  # the statistic per degree of freedom
+        return self.statistic / (self.n_points - len(self.parameter_order))
+
+    @property
+    def goodness_kind(self) -> str:
+        return "weighted-chi-square" if self.model == "spectral-detuning" else "poisson-deviance"
 
 
 class FitConvergenceError(RuntimeError):
@@ -191,6 +205,14 @@ def _gauss_newton(x, mu, J, y, lower, upper, weights=None):
     return free, g, N, scale, newton
 
 
+def _scaled_weights(weights):
+    """Weights over 2**k, and 2**k, for the least k >= 0 that takes them to at
+    most 2**512: near 1e308 (sigma ~1e-150) they overflow the normal matrix
+    and its damping. Exact, and ordinary weights (k = 0) come back bit for bit."""
+    k = max(0, int(np.frexp(weights.max())[1]) - 512)
+    return np.ldexp(weights, -k), 2.0**k
+
+
 def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
     """Bounded Levenberg-Marquardt with an analytic Jacobian.
 
@@ -214,6 +236,7 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
             f"{len(y)} data points cannot determine {len(x0)} fit parameters"
         )
     poisson = weights is None
+    weights, weight_scale = (None, 1.0) if poisson else _scaled_weights(weights)
 
     def statistic(mu):
         if mu is None:
@@ -231,9 +254,6 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
     while iterations < MAX_ITERATIONS:
         iterations += 1
         free, g, N, scale, newton = _gauss_newton(x, mu, J, y, lower, upper, weights)
-        if not free.any():
-            stop = "gradient"
-            break
         if newton is not None:
             if 0.0 <= -0.5 * float(g @ newton) <= DECREMENT_TOLERANCE * (1.0 + stat):
                 stop = "gradient"
@@ -277,17 +297,18 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
                 stop = "stationary"
             break
         x, mu, J, stat = candidate, mu_new, J_new, stat_new
-    return x, mu, J, stat, iterations, stop
+    return x, mu, J, stat * weight_scale, iterations, stop
 
 
 def _covariance(J, mu, weights=None):
     """Inverse Fisher information in the natural parameters."""
-    w = 1.0 / np.maximum(mu, MU_FLOOR) if weights is None else weights
+    w, weight_scale = ((1.0 / np.maximum(mu, MU_FLOOR), 1.0) if weights is None
+                       else _scaled_weights(weights))
     fisher = (J * w) @ J.T
     try:
-        return np.linalg.inv(fisher)
+        return np.linalg.inv(fisher) / weight_scale
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(fisher)
+        return np.linalg.pinv(fisher) / weight_scale
 
 
 def _tail_lifetime_guess(t: np.ndarray, y: np.ndarray, bin_width: float) -> float:
@@ -322,9 +343,9 @@ class _Reconvolution:
     def __init__(self, hist: TransientHistogram, n_components: int):
         self.hist = hist
         self.y = hist.counts.astype(float)
-        self.t = hist.bin_centers()
+        self.t = hist.grid.centers()
         self.n = n_components
-        span = self.t[-1] - self.t[0] + hist.bin_width
+        span = self.t[-1] - self.t[0] + hist.grid.bin_width
         t0_bound = 2.0 * hist.irf.fwhm
         self.lower = np.array([0.0, 0.1 * hist.irf.sigma] * n_components + [-t0_bound, 0.0])
         self.upper = np.array([np.inf, 100.0 * span] * n_components + [t0_bound, np.inf])
@@ -372,28 +393,21 @@ def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=Non
             warnings.append(
                 f"unidentifiable: lifetime ratio {ratio:.3f} < {DEGENERATE_LIFETIME_RATIO}"
             )
-    diag = np.diag(covariance)
-    if np.any(diag < 0):
+    if np.any(np.diag(covariance) < 0):
         warnings.append("curvature not positive definite; errors unreliable")
-    std = np.sqrt(np.maximum(diag, 0.0))
-    converged = stop in CONVERGED_STOPS
     result = FitResult(
         model=model,
         parameters=dict(zip(names, map(float, x))),
-        std_errors=dict(zip(names, map(float, std))),
         parameter_order=names,
         covariance=covariance,
         statistic=statistic,
-        goodness=statistic / (len(mu) - len(names)),
-        goodness_kind="poisson-deviance" if weights is None else "weighted-chi-square",
         n_points=len(mu),
         iterations=iterations,
-        converged=converged,
+        stop_reason=stop,
         warnings=tuple(warnings),
         extras=extras or {},
-        stop_reason=stop,
     )
-    if not converged and not degenerate:
+    if not result.converged and not degenerate:
         raise FitConvergenceError(
             f"{model} fit did not converge in {iterations} iterations ({stop})",
             result,
@@ -417,7 +431,7 @@ def fit_monoexponential(hist: TransientHistogram) -> FitResult:
     """
     model = _Reconvolution(hist, 1)
     bg0 = _background_guess(model.y)
-    tau0 = _tail_lifetime_guess(model.t, model.y, hist.bin_width)
+    tau0 = _tail_lifetime_guess(model.t, model.y, hist.grid.bin_width)
     shape = tcspc.exp_gauss_terms(model.t, tau0, hist.irf.sigma, hist.irf.t0)[0]
     amp0 = max(model.y.sum() - bg0 * len(model.y), 1.0) / shape.sum()
     x, mu, J, deviance, iterations, stop = _minimize(

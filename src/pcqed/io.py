@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .bands import BandGap, BandStructure, CavityModeProfile
-from .fitting import FitResult, SpectralScan
-from .tcspc import InstrumentResponse, TransientHistogram
+from .fitting import STOP_REASONS, FitResult, SpectralScan
+from .tcspc import BinGrid, InstrumentResponse, TransientHistogram
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -86,16 +86,16 @@ def write_histogram_csv(path, hist: TransientHistogram, metadata: dict | None = 
     """Write counts vs bin-center time; sidecar goes to <path>.meta.json."""
     path = Path(path)
     lines = ["time_ps,counts"]
-    for t, c in zip(hist.bin_centers(), hist.counts):
+    for t, c in zip(hist.grid.centers(), hist.counts):
         lines.append(f"{_fmt(t)},{int(c)}")
     path.write_text("\n".join(lines) + "\n")
     meta = {
         "schema_version": SCHEMA_VERSION,
         "kind": "histogram",
         "units": {"time": "ps"},
-        "bin_width_ps": float(hist.bin_width),
-        "t_start_ps": float(hist.t_start),
-        "n_bins": int(len(hist.counts)),
+        "bin_width_ps": float(hist.grid.bin_width),
+        "t_start_ps": float(hist.grid.t_start),
+        "n_bins": len(hist.counts),
         "total_counts": hist.total_counts,
         "irf_fwhm_ps": float(hist.irf.fwhm),
         "irf_t0_ps": float(hist.irf.t0),
@@ -195,21 +195,22 @@ def read_histogram_csv(path) -> TransientHistogram:
     """Reconstruct a TransientHistogram from CSV + sidecar.
 
     The rows must match the sidecar: `n_bins` rows summing to `total_counts`,
-    each `time_ps` at its bin centre t_start + (i + 1/2) * bin_width.
+    each `time_ps` at its bin centre on the sidecar's grid.
     """
     path = Path(path)
     meta_path, meta = _read_sidecar(path)
     if meta is None:
         raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
-    keys = ("bin_width_ps", "t_start_ps", "irf_fwhm_ps", "irf_t0_ps")
-    width, t_start, fwhm, irf_t0 = (
-        _number(meta.get(key), key, meta_path, 1) for key in keys
-    )
+    width, fwhm = (_number(meta.get(key), key, meta_path, 1, positive=True)
+                   for key in ("bin_width_ps", "irf_fwhm_ps"))
+    t_start, irf_t0 = (_number(meta.get(key), key, meta_path, 1)
+                       for key in ("t_start_ps", "irf_t0_ps"))
     _, numbers, (time_cells, count_cells) = _table(
         path, lambda names: names == ["time_ps", "counts"], "histogram")
     times = _column(path, numbers, "time_ps", time_cells)
     counts = _column(path, numbers, "counts", count_cells, np.int64)
-    centres = t_start + (np.arange(len(numbers)) + 0.5) * width
+    grid = BinGrid(float(width), len(numbers), float(t_start))
+    centres = grid.centers()
     bad = np.flatnonzero((counts < 0) | ~(np.abs(times - centres) <= 1e-6 * width))
     if bad.size:
         k = bad[0]
@@ -221,15 +222,8 @@ def read_histogram_csv(path) -> TransientHistogram:
     if len(numbers) != n_bins or int(counts.sum()) != total:
         raise ParseError(path, numbers[-1], f"{len(numbers)} rows with {int(counts.sum())} "
                          f"counts, sidecar says n_bins {n_bins}, total_counts {total}")
-    try:
-        return TransientHistogram(
-            bin_width=float(width),
-            t_start=float(t_start),
-            counts=counts,
-            irf=InstrumentResponse(fwhm=float(fwhm), t0=float(irf_t0)),
-        )
-    except ValueError as exc:
-        raise ParseError(meta_path, 1, str(exc)) from exc
+    irf = InstrumentResponse(fwhm=float(fwhm), t0=float(irf_t0))
+    return TransientHistogram(counts=counts, grid=grid, irf=irf)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +317,10 @@ def write_fit_json(path, result: FitResult) -> dict:
 
 
 def read_fit_json(path) -> FitResult:
-    """The FitResult written by `write_fit_json`. A missing key, a value of
-    the wrong type or a non-finite number fails at the line of its key."""
+    """The FitResult written by `write_fit_json`, its verdict, errors and
+    goodness derived rather than read. A missing key, a wrong type, a
+    non-finite number, no more points than parameters or an unknown stop
+    reason fails at the line of its key."""
     path = Path(path)
     text = _read_text(path)
     doc = _json_object(path, text)
@@ -348,24 +344,26 @@ def read_fit_json(path) -> FitResult:
                                           for r in rows):
         raise ParseError(path, _key_line(text, "covariance"),
                          f"covariance: expected {len(order)} rows of {len(order)} numbers")
-    parameters, std_errors = field("parameters", dict), field("std_errors", dict)
+    parameters = field("parameters", dict)
     numbers("parameters", parameters.values())
-    numbers("std_errors", std_errors.values())
+    n_points, stop_reason = field("n_points", int), field("stop_reason", str)
+    if n_points <= len(order):  # the goodness divides by n_points - len(order)
+        raise ParseError(path, _key_line(text, "n_points"), f"n_points: {n_points} data "
+                         f"points cannot determine {len(order)} fit parameters")
+    if stop_reason not in STOP_REASONS:
+        raise ParseError(path, _key_line(text, "stop_reason"), f"stop_reason: expected one "
+                         f"of {', '.join(STOP_REASONS)}, got {stop_reason!r}")
     return FitResult(
         model=field("model", str),
         parameters=parameters,
-        std_errors=std_errors,
         parameter_order=tuple(order),
         covariance=np.array([numbers("covariance", row) for row in rows], dtype=float),
         statistic=field("statistic", float),
-        goodness=field("goodness", float),
-        goodness_kind=field("goodness_kind", str),
-        n_points=field("n_points", int),
+        n_points=n_points,
         iterations=field("iterations", int),
-        converged=field("converged", bool),
+        stop_reason=stop_reason,
         warnings=tuple(field("warnings", list)),
         extras=field("extras", dict),
-        stop_reason=field("stop_reason", str),
     )
 
 

@@ -4,6 +4,7 @@ Every malformed config or input file must exit 2 with a message naming the
 offending path (a dotted config path, or file:line), never a traceback.
 """
 
+import dataclasses
 import json
 import math
 import tempfile
@@ -15,7 +16,16 @@ from hypothesis import strategies as st
 
 from pcqed import io as pcio
 from pcqed.bands import PlaneWaveBasis, compute_bands
-from pcqed.cli import EXIT_CONFIG, EXIT_FIT, EXIT_OK, ConfigError, main, parse_config
+from pcqed.cli import (
+    EXIT_CONFIG,
+    EXIT_FIT,
+    EXIT_OK,
+    REPRODUCE_CONFIG,
+    ConfigError,
+    config_hash,
+    main,
+    parse_config,
+)
 from pcqed.fitting import SpectralScan
 from pcqed.geometry import TriangularLattice
 from pcqed.tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
@@ -152,15 +162,68 @@ def test_parse_keeps_defaults_and_the_document():
     assert cfg.crystal.period_nm == 300.0 and isinstance(cfg.crystal.period_nm, float)
     assert cfg.bands.cutoff == 7 and cfg.modes.grid_per_period == 64
     assert cfg.fit.model == "auto" and cfg.simulate is None
-    assert cfg.document is document
+    # A document that spells out the defaults, or writes 300 as 300.0, parses
+    # to the same config and so hashes alike.
+    spelled_out = {
+        "output_dir": None,
+        "crystal": {"period_nm": 300.0, "hole_ratio_values": [0.33, 0.37],
+                    "slab": {"thickness_nm": 400, "n_core": 3.4, "n_clad": 1},
+                    "reference_wavelength_nm": 1050},
+        "bands": {"cutoff": 7, "samples_per_segment": 16, "n_bands": 5},
+        "modes": {"supercell_size": 7, "cutoff": 12, "grid_per_period": 64},
+        "fit": {"model": "auto", "spectral": {}},
+    }
+    assert config_hash(cfg) == config_hash(parse_config(spelled_out))
 
 
 def test_seed_override_is_part_of_the_document():
     cfg = parse_config({"simulate": dict(SCAN_SIM)}).with_seed(5)
     assert cfg.simulate.seed == 5
-    assert cfg.document["simulate"]["seed"] == 5
+    assert config_hash(cfg) != config_hash(parse_config({"simulate": dict(SCAN_SIM)}))
     with pytest.raises(ConfigError):
         cfg.with_seed(-1)
+
+
+# A config with every optional setting given, so each leaf has a value.
+FULL_CONFIG = {
+    **REPRODUCE_CONFIG,
+    "output_dir": "out",
+    "fit": {"model": "bi", "spectral": {"modes": [{"wavelength_nm": 1031.5, "q_factor": 1950.0}],
+                                        "tau0_ps": 840.0}},
+}
+
+
+def _leaf_overrides(node, path=""):
+    """(dotted path, copy of the config dataclass `node` with that one leaf
+    changed) for every leaf; a tuple varies its first item."""
+    for spec in dataclasses.fields(node):
+        for leaf, value in _changed(getattr(node, spec.name), path + spec.name):
+            yield leaf, dataclasses.replace(node, **{spec.name: value})
+
+
+def _changed(value, path):
+    if dataclasses.is_dataclass(value):
+        yield from _leaf_overrides(value, path + ".")
+    elif isinstance(value, tuple):
+        for leaf, first in _changed(value[0], path + "[0]"):
+            yield leaf, (first, *value[1:])
+    elif isinstance(value, str):
+        yield path, value + "x"
+    elif isinstance(value, int):
+        yield path, value + 2  # an odd supercell stays odd
+    elif isinstance(value, float):
+        yield path, value * 1.01 if value else 0.01
+    else:
+        raise AssertionError(f"{path}: {value!r} has no override; give it in FULL_CONFIG")
+
+
+def test_every_single_leaf_override_changes_the_config_hash():
+    cfg = parse_config(FULL_CONFIG)
+    hashes = {leaf: config_hash(changed) for leaf, changed in _leaf_overrides(cfg)}
+    assert {"bands.cutoff", "simulate.seed", "crystal.eps_background",
+            "simulate.histogram.components[0][0]", "fit.spectral.modes[0].q_factor"} <= set(hashes)
+    assert config_hash(cfg) not in hashes.values()
+    assert len(set(hashes.values())) == len(hashes)
 
 
 _json_values = st.recursive(
@@ -211,6 +274,16 @@ def test_sidecar_missing_key(tmp_path, capsys):
     Path(f"{hist}.meta.json").write_text(json.dumps(meta))
     assert _fit(tmp_path, hist) == EXIT_CONFIG
     assert f"{hist}.meta.json:1: bin_width_ps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["bin_width_ps", "irf_fwhm_ps"])
+def test_sidecar_width_must_be_positive(tmp_path, capsys, key):
+    hist = _write_histogram(tmp_path / "h.csv")
+    meta = json.loads(Path(f"{hist}.meta.json").read_text())
+    meta[key] = 0.0
+    Path(f"{hist}.meta.json").write_text(json.dumps(meta))
+    assert _fit(tmp_path, hist) == EXIT_CONFIG
+    assert f"{hist}.meta.json:1: {key}: expected a positive number, got 0.0" in capsys.readouterr().err
 
 
 def test_negative_count(tmp_path, capsys):
@@ -296,6 +369,32 @@ def test_tiny_finite_weight_still_fits(tmp_path):
     scan = _write_scan(tmp_path / "scan.csv")
     _set_uncertainty(scan, 4, 1e-140)
     assert _fit(tmp_path, scan) == EXIT_OK
+
+
+def test_config_tau0_overrides_the_scan_sidecar(tmp_path):
+    # tau = tau0 / (F/3 L + alpha): doubling tau0 doubles F and alpha.
+    fits = {}
+    for tau0 in (None, 1680.0):
+        tmp = tmp_path / str(tau0)
+        tmp.mkdir()
+        scan = _write_scan(tmp / "scan.csv")
+        config = {"fit": {"spectral": {} if tau0 is None else {"tau0_ps": tau0}}}
+        assert _fit(tmp, scan, config=config) == EXIT_OK
+        fits[tau0] = json.loads((tmp / "out" / "fit_scan.json").read_text())["parameters"]
+    assert json.loads(Path(f"{scan}.meta.json").read_text())["tau0_ps"] == 840.0
+    for name in ("purcell_factor", "alpha"):
+        assert fits[1680.0][name] == pytest.approx(2.0 * fits[None][name], rel=1e-6)
+
+
+def test_auto_model_on_one_component_writes_a_mono_fit(tmp_path, capsys):
+    hist = _write_histogram(tmp_path / "h.csv")
+    assert _fit(tmp_path, hist, config={"fit": {"model": "auto"}}) == EXIT_OK
+    doc = json.loads((tmp_path / "out" / "fit_h.json").read_text())
+    assert doc["model"] == "monoexponential" and doc["converged"]
+    out = capsys.readouterr().out
+    assert "fit h: model selection: mono (delta deviance " in out
+    tau, err = doc["parameters"]["lifetime_ps"], doc["std_errors"]["lifetime_ps"]
+    assert f"fit h: monoexponential lifetime {tau:.1f} +- {err:.1f} ps" in out
 
 
 def test_same_named_inputs_rejected_before_fitting(tmp_path, capsys):

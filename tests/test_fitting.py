@@ -38,10 +38,7 @@ def test_noise_free_identifiability():
     # lost in the deep tail) is far below the 1e-4 recovery bar.
     scale = 1e9 / 840.0 * GRID.bin_width
     curve = scale * expected_curve(DecayModel([(1.0, 840.0)]), IRF, GRID)
-    hist = tcspc.TransientHistogram(
-        bin_width=GRID.bin_width, t_start=GRID.t_start,
-        counts=np.round(curve).astype(np.int64), irf=IRF,
-    )
+    hist = tcspc.TransientHistogram(counts=np.round(curve).astype(np.int64), grid=GRID, irf=IRF)
     result = fit_monoexponential(hist)
     assert result["lifetime_ps"] == pytest.approx(840.0, rel=1e-4)
     assert result["amplitude"] == pytest.approx(scale, rel=1e-3)
@@ -181,10 +178,7 @@ def test_estimator_consistency_with_counts():
 
 def test_select_model_noise_free_mono():
     curve = 1000.0 * expected_curve(DecayModel([(1.0, 840.0)]), IRF, GRID)
-    hist = tcspc.TransientHistogram(
-        bin_width=GRID.bin_width, t_start=GRID.t_start,
-        counts=np.round(curve).astype(np.int64), irf=IRF,
-    )
+    hist = tcspc.TransientHistogram(counts=np.round(curve).astype(np.int64), grid=GRID, irf=IRF)
     sel = select_model(hist)
     assert sel.choice == "mono"
 
@@ -226,9 +220,7 @@ def test_nested_fits_never_worse_than_mono():
         mu = (_emg(t, 1.0, tau, IRF.sigma, IRF.t0)
               + _emg(t, 0.0556, 1800.0, IRF.sigma, IRF.t0))
         counts = np.random.default_rng(stream).multinomial(100_000, mu / mu.sum())
-        hist = tcspc.TransientHistogram(
-            bin_width=GRID.bin_width, t_start=GRID.t_start, counts=counts, irf=IRF
-        )
+        hist = tcspc.TransientHistogram(counts=counts, grid=GRID, irf=IRF)
         sel = select_model(hist)
         assert sel.bi.statistic <= sel.mono.statistic * (1 + 1e-9), lam
 
@@ -315,6 +307,43 @@ def test_spectral_fit_never_divides_by_a_zero_ratio(huge):
     )
     assert np.all(np.isfinite(list(result.parameters.values())))
     assert np.all(np.isfinite(result.extras["tau_on_resonance_ps"]))
+
+
+def test_spectral_fit_with_an_uncertainty_near_the_float_limit_converges():
+    # One uncertainty of 1e-130..1e-154 ps gives a weight 1/sigma^2 up to
+    # 1e308; the normal matrix (weight times squared derivatives) and its
+    # damping must stay finite. Pytest turns a RuntimeWarning into a failure.
+    lam = 1029.0 + 0.1 * np.arange(51)
+    taus = 840.0 / (56.0 / 3.0 / (1.0 + (2.0 * (lam - 1031.5) / 0.529) ** 2) + 0.47)
+    for row in (3, 20, 25):
+        for exponent in range(130, 155):
+            errors = 0.05 * taus
+            errors[row] = 10.0**-exponent
+            result = fit_spectral_model(SpectralScan(lam, taus, errors, 840.0), [M2])
+            assert result.converged, (row, exponent)
+            assert np.isfinite(result.statistic) and np.all(np.isfinite(result.covariance))
+
+
+def test_weight_scaling_leaves_ordinary_weights_alone():
+    weights = 1.0 / (0.05 * np.linspace(40.0, 800.0, 51)) ** 2
+    scaled, factor = fitting._scaled_weights(weights)
+    assert factor == 1.0 and np.array_equal(scaled, weights)
+    weights[7] = 1e300
+    scaled, factor = fitting._scaled_weights(weights)
+    assert scaled.max() <= 2.0**512
+    assert np.array_equal(scaled * factor, weights)  # a power of two: exact
+
+
+@pytest.mark.parametrize("weights", [None, np.ones(3)])
+def test_minimize_without_a_free_coordinate_stops_on_the_gradient(weights):
+    # No parameter moves the model: the Gauss-Newton step on the empty set of
+    # free coordinates predicts no reduction, so the loop stops at once.
+    lower, upper = np.zeros(2), np.full(2, np.inf)
+    *_, iterations, stop = fitting._minimize(
+        np.ones(2), lambda x: (np.full(3, 2.0), np.zeros((2, 3))), np.array([1.0, 2.0, 3.0]),
+        lower, upper, weights=weights,
+    )
+    assert (iterations, stop) == (1, "gradient")
 
 
 def test_spectral_scan_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,10 +9,18 @@ import pytest
 
 from pcqed import io as pcio
 from pcqed import cli, fitting
-from pcqed.bands import BandGap, PlaneWaveBasis, compute_bands, find_te_gap, solve_h1_modes
+from pcqed.bands import (
+    BandGap,
+    BandSolverError,
+    PlaneWaveBasis,
+    compute_bands,
+    find_te_gap,
+    solve_h1_modes,
+)
 from pcqed.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
+    EXIT_SOLVER,
     ConfigError,
     cmd_bands,
     cmd_fit,
@@ -77,8 +86,7 @@ def test_histogram_csv_round_trip(tmp_path):
     pcio.write_histogram_csv(path, hist, metadata={"seed": 5})
     back = pcio.read_histogram_csv(path)
     np.testing.assert_array_equal(back.counts, hist.counts)
-    assert back.bin_width == hist.bin_width
-    assert back.t_start == hist.t_start
+    assert back.grid == hist.grid
     assert back.irf.fwhm == hist.irf.fwhm
     assert back.irf.t0 == hist.irf.t0
 
@@ -176,6 +184,53 @@ def test_fit_json_reader_rejects_non_finite_covariance(tmp_path):
         pcio.read_fit_json(path)
     assert "covariance: expected a finite number, got nan" in str(err.value)
     assert err.value.line_number == path.read_text().splitlines().index(' "covariance": [') + 1
+
+
+def test_fit_json_rewrites_the_same_bytes(tmp_path):
+    path = _written_fit(tmp_path)
+    pcio.write_fit_json(tmp_path / "again.json", pcio.read_fit_json(path))
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_fit_json_reader_derives_the_verdict_errors_and_goodness(tmp_path):
+    # A file whose stored verdict, errors and goodness contradict its stop
+    # reason, covariance and statistic reads back with the derived values.
+    path = _written_fit(tmp_path)
+    written = pcio.read_fit_json(path)
+    doc = json.loads(path.read_text())
+    doc.update(stop_reason="budget", converged=True, goodness=-3, goodness_kind="none")
+    doc["std_errors"]["lifetime_ps"] = 1e9
+    path.write_text(json.dumps(doc, indent=1))
+    back = pcio.read_fit_json(path)
+    assert back.converged is False
+    assert back.std_errors == written.std_errors
+    assert back.std_errors["lifetime_ps"] == np.sqrt(back.covariance[1, 1])
+    assert back.goodness == written.goodness > 0
+    assert back.goodness_kind == "poisson-deviance"
+    stored = {f.name for f in dataclasses.fields(fitting.FitResult)}
+    assert not stored & {"converged", "std_errors", "goodness", "goodness_kind"}
+
+
+def test_fit_json_reader_rejects_too_few_points_for_the_goodness(tmp_path):
+    path = _written_fit(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["n_points"] = len(doc["parameter_order"])
+    path.write_text(json.dumps(doc, indent=1))
+    line = path.read_text().splitlines().index(' "n_points": 4,') + 1
+    with pytest.raises(pcio.ParseError, match=rf"fit\.json:{line}: n_points: 4 data points "
+                       "cannot determine 4 fit parameters"):
+        pcio.read_fit_json(path)
+
+
+def test_fit_json_reader_rejects_an_unknown_stop_reason(tmp_path):
+    path = _written_fit(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["stop_reason"] = "whatever"
+    path.write_text(json.dumps(doc, indent=1))
+    line = path.read_text().splitlines().index(' "stop_reason": "whatever",') + 1
+    with pytest.raises(pcio.ParseError, match=rf"fit\.json:{line}: stop_reason: expected one of "
+                       "step, gradient, stationary, budget, got 'whatever'"):
+        pcio.read_fit_json(path)
 
 
 def _written_bands(tmp_path):
@@ -335,7 +390,7 @@ def test_cmd_bands_outputs_and_gap_flags(tmp_path):
     assert (tmp_path / "out" / "bands_ra0p330.csv").exists()
     assert (tmp_path / "out" / "gap_vs_hole_ratio.csv").exists()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["config_hash"] == config_hash(small_band_config())
+    assert manifest["config_hash"] == config_hash(parse_config(small_band_config()))
     assert manifest["run_id"] == bundle.run_id
 
 
@@ -576,6 +631,24 @@ def test_main_invalid_config_value(tmp_path, capsys):
     assert "crystal" in capsys.readouterr().err
 
 
+def test_bands_without_a_crystal_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"bands": {"cutoff": 3}}))
+    assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "error: crystal: required" in capsys.readouterr().err
+
+
+def test_band_solver_error_exits_3(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise BandSolverError("eigensolver did not converge")
+
+    monkeypatch.setattr(cli, "compute_bands", failing)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_band_config((0.33,))))
+    assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_SOLVER
+    assert "solver error: eigensolver did not converge" in capsys.readouterr().err
+
+
 def test_main_fit_usage_error_without_inputs(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(sim_config()))
@@ -604,9 +677,9 @@ def test_output_dir_env_var(tmp_path, monkeypatch, capsys):
 
 
 def test_config_hash_stable_under_key_order():
-    a = {"x": 1, "y": {"b": 2, "a": 3}}
-    b = {"y": {"a": 3, "b": 2}, "x": 1}
-    assert config_hash(a) == config_hash(b)
+    a = {"bands": {"cutoff": 5, "n_bands": 3}, "fit": {"model": "bi"}}
+    b = {"fit": {"model": "bi"}, "bands": {"n_bands": 3, "cutoff": 5}}
+    assert config_hash(parse_config(a)) == config_hash(parse_config(b))
 
 
 def test_reproduce_paper_deterministic(tmp_path):

@@ -201,6 +201,8 @@ def test_histogram_invariants():
     h = sample_histogram(curve, 5000, 3, grid=g, irf=IRF)
     assert h.total_counts == int(h.counts.sum())
     assert np.all(h.counts >= 0)
-    assert h.bin_centers()[0] == pytest.approx(g.bin_width / 2.0)
+    assert h.grid.centers()[0] == pytest.approx(g.bin_width / 2.0)
     with pytest.raises(ValueError):
-        TransientHistogram(bin_width=1.0, t_start=0.0, counts=np.array([-1, 2]), irf=IRF)
+        TransientHistogram(counts=np.array([-1, 2]), grid=BinGrid(1.0, 2), irf=IRF)
+    with pytest.raises(ValueError, match="3 counts on a grid of 2 bins"):
+        TransientHistogram(counts=np.array([1, 2, 3]), grid=BinGrid(1.0, 2), irf=IRF)
