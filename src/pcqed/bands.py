@@ -13,7 +13,7 @@ are reported in dimensionless units a/lambda.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +30,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "hexagon_indices",
     "PlaneWaveBasis",
     "BandStructure",
     "BandGap",
@@ -57,58 +58,47 @@ class BandSolverError(RuntimeError):
     """Eigensolver failure; the message names the offending k-point."""
 
 
+def hexagon_indices(cutoff: int) -> np.ndarray:
+    """Integer pairs (m, n), row-major, with m^2 + n^2 + m*n <= cutoff^2: on
+    the 60-degree reciprocal basis, G = m*g1 + n*g2 in the ball |G| <= cutoff*|g1|.
+    The set holds G = 0 and is exactly closed under the lattice's point group C6v."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    ms = np.arange(-2 * cutoff, 2 * cutoff + 1)  # the ball reaches |n| = 2N/sqrt(3)
+    m, n = np.meshgrid(ms, ms, indexing="ij")
+    inside = m * m + n * n + m * n <= cutoff * cutoff
+    return np.stack([m[inside], n[inside]], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class PlaneWaveBasis:
-    """Truncated set of reciprocal-lattice vectors G = m*g1 + n*g2.
+    """Plane waves G = m*g1 + n*g2 on the reciprocal lattice of an S x S
+    supercell, g = b / S, with (m, n) the hexagonal ball `hexagon_indices`.
 
-    Two cutoff shapes, one per constructor:
-
-    * `bulk`, a rhombus: all |m|, |n| <= N, giving (2N+1)^2 vectors.
-    * `supercell`, a hexagon: all m^2 + n^2 + m*n <= N^2. This integer norm
-      equals |G|^2/|g1|^2 for the 60-degree reciprocal basis, so the set is
-      exactly closed under the full point group of the lattice, where the
-      cutoff shape would otherwise split symmetry-degenerate defect modes.
-
-    Both shapes contain G = 0 and are closed under negation.
+    S = 1 is the bulk crystal. Because the ball is closed under the point
+    group, symmetry-equivalent k-points give the same bands and degenerate
+    defect modes stay degenerate to machine precision.
     """
 
     g1: np.ndarray
     g2: np.ndarray
     indices: np.ndarray  # (n_pw, 2) integer coefficients (m, n)
+    supercell_size: int  # S; 1 for the bulk
 
     @classmethod
     def bulk(cls, lattice: TriangularLattice, cutoff: int) -> "PlaneWaveBasis":
-        """Rhombus-truncated basis on the bulk reciprocal lattice."""
-        if cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        b1, b2 = reciprocal_basis(lattice)
-        ms = np.arange(-cutoff, cutoff + 1)
-        mm, nn = np.meshgrid(ms, ms, indexing="ij")
-        idx = np.stack([mm.ravel(), nn.ravel()], axis=-1)
-        return cls(g1=b1, g2=b2, indices=idx)
+        """The basis on the bulk reciprocal lattice: `supercell` with S = 1."""
+        return cls.supercell(lattice, 1, cutoff)
 
     @classmethod
     def supercell(
         cls, lattice: TriangularLattice, supercell_size: int, cutoff: int
     ) -> "PlaneWaveBasis":
-        """Hexagonally-truncated basis on the supercell reciprocal lattice."""
-        if cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        """The basis of radius `cutoff` on the S x S supercell's reciprocal lattice."""
         if supercell_size < 1:
             raise ValueError("supercell_size must be >= 1")
-        b1, b2 = reciprocal_basis(lattice)
-        # The norm ball extends to |n| = 2N/sqrt(3) along its widest direction.
-        ext = int(math.ceil(2.0 * cutoff / math.sqrt(3.0)))
-        ms = np.arange(-ext, ext + 1)
-        mm, nn = np.meshgrid(ms, ms, indexing="ij")
-        idx = np.stack([mm.ravel(), nn.ravel()], axis=-1)
-        norm2 = idx[:, 0] ** 2 + idx[:, 1] ** 2 + idx[:, 0] * idx[:, 1]
-        idx = idx[norm2 <= cutoff * cutoff]
-        return cls(g1=b1 / supercell_size, g2=b2 / supercell_size, indices=idx)
-
-    def __post_init__(self):
-        if not np.any(np.all(self.indices == 0, axis=1)):
-            raise ValueError("basis must contain G = 0")
+        g1, g2 = (b / supercell_size for b in reciprocal_basis(lattice))
+        return cls(g1, g2, hexagon_indices(cutoff), supercell_size)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -119,13 +109,11 @@ class PlaneWaveBasis:
         return self.indices @ np.stack([self.g1, self.g2])
 
 
-def _eps_matrix(
-    lattice: TriangularLattice, basis: PlaneWaveBasis, supercell_size: int | None = None
-) -> np.ndarray:
+def _eps_matrix(lattice: TriangularLattice, basis: PlaneWaveBasis) -> np.ndarray:
     """Permittivity matrix E[i, j] = eps_hat(G_i - G_j).
 
-    The bulk crystal, or with `supercell_size` S an S x S supercell with the
-    central hole removed. That hole arrangement is periodic with the
+    The bulk crystal for a bulk basis, otherwise the basis's S x S supercell
+    with the central hole removed. That hole arrangement is periodic with the
     supercell, so its structure factor is analytic: S^2 - 1 on bulk
     reciprocal vectors (supercell indices that are multiples of S) and -1
     elsewhere, times the single-hole form factor.
@@ -141,10 +129,10 @@ def _eps_matrix(
     dg = dm[..., None] * basis.g1 + dn[..., None] * basis.g2
     gnorm = np.linalg.norm(dg, axis=-1)
     origin = (dm == 0) & (dn == 0)
-    if supercell_size is None:
+    S = basis.supercell_size
+    if S == 1:
         table = _fourier_coefficient(lattice, gnorm, origin)
     else:
-        S = supercell_size
         deps = 1.0 - lattice.eps_background  # air holes
         structure = np.where((dm % S == 0) & (dn % S == 0), float(S * S - 1), -1.0)
         # One hole over the supercell area: fill fraction f / S^2.
@@ -165,10 +153,19 @@ def _inverse_eps_table(E: np.ndarray) -> np.ndarray:
 
 
 def _reduce_k(k: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Wrap k into the fundamental reciprocal cell (fractions in [-1/2, 1/2))."""
-    frac = np.linalg.solve(np.column_stack([b1, b2]), k)
-    frac -= np.floor(frac + 0.5)
-    return frac[0] * b1 + frac[1] * b2
+    """The shortest k - G over reciprocal vectors G: k moved into the first
+    Brillouin zone. Of the nine cells around the nearest lattice point, k
+    moves only to one shorter beyond round-off, so zone-boundary points (M,
+    K, the M-K edge) keep their vector.
+    """
+    basis = np.stack([b1, b2])
+    nearest = np.rint(np.linalg.solve(basis.T, k))
+    best = k
+    for shift in itertools.product((-1, 0, 1), repeat=2):
+        cand = k - (nearest + shift) @ basis
+        if cand @ cand < (1.0 - 1e-12) * (best @ best):
+            best = cand
+    return best
 
 
 def _assemble_te(eta: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -182,11 +179,11 @@ def build_te_operator(
 ) -> np.ndarray:
     """Hermitian TE operator Theta_{GG'} = eta(G-G') (k+G).(k+G') at wavevector k.
 
-    k may lie anywhere; it is wrapped into the fundamental reciprocal cell, so
-    band frequencies are exactly periodic under k -> k + b1. Eigenvalues are
-    (omega/c)^2 >= 0. No solver here calls it: it is the single-k entry
-    point the tests check against analytic oracles (empty lattice,
-    hermiticity, periodicity in k).
+    k may lie anywhere; it is reduced into the first Brillouin zone, so band
+    frequencies are exactly periodic under k -> k + b1 and equivalent zone
+    points (the six M, the six K) agree. Eigenvalues are (omega/c)^2 >= 0.
+    No solver here calls it: it is the single-k entry point the tests check
+    against analytic oracles (empty lattice, hermiticity, periodicity in k).
     """
     k = _reduce_k(np.asarray(k, dtype=float), *reciprocal_basis(lattice))
     eta = _inverse_eps_table(_eps_matrix(lattice, basis))
@@ -244,14 +241,13 @@ def compute_bands(
     """
     if n_bands > len(basis):
         raise ValueError(f"n_bands={n_bands} exceeds basis size {len(basis)}")
-    b1, b2 = reciprocal_basis(lattice)
     frac, kpts, arc = gamma_m_k_path(lattice, samples_per_segment)
     eta = _inverse_eps_table(_eps_matrix(lattice, basis))
     g = basis.g_vectors
 
     rows = []
     for i, k in enumerate(kpts):
-        theta = _assemble_te(eta, _reduce_k(k, b1, b2), g)
+        theta = _assemble_te(eta, k, g)  # path points lie in the first zone
         try:
             vals = eigh(
                 theta, eigvals_only=True, subset_by_index=[0, n_bands - 1]
@@ -412,7 +408,6 @@ def _mirror_partners(vals: np.ndarray, vecs: np.ndarray, mirror: np.ndarray) -> 
 
 def solve_h1_modes(
     lattice: TriangularLattice,
-    supercell_size: int,
     basis: PlaneWaveBasis,
     *,
     gap: BandGap | None,
@@ -420,10 +415,9 @@ def solve_h1_modes(
 ) -> list[CavityModeProfile]:
     """Eigenmodes of an H1 defect (central hole removed) inside the bulk TE gap.
 
-    Solves the S x S supercell at the supercell Gamma point in `basis` (a
-    `PlaneWaveBasis.supercell` of the same size) and keeps states
-    whose frequency falls strictly inside `gap`, the bulk crystal's TE gap
-    (`find_te_gap`). Returns an empty list when the gap is None or no state
+    Solves the S x S supercell of `basis` (a `PlaneWaveBasis.supercell`) at
+    its Gamma point and keeps states whose frequency falls strictly inside
+    `gap`, the bulk crystal's TE gap (`find_te_gap`). Returns an empty list when the gap is None or no state
     lands inside it. Modes are sorted by frequency; field grids use
     `grid_per_period` points per lattice period.
 
@@ -434,7 +428,7 @@ def solve_h1_modes(
     the BLAS thread count. Each keeps an eigenvalue of the pair, in
     ascending order.
     """
-    S = supercell_size
+    S = basis.supercell_size
     if S < 5 or S % 2 == 0:
         raise ValueError(f"supercell_size must be an odd integer >= 5, got {S}")
     if grid_per_period < 64:
@@ -442,7 +436,7 @@ def solve_h1_modes(
     if gap is None:
         return []
 
-    eta = _inverse_eps_table(_eps_matrix(lattice, basis, S))
+    eta = _inverse_eps_table(_eps_matrix(lattice, basis))
     theta = _assemble_te(eta, np.zeros(2), basis.g_vectors)
     margin = 1e-7
     scale = 2.0 * np.pi / lattice.period_a

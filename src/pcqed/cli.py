@@ -41,6 +41,7 @@ from .bands import (
     dipole_doublets,
     doublet_splitting,
     find_te_gap,
+    hexagon_indices,
     mode_volume,
     solve_h1_modes,
 )
@@ -139,9 +140,8 @@ class Bands:
     n_bands: int = _setting(5, minimum=2)
 
     def __post_init__(self):
-        if self.n_bands > (2 * self.cutoff + 1) ** 2:  # the bulk basis size
-            raise ValueError(f"n_bands: exceeds the {(2 * self.cutoff + 1) ** 2} plane waves "
-                             f"of cutoff {self.cutoff}")
+        if self.n_bands > (size := len(hexagon_indices(self.cutoff))):  # the bulk basis
+            raise ValueError(f"n_bands: exceeds the {size} plane waves of cutoff {self.cutoff}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -454,13 +454,12 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
     """H1 modes per hole ratio, inside its bulk gap `gaps[ra]` (None: no gap)."""
     crystal, settings = cfg.require("crystal"), cfg.modes
     bundle = _new_bundle(cfg, out_dir)
-    supercell = settings.supercell_size
     slab = crystal.slab.waveguide()
 
     for ra in crystal.hole_ratio_values:
         lattice = crystal.lattice(ra)
-        basis = PlaneWaveBasis.supercell(lattice, supercell, settings.cutoff)
-        modes = solve_h1_modes(lattice, supercell, basis, gap=gaps[ra],
+        basis = PlaneWaveBasis.supercell(lattice, settings.supercell_size, settings.cutoff)
+        modes = solve_h1_modes(lattice, basis, gap=gaps[ra],
                                grid_per_period=settings.grid_per_period)
         pairs = dipole_doublets(modes)
         doublets = [(modes.index(a), modes.index(b)) for a, b in pairs]
@@ -483,7 +482,7 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
             "kind": "defect_modes",
             "units": {"wavelength": "nm", "frequency": "a/lambda"},
             "hole_ratio": ra,
-            "supercell_size": supercell,
+            "supercell_size": settings.supercell_size,
             "modes_found": len(modes),
             "modes": entries,
             "doublet_found": len(doublets) == 1,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .bands import BandGap, BandStructure, CavityModeProfile
-from .fitting import STOP_REASONS, FitResult, SpectralScan
+from .fitting import MODELS, STOP_REASONS, FitResult, SpectralScan
 from .tcspc import BinGrid, InstrumentResponse, TransientHistogram
 
 __all__ = [
@@ -319,13 +319,14 @@ def write_fit_json(path, result: FitResult) -> dict:
 def read_fit_json(path) -> FitResult:
     """The FitResult written by `write_fit_json`, its verdict, errors and
     goodness derived rather than read. A missing key, a wrong type, a
-    non-finite number, no more points than parameters or an unknown stop
-    reason fails at the line of its key."""
+    non-finite number, parameters other than `parameter_order`, no more
+    points than parameters, or an unknown model or stop reason fails at the
+    line of its key."""
     path = Path(path)
     text = _read_text(path)
     doc = _json_object(path, text)
 
-    def field(key, kind):
+    def field(key, kind, allowed=None):
         value, line = doc.get(key), _key_line(text, key)
         if kind is int:
             return _number(value, key, path, line, kind=int)
@@ -333,6 +334,9 @@ def read_fit_json(path) -> FitResult:
             return _number(value, key, path, line)
         if not isinstance(value, kind):
             raise ParseError(path, line, f"{key}: expected {kind.__name__}, got {value!r}")
+        if allowed is not None and value not in allowed:
+            raise ParseError(path, line, f"{key}: expected one of {', '.join(allowed)}, "
+                             f"got {value!r}")
         return value
 
     def numbers(key, values):
@@ -346,22 +350,22 @@ def read_fit_json(path) -> FitResult:
                          f"covariance: expected {len(order)} rows of {len(order)} numbers")
     parameters = field("parameters", dict)
     numbers("parameters", parameters.values())
-    n_points, stop_reason = field("n_points", int), field("stop_reason", str)
+    if sorted(order, key=str) != sorted(parameters):  # written with sorted keys
+        raise ParseError(path, _key_line(text, "parameters"), f"parameters: keys "
+                         f"{sorted(parameters)} differ from parameter_order {order}")
+    n_points = field("n_points", int)
     if n_points <= len(order):  # the goodness divides by n_points - len(order)
         raise ParseError(path, _key_line(text, "n_points"), f"n_points: {n_points} data "
                          f"points cannot determine {len(order)} fit parameters")
-    if stop_reason not in STOP_REASONS:
-        raise ParseError(path, _key_line(text, "stop_reason"), f"stop_reason: expected one "
-                         f"of {', '.join(STOP_REASONS)}, got {stop_reason!r}")
     return FitResult(
-        model=field("model", str),
+        model=field("model", str, MODELS),
         parameters=parameters,
         parameter_order=tuple(order),
         covariance=np.array([numbers("covariance", row) for row in rows], dtype=float),
         statistic=field("statistic", float),
         n_points=n_points,
         iterations=field("iterations", int),
-        stop_reason=stop_reason,
+        stop_reason=field("stop_reason", str, STOP_REASONS),
         warnings=tuple(field("warnings", list)),
         extras=field("extras", dict),
     )

@@ -58,7 +58,7 @@ def h1_modes(ratio):
     """H1 modes of the device lattice inside its bulk gap (bulk cutoff 7, 16 samples)."""
     lat = device_lattice(ratio)
     gap = find_te_gap(compute_bands(lat, 16, PlaneWaveBasis.bulk(lat, 7), 2))
-    return solve_h1_modes(lat, 7, PlaneWaveBasis.supercell(lat, 7, 12), gap=gap, grid_per_period=64)
+    return solve_h1_modes(lat, PlaneWaveBasis.supercell(lat, 7, 12), gap=gap, grid_per_period=64)
 
 
 def synth(components, total, seed, grid=GRID):

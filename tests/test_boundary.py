@@ -5,6 +5,7 @@ offending path (a dotted config path, or file:line), never a traceback.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcqed import io as pcio
-from pcqed.bands import PlaneWaveBasis, compute_bands
+from pcqed.bands import PlaneWaveBasis, compute_bands, solve_h1_modes
 from pcqed.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
@@ -131,6 +132,27 @@ def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document
     err = capsys.readouterr().err
     assert f"{cfg}: {dotted}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cutoff", range(1, 14))
+def test_n_bands_bounded_by_the_bulk_basis_size(tmp_path, capsys, cutoff):
+    # The config check and the solver count plane waves with one function.
+    lat = TriangularLattice(300.0, 0.3, 10.0)
+    size = len(PlaneWaveBasis.bulk(lat, cutoff))
+    document = {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.3]},
+                "bands": {"cutoff": cutoff, "n_bands": size}}
+    assert parse_config(document).bands.n_bands == size
+    document["bands"]["n_bands"] = size + 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"{cfg}: bands.n_bands: exceeds the {size} plane waves" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver", [compute_bands, solve_h1_modes])
+def test_solvers_take_the_basis_by_name(solver):
+    # Call tracing reads the basis size from the argument named `basis`.
+    assert "basis" in inspect.signature(solver).parameters
 
 
 @pytest.mark.parametrize("command", ["bands", "modes", "fit"])

@@ -40,7 +40,7 @@ def bulk_gap():
 @pytest.fixture(scope="module")
 def h1_modes(bulk_gap):
     lat = device_lattice(0.37)
-    return solve_h1_modes(lat, 7, PlaneWaveBasis.supercell(lat, 7, 12), gap=bulk_gap,
+    return solve_h1_modes(lat, PlaneWaveBasis.supercell(lat, 7, 12), gap=bulk_gap,
                           grid_per_period=64)
 
 
@@ -70,7 +70,7 @@ def test_doublet_wavelength_monotone_in_hole_ratio():
     lams = []
     for ratio in (0.33, 0.36, 0.39, 0.42):
         lat = device_lattice(ratio)
-        modes = solve_h1_modes(lat, 7, PlaneWaveBasis.supercell(lat, 7, 12), gap=gap_of(lat),
+        modes = solve_h1_modes(lat, PlaneWaveBasis.supercell(lat, 7, 12), gap=gap_of(lat),
                                grid_per_period=64)
         pairs = dipole_doublets(modes)
         assert len(pairs) == 1, f"r/a={ratio}"
@@ -85,7 +85,7 @@ def test_supercell_size_convergence():
     for size, cutoff in ((5, 9), (7, 12)):
         lat = device_lattice(0.37)
         basis = PlaneWaveBasis.supercell(lat, size, cutoff)
-        modes = solve_h1_modes(lat, size, basis, gap=gap_of(lat), grid_per_period=64)
+        modes = solve_h1_modes(lat, basis, gap=gap_of(lat), grid_per_period=64)
         (a, b), = dipole_doublets(modes)
         freqs[size] = 0.5 * (a.frequency + b.frequency)
     assert abs(freqs[7] - freqs[5]) / freqs[7] < 0.01
@@ -94,15 +94,15 @@ def test_supercell_size_convergence():
 def test_no_gap_means_no_modes():
     lat = TriangularLattice(300.0, 0.0, 9.0)
     assert gap_of(lat) is None
-    assert solve_h1_modes(lat, 5, PlaneWaveBasis.supercell(lat, 5, 12), gap=None,
+    assert solve_h1_modes(lat, PlaneWaveBasis.supercell(lat, 5, 12), gap=None,
                           grid_per_period=64) == []
 
 
 def test_supercell_size_validation(bulk_gap):
     lat = device_lattice()
-    for size in (4, 3):
+    for size in (4, 3, 1):  # 1: a bulk basis
         with pytest.raises(ValueError):
-            solve_h1_modes(lat, size, PlaneWaveBasis.supercell(lat, size, 12), gap=bulk_gap,
+            solve_h1_modes(lat, PlaneWaveBasis.supercell(lat, size, 12), gap=bulk_gap,
                            grid_per_period=64)
 
 
@@ -112,9 +112,9 @@ def test_partner_fields_do_not_depend_on_the_gap_bits(bulk_gap, nudge):
     # change of the gap edge used to rotate the partners' fields by O(1).
     lat = device_lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 5, 9)
-    ref = solve_h1_modes(lat, 5, basis, gap=bulk_gap, grid_per_period=64)
+    ref = solve_h1_modes(lat, basis, gap=bulk_gap, grid_per_period=64)
     nudged = BandGap(bulk_gap.lower_edge * (1.0 + nudge), bulk_gap.upper_edge)
-    got = solve_h1_modes(lat, 5, basis, gap=nudged, grid_per_period=64)
+    got = solve_h1_modes(lat, basis, gap=nudged, grid_per_period=64)
     assert len(got) == len(ref) and dipole_doublets(ref)
     for a, b in zip(ref, got):
         assert np.abs(a.energy_density - b.energy_density).max() <= 1e-10
@@ -207,7 +207,7 @@ def test_energy_densities_bit_identical_to_ifft2(bulk_gap, monkeypatch):
     lat = device_lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 7, 12)
     kernel, seen = _recording_energy_densities(monkeypatch)
-    modes = solve_h1_modes(lat, 7, basis, gap=bulk_gap, grid_per_period=64)
+    modes = solve_h1_modes(lat, basis, gap=bulk_gap, grid_per_period=64)
     in_gap, = seen
     assert in_gap.shape[1] == len(modes) > 0
     random = np.random.default_rng(5).standard_normal((len(basis), 3))
@@ -223,8 +223,8 @@ def test_mode_grids_do_not_share_the_fft_buffer(bulk_gap, monkeypatch):
     lat = device_lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 7, 12)
     kernel, seen = _recording_energy_densities(monkeypatch)
-    modes = solve_h1_modes(lat, 7, basis, gap=bulk_gap, grid_per_period=64)
-    again = solve_h1_modes(lat, 7, basis, gap=bulk_gap, grid_per_period=64)
+    modes = solve_h1_modes(lat, basis, gap=bulk_gap, grid_per_period=64)
+    again = solve_h1_modes(lat, basis, gap=bulk_gap, grid_per_period=64)
     grids = [m.energy_density for m in modes]
     assert len(grids) > 1
     for i, a in enumerate(grids):
@@ -278,7 +278,7 @@ def test_mode_volume_grid_refinement(bulk_gap):
     lat = device_lattice(0.37)
     volumes = []
     for gpp in (64, 128):
-        modes = solve_h1_modes(lat, 7, PlaneWaveBasis.supercell(lat, 7, 12), gap=bulk_gap,
+        modes = solve_h1_modes(lat, PlaneWaveBasis.supercell(lat, 7, 12), gap=bulk_gap,
                                grid_per_period=gpp)
         (a, _), = dipole_doublets(modes)
         volumes.append(mode_volume(a, SLAB))

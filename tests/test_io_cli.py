@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,42 @@ def test_fit_json_reader_rejects_an_unknown_stop_reason(tmp_path):
         pcio.read_fit_json(path)
 
 
+def test_fit_json_reader_rejects_an_unknown_model(tmp_path):
+    path = _written_fit(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["model"] = "whatever"
+    path.write_text(json.dumps(doc, indent=1))
+    line = path.read_text().splitlines().index(' "model": "whatever",') + 1
+    with pytest.raises(pcio.ParseError, match=rf"fit\.json:{line}: model: expected one of "
+                       "monoexponential, biexponential, spectral-detuning, got 'whatever'"):
+        pcio.read_fit_json(path)
+
+
+@pytest.mark.parametrize("parameters", [
+    {"x": 1.0},
+    {"amplitude": 1.0, "lifetime_ps": 400.0, "t0_shift_ps": 0.0},
+    {"amplitude": 1.0, "lifetime_ps": 400.0, "t0_shift_ps": 0.0, "background": 1.0, "x": 1.0},
+])
+def test_fit_json_reader_rejects_parameters_other_than_the_order(tmp_path, parameters):
+    path = _written_fit(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["parameters"] = parameters
+    path.write_text(json.dumps(doc, indent=1))
+    line = path.read_text().splitlines().index(' "parameters": {') + 1
+    message = f"fit.json:{line}: parameters: keys {sorted(parameters)} differ from parameter_order"
+    with pytest.raises(pcio.ParseError, match=re.escape(message)):
+        pcio.read_fit_json(path)
+
+
+def test_fit_json_reader_takes_parameters_in_any_key_order(tmp_path):
+    # write_fit_json sorts the keys, so parameters and parameter_order differ
+    # in order in every file it writes.
+    path = _written_fit(tmp_path)
+    doc = json.loads(path.read_text())
+    assert list(doc["parameters"]) != doc["parameter_order"]
+    assert pcio.read_fit_json(path).parameters == doc["parameters"]
+
+
 def _written_bands(tmp_path):
     from pcqed.geometry import TriangularLattice
 
@@ -268,7 +305,7 @@ def test_profile_json_round_trip(tmp_path):
 
     slab = SlabWaveguide(400.0, 3.4, 1.0)
     lat = TriangularLattice(300.0, 0.37, effective_index(slab, 1050.0) ** 2)
-    modes = solve_h1_modes(lat, 5, PlaneWaveBasis.supercell(lat, 5, 12), gap=bulk_gap(lat),
+    modes = solve_h1_modes(lat, PlaneWaveBasis.supercell(lat, 5, 12), gap=bulk_gap(lat),
                            grid_per_period=64)
     (a, _), = dipole_doublets(modes)
     volume = mode_volume(a, slab)
@@ -464,8 +501,8 @@ def test_cmd_modes_takes_its_gap_from_the_bands_settings(tmp_path):
     doc = run_modes(cfg, tmp_path / "out")
     lat = parse_config(cfg).crystal.lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 5, 9)
-    expected = solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat, 4, 8), grid_per_period=64)
-    assert len(solve_h1_modes(lat, 5, basis, gap=bulk_gap(lat), grid_per_period=64)) != len(expected)
+    expected = solve_h1_modes(lat, basis, gap=bulk_gap(lat, 4, 8), grid_per_period=64)
+    assert len(solve_h1_modes(lat, basis, gap=bulk_gap(lat), grid_per_period=64)) != len(expected)
     assert [e["frequency"] for e in doc["modes"]] == [m.frequency for m in expected]
 
 
@@ -477,7 +514,7 @@ def test_modes_keeps_the_states_inside_the_gap_bands_writes(tmp_path):
     written = json.loads((tmp_path / "bands" / "gap_ra0p370.json").read_text())
     doc = run_modes(MODES_CONFIG, tmp_path / "modes")
     lat = parse_config(MODES_CONFIG).crystal.lattice(0.37)
-    expected = solve_h1_modes(lat, 5, PlaneWaveBasis.supercell(lat, 5, 9),
+    expected = solve_h1_modes(lat, PlaneWaveBasis.supercell(lat, 5, 9),
                               gap=BandGap(written["lower_edge"], written["upper_edge"]),
                               grid_per_period=64)
     assert [e["frequency"] for e in doc["modes"]] == [m.frequency for m in expected]
