@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import operator
 import os
 import sys
@@ -62,7 +61,8 @@ from .fitting import (
     synthesize_spectral_scan,
 )
 from .geometry import SlabWaveguide, TriangularLattice, effective_index
-from .tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
+from .tcspc import (BinGrid, DecayModel, InstrumentResponse, TransientHistogram, expected_curve,
+                    sample_histogram)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -307,16 +307,9 @@ def parse_config(document: dict) -> Config:
 
 
 def load_config(path) -> Config:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
-    if not isinstance(document, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
+    """The typed config in the JSON file `path`; an unreadable or malformed
+    file fails as a ParseError at its line, a bad setting with its dotted path."""
+    document = pcio.read_json_object(path)[0]
     try:
         return parse_config(document)
     except ConfigError as exc:
@@ -359,29 +352,10 @@ class ResultBundle:
             self.outputs[f"{prefix}/{key}"] = f"{prefix}/{rel}"
 
     def finish(self) -> None:
-        summary = self.out_dir / "summary.txt"
-        summary.write_text("\n".join(self.summary_lines) + "\n")
+        pcio.write_summary(self.out_dir / "summary.txt", self.summary_lines)
         self.outputs["summary"] = "summary.txt"
-        manifest = {
-            "schema_version": pcio.SCHEMA_VERSION,
-            "kind": "result_bundle",
-            "run_id": self.run_id,
-            "config_hash": self.config_hash,
-            "outputs": dict(sorted(self.outputs.items())),
-        }
-        if self.failed:
-            manifest["failed"] = self.failed
-        pcio.write_manifest_json(self.out_dir / "manifest.json", manifest)
-
-
-def _input_digests(paths) -> list:
-    """SHA-256 of each input file and of its metadata sidecar."""
-    digests = []
-    for path in map(Path, paths):
-        for part in (path, path.with_suffix(path.suffix + ".meta.json")):
-            if part.exists():
-                digests.append(hashlib.sha256(part.read_bytes()).hexdigest())
-    return digests
+        pcio.write_manifest_json(self.out_dir / "manifest.json", self.run_id,
+                                 self.config_hash, self.outputs, self.failed)
 
 
 def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
@@ -391,7 +365,7 @@ def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
     id changes whenever the data can: another seed, other input bytes.
     """
     digest = config_hash(cfg)
-    provenance = {"config": digest, "inputs": _input_digests(inputs)}
+    provenance = {"config": digest, "inputs": pcio.input_digests(inputs)}
     run_id = hashlib.sha256(pcio.canonical_json(provenance).encode()).hexdigest()[:12]
     out_dir.mkdir(parents=True, exist_ok=True)
     return ResultBundle(run_id=run_id, config_hash=digest, out_dir=out_dir)
@@ -411,9 +385,7 @@ def _bulk_bands(cfg: Config, ra: float) -> BandStructure:
 def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
     crystal = cfg.require("crystal")
     bundle = _new_bundle(cfg, out_dir)
-    columns = ("hole_ratio", "gap_present", "lower_edge", "upper_edge", "midgap",
-               "midgap_wavelength_nm", "gap_width")
-    table = [",".join(columns)]
+    gap_docs = []
     for ra in crystal.hole_ratio_values:
         bands = _bulk_bands(cfg, ra)
         tag = _ra_tag(ra)
@@ -422,9 +394,8 @@ def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
         bundle.add(f"bands_ra{tag}", band_path)
         gap = bundle.results[ra] = find_te_gap(bands)
         gap_path = out_dir / f"gap_ra{tag}.json"
-        doc = pcio.write_gap_json(gap_path, gap, crystal.period_nm, ra)
+        gap_docs.append(pcio.write_gap_json(gap_path, gap, crystal.period_nm, ra))
         bundle.add(f"gap_ra{tag}", gap_path)
-        table.append(",".join("" if doc[c] is None else repr(doc[c]) for c in columns))
         if gap is None:
             bundle.note(f"bands r/a={ra}: no TE gap")
         else:
@@ -434,7 +405,7 @@ def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
                 f"{gap.midgap_wavelength(crystal.period_nm):.1f} nm"
             )
     table_path = out_dir / "gap_vs_hole_ratio.csv"
-    table_path.write_text("\n".join(table) + "\n")
+    pcio.write_gap_table(table_path, gap_docs)
     bundle.add("gap_table", table_path)
     bundle.finish()
     return bundle
@@ -466,37 +437,10 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
         volumes = [mode_volume(mode, slab) for mode in modes]
         bundle.results[ra] = ModeSet([m.frequency for m in modes], volumes, doublets)
         tag = _ra_tag(ra)
-        entries = [
-            {
-                "index": i,
-                "frequency": mode.frequency,
-                "wavelength_nm": mode.wavelength,
-                "localization": mode.localization,
-                "parity": mode.parity,
-                "mode_volume": volume,
-            }
-            for i, (mode, volume) in enumerate(zip(modes, volumes))
-        ]
-        doc = {
-            "schema_version": pcio.SCHEMA_VERSION,
-            "kind": "defect_modes",
-            "units": {"wavelength": "nm", "frequency": "a/lambda"},
-            "hole_ratio": ra,
-            "supercell_size": settings.supercell_size,
-            "modes_found": len(modes),
-            "modes": entries,
-            "doublet_found": len(doublets) == 1,
-            "doublets": [
-                {
-                    "frequencies": [a.frequency, b.frequency],
-                    "wavelengths_nm": [a.wavelength, b.wavelength],
-                    "fractional_splitting": doublet_splitting(a.frequency, b.frequency),
-                }
-                for a, b in pairs
-            ],
-        }
         doc_path = out_dir / f"modes_ra{tag}.json"
-        pcio.write_json(doc_path, doc)
+        pcio.write_modes_json(doc_path, modes, volumes, pairs,
+                              [doublet_splitting(a.frequency, b.frequency) for a, b in pairs],
+                              hole_ratio=ra, supercell_size=settings.supercell_size)
         bundle.add(f"modes_ra{tag}", doc_path)
         if not modes:
             bundle.note(f"modes r/a={ra}: no in-gap defect modes found")
@@ -606,15 +550,13 @@ def _beta_from_bi(result) -> tuple[float, float]:
     return beta, np.sqrt(max(var, 0.0))
 
 
-def _fit_histogram_file(cfg: Config, path, bundle):
-    hist = pcio.read_histogram_csv(path)
-    stem = Path(path).stem
+def _fit_histogram(cfg: Config, path: Path, hist: TransientHistogram, bundle):
     try:
         if cfg.fit.model == "auto":
             selection = select_model(hist)
             result = selection.best
             bundle.note(
-                f"fit {stem}: model selection: {selection.choice} "
+                f"fit {path.stem}: model selection: {selection.choice} "
                 f"(delta deviance {selection.delta_deviance:.1f})"
             )
         elif cfg.fit.model == "mono":
@@ -625,13 +567,13 @@ def _fit_histogram_file(cfg: Config, path, bundle):
         raise ConfigError(f"{path}: {exc}") from exc
     if result.model != "biexponential":
         bundle.note(
-            f"fit {stem}: monoexponential lifetime "
+            f"fit {path.stem}: monoexponential lifetime "
             f"{result['lifetime_ps']:.1f} +- {result.std_errors['lifetime_ps']:.1f} ps"
         )
         return result
     beta, beta_err = _beta_from_bi(result)
     bundle.note(
-        f"fit {stem}: biexponential lifetimes "
+        f"fit {path.stem}: biexponential lifetimes "
         f"{result['lifetime_fast_ps']:.1f}/{result['lifetime_slow_ps']:.1f} ps, "
         f"beta = {beta:.4f} +- {beta_err:.4f}"
     )
@@ -640,20 +582,9 @@ def _fit_histogram_file(cfg: Config, path, bundle):
     )
 
 
-def _fit_scan_file(cfg: Config, path, bundle):
-    scan, meta = pcio.read_scan_csv(path)
-    spec = cfg.fit.spectral
-    if spec.modes is None and meta.get("modes") is None:
-        raise ConfigError("fit.spectral.modes: required (scan sidecar carries no modes)")
-    # A sidecar's modes are held to the rule of fit.spectral.modes.
-    modes = spec.modes or _value(tuple[Mode, ...], meta["modes"], f"{path}.meta.json:1: modes", {})
-    modes = [m.cavity() for m in modes]
-    if spec.tau0_ps is not None:
-        scan = dataclasses.replace(scan, reference_tau0=spec.tau0_ps)
-    if scan.reference_tau0 is None:
-        raise ConfigError("fit.spectral.tau0_ps: required (no tau0 in scan sidecar)")
+def _fit_scan(path: Path, scan, modes: tuple[Mode, ...], bundle):
     try:
-        result = fit_spectral_model(scan, modes)
+        result = fit_spectral_model(scan, [m.cavity() for m in modes])
     except ValueError as exc:  # the scan does not span a mode
         raise ConfigError(f"{path}: {exc}") from exc
     alpha = result["alpha"]
@@ -664,7 +595,7 @@ def _fit_scan_file(cfg: Config, path, bundle):
         f"{n}={result[n]:.1f}+-{result.std_errors[n]:.1f}" for n in fp_names
     )
     bundle.note(
-        f"fit {Path(path).stem}: spectral model {fp_text}, alpha={alpha:.3f}, "
+        f"fit {path.stem}: spectral model {fp_text}, alpha={alpha:.3f}, "
         f"tau on resonance "
         + "/".join(f"{t:.1f}" for t in result.extras["tau_on_resonance_ps"])
         + f" ps, max lifetime ratio {result.extras['lifetime_ratio_max']:.1f}, beta "
@@ -673,37 +604,49 @@ def _fit_scan_file(cfg: Config, path, bundle):
     return dataclasses.replace(result, extras={**result.extras, "beta_per_mode": betas})
 
 
+def _read_fit_input(cfg: Config, path: Path):
+    """The call that fits the input `path` into a bundle, once the input is read
+    and checked; a scan's modes and tau0 come from the config or its sidecar."""
+    data = pcio.read_fit_input(path)
+    if isinstance(data, TransientHistogram):
+        return lambda bundle: _fit_histogram(cfg, path, data, bundle)
+    scan, meta = data
+    spec = cfg.fit.spectral
+    if spec.modes is None and meta.get("modes") is None:
+        raise ConfigError("fit.spectral.modes: required (scan sidecar carries no modes)")
+    # A sidecar's modes are held to the rule of fit.spectral.modes.
+    modes = spec.modes or _value(tuple[Mode, ...], meta["modes"],
+                                 f"{pcio.sidecar_path(path)}:1: modes", {})
+    if spec.tau0_ps is not None:
+        scan = dataclasses.replace(scan, reference_tau0=spec.tau0_ps)
+    if scan.reference_tau0 is None:
+        raise ConfigError("fit.spectral.tau0_ps: required (no tau0 in scan sidecar)")
+    return lambda bundle: _fit_scan(path, scan, modes, bundle)
+
+
 def cmd_fit(cfg: Config, out_dir: Path, inputs: list) -> ResultBundle:
     """Fit every input; one that does not converge does not stop the others.
 
-    Converged results are written and failed inputs listed with their stop
-    reason under "failed" in the manifest; then FitConvergenceError is raised
-    for the batch (exit code 4), carrying the first failed fit's result.
-    Inputs whose results would share a file name are rejected up front.
+    Every input is read and checked before the first fit, and inputs whose
+    results would share a file name are rejected. Converged results are
+    written and failed inputs listed with their stop reason under "failed" in
+    the manifest; then FitConvergenceError is raised for the batch (exit code
+    4), carrying the first failed fit's result.
     """
     if not inputs:
         raise ConfigError("fit: at least one input file is required")
     paths = [Path(p) for p in inputs]
-    by_stem = {}
+    fits = {}
     for path in paths:
-        if not path.is_file():
-            raise ConfigError(f"fit: input file {path} does not exist")
-        if path.stem in by_stem:
-            raise ConfigError(f"fit: inputs {by_stem[path.stem]} and {path} would both "
+        if path.stem in fits:
+            raise ConfigError(f"fit: inputs {fits[path.stem][0]} and {path} would both "
                               f"write fit_{path.stem}.json")
-        by_stem[path.stem] = path
+        fits[path.stem] = path, _read_fit_input(cfg, path)
     bundle = _new_bundle(cfg, out_dir, paths)
     errors = []
-    for path in paths:
-        header = pcio.read_header(path)
-        if header == "time_ps,counts":
-            fit_file = _fit_histogram_file
-        elif header == "wavelength_nm,lifetime_ps,lifetime_err_ps":
-            fit_file = _fit_scan_file
-        else:
-            raise pcio.ParseError(path, 1, f"unrecognized header {header!r}")
+    for path, fit in fits.values():
         try:
-            result = fit_file(cfg, path, bundle)
+            result = fit(bundle)
         except FitConvergenceError as exc:
             errors.append(exc)
             bundle.failed.append([path.name, exc.result.stop_reason])
@@ -915,7 +858,7 @@ def main(argv=None) -> int:
                 bundle = cmd_fit(cfg, out_dir, args.inputs)
             else:  # pragma: no cover - argparse guards this
                 raise ConfigError(f"unknown command {args.command}")
-    except (ConfigError, pcio.ParseError, FileNotFoundError) as exc:
+    except (ConfigError, pcio.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BandSolverError as exc:

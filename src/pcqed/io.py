@@ -1,5 +1,7 @@
-"""File formats: histogram/band/scan CSV, gap/fit JSON, and mode profiles as
-JSON metadata plus a `.npy` energy-density sidecar checked by SHA-256.
+"""Every file pcqed reads or writes: histogram/band/scan CSV, the config, gap,
+mode, fit and manifest JSON, the run summary, and mode profiles as JSON
+metadata plus a `.npy` energy-density sidecar checked by SHA-256. A file that
+cannot be read fails as a ParseError at its line 1.
 
 All numeric text is written with `repr` so floats round-trip exactly and
 repeated runs produce byte-identical files; the profile grid is stored as
@@ -26,14 +28,20 @@ __all__ = [
     "SCHEMA_VERSION",
     "ParseError",
     "canonical_json",
-    "read_header",
+    "sidecar_path",
+    "input_digests",
+    "read_json_object",
+    "read_fit_input",
     "write_json",
+    "write_summary",
     "write_manifest_json",
     "write_histogram_csv",
     "read_histogram_csv",
     "write_band_csv",
     "read_band_csv",
     "write_gap_json",
+    "write_gap_table",
+    "write_modes_json",
     "write_fit_json",
     "read_fit_json",
     "write_scan_csv",
@@ -43,6 +51,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
+HISTOGRAM_HEADER = "time_ps,counts"
+SCAN_HEADER = "wavelength_nm,lifetime_ps,lifetime_err_ps"
 
 
 class ParseError(ValueError):
@@ -63,6 +73,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
 
 
+def _envelope(kind: str, **units) -> dict:
+    """The fields every JSON document starts with; `units` maps quantity to unit."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind}
+    if units:
+        doc["units"] = units
+    return doc
+
+
 def write_json(path, obj) -> None:
     Path(path).write_text(canonical_json(obj) + "\n")
 
@@ -73,9 +91,66 @@ def _write_compact_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def write_manifest_json(path, doc: dict) -> None:
-    """Result-bundle manifest: run id, config hash, outputs, failed inputs."""
+def write_manifest_json(path, run_id: str, config_hash: str, outputs: dict, failed: list):
+    """Result-bundle manifest: run id, config hash, outputs by name and the
+    failed inputs with their stop reasons (the key is left out when none)."""
+    doc = {**_envelope("result_bundle"), "run_id": run_id, "config_hash": config_hash,
+           "outputs": dict(sorted(outputs.items()))}
+    if failed:
+        doc["failed"] = failed
     _write_compact_json(path, doc)
+
+
+def write_summary(path, lines) -> None:
+    """A run's summary, one line per entry."""
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read(path, mode="r", first_line=False):
+    """The text (mode "r") or bytes ("rb") of `path`, or only its first line.
+    A file that cannot be read or is not UTF-8 text fails at its line 1."""
+    try:
+        with open(path, mode, encoding=None if "b" in mode else "utf-8") as file:
+            return file.readline() if first_line else file.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, 1, "not UTF-8 text") from exc
+    except OSError as exc:
+        raise ParseError(path, 1, f"cannot read: {exc.strerror or exc}") from exc
+
+
+def read_json_object(path) -> tuple[dict, str]:
+    """The JSON object in `path` and its text; malformed text fails at its line."""
+    text = _read(path)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(path, 1, "expected a JSON object")
+    return doc, text
+
+
+def sidecar_path(path) -> Path:
+    """The metadata sidecar of a CSV input: `<path>.meta.json`."""
+    return Path(f"{path}.meta.json")
+
+
+def input_digests(paths) -> list:
+    """SHA-256 of each input file and of its metadata sidecar, where one exists."""
+    parts = (part for path in paths for part in (Path(path), sidecar_path(path)))
+    return [hashlib.sha256(_read(part, "rb")).hexdigest() for part in parts if part.exists()]
+
+
+def read_fit_input(path) -> TransientHistogram | tuple[SpectralScan, dict]:
+    """A fit input, read by the reader its header line names: a histogram, or
+    a spectral scan with its sidecar metadata."""
+    header = _read(path, first_line=True).strip()
+    if header == HISTOGRAM_HEADER:
+        return read_histogram_csv(path)
+    if header == SCAN_HEADER:
+        return read_scan_csv(path)
+    raise ParseError(path, 1, f"unrecognized header {header!r}; expected "
+                     f"{HISTOGRAM_HEADER!r} or {SCAN_HEADER!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +159,12 @@ def write_manifest_json(path, doc: dict) -> None:
 
 def write_histogram_csv(path, hist: TransientHistogram, metadata: dict | None = None):
     """Write counts vs bin-center time; sidecar goes to <path>.meta.json."""
-    path = Path(path)
-    lines = ["time_ps,counts"]
+    lines = [HISTOGRAM_HEADER]
     for t, c in zip(hist.grid.centers(), hist.counts):
         lines.append(f"{_fmt(t)},{int(c)}")
-    path.write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n")
     meta = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "histogram",
-        "units": {"time": "ps"},
+        **_envelope("histogram", time="ps"),
         "bin_width_ps": float(hist.grid.bin_width),
         "t_start_ps": float(hist.grid.t_start),
         "n_bins": len(hist.counts),
@@ -102,40 +174,8 @@ def write_histogram_csv(path, hist: TransientHistogram, metadata: dict | None = 
     }
     if metadata:
         meta.update(metadata)
-    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
+    write_json(sidecar_path(path), meta)
     return meta
-
-
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, 1, "not UTF-8 text") from exc
-
-
-def read_header(path) -> str:
-    """First line of a text input, stripped; '' for an empty file."""
-    lines = _read_text(path).splitlines()
-    return lines[0].strip() if lines else ""
-
-
-def _read_sidecar(path: Path) -> tuple[Path, dict | None]:
-    """The `<path>.meta.json` sidecar and its JSON object (None when absent)."""
-    meta_path = path.with_suffix(path.suffix + ".meta.json")
-    if not meta_path.exists():
-        return meta_path, None
-    return meta_path, _json_object(meta_path, _read_text(meta_path))
-
-
-def _json_object(path, text: str) -> dict:
-    """`text` parsed as a JSON object; malformed text fails at its line."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(path, 1, "expected a JSON object")
-    return doc
 
 
 def _number(value, name: str, path, line: int, kind=(int, float), positive=False):
@@ -154,7 +194,7 @@ def _table(path, header_check, what):
     every other row must hold one field per header name. All rows are split
     at once, as one joined string.
     """
-    lines = _read_text(path).splitlines()
+    lines = _read(path).splitlines()
     header = lines[0].strip() if lines else ""
     names = header.split(",")
     if not header_check(names):
@@ -197,16 +237,14 @@ def read_histogram_csv(path) -> TransientHistogram:
     The rows must match the sidecar: `n_bins` rows summing to `total_counts`,
     each `time_ps` at its bin centre on the sidecar's grid.
     """
-    path = Path(path)
-    meta_path, meta = _read_sidecar(path)
-    if meta is None:
-        raise FileNotFoundError(f"missing metadata sidecar {meta_path}")
+    meta_path = sidecar_path(path)
+    meta = read_json_object(meta_path)[0]
     width, fwhm = (_number(meta.get(key), key, meta_path, 1, positive=True)
                    for key in ("bin_width_ps", "irf_fwhm_ps"))
     t_start, irf_t0 = (_number(meta.get(key), key, meta_path, 1)
                        for key in ("t_start_ps", "irf_t0_ps"))
     _, numbers, (time_cells, count_cells) = _table(
-        path, lambda names: names == ["time_ps", "counts"], "histogram")
+        path, lambda names: names == HISTOGRAM_HEADER.split(","), "histogram")
     times = _column(path, numbers, "time_ps", time_cells)
     counts = _column(path, numbers, "counts", count_cells, np.int64)
     grid = BinGrid(float(width), len(numbers), float(t_start))
@@ -266,9 +304,7 @@ def read_band_csv(path):
 
 def write_gap_json(path, gap: BandGap | None, period_a: float, hole_ratio: float):
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "band_gap",
-        "units": {"frequency": "a/lambda", "wavelength": "nm"},
+        **_envelope("band_gap", frequency="a/lambda", wavelength="nm"),
         "period_nm": float(period_a),
         "hole_ratio": float(hole_ratio),
         "gap_present": gap is not None,
@@ -292,11 +328,40 @@ def write_gap_json(path, gap: BandGap | None, period_a: float, hole_ratio: float
     return doc
 
 
+def write_gap_table(path, gap_docs) -> None:
+    """The gap sweep as CSV, one row per `write_gap_json` document; a null is
+    an empty cell."""
+    columns = ("hole_ratio", "gap_present", "lower_edge", "upper_edge", "midgap",
+               "midgap_wavelength_nm", "gap_width")
+    rows = [",".join(columns)]
+    rows += [",".join("" if doc[c] is None else repr(doc[c]) for c in columns)
+             for doc in gap_docs]
+    Path(path).write_text("\n".join(rows) + "\n")
+
+
+def write_modes_json(path, modes, volumes, doublets, splittings, *, hole_ratio: float,
+                     supercell_size: int) -> None:
+    """One hole ratio's in-gap modes with their volumes, and each dipole
+    doublet (a pair of modes) with its fractional splitting."""
+    write_json(path, {
+        **_envelope("defect_modes", wavelength="nm", frequency="a/lambda"),
+        "hole_ratio": hole_ratio,
+        "supercell_size": supercell_size,
+        "modes_found": len(modes),
+        "modes": [{"index": i, "frequency": mode.frequency, "wavelength_nm": mode.wavelength,
+                   "localization": mode.localization, "parity": mode.parity,
+                   "mode_volume": volume} for i, (mode, volume) in enumerate(zip(modes, volumes))],
+        "doublet_found": len(doublets) == 1,
+        "doublets": [{"frequencies": [a.frequency, b.frequency],
+                      "wavelengths_nm": [a.wavelength, b.wavelength],
+                      "fractional_splitting": splitting}
+                     for (a, b), splitting in zip(doublets, splittings)],
+    })
+
+
 def write_fit_json(path, result: FitResult) -> dict:
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fit_result",
-        "units": {"time": "ps", "wavelength": "nm"},
+        **_envelope("fit_result", time="ps", wavelength="nm"),
         "model": result.model,
         "parameters": result.parameters,
         "std_errors": result.std_errors,
@@ -323,8 +388,7 @@ def read_fit_json(path) -> FitResult:
     points than parameters, or an unknown model or stop reason fails at the
     line of its key."""
     path = Path(path)
-    text = _read_text(path)
-    doc = _json_object(path, text)
+    doc, text = read_json_object(path)
 
     def field(key, kind, allowed=None):
         value, line = doc.get(key), _key_line(text, key)
@@ -385,9 +449,7 @@ def write_profile_json(path, profile: CavityModeProfile, mode_volume: float | No
     grid_path = path.with_suffix(".npy")
     grid_path.write_bytes(grid_bytes)
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "cavity_mode_profile",
-        "units": {"wavelength": "nm", "frequency": "a/lambda"},
+        **_envelope("cavity_mode_profile", wavelength="nm", frequency="a/lambda"),
         "frequency": profile.frequency,
         "wavelength_nm": profile.wavelength,
         "supercell_size": profile.supercell_size,
@@ -420,8 +482,7 @@ def read_profile_json(path) -> tuple[dict, np.ndarray]:
     float64 values (no pickled objects) and have the shape `grid_shape`.
     """
     path = Path(path)
-    text = _read_text(path)
-    doc = _json_object(path, text)
+    doc, text = read_json_object(path)
     if "energy_density" in doc:
         raise ParseError(path, _key_line(text, "energy_density"),
                          "inline energy_density grid (schema 1); this reader takes "
@@ -458,35 +519,28 @@ def read_profile_json(path) -> tuple[dict, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def write_scan_csv(path, scan: SpectralScan, metadata: dict | None = None) -> dict:
-    path = Path(path)
-    lines = ["wavelength_nm,lifetime_ps,lifetime_err_ps"]
+    lines = [SCAN_HEADER]
     errors = scan.errors if scan.errors is not None else [""] * len(scan.wavelengths)
     for lam, tau, err in zip(scan.wavelengths, scan.lifetimes, errors):
         err_cell = _fmt(err) if err != "" else ""
         lines.append(f"{_fmt(lam)},{_fmt(tau)},{err_cell}")
-    path.write_text("\n".join(lines) + "\n")
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "spectral_scan",
-        "units": {"wavelength": "nm", "time": "ps"},
-    }
+    Path(path).write_text("\n".join(lines) + "\n")
+    meta = _envelope("spectral_scan", wavelength="nm", time="ps")
     if scan.reference_tau0 is not None:
         meta["tau0_ps"] = float(scan.reference_tau0)
     if metadata:
         meta.update(metadata)
-    write_json(path.with_suffix(path.suffix + ".meta.json"), meta)
+    write_json(sidecar_path(path), meta)
     return meta
 
 
 def read_scan_csv(path) -> tuple[SpectralScan, dict]:
     """Scan and sidecar metadata; wavelengths must increase, lifetimes and
     uncertainties be positive, and a tau0 reference be positive."""
-    path = Path(path)
-    meta_path, meta = _read_sidecar(path)
-    meta = meta or {}
+    meta_path = sidecar_path(path)
+    meta = read_json_object(meta_path)[0] if meta_path.exists() else {}
     _, numbers, (lam_cells, tau_cells, err_cells) = _table(
-        path, lambda names: names == ["wavelength_nm", "lifetime_ps", "lifetime_err_ps"],
-        "spectral-scan")
+        path, lambda names: names == SCAN_HEADER.split(","), "spectral-scan")
     lams = _column(path, numbers, "wavelength_nm", lam_cells, positive=True)
     taus = _column(path, numbers, "lifetime_ps", tau_cells, positive=True)
     bad = np.flatnonzero(~(np.diff(lams) > 0))

@@ -348,6 +348,47 @@ def test_scan_sidecar_modes_follow_the_config_rule(tmp_path, capsys):
     assert f"{scan}.meta.json:1: modes[0].v_mode: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("unreadable", ["histogram sidecar", "scan sidecar", "config", "input"])
+def test_unreadable_file_exits_2_at_its_line_1(tmp_path, capsys, unreadable):
+    # A directory stands for any file that exists but cannot be read: a
+    # mode-000 file is still readable to root.
+    write = _write_scan if unreadable == "scan sidecar" else _write_histogram
+    path = write(tmp_path / "t.csv")
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({"fit": {"model": "mono"}}))
+    target = {"config": config, "input": path}.get(unreadable, Path(f"{path}.meta.json"))
+    target.unlink()
+    target.mkdir()
+    argv = ["fit", "--config", str(config), "--out", str(tmp_path / "out"), str(path)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"error: {target}:1: cannot read: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["header", "scan modes", "scan tau0"])
+def test_every_input_is_checked_before_the_first_fit(tmp_path, capsys, bad):
+    good = _write_histogram(tmp_path / "good.csv")
+    if bad == "header":
+        broken = tmp_path / "bad.csv"
+        broken.write_text("a,b\n1,2\n")
+    else:
+        broken = _write_scan(tmp_path / "bad.csv")
+        meta = json.loads(Path(f"{broken}.meta.json").read_text())
+        del meta["modes" if bad == "scan modes" else "tau0_ps"]
+        Path(f"{broken}.meta.json").write_text(json.dumps(meta))
+    assert _fit(tmp_path, good, broken) == EXIT_CONFIG
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_header_exits_2_naming_both_fit_inputs(tmp_path, capsys):
+    bogus = tmp_path / "x.csv"
+    bogus.write_text("a,b\n1,2\n")
+    assert _fit(tmp_path, bogus) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"error: {bogus}:1: unrecognized header 'a,b'" in err
+    assert "'time_ps,counts'" in err and "'wavelength_nm,lifetime_ps,lifetime_err_ps'" in err
+
+
 def _set_uncertainty(scan, row, sigma):
     lines = scan.read_text().splitlines()
     cells = lines[row].split(",")

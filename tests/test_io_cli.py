@@ -135,6 +135,27 @@ def test_scan_csv_round_trip(tmp_path):
     assert meta["seed"] == 1
 
 
+def test_fit_inputs_come_back_through_the_header_dispatch(tmp_path):
+    from pcqed.tcspc import TransientHistogram
+
+    grid = BinGrid(bin_width=12.0, n_bins=64)
+    hist = sample_histogram(expected_curve(DecayModel([(1.0, 400.0)]), IRF, grid), 5_000, 5,
+                            grid=grid, irf=IRF)
+    pcio.write_histogram_csv(tmp_path / "h.csv", hist)
+    back = pcio.read_fit_input(tmp_path / "h.csv")
+    assert isinstance(back, TransientHistogram)
+    np.testing.assert_array_equal(back.counts, hist.counts)
+    assert (back.grid, back.irf) == (hist.grid, hist.irf)
+    scan = SpectralScan(wavelengths=np.array([1030.0, 1031.0]), lifetimes=np.array([120.0, 45.5]),
+                        errors=None, reference_tau0=840.0)
+    pcio.write_scan_csv(tmp_path / "s.csv", scan, metadata={"seed": 1})
+    back, meta = pcio.read_fit_input(tmp_path / "s.csv")
+    assert isinstance(back, SpectralScan) and meta["seed"] == 1
+    np.testing.assert_array_equal(back.wavelengths, scan.wavelengths)
+    np.testing.assert_array_equal(back.lifetimes, scan.lifetimes)
+    assert back.errors is None and back.reference_tau0 == 840.0
+
+
 def test_fit_json_round_trip(tmp_path):
     grid = BinGrid(bin_width=12.0, n_bins=2048)
     curve = expected_curve(DecayModel([(1.0, 840.0)]), IRF, grid)

@@ -1,6 +1,8 @@
 """The package's import surface: each public name has one home, its submodule."""
 
+import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -34,3 +36,22 @@ def test_fitting_imports_no_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_leaves_every_file_format_to_io():
+    # Reading, writing and naming files is `pcqed.io`'s job: the command line
+    # holds no JSON codec, document envelope, sidecar name or CSV header.
+    from pcqed import cli
+    from pcqed import io as pcio
+
+    source = inspect.getsource(cli)
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "json" not in imported
+    for detail in ("read_text", "write_text", "read_bytes", "SCHEMA_VERSION", '"kind"',
+                   '"units"', ".meta.json", pcio.HISTOGRAM_HEADER, pcio.SCAN_HEADER):
+        assert detail not in source
