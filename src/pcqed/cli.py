@@ -9,9 +9,9 @@ PCQED_OUT may set only the output directory. Identical config + seed
 produces byte-identical numeric outputs (run ids hash the parsed config,
 defaults filled in, and the input bytes, never the document text or wall time).
 
-Exit codes: 0 success, 2 configuration/input error, 3 solver failure,
-4 fit non-convergence (a batch `fit` still writes every converged result and
-lists the failed inputs in its manifest).
+Exit codes: 0 success, 2 configuration/input error or unwritable output,
+3 solver failure, 4 fit non-convergence (a batch `fit` still writes every
+converged result and lists the failed inputs in its manifest).
 """
 
 from __future__ import annotations
@@ -329,7 +329,12 @@ def config_hash(cfg: Config) -> str:
 class ResultBundle:
     """A run's files and summary, plus what it computed, in `results`: per
     hole ratio a BandGap or None (`cmd_bands`) or a ModeSet (`cmd_modes`),
-    per input stem a FitResult (`cmd_fit`)."""
+    per input stem a FitResult (`cmd_fit`).
+
+    Every file of the run is written through `write`, which lists it in the
+    manifest by name and creates `out_dir` with the first file, so a run that
+    fails before it writes leaves no directory behind.
+    """
 
     run_id: str
     config_hash: str
@@ -339,8 +344,20 @@ class ResultBundle:
     summary_lines: list = field(default_factory=list)
     results: dict = field(default_factory=dict)
 
-    def add(self, name: str, path: Path) -> None:
-        self.outputs[name] = str(path.relative_to(self.out_dir))
+    def write(self, name: str | None, filename: str, writer, *args, **kwargs):
+        """`writer(out_dir / filename, *args, **kwargs)`, listed in the manifest
+        under `name` (None: the manifest itself); a file or directory that
+        cannot be written is a ConfigError at its path."""
+        path = self.out_dir / filename
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+            written = writer(path, *args, **kwargs)
+        except OSError as exc:
+            raise ConfigError(f"{exc.filename or path}: cannot write: "
+                              f"{exc.strerror or exc}") from None
+        if name is not None:
+            self.outputs[name] = filename
+        return written
 
     def note(self, line: str) -> None:
         self.summary_lines.append(line)
@@ -352,10 +369,9 @@ class ResultBundle:
             self.outputs[f"{prefix}/{key}"] = f"{prefix}/{rel}"
 
     def finish(self) -> None:
-        pcio.write_summary(self.out_dir / "summary.txt", self.summary_lines)
-        self.outputs["summary"] = "summary.txt"
-        pcio.write_manifest_json(self.out_dir / "manifest.json", self.run_id,
-                                 self.config_hash, self.outputs, self.failed)
+        self.write("summary", "summary.txt", pcio.write_summary, self.summary_lines)
+        self.write(None, "manifest.json", pcio.write_manifest_json, self.run_id,
+                   self.config_hash, self.outputs, self.failed)
 
 
 def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
@@ -367,7 +383,6 @@ def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
     digest = config_hash(cfg)
     provenance = {"config": digest, "inputs": pcio.input_digests(inputs)}
     run_id = hashlib.sha256(pcio.canonical_json(provenance).encode()).hexdigest()[:12]
-    out_dir.mkdir(parents=True, exist_ok=True)
     return ResultBundle(run_id=run_id, config_hash=digest, out_dir=out_dir)
 
 
@@ -389,13 +404,10 @@ def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
     for ra in crystal.hole_ratio_values:
         bands = _bulk_bands(cfg, ra)
         tag = _ra_tag(ra)
-        band_path = out_dir / f"bands_ra{tag}.csv"
-        pcio.write_band_csv(band_path, bands)
-        bundle.add(f"bands_ra{tag}", band_path)
+        bundle.write(f"bands_ra{tag}", f"bands_ra{tag}.csv", pcio.write_band_csv, bands)
         gap = bundle.results[ra] = find_te_gap(bands)
-        gap_path = out_dir / f"gap_ra{tag}.json"
-        gap_docs.append(pcio.write_gap_json(gap_path, gap, crystal.period_nm, ra))
-        bundle.add(f"gap_ra{tag}", gap_path)
+        gap_docs.append(bundle.write(f"gap_ra{tag}", f"gap_ra{tag}.json", pcio.write_gap_json,
+                                     gap, crystal.period_nm, ra))
         if gap is None:
             bundle.note(f"bands r/a={ra}: no TE gap")
         else:
@@ -404,9 +416,7 @@ def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
                 f"(a/lambda), midgap wavelength "
                 f"{gap.midgap_wavelength(crystal.period_nm):.1f} nm"
             )
-    table_path = out_dir / "gap_vs_hole_ratio.csv"
-    pcio.write_gap_table(table_path, gap_docs)
-    bundle.add("gap_table", table_path)
+    bundle.write("gap_table", "gap_vs_hole_ratio.csv", pcio.write_gap_table, gap_docs)
     bundle.finish()
     return bundle
 
@@ -437,11 +447,10 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
         volumes = [mode_volume(mode, slab) for mode in modes]
         bundle.results[ra] = ModeSet([m.frequency for m in modes], volumes, doublets)
         tag = _ra_tag(ra)
-        doc_path = out_dir / f"modes_ra{tag}.json"
-        pcio.write_modes_json(doc_path, modes, volumes, pairs,
-                              [doublet_splitting(a.frequency, b.frequency) for a, b in pairs],
-                              hole_ratio=ra, supercell_size=settings.supercell_size)
-        bundle.add(f"modes_ra{tag}", doc_path)
+        splittings = [doublet_splitting(a.frequency, b.frequency) for a, b in pairs]
+        bundle.write(f"modes_ra{tag}", f"modes_ra{tag}.json", pcio.write_modes_json, modes,
+                     volumes, pairs, splittings, hole_ratio=ra,
+                     supercell_size=settings.supercell_size)
         if not modes:
             bundle.note(f"modes r/a={ra}: no in-gap defect modes found")
         else:
@@ -451,16 +460,14 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
                 f"{len(doublets)} dipole doublet(s)"
             )
         for i in [i for pair in doublets for i in pair]:
-            p_path = out_dir / f"profile_ra{tag}_mode{i}.json"
-            p_doc = pcio.write_profile_json(p_path, modes[i], volumes[i])
-            bundle.add(f"profile_ra{tag}_mode{i}", p_path)
-            bundle.add(f"profile_ra{tag}_mode{i}_energy_density",
-                       out_dir / p_doc["energy_density_file"])
+            name = f"profile_ra{tag}_mode{i}"
+            doc = bundle.write(name, f"{name}.json", pcio.write_profile_json, modes[i], volumes[i])
+            bundle.outputs[f"{name}_energy_density"] = doc["energy_density_file"]
     bundle.finish()
     return bundle
 
 
-def _simulate_histogram(spec: Histogram, out_dir, bundle, seed):
+def _simulate_histogram(spec: Histogram, bundle, seed):
     model = DecayModel(spec.components)
     irf = InstrumentResponse(fwhm=spec.irf.fwhm_ps, t0=spec.irf.t0_ps)
     grid = BinGrid(bin_width=spec.grid.bin_width_ps, n_bins=spec.grid.n_bins,
@@ -470,27 +477,21 @@ def _simulate_histogram(spec: Histogram, out_dir, bundle, seed):
         curve, spec.total_counts, seed, grid=grid, irf=irf,
         background_rate=spec.background_rate_per_bin,
     )
-    path = out_dir / "histogram.csv"
-    pcio.write_histogram_csv(
-        path,
-        hist,
-        metadata={
-            "seed": seed,
-            "background_rate_per_bin": spec.background_rate_per_bin,
-            "model": {
-                "components": [[a, tau] for a, tau in model.components],
-                "background_per_bin": model.background,
-            },
+    bundle.write("histogram", "histogram.csv", pcio.write_histogram_csv, hist, metadata={
+        "seed": seed,
+        "background_rate_per_bin": spec.background_rate_per_bin,
+        "model": {
+            "components": [[a, tau] for a, tau in model.components],
+            "background_per_bin": model.background,
         },
-    )
-    bundle.add("histogram", path)
+    })
     bundle.note(
         f"simulate: histogram with {hist.total_counts} counts over "
         f"{grid.n_bins} bins of {grid.bin_width} ps (seed {seed})"
     )
 
 
-def _simulate_scan(spec: Scan, out_dir, bundle, seed):
+def _simulate_scan(spec: Scan, bundle, seed):
     modes = [m.cavity() for m in spec.modes]
     fps = list(spec.purcell_factors)
     centers = [m.lambda_c for m in modes]
@@ -500,21 +501,13 @@ def _simulate_scan(spec: Scan, out_dir, bundle, seed):
     scan = synthesize_spectral_scan(
         modes, fps, spec.alpha, spec.tau0_ps, lam, spec.noise_fraction, scan_seed
     )
-    path = out_dir / "spectral_scan.csv"
-    pcio.write_scan_csv(
-        path,
-        scan,
-        metadata={
-            "seed": scan_seed,
-            "modes": [
-                {"wavelength_nm": m.lambda_c, "q_factor": m.q_factor} for m in modes
-            ],
-            "purcell_factors": fps,
-            "alpha": spec.alpha,
-            "noise_fraction": spec.noise_fraction,
-        },
-    )
-    bundle.add("spectral_scan", path)
+    bundle.write("spectral_scan", "spectral_scan.csv", pcio.write_scan_csv, scan, metadata={
+        "seed": scan_seed,
+        "modes": [{"wavelength_nm": m.lambda_c, "q_factor": m.q_factor} for m in modes],
+        "purcell_factors": fps,
+        "alpha": spec.alpha,
+        "noise_fraction": spec.noise_fraction,
+    })
     bundle.note(
         f"simulate: spectral scan of {len(lam)} points around "
         f"{', '.join(f'{c} nm' for c in centers)} (seed {scan_seed})"
@@ -529,9 +522,9 @@ def cmd_simulate(cfg: Config, out_dir: Path) -> ResultBundle:
         raise ConfigError("simulate: nothing to do (no histogram or spectral_scan)")
     bundle = _new_bundle(cfg, out_dir)
     if spec.histogram is not None:
-        _simulate_histogram(spec.histogram, out_dir, bundle, spec.seed)
+        _simulate_histogram(spec.histogram, bundle, spec.seed)
     if spec.spectral_scan is not None:
-        _simulate_scan(spec.spectral_scan, out_dir, bundle, spec.seed)
+        _simulate_scan(spec.spectral_scan, bundle, spec.seed)
     bundle.finish()
     return bundle
 
@@ -627,11 +620,13 @@ def _read_fit_input(cfg: Config, path: Path):
 def cmd_fit(cfg: Config, out_dir: Path, inputs: list) -> ResultBundle:
     """Fit every input; one that does not converge does not stop the others.
 
-    Every input is read and checked before the first fit, and inputs whose
-    results would share a file name are rejected. Converged results are
-    written and failed inputs listed with their stop reason under "failed" in
-    the manifest; then FitConvergenceError is raised for the batch (exit code
-    4), carrying the first failed fit's result.
+    Every input is read and checked before the first fit, inputs whose
+    results would share a file name are rejected, and every fit runs before
+    the first file is written, so an input that cannot be fitted leaves no
+    output behind. Converged results are written and failed inputs listed
+    with their stop reason under "failed" in the manifest; then
+    FitConvergenceError is raised for the batch (exit code 4), carrying the
+    first failed fit's result.
     """
     if not inputs:
         raise ConfigError("fit: at least one input file is required")
@@ -646,16 +641,13 @@ def cmd_fit(cfg: Config, out_dir: Path, inputs: list) -> ResultBundle:
     errors = []
     for path, fit in fits.values():
         try:
-            result = fit(bundle)
+            bundle.results[path.stem] = fit(bundle)
         except FitConvergenceError as exc:
             errors.append(exc)
             bundle.failed.append([path.name, exc.result.stop_reason])
             bundle.note(f"fit {path.stem}: failed: {exc}")
-            continue
-        bundle.results[path.stem] = result
-        fit_path = out_dir / f"fit_{path.stem}.json"
-        pcio.write_fit_json(fit_path, result)
-        bundle.add(f"fit_{path.stem}", fit_path)
+    for stem, result in bundle.results.items():
+        bundle.write(f"fit_{stem}", f"fit_{stem}.json", pcio.write_fit_json, result)
     bundle.finish()
     if errors:
         raise FitConvergenceError(
@@ -676,27 +668,18 @@ REPRODUCE_CONFIG = {
     "crystal": {
         "period_nm": 300.0,
         "hole_ratio_values": [0.33, 0.36, 0.37, 0.39, 0.42],
-        "slab": {"thickness_nm": 400.0, "n_core": 3.4, "n_clad": 1.0},
-        "reference_wavelength_nm": 1050.0,
     },
-    "bands": {"cutoff": 7, "samples_per_segment": 16, "n_bands": 5},
-    "modes": {"supercell_size": 7, "cutoff": 12, "grid_per_period": 64},
     "simulate": {
         "seed": REPRODUCE_SEED,
         "histogram": {
             "components": [[1.0, 150.0], [0.05555555555555555, 1800.0]],
             "total_counts": 100000,
-            "irf": {"fwhm_ps": 150.0, "t0_ps": 600.0},
-            "grid": {"bin_width_ps": 12.0, "n_bins": 4096, "t_start_ps": 0.0},
         },
         "spectral_scan": {
             "modes": [{"wavelength_nm": 1031.5, "q_factor": 1950.0}],
             "purcell_factors": [56.0],
             "alpha": 0.47,
             "tau0_ps": 840.0,
-            "span_nm": 2.5,
-            "step_nm": 0.1,
-            "noise_fraction": 0.05,
         },
     },
     "fit": {"model": "bi"},

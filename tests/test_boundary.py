@@ -380,6 +380,40 @@ def test_every_input_is_checked_before_the_first_fit(tmp_path, capsys, bad):
     assert not (tmp_path / "out").exists()
 
 
+def test_an_input_that_cannot_be_fitted_leaves_no_output(tmp_path, capsys):
+    # Too few bins for the fit parameters is found only by the fit; every
+    # fit runs before the first file is written.
+    good = _write_histogram(tmp_path / "good.csv")
+    tiny = _write_histogram(tmp_path / "tiny.csv", n_bins=1)
+    assert _fit(tmp_path, good, tiny) == EXIT_CONFIG
+    assert f"error: {tiny}: 1 data points cannot determine 4 fit parameters" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bands", "simulate", "fit", "reproduce-paper"])
+def test_out_naming_a_file_exits_2_at_its_path(tmp_path, capsys, command):
+    out = tmp_path / "afile"
+    out.write_text("not a directory\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "bands": {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.3]},
+                  "bands": {"cutoff": 2, "samples_per_segment": 2, "n_bands": 3}},
+        "simulate": {"simulate": SCAN_SIM},
+        "fit": {"fit": {"model": "mono"}},
+    }.get(command, {})))
+    argv = [command, "--out", str(out)]
+    if command != "reproduce-paper":
+        argv += ["--config", str(config)]
+    if command == "fit":
+        argv.append(str(_write_histogram(tmp_path / "h.csv")))
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}") and ": cannot write: " in err
+    assert "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_unknown_header_exits_2_naming_both_fit_inputs(tmp_path, capsys):
     bogus = tmp_path / "x.csv"
     bogus.write_text("a,b\n1,2\n")

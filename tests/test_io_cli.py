@@ -740,12 +740,19 @@ def test_config_hash_stable_under_key_order():
     assert config_hash(parse_config(a)) == config_hash(parse_config(b))
 
 
-def test_reproduce_paper_deterministic(tmp_path):
+@pytest.fixture(scope="module")
+def paper_run(tmp_path_factory):
+    """The output directory of one default `reproduce-paper` run."""
+    out = tmp_path_factory.mktemp("paper") / "r1"
+    cli.cmd_reproduce_paper(out)
+    return out
+
+
+def test_reproduce_paper_deterministic(tmp_path, paper_run):
     from pcqed.cli import cmd_reproduce_paper
 
-    b1 = cmd_reproduce_paper(tmp_path / "r1")
-    b2 = cmd_reproduce_paper(tmp_path / "r2")
-    s1 = (tmp_path / "r1" / "summary.txt").read_bytes()
+    cmd_reproduce_paper(tmp_path / "r2")
+    s1 = (paper_run / "summary.txt").read_bytes()
     s2 = (tmp_path / "r2" / "summary.txt").read_bytes()
     assert s1 == s2
     text = s1.decode()
@@ -753,8 +760,30 @@ def test_reproduce_paper_deterministic(tmp_path):
     # gap trend, doublet and fit round trips all reported
     assert "TE gap width grows with r/a" in text
     assert "doublet wavelength grows as r/a shrinks" in text
-    assert (tmp_path / "r1" / "fits" / "fit_histogram.json").exists()
-    assert (tmp_path / "r1" / "manifest.json").exists()
+    assert (paper_run / "fits" / "fit_histogram.json").exists()
+    assert (paper_run / "manifest.json").exists()
+
+
+def test_the_manifest_lists_every_file_of_the_run(paper_run):
+    # Beyond the listed outputs a run holds only the manifests (top level,
+    # bands, modes, sim, fits) and the sidecars of the two listed CSVs.
+    files = {p.relative_to(paper_run).as_posix() for p in paper_run.rglob("*") if p.is_file()}
+    listed = set(json.loads((paper_run / "manifest.json").read_text())["outputs"].values())
+    assert listed <= files
+    manifests = {name for name in files if name.rpartition("/")[2] == "manifest.json"}
+    sidecars = {f"{name}.meta.json" for name in listed if name.endswith(".csv")} & files
+    assert len(manifests) == 5 and sidecars == {"sim/histogram.csv.meta.json",
+                                                "sim/spectral_scan.csv.meta.json"}
+    assert files - manifests - sidecars == listed
+
+
+@pytest.mark.parametrize("seed, run_id", [(None, "640dd23a7c7c"), (11, "74659d59d3c3")])
+def test_reproduce_paper_run_ids_are_pinned(tmp_path, seed, run_id):
+    # The scenario spells out only what it changes from the config defaults,
+    # so a changed default fails here instead of moving the run id silently.
+    cfg = parse_config(cli.REPRODUCE_CONFIG).with_seed(seed)
+    assert cli._new_bundle(cfg, tmp_path / "out").run_id == run_id
+    assert not (tmp_path / "out").exists()
 
 
 def test_reproduce_paper_solves_the_bulk_bands_once_per_hole_ratio(tmp_path, monkeypatch):

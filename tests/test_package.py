@@ -55,3 +55,24 @@ def test_cli_leaves_every_file_format_to_io():
     for detail in ("read_text", "write_text", "read_bytes", "SCHEMA_VERSION", '"kind"',
                    '"units"', ".meta.json", pcio.HISTOGRAM_HEADER, pcio.SCAN_HEADER):
         assert detail not in source
+
+
+def test_every_cli_write_goes_through_the_result_bundle():
+    # `ResultBundle.write` lists each file in the manifest and creates the run
+    # directory: no other code in the command line writes a file or makes a
+    # directory.
+    from pcqed import cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    bundle = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "ResultBundle")
+    inside = {id(node) for node in ast.walk(bundle)}
+    outside = [node for node in ast.walk(tree) if id(node) not in inside]
+    assert not [node for node in outside if isinstance(node, ast.Attribute)
+                and node.attr == "mkdir"]
+    writers = {id(node) for node in outside
+               if isinstance(node, ast.Attribute) and node.attr.startswith("write_")}
+    passed = {id(node.args[2]) for node in outside if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute) and node.func.attr == "write"
+              and len(node.args) > 2}  # bundle.write(name, filename, writer, ...)
+    assert writers and writers <= passed
