@@ -272,23 +272,26 @@ def find_te_gap(bands: BandStructure) -> BandGap | None:
 
 @dataclass(frozen=True, eq=False)
 class CavityModeProfile:
-    """Localized supercell eigenmode with real-space field reconstruction.
+    """Localized supercell eigenmode: its numbers, and its field grid if it
+    can be a dipole-doublet partner (else None).
 
-    `energy_density` holds the in-plane electric energy density eps*|E|^2 on a
-    uniform fractional grid over the supercell, normalized to a maximum of 1.
-    `parity` is the eigenvector's inversion character (+1/-1) and
+    `energy_density` is the in-plane electric energy density eps*|E|^2 on a
+    uniform fractional grid over the supercell, normalized to a maximum of 1;
+    `density_sum` is its sum and `dielectric_peak` its maximum over the
+    dielectric. `parity` is the eigenvector's inversion character (+1/-1) and
     `localization` the energy fraction within 1.5 periods of the defect, used
     to tell defect modes from folded continuum states.
     """
 
     frequency: float  # a/lambda
-    energy_density: np.ndarray
-    eps_grid: np.ndarray
+    energy_density: np.ndarray | None
     lattice: TriangularLattice
     supercell_size: int
     grid_per_period: int
     localization: float
     parity: float
+    density_sum: float
+    dielectric_peak: float
 
     @property
     def wavelength(self) -> float:
@@ -419,7 +422,8 @@ def solve_h1_modes(
     its Gamma point and keeps states whose frequency falls strictly inside
     `gap`, the bulk crystal's TE gap (`find_te_gap`). Returns an empty list when the gap is None or no state
     lands inside it. Modes are sorted by frequency; field grids use
-    `grid_per_period` points per lattice period.
+    `grid_per_period` points per lattice period. Every state gets its grid's
+    sum and dielectric peak; only dipole-doublet candidates keep the grid.
 
     The partners of a degenerate pair (the dipole doublet) are the mirror
     y -> -y odd and even states, in that order (Painter, Vuckovic & Scherer,
@@ -451,6 +455,7 @@ def solve_h1_modes(
 
     ngrid = grid_per_period * S
     eps_grid = _supercell_eps_grid(lattice, S, ngrid)
+    in_dielectric = eps_grid == lattice.eps_background
     near_defect = _near_defect_mask(lattice, S, ngrid)
 
     # Index maps of the inversion G -> -G (parity character) and of the
@@ -468,21 +473,28 @@ def solve_h1_modes(
         if peak <= 0.0:
             continue
         u_e /= peak
-        loc = float(u_e[near_defect].sum() / u_e.sum())
+        total = float(u_e.sum())
+        loc = float(u_e[near_defect].sum() / total)
         parity = float(np.sign(vec @ vec[neg]))
         modes.append(
             CavityModeProfile(
                 frequency=freq,
-                energy_density=u_e,
-                eps_grid=eps_grid,
+                energy_density=u_e if _doublet_candidate(parity, loc) else None,
                 lattice=lattice,
                 supercell_size=S,
                 grid_per_period=grid_per_period,
                 localization=loc,
                 parity=parity,
+                density_sum=total,
+                dielectric_peak=float(u_e[in_dielectric].max()),
             )
         )
     return modes
+
+
+def _doublet_candidate(parity: float, localization: float) -> bool:
+    """A dipole-doublet partner is inversion-odd and localized."""
+    return parity < 0 and localization >= DOUBLET_MIN_LOCALIZATION
 
 
 def doublet_splitting(f_a: float, f_b: float) -> float:
@@ -502,9 +514,7 @@ def dipole_doublets(
     even (quadrupole) or non-degenerate singlets (hexapole), so for an ideal
     H1 the returned list has exactly one pair.
     """
-    cand = [
-        m for m in modes if m.parity < 0 and m.localization >= DOUBLET_MIN_LOCALIZATION
-    ]
+    cand = [m for m in modes if _doublet_candidate(m.parity, m.localization)]
     cand.sort(key=lambda m: m.frequency)
     pairs = []
     i = 0
@@ -525,14 +535,12 @@ def mode_volume(profile: CavityModeProfile, slab: SlabWaveguide) -> float:
     profile's own wavelength and the slab's core index. The maximum is taken
     over the dielectric, the strongest point accessible to an embedded
     emitter; the global peak sits just inside a hole wall, where the normal
-    E-field jumps by the permittivity contrast.
+    E-field jumps by the permittivity contrast. Reads no grid: the profile
+    stores the sum and the dielectric peak of its grid.
     """
-    u = profile.energy_density
-    if not np.any(u > 0):
+    if not profile.density_sum > 0.0:
         raise ValueError("zero-field profile")
-    in_diel = profile.eps_grid == profile.lattice.eps_background
-    peak = float(u[in_diel].max())
-    ngrid = u.shape[0]
-    area_element = profile.supercell_area / ngrid**2
-    integral = float(u.sum()) * area_element
-    return integral * slab.thickness / peak / (profile.wavelength / slab.n_core) ** 3
+    ngrid = profile.grid_per_period * profile.supercell_size
+    integral = profile.density_sum * (profile.supercell_area / ngrid**2)
+    return (integral * slab.thickness / profile.dielectric_peak
+            / (profile.wavelength / slab.n_core) ** 3)

@@ -9,9 +9,10 @@ PCQED_OUT may set only the output directory. Identical config + seed
 produces byte-identical numeric outputs (run ids hash the parsed config,
 defaults filled in, and the input bytes, never the document text or wall time).
 
-Exit codes: 0 success, 2 configuration/input error or unwritable output,
-3 solver failure, 4 fit non-convergence (a batch `fit` still writes every
-converged result and lists the failed inputs in its manifest).
+Exit codes: 0 success, 2 configuration/input error or an output directory
+that cannot be written or already holds files, 3 solver failure, 4 fit
+non-convergence (a batch `fit` still writes every converged result and lists
+the failed inputs in its manifest).
 """
 
 from __future__ import annotations
@@ -328,8 +329,9 @@ def config_hash(cfg: Config) -> str:
 @dataclass
 class ResultBundle:
     """A run's files and summary, plus what it computed, in `results`: per
-    hole ratio a BandGap or None (`cmd_bands`) or a ModeSet (`cmd_modes`),
-    per input stem a FitResult (`cmd_fit`).
+    hole ratio a BandGap or None (`cmd_bands`) or the dipole doublets, each
+    as ((a, b), mode volume of a) (`cmd_modes`), per input stem a FitResult
+    (`cmd_fit`).
 
     Every file of the run is written through `write`, which lists it in the
     manifest by name and creates `out_dir` with the first file, so a run that
@@ -421,16 +423,6 @@ def cmd_bands(cfg: Config, out_dir: Path) -> ResultBundle:
     return bundle
 
 
-@dataclass(frozen=True)
-class ModeSet:
-    """One hole ratio's in-gap modes: frequencies (a/lambda) and volumes
-    ((lambda/n)^3), and each dipole doublet as a pair of indices."""
-
-    frequencies: list
-    volumes: list
-    doublets: list
-
-
 def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> ResultBundle:
     """H1 modes per hole ratio, inside its bulk gap `gaps[ra]` (None: no gap)."""
     crystal, settings = cfg.require("crystal"), cfg.modes
@@ -443,9 +435,8 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
         modes = solve_h1_modes(lattice, basis, gap=gaps[ra],
                                grid_per_period=settings.grid_per_period)
         pairs = dipole_doublets(modes)
-        doublets = [(modes.index(a), modes.index(b)) for a, b in pairs]
         volumes = [mode_volume(mode, slab) for mode in modes]
-        bundle.results[ra] = ModeSet([m.frequency for m in modes], volumes, doublets)
+        bundle.results[ra] = [(pair, volumes[modes.index(pair[0])]) for pair in pairs]
         tag = _ra_tag(ra)
         splittings = [doublet_splitting(a.frequency, b.frequency) for a, b in pairs]
         bundle.write(f"modes_ra{tag}", f"modes_ra{tag}.json", pcio.write_modes_json, modes,
@@ -457,9 +448,9 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
             lams = ", ".join(f"{m.wavelength:.1f}" for m in modes)
             bundle.note(
                 f"modes r/a={ra}: {len(modes)} in-gap modes at {lams} nm; "
-                f"{len(doublets)} dipole doublet(s)"
+                f"{len(pairs)} dipole doublet(s)"
             )
-        for i in [i for pair in doublets for i in pair]:
+        for i in [modes.index(mode) for pair in pairs for mode in pair]:
             name = f"profile_ra{tag}_mode{i}"
             doc = bundle.write(name, f"{name}.json", pcio.write_profile_json, modes[i], volumes[i])
             bundle.outputs[f"{name}_energy_density"] = doc["energy_density_file"]
@@ -736,13 +727,13 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
     bundle.include(modes, "modes")
     doublet_lams = {}
     split37 = volume37 = None
-    for ra, found in modes.results.items():
-        if len(found.doublets) == 1:
-            i, j = found.doublets[0]
-            doublet_lams[ra] = 0.5 * sum(period / found.frequencies[k] for k in (i, j))
+    for ra, doublets in modes.results.items():
+        if len(doublets) == 1:
+            ((a, b), volume), = doublets
+            doublet_lams[ra] = 0.5 * sum(period / m.frequency for m in (a, b))
             if ra == 0.37:
-                split37 = doublet_splitting(found.frequencies[i], found.frequencies[j])
-                volume37 = found.volumes[i]
+                split37 = doublet_splitting(a.frequency, b.frequency)
+                volume37 = volume
     _check(bundle, "one dipole doublet at r/a=0.37 with tiny splitting",
            f"splitting {split37:.2e}" if split37 is not None else "not found",
            split37 is not None and split37 < 1e-3, "< 1e-3")
@@ -817,8 +808,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_out_dir(args, cfg: Config | None) -> Path:
+    """The output directory; one that already holds files is a ConfigError, so
+    a manifest always lists everything in its directory."""
     configured = cfg.output_dir if cfg is not None else None
-    return Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or configured or "out")
+    out_dir = Path(args.out or os.environ.get(OUTPUT_DIR_ENV) or configured or "out")
+    try:
+        used = out_dir.is_dir() and any(out_dir.iterdir())
+    except OSError as exc:
+        raise ConfigError(f"{out_dir}: cannot read: {exc.strerror or exc}") from None
+    if used:
+        raise ConfigError(f"{out_dir}: output directory is not empty")
+    return out_dir
 
 
 def main(argv=None) -> int:

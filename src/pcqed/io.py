@@ -17,12 +17,15 @@ import json
 import sys
 from io import BytesIO
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bands import BandGap, BandStructure, CavityModeProfile
 from .fitting import MODELS, STOP_REASONS, FitResult, SpectralScan
 from .tcspc import BinGrid, InstrumentResponse, TransientHistogram
+
+if TYPE_CHECKING:  # annotations only: reading a file needs no band solver
+    from .bands import BandGap, BandStructure, CavityModeProfile
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -439,8 +442,12 @@ def write_profile_json(path, profile: CavityModeProfile, mode_volume: float | No
     """Mode-profile metadata as JSON, the energy-density grid as a `.npy` sidecar.
 
     The sidecar is `path` with the suffix `.npy`; the document names it in
-    `energy_density_file` and records the SHA-256 of its bytes.
+    `energy_density_file` and records the SHA-256 of its bytes. A profile
+    without a grid (a state `solve_h1_modes` did not keep one for) is a
+    ValueError.
     """
+    if profile.energy_density is None:
+        raise ValueError(f"mode profile at a/lambda {profile.frequency!r} has no grid")
     path = Path(path)
     buffer = BytesIO()
     np.save(buffer, np.ascontiguousarray(profile.energy_density, dtype=np.float64),

@@ -336,15 +336,18 @@ def test_time_column_must_be_bin_centres(tmp_path, capsys):
 
 def test_scan_sidecar_modes_follow_the_config_rule(tmp_path, capsys):
     scan = _write_scan(tmp_path / "scan.csv")
-    assert _fit(tmp_path, scan) == EXIT_OK
+    runs = [tmp_path / run for run in ("valid", "q_factor", "v_mode")]  # a fresh --out each
+    for run in runs:
+        run.mkdir()
+    assert _fit(runs[0], scan) == EXIT_OK
     meta = json.loads(Path(f"{scan}.meta.json").read_text())
     meta["modes"][0]["q_factor"] = 0.5
     Path(f"{scan}.meta.json").write_text(json.dumps(meta))
-    assert _fit(tmp_path, scan) == EXIT_CONFIG
+    assert _fit(runs[1], scan) == EXIT_CONFIG
     assert f"{scan}.meta.json:1: modes[0].q_factor" in capsys.readouterr().err
     meta["modes"][0].update(q_factor=1950.0, v_mode=1.5)
     Path(f"{scan}.meta.json").write_text(json.dumps(meta))
-    assert _fit(tmp_path, scan) == EXIT_CONFIG
+    assert _fit(runs[2], scan) == EXIT_CONFIG
     assert f"{scan}.meta.json:1: modes[0].v_mode: unknown key" in capsys.readouterr().err
 
 
@@ -391,27 +394,69 @@ def test_an_input_that_cannot_be_fitted_leaves_no_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["bands", "simulate", "fit", "reproduce-paper"])
-def test_out_naming_a_file_exits_2_at_its_path(tmp_path, capsys, command):
-    out = tmp_path / "afile"
-    out.write_text("not a directory\n")
+def _argv(tmp_path, command, out):
+    """A valid `command` call writing to `out` (None: no --out), its config
+    and input in `tmp_path`."""
     config = tmp_path / "config.json"
+    crystal = {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.3]},
+               "bands": {"cutoff": 2, "samples_per_segment": 2, "n_bands": 3}}
     config.write_text(json.dumps({
-        "bands": {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.3]},
-                  "bands": {"cutoff": 2, "samples_per_segment": 2, "n_bands": 3}},
+        "bands": crystal,
+        "modes": crystal,
         "simulate": {"simulate": SCAN_SIM},
         "fit": {"fit": {"model": "mono"}},
     }.get(command, {})))
-    argv = [command, "--out", str(out)]
+    argv = [command] if out is None else [command, "--out", str(out)]
     if command != "reproduce-paper":
         argv += ["--config", str(config)]
     if command == "fit":
         argv.append(str(_write_histogram(tmp_path / "h.csv")))
-    assert main(argv) == EXIT_CONFIG
+    return argv
+
+
+@pytest.mark.parametrize("command", ["bands", "simulate", "fit", "reproduce-paper"])
+def test_out_naming_a_file_exits_2_at_its_path(tmp_path, capsys, command):
+    out = tmp_path / "afile"
+    out.write_text("not a directory\n")
+    assert main(_argv(tmp_path, command, out)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out}") and ": cannot write: " in err
     assert "Traceback" not in err
     assert out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["bands", "modes", "simulate", "fit", "reproduce-paper"])
+def test_out_holding_files_exits_2_and_keeps_them(tmp_path, capsys, command):
+    # A run's manifest lists every file of its directory only when the run
+    # starts in an empty one.
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("an earlier run\n")
+    assert main(_argv(tmp_path, command, out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {out}: output directory is not empty\n"
+    assert [p.name for p in out.iterdir()] == ["earlier.txt"]
+    assert (out / "earlier.txt").read_text() == "an earlier run\n"
+
+
+def test_empty_existing_out_from_the_environment_is_used(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setenv("PCQED_OUT", str(out))
+    assert main(_argv(tmp_path, "bands", None)) == EXIT_OK
+    assert (out / "manifest.json").exists()
+
+
+def test_output_dir_holding_files_exits_2(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "configured"
+    out.mkdir()
+    (out / "earlier.txt").write_text("")
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({"output_dir": str(out), "fit": {"model": "mono"}}))
+    monkeypatch.delenv("PCQED_OUT", raising=False)
+    assert main(["fit", "--config", str(config),
+                 str(_write_histogram(tmp_path / "h.csv"))]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {out}: output directory is not empty\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_unknown_header_exits_2_naming_both_fit_inputs(tmp_path, capsys):

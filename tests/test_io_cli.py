@@ -350,12 +350,26 @@ def _small_profile_json(tmp_path):
     n = 3 * 8
     density = np.linspace(0.0, 1.0, n * n).reshape(n, n)
     profile = CavityModeProfile(
-        frequency=0.29, energy_density=density,
-        eps_grid=np.full((n, n), 10.0), lattice=TriangularLattice(300.0, 0.37, 10.0),
+        frequency=0.29, energy_density=density, lattice=TriangularLattice(300.0, 0.37, 10.0),
         supercell_size=3, grid_per_period=8, localization=0.9, parity=-1.0,
+        density_sum=float(density.sum()), dielectric_peak=1.0,
     )
     path = tmp_path / "p.json"
     return path, pcio.write_profile_json(path, profile, 1.5)
+
+
+def test_profile_writer_rejects_a_profile_without_a_grid(tmp_path):
+    from pcqed.bands import CavityModeProfile
+    from pcqed.geometry import TriangularLattice
+
+    profile = CavityModeProfile(
+        frequency=0.29, energy_density=None, lattice=TriangularLattice(300.0, 0.37, 10.0),
+        supercell_size=3, grid_per_period=8, localization=0.1, parity=1.0,
+        density_sum=100.0, dielectric_peak=1.0,
+    )
+    with pytest.raises(ValueError, match="has no grid"):
+        pcio.write_profile_json(tmp_path / "p.json", profile, 1.5)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _npy_bytes(array, allow_pickle=False):

@@ -26,16 +26,28 @@ def test_every_exported_name_exists(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
-def test_fitting_imports_no_scipy_optimize():
-    # Every fit runs on `fitting._minimize`; loading scipy.optimize would only
-    # lengthen the start of each process that fits.
+def _in_fresh_interpreter(code: str) -> str:
+    """The stripped stdout of `code` run by a new interpreter that imports this pcqed."""
     src = os.path.dirname(os.path.dirname(pcqed.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=120, text=True, check=True).stdout.strip()
+
+
+def test_fitting_imports_no_scipy_optimize():
+    # Every fit runs on `fitting._minimize`; loading scipy.optimize would only
+    # lengthen the start of each process that fits.
     code = "import sys, pcqed.fitting; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    assert _in_fresh_interpreter(code) == "False"
+
+
+def test_io_imports_no_band_solver():
+    # `pcqed.io` names the band results only in annotations; reading and
+    # writing files must not load the solver or scipy.linalg.
+    code = ("import sys, pcqed.io; "
+            "print('pcqed.bands' in sys.modules, 'scipy.linalg' in sys.modules)")
+    assert _in_fresh_interpreter(code) == "False False"
 
 
 def test_cli_leaves_every_file_format_to_io():
