@@ -278,9 +278,10 @@ class CavityModeProfile:
     `energy_density` is the in-plane electric energy density eps*|E|^2 on a
     uniform fractional grid over the supercell, normalized to a maximum of 1;
     `density_sum` is its sum and `dielectric_peak` its maximum over the
-    dielectric. `parity` is the eigenvector's inversion character (+1/-1) and
-    `localization` the energy fraction within 1.5 periods of the defect, used
-    to tell defect modes from folded continuum states.
+    dielectric. `parity` is the eigenvector's inversion character, h(-G) =
+    parity * h(G), exactly +1.0 or -1.0: the inversion block it was solved in.
+    `localization` is the energy fraction within 1.5 periods of the defect,
+    used to tell defect modes from folded continuum states.
     """
 
     frequency: float  # a/lambda
@@ -369,27 +370,31 @@ def _near_defect_mask(lattice: TriangularLattice, S: int, ngrid: int) -> np.ndar
 def _energy_densities(vecs: np.ndarray, basis: PlaneWaveBasis, eps_grid: np.ndarray):
     """Yield |grad H_z|^2 / eps on the supercell grid for each column of `vecs`.
 
-    The gradient is the zero-padded inverse FFT of i G h_G, with the same
-    per-line arithmetic as `np.fft.ifft2`: the last axis first, where only
-    the rows holding plane waves are transformed, then axis 0 over the whole
-    grid. The padded spectrum and the field are buffers reused across
-    states; each state's density is a fresh array.
+    Each column must have a definite inversion parity, h(-G) = +h(G) or
+    h(-G) = -h(G), as every state of `solve_h1_modes` has. Then dH/dx and
+    dH/dy are both real (even) or both imaginary (odd), so |dH/dx + i dH/dy|^2
+    is |grad H|^2, and one zero-padded inverse FFT of i(G_x + i G_y) h_G gives
+    the density. For a column without a definite parity the result is not
+    |grad H|^2. The transform runs along axis 0 first, over only the columns
+    holding plane waves, then along the contiguous last axis over the whole
+    grid. The padded spectrum and the field are buffers reused across states;
+    each state's density is a fresh array.
     """
     ngrid = eps_grid.shape[0]
-    rows, row_of = np.unique(basis.indices[:, 0] % ngrid, return_inverse=True)
-    nn = basis.indices[:, 1] % ngrid
+    cols, col_of = np.unique(basis.indices[:, 1] % ngrid, return_inverse=True)
+    mm = basis.indices[:, 0] % ngrid
     g = basis.g_vectors
-    spectrum = np.zeros((len(rows), ngrid), dtype=complex)
+    # i(G_x + i G_y), times ngrid^2 to undo the inverse transform's 1/ngrid^2.
+    weights = (1j * g[:, 0] - g[:, 1]) * ngrid**2
+    spectrum = np.zeros((ngrid, len(cols)), dtype=complex)
     padded = np.zeros((ngrid, ngrid), dtype=complex)
     field = np.empty_like(padded)
     for vec in vecs.T:
-        u_e = np.zeros(padded.shape)
-        for gc in (g[:, 0], g[:, 1]):
-            spectrum[row_of, nn] = vec * 1j * gc
-            padded[rows] = np.fft.ifft(spectrum, axis=-1)
-            np.fft.ifft(padded, axis=0, out=field)
-            field *= ngrid**2
-            u_e += np.abs(field) ** 2
+        spectrum[mm, col_of] = vec * weights
+        padded[:, cols] = np.fft.ifft(spectrum, axis=0)
+        np.fft.ifft(padded, axis=-1, out=field)
+        u_e = np.abs(field)
+        u_e *= u_e
         u_e /= eps_grid
         yield u_e
 
@@ -409,6 +414,36 @@ def _mirror_partners(vals: np.ndarray, vecs: np.ndarray, mirror: np.ndarray) -> 
         start = stop
 
 
+def _inversion_blocks(E: np.ndarray, basis: PlaneWaveBasis, neg: np.ndarray):
+    """The Gamma-point TE operator in its two inversion blocks.
+
+    `neg` sends plane wave i to the one at -G_i. The pairs p < q = neg[p] and
+    the single G = 0 index z span the states with h(-G) = +h(G) (even) and
+    h(-G) = -h(G) (odd). On the combinations (e_p +- e_q)/sqrt(2) the
+    permittivity matrix splits into
+        E_odd = E[p, p'] - E[p, q'],
+        E_even = E[p, p'] + E[p, q'], bordered by sqrt(2) E[z, p'] and E[z, z],
+    and, since G_q = -G_p, the operator into
+        Theta_even = inv(E_odd) o (G_p . G_p'),
+        Theta_odd = inv(E_even)[1:, 1:] o (G_p . G_p').
+    The even block's G = 0 row is zero, so dropping it loses only the
+    lambda = 0 state (Painter, Vuckovic & Scherer, JOSA B 16, 275, 1999, for
+    the symmetry of H1 modes).
+
+    Returns p, q and the operators by parity, {+1: Theta_even, -1: Theta_odd}.
+    """
+    index = np.arange(len(neg))
+    p = np.flatnonzero(index < neg)
+    q = neg[p]
+    z = np.flatnonzero(index == neg)
+    e_pp, e_pq = E[np.ix_(p, p)], E[np.ix_(p, q)]
+    border = np.sqrt(2.0) * E[np.ix_(z, p)]
+    e_even = np.block([[E[np.ix_(z, z)], border], [border.T, e_pp + e_pq]])
+    eta = {+1: _inverse_eps_table(e_pp - e_pq), -1: _inverse_eps_table(e_even)[1:, 1:]}
+    g = basis.g_vectors[p]
+    return p, q, {parity: _assemble_te(block, np.zeros(2), g) for parity, block in eta.items()}
+
+
 def solve_h1_modes(
     lattice: TriangularLattice,
     basis: PlaneWaveBasis,
@@ -420,13 +455,16 @@ def solve_h1_modes(
 
     Solves the S x S supercell of `basis` (a `PlaneWaveBasis.supercell`) at
     its Gamma point and keeps states whose frequency falls strictly inside
-    `gap`, the bulk crystal's TE gap (`find_te_gap`). Returns an empty list when the gap is None or no state
-    lands inside it. Modes are sorted by frequency; field grids use
-    `grid_per_period` points per lattice period. Every state gets its grid's
-    sum and dielectric peak; only dipole-doublet candidates keep the grid.
+    `gap`, the bulk crystal's TE gap (`find_te_gap`). Returns an empty list
+    when the gap is None or no state lands inside it. The operator is solved
+    in its inversion-even and inversion-odd blocks (`_inversion_blocks`), so
+    each state's parity is exact, that of its block; the states of the two
+    blocks are merged by frequency. Field grids use `grid_per_period` points
+    per lattice period. Every state gets its grid's sum and dielectric peak;
+    only dipole-doublet candidates keep the grid.
 
-    The partners of a degenerate pair (the dipole doublet) are the mirror
-    y -> -y odd and even states, in that order (Painter, Vuckovic & Scherer,
+    The partners of a degenerate pair within a block (the dipole doublet) are
+    the mirror y -> -y odd and even states, in that order (Painter, Vuckovic & Scherer,
     JOSA B 16, 275, 1999), not whatever rotation of the pair the eigensolver
     returns; so their fields do not depend on the last bits of `gap` or on
     the BLAS thread count. Each keeps an eigenvalue of the pair, in
@@ -440,16 +478,31 @@ def solve_h1_modes(
     if gap is None:
         return []
 
-    eta = _inverse_eps_table(_eps_matrix(lattice, basis))
-    theta = _assemble_te(eta, np.zeros(2), basis.g_vectors)
+    # Index maps of the inversion G -> -G and of the mirror y -> -y, which
+    # sends (m, n) to (m, -m - n) in this basis.
+    order = {(m, n): i for i, (m, n) in enumerate(map(tuple, basis.indices))}
+    neg = np.array([order[(-m, -n)] for m, n in map(tuple, basis.indices)])
+    mirror = np.array([order[(m, -m - n)] for m, n in map(tuple, basis.indices)])
+    p, q, blocks = _inversion_blocks(_eps_matrix(lattice, basis), basis, neg)
+
     margin = 1e-7
     scale = 2.0 * np.pi / lattice.period_a
     lo = (gap.lower_edge * (1.0 + margin) * scale) ** 2
     hi = (gap.upper_edge * (1.0 - margin) * scale) ** 2
-    try:
-        vals, vecs = eigh(theta, subset_by_value=[lo, hi])
-    except np.linalg.LinAlgError as exc:
-        raise BandSolverError(f"supercell eigensolver failed: {exc}") from exc
+    solved = []
+    for parity, theta in blocks.items():
+        try:
+            vals, v = eigh(theta, subset_by_value=[lo, hi])
+        except np.linalg.LinAlgError as exc:
+            raise BandSolverError(f"supercell eigensolver failed: {exc}") from exc
+        vecs = np.zeros((len(basis), len(vals)))
+        vecs[p] = v / np.sqrt(2.0)
+        vecs[q] = parity * vecs[p]
+        _mirror_partners(vals, vecs, mirror)
+        solved.append((vals, np.full(len(vals), float(parity)), vecs))
+    vals, parities, vecs = (np.concatenate(part, axis=-1) for part in zip(*solved))
+    rank = np.argsort(vals, kind="stable")
+    vals, parities, vecs = vals[rank], parities[rank], vecs[:, rank]
     if vals.size == 0:
         return []
 
@@ -458,16 +511,9 @@ def solve_h1_modes(
     in_dielectric = eps_grid == lattice.eps_background
     near_defect = _near_defect_mask(lattice, S, ngrid)
 
-    # Index maps of the inversion G -> -G (parity character) and of the
-    # mirror y -> -y, which sends (m, n) to (m, -m - n) in this basis.
-    order = {(m, n): i for i, (m, n) in enumerate(map(tuple, basis.indices))}
-    neg = np.array([order[(-m, -n)] for m, n in map(tuple, basis.indices)])
-    mirror = np.array([order[(m, -m - n)] for m, n in map(tuple, basis.indices)])
-    _mirror_partners(vals, vecs, mirror)
-
     modes = []
     densities = _energy_densities(vecs, basis, eps_grid)
-    for val, vec, u_e in zip(vals, vecs.T, densities):
+    for val, parity, u_e in zip(vals, parities, densities):
         freq = lattice.period_a / (2.0 * np.pi) * float(np.sqrt(max(val, 0.0)))
         peak = u_e.max()
         if peak <= 0.0:
@@ -475,7 +521,6 @@ def solve_h1_modes(
         u_e /= peak
         total = float(u_e.sum())
         loc = float(u_e[near_defect].sum() / total)
-        parity = float(np.sign(vec @ vec[neg]))
         modes.append(
             CavityModeProfile(
                 frequency=freq,
@@ -484,7 +529,7 @@ def solve_h1_modes(
                 supercell_size=S,
                 grid_per_period=grid_per_period,
                 localization=loc,
-                parity=parity,
+                parity=float(parity),
                 density_sum=total,
                 dielectric_peak=float(u_e[in_dielectric].max()),
             )

@@ -330,7 +330,8 @@ def config_hash(cfg: Config) -> str:
 class ResultBundle:
     """A run's files and summary, plus what it computed, in `results`: per
     hole ratio a BandGap or None (`cmd_bands`) or the dipole doublets, each
-    as ((a, b), mode volume of a) (`cmd_modes`), per input stem a FitResult
+    as ((frequency of a, frequency of b), mode volume of a) with no field grid
+    (`cmd_modes`), per input stem a FitResult
     (`cmd_fit`).
 
     Every file of the run is written through `write`, which lists it in the
@@ -436,7 +437,8 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
                                grid_per_period=settings.grid_per_period)
         pairs = dipole_doublets(modes)
         volumes = [mode_volume(mode, slab) for mode in modes]
-        bundle.results[ra] = [(pair, volumes[modes.index(pair[0])]) for pair in pairs]
+        bundle.results[ra] = [((a.frequency, b.frequency), volumes[modes.index(a)])
+                              for a, b in pairs]
         tag = _ra_tag(ra)
         splittings = [doublet_splitting(a.frequency, b.frequency) for a, b in pairs]
         bundle.write(f"modes_ra{tag}", f"modes_ra{tag}.json", pcio.write_modes_json, modes,
@@ -729,10 +731,10 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
     split37 = volume37 = None
     for ra, doublets in modes.results.items():
         if len(doublets) == 1:
-            ((a, b), volume), = doublets
-            doublet_lams[ra] = 0.5 * sum(period / m.frequency for m in (a, b))
+            ((f_a, f_b), volume), = doublets
+            doublet_lams[ra] = 0.5 * (period / f_a + period / f_b)
             if ra == 0.37:
-                split37 = doublet_splitting(a.frequency, b.frequency)
+                split37 = doublet_splitting(f_a, f_b)
                 volume37 = volume
     _check(bundle, "one dipole doublet at r/a=0.37 with tiny splitting",
            f"splitting {split37:.2e}" if split37 is not None else "not found",

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pcqed import bands
 from pcqed.bands import (
@@ -37,6 +38,16 @@ def gap_of(lat):
 @pytest.fixture(scope="module")
 def bulk_gap():
     return gap_of(device_lattice(0.37))
+
+
+@pytest.fixture(scope="module")
+def paper_scenario():
+    """The paper scenario's config and the bulk gap of each of its hole ratios."""
+    from pcqed import cli
+
+    cfg = cli.parse_config(cli.REPRODUCE_CONFIG)
+    gaps = {ra: find_te_gap(cli._bulk_bands(cfg, ra)) for ra in cfg.crystal.hole_ratio_values}
+    return cfg, gaps
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +141,7 @@ def test_partner_fields_do_not_depend_on_the_gap_bits(bulk_gap, nudge):
 
 
 # ---------------------------------------------------------------------------
-# Field reconstruction kernels against their whole-grid forms, bit for bit
+# Field reconstruction kernels against their whole-grid forms
 # ---------------------------------------------------------------------------
 
 def _whole_grid(lat, S, ngrid):
@@ -212,20 +223,36 @@ def _recording_energy_densities(monkeypatch):
     return kernel, seen
 
 
-def test_energy_densities_bit_identical_to_ifft2(bulk_gap, monkeypatch):
+def _index_map(basis, image):
+    """Position in `basis` of image(m, n) for each plane wave (m, n)."""
+    order = {(m, n): i for i, (m, n) in enumerate(map(tuple, basis.indices))}
+    return np.array([order[image(m, n)] for m, n in map(tuple, basis.indices)])
+
+
+def _inverse_index(basis):
+    """Position of -G_i in `basis` for each plane wave i."""
+    return _index_map(basis, lambda m, n: (-m, -n))
+
+
+def test_energy_densities_match_ifft2(bulk_gap, monkeypatch):
+    # One packed transform per state against the two whole-grid transforms,
+    # on the solver's states and on random states of either inversion parity
+    # (the kernel's precondition).
     lat = device_lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 7, 12)
     kernel, seen = _recording_energy_densities(monkeypatch)
     modes = solve_h1_modes(lat, basis, gap=bulk_gap, grid_per_period=64)
     in_gap, = seen
     assert in_gap.shape[1] == len(modes) > 0
+    neg = _inverse_index(basis)
     random = np.random.default_rng(5).standard_normal((len(basis), 3))
     eps_grid = bands._supercell_eps_grid(lat, 7, 7 * 64)
-    for vecs in (in_gap, random):
+    for vecs in (in_gap, random + random[neg], random - random[neg]):
         got = list(kernel(vecs, basis, eps_grid))
         assert len(got) == vecs.shape[1]
         for vec, u_e in zip(vecs.T, got):
-            assert np.array_equal(u_e, _ifft2_energy_density(vec, basis, eps_grid))
+            ref = _ifft2_energy_density(vec, basis, eps_grid)
+            assert np.abs(u_e - ref).max() <= 1e-12 * ref.max()
 
 
 def test_mode_grids_do_not_share_the_fft_buffer(bulk_gap, monkeypatch):
@@ -322,20 +349,17 @@ def _grid_mode_volume(u, eps_grid, profile, slab):
     return integral * slab.thickness / peak / (profile.wavelength / slab.n_core) ** 3
 
 
-def test_volume_from_stored_numbers_equals_the_grid_formula(monkeypatch):
+def test_volume_from_stored_numbers_equals_the_grid_formula(paper_scenario, monkeypatch):
     # Every in-gap state of the paper scenario's five hole ratios: the grid
     # is rebuilt from its eigenvector, and only doublet candidates keep it.
-    from pcqed import cli
-
-    cfg = cli.parse_config(cli.REPRODUCE_CONFIG)
+    cfg, gaps = paper_scenario
     slab, settings = cfg.crystal.slab.waveguide(), cfg.modes
     kernel, seen = _recording_energy_densities(monkeypatch)
     states = kept = 0
-    for ra in cfg.crystal.hole_ratio_values:
+    for ra, gap in gaps.items():
         lat = cfg.crystal.lattice(ra)
         basis = PlaneWaveBasis.supercell(lat, settings.supercell_size, settings.cutoff)
-        modes = solve_h1_modes(lat, basis, gap=find_te_gap(cli._bulk_bands(cfg, ra)),
-                               grid_per_period=settings.grid_per_period)
+        modes = solve_h1_modes(lat, basis, gap=gap, grid_per_period=settings.grid_per_period)
         ngrid = settings.supercell_size * settings.grid_per_period
         eps_grid = bands._supercell_eps_grid(lat, settings.supercell_size, ngrid)
         grids = kernel(seen.pop(), basis, eps_grid)
@@ -349,3 +373,92 @@ def test_volume_from_stored_numbers_equals_the_grid_formula(monkeypatch):
             states += 1
             kept += candidate
     assert (states, kept) == (41, 12)
+
+
+# ---------------------------------------------------------------------------
+# The inversion-blocked solve against the dense one
+# ---------------------------------------------------------------------------
+
+def _dense_h1_states(lat, basis, gap, grid_per_period):
+    """The in-gap states of the whole Gamma-point operator: `inv` of the full
+    permittivity matrix, `_assemble_te`, `eigh`, the mirror rotation of
+    degenerate groups, and parity as sign(h . h(-G)). Each state comes back
+    as a grid-free profile, so `dipole_doublets` applies to it."""
+    theta = bands._assemble_te(np.linalg.inv(bands._eps_matrix(lat, basis)), np.zeros(2),
+                               basis.g_vectors)
+    scale = 2.0 * np.pi / lat.period_a
+    lo = (gap.lower_edge * (1.0 + 1e-7) * scale) ** 2
+    hi = (gap.upper_edge * (1.0 - 1e-7) * scale) ** 2
+    vals, vecs = scipy.linalg.eigh(theta, subset_by_value=[lo, hi])
+    bands._mirror_partners(vals, vecs, _index_map(basis, lambda m, n: (m, -m - n)))
+    neg = _inverse_index(basis)
+    S = basis.supercell_size
+    ngrid = S * grid_per_period
+    eps_grid = bands._supercell_eps_grid(lat, S, ngrid)
+    near = bands._near_defect_mask(lat, S, ngrid)
+    states = []
+    for val, vec in zip(vals, vecs.T):
+        u = _ifft2_energy_density(vec, basis, eps_grid)
+        u /= u.max()
+        states.append(CavityModeProfile(
+            frequency=lat.period_a / (2.0 * np.pi) * float(np.sqrt(val)),
+            energy_density=None,
+            lattice=lat,
+            supercell_size=S,
+            grid_per_period=grid_per_period,
+            localization=float(u[near].sum() / u.sum()),
+            parity=float(np.sign(vec @ vec[neg])),
+            density_sum=float(u.sum()),
+            dielectric_peak=float(u[eps_grid == lat.eps_background].max()),
+        ))
+    return states
+
+
+def _doublet_positions(states):
+    pairs = dipole_doublets(states)
+    return [tuple(next(i for i, s in enumerate(states) if s is m) for m in pair)
+            for pair in pairs]
+
+
+@pytest.mark.parametrize("size", [5, 7, 9])
+def test_blocked_solve_matches_the_dense_solve(paper_scenario, size):
+    cfg, gaps = paper_scenario
+    settings = cfg.modes
+    for ra, gap in gaps.items():
+        lat = cfg.crystal.lattice(ra)
+        basis = PlaneWaveBasis.supercell(lat, size, settings.cutoff)
+        got = solve_h1_modes(lat, basis, gap=gap, grid_per_period=settings.grid_per_period)
+        ref = _dense_h1_states(lat, basis, gap, settings.grid_per_period)
+        assert len(got) == len(ref) > 0, f"S={size}, r/a={ra}"
+        for a, b in zip(got, ref):
+            assert a.parity == b.parity
+            assert abs(a.frequency - b.frequency) <= 1e-12 * b.frequency
+            assert abs(a.localization - b.localization) <= 1e-12
+        assert _doublet_positions(got) == _doublet_positions(ref)
+        assert len(_doublet_positions(got)) == 1
+
+
+def test_kept_grids_are_inversion_symmetric(paper_scenario):
+    # |grad H|^2 of a state with exact parity is inversion-symmetric. The FFT
+    # samples it at the nodes j/n of the supercell, where inversion sends
+    # index j to -j mod n, while the permittivity grid it is divided by is
+    # cell-centred, (j + 1/2)/n, and symmetric under j -> n - 1 - j; so the
+    # check is made on the density times eps.
+    cfg, gaps = paper_scenario
+    settings = cfg.modes
+    ngrid = settings.supercell_size * settings.grid_per_period
+    kept = 0
+    for ra, gap in gaps.items():
+        lat = cfg.crystal.lattice(ra)
+        basis = PlaneWaveBasis.supercell(lat, settings.supercell_size, settings.cutoff)
+        eps_grid = bands._supercell_eps_grid(lat, settings.supercell_size, ngrid)
+        assert np.array_equal(eps_grid[::-1, ::-1], eps_grid)
+        for mode in solve_h1_modes(lat, basis, gap=gap,
+                                   grid_per_period=settings.grid_per_period):
+            if mode.energy_density is None:
+                continue
+            d = mode.energy_density * eps_grid
+            inverted = np.roll(d[::-1, ::-1], 1, axis=(0, 1))
+            assert np.abs(inverted - d).max() <= 1e-12 * d.max()
+            kept += 1
+    assert kept == 12

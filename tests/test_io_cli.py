@@ -530,6 +530,20 @@ def test_cmd_modes_byte_identical_reruns(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_cmd_modes_keeps_only_the_doublet_numbers(tmp_path):
+    # reproduce-paper reads each doublet's two frequencies and the volume of
+    # its first mode; no profile, and so no field grid, outlives its hole ratio.
+    cfg = parse_config(MODES_CONFIG)
+    bundle = cmd_modes(cfg, tmp_path / "out", {0.37: bulk_gap(cfg.crystal.lattice(0.37))})
+    doc = json.loads((tmp_path / "out" / "modes_ra0p370.json").read_text())
+    (((f_a, f_b), volume),) = bundle.results[0.37]
+    assert all(isinstance(x, float) for x in (f_a, f_b, volume))
+    (doublet,) = doc["doublets"]
+    assert [f_a, f_b] == doublet["frequencies"]
+    first = next(m for m in doc["modes"] if m["frequency"] == f_a)
+    assert volume == first["mode_volume"]
+
+
 def test_cmd_modes_takes_its_gap_from_the_bands_settings(tmp_path):
     # A coarse bulk solve narrows the gap enough to drop the top in-gap mode.
     cfg = {**MODES_CONFIG, "bands": {"cutoff": 4, "samples_per_segment": 8, "n_bands": 2}}
