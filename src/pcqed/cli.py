@@ -49,6 +49,7 @@ from .cavity import (
     CavityMode,
     coupling_efficiency,
     enhanced_lifetime,
+    lifetime_ratio_multimode,
     mode_linewidth,
     photon_lifetime,
     purcell_factor,
@@ -310,7 +311,7 @@ def parse_config(document: dict) -> Config:
 def load_config(path) -> Config:
     """The typed config in the JSON file `path`; an unreadable or malformed
     file fails as a ParseError at its line, a bad setting with its dotted path."""
-    document = pcio.read_json_object(path)[0]
+    document = pcio.read_json_object(path)
     try:
         return parse_config(document)
     except ConfigError as exc:
@@ -704,8 +705,11 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
     beta_direct = coupling_efficiency(0.15, 1.8)
     _check(bundle, "coupling_efficiency(0.15 ns, 1.8 ns)", f"{beta_direct:.4f}",
            abs(beta_direct - 0.9167) < 1e-3, "~0.92")
-    ratio0 = 56.0 / 3.0 + 0.47
-    tau2 = enhanced_lifetime(840.0, ratio0)
+    scan = cfg.simulate.spectral_scan
+    cavities = [m.cavity() for m in scan.modes]
+    ratio0 = lifetime_ratio_multimode(cavities[0].lambda_c, cavities, scan.purcell_factors,
+                                      scan.alpha)
+    tau2 = enhanced_lifetime(scan.tau0_ps, ratio0)
     _check(bundle, "enhanced_lifetime(840 ps, F=56, alpha=0.47)", f"{tau2:.1f} ps",
            abs(tau2 - 44.0) < 8.0, "44 +- 8 ps")
 

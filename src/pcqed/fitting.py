@@ -55,7 +55,6 @@ MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-8  # Gauss-Newton step relative to |parameter| + 1
 DECREMENT_TOLERANCE = 1e-9  # predicted reduction relative to 1 + statistic
 STOP_REASONS = ("step", "gradient", "stationary", "budget")
-MODELS = ("monoexponential", "biexponential", "spectral-detuning")
 CONVERGED_STOPS = ("step", "gradient", "stationary")
 MU_FLOOR = 1e-12  # expected counts below this weigh as this in the curvature
 # Second-component lifetimes tried by the nested two-component start, in units
@@ -80,7 +79,7 @@ class FitResult:
     """Estimates, uncertainties and diagnostics of one fit; the verdict,
     errors and goodness derive from stop reason, covariance and statistic."""
 
-    model: str  # one of MODELS
+    model: str  # "monoexponential", "biexponential" or "spectral-detuning"
     parameters: dict
     parameter_order: tuple
     covariance: np.ndarray

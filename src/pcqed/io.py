@@ -1,7 +1,8 @@
-"""Every file pcqed reads or writes: histogram/band/scan CSV, the config, gap,
-mode, fit and manifest JSON, the run summary, and mode profiles as JSON
-metadata plus a `.npy` energy-density sidecar checked by SHA-256. A file that
-cannot be read fails as a ParseError at its line 1.
+"""Every file pcqed reads or writes. It reads the config, histogram CSVs and
+spectral-scan CSVs with their metadata sidecars; it writes those and the band
+CSV, the gap, mode, fit and manifest JSON, the run summary, and mode profiles
+as JSON metadata plus a `.npy` energy-density sidecar whose SHA-256 the JSON
+records. A file that cannot be read fails as a ParseError at its line 1.
 
 All numeric text is written with `repr` so floats round-trip exactly and
 repeated runs produce byte-identical files; the profile grid is stored as
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fitting import MODELS, STOP_REASONS, FitResult, SpectralScan
+from .fitting import FitResult, SpectralScan
 from .tcspc import BinGrid, InstrumentResponse, TransientHistogram
 
 if TYPE_CHECKING:  # annotations only: reading a file needs no band solver
@@ -41,16 +42,13 @@ __all__ = [
     "write_histogram_csv",
     "read_histogram_csv",
     "write_band_csv",
-    "read_band_csv",
     "write_gap_json",
     "write_gap_table",
     "write_modes_json",
     "write_fit_json",
-    "read_fit_json",
     "write_scan_csv",
     "read_scan_csv",
     "write_profile_json",
-    "read_profile_json",
 ]
 
 SCHEMA_VERSION = 2
@@ -121,8 +119,8 @@ def _read(path, mode="r", first_line=False):
         raise ParseError(path, 1, f"cannot read: {exc.strerror or exc}") from exc
 
 
-def read_json_object(path) -> tuple[dict, str]:
-    """The JSON object in `path` and its text; malformed text fails at its line."""
+def read_json_object(path) -> dict:
+    """The JSON object in `path`; malformed text fails at its line."""
     text = _read(path)
     try:
         doc = json.loads(text)
@@ -130,7 +128,7 @@ def read_json_object(path) -> tuple[dict, str]:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError(path, 1, "expected a JSON object")
-    return doc, text
+    return doc
 
 
 def sidecar_path(path) -> Path:
@@ -190,27 +188,26 @@ def _number(value, name: str, path, line: int, kind=(int, float), positive=False
     return value
 
 
-def _table(path, header_check, what):
-    """Header names, 1-based line numbers and columns of a CSV file.
+def _table(path, header, what):
+    """1-based line numbers and columns of a CSV file whose first line is `header`.
 
-    `header_check(names)` accepts the header; blank lines are skipped and
-    every other row must hold one field per header name. All rows are split
-    at once, as one joined string.
+    Blank lines are skipped and every other row must hold one field per
+    header name. All rows are split at once, as one joined string.
     """
     lines = _read(path).splitlines()
-    header = lines[0].strip() if lines else ""
-    names = header.split(",")
-    if not header_check(names):
-        raise ParseError(path, 1, f"bad {what} header {header!r}")
+    found = lines[0].strip() if lines else ""
+    if found != header:
+        raise ParseError(path, 1, f"bad {what} header {found!r}")
+    n_fields = header.count(",") + 1
     numbers = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
     if not numbers:
         raise ParseError(path, len(lines), "no data rows")
     rows = [lines[i - 1] for i in numbers]
     for i, row in zip(numbers, rows):
-        if row.count(",") != len(names) - 1:
-            raise ParseError(path, i, f"expected {len(names)} fields, got {row.count(',') + 1}")
+        if row.count(",") != n_fields - 1:
+            raise ParseError(path, i, f"expected {n_fields} fields, got {row.count(',') + 1}")
     cells = ",".join(rows).split(",")
-    return names, numbers, [cells[j::len(names)] for j in range(len(names))]
+    return numbers, [cells[j::n_fields] for j in range(n_fields)]
 
 
 def _column(path, numbers, name, cells, dtype=float, positive=False) -> np.ndarray:
@@ -241,13 +238,12 @@ def read_histogram_csv(path) -> TransientHistogram:
     each `time_ps` at its bin centre on the sidecar's grid.
     """
     meta_path = sidecar_path(path)
-    meta = read_json_object(meta_path)[0]
+    meta = read_json_object(meta_path)
     width, fwhm = (_number(meta.get(key), key, meta_path, 1, positive=True)
                    for key in ("bin_width_ps", "irf_fwhm_ps"))
     t_start, irf_t0 = (_number(meta.get(key), key, meta_path, 1)
                        for key in ("t_start_ps", "irf_t0_ps"))
-    _, numbers, (time_cells, count_cells) = _table(
-        path, lambda names: names == HISTOGRAM_HEADER.split(","), "histogram")
+    numbers, (time_cells, count_cells) = _table(path, HISTOGRAM_HEADER, "histogram")
     times = _column(path, numbers, "time_ps", time_cells)
     counts = _column(path, numbers, "counts", count_cells, np.int64)
     grid = BinGrid(float(width), len(numbers), float(t_start))
@@ -285,20 +281,6 @@ def write_band_csv(path, bands: BandStructure) -> None:
         cells += [_fmt(v) for v in row]
         lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_band_csv(path):
-    """Return (k_fractions, arc_lengths, frequencies) arrays.
-
-    There must be at least one row; every row must hold as many fields as
-    the header, and each value after `k_index` must be a finite number.
-    """
-    names, numbers, columns = _table(
-        path, lambda names: names[:4] == ["k_index", "k_frac_x", "k_frac_y", "arc_length"]
-        and len(names) >= 5, "band CSV")
-    values = [_column(path, numbers, name, cells)
-              for name, cells in zip(names[1:], columns[1:])]
-    return np.column_stack(values[:2]), values[2], np.column_stack(values[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -384,60 +366,6 @@ def write_fit_json(path, result: FitResult) -> dict:
     return doc
 
 
-def read_fit_json(path) -> FitResult:
-    """The FitResult written by `write_fit_json`, its verdict, errors and
-    goodness derived rather than read. A missing key, a wrong type, a
-    non-finite number, parameters other than `parameter_order`, no more
-    points than parameters, or an unknown model or stop reason fails at the
-    line of its key."""
-    path = Path(path)
-    doc, text = read_json_object(path)
-
-    def field(key, kind, allowed=None):
-        value, line = doc.get(key), _key_line(text, key)
-        if kind is int:
-            return _number(value, key, path, line, kind=int)
-        if kind is float:
-            return _number(value, key, path, line)
-        if not isinstance(value, kind):
-            raise ParseError(path, line, f"{key}: expected {kind.__name__}, got {value!r}")
-        if allowed is not None and value not in allowed:
-            raise ParseError(path, line, f"{key}: expected one of {', '.join(allowed)}, "
-                             f"got {value!r}")
-        return value
-
-    def numbers(key, values):
-        return [_number(v, key, path, _key_line(text, key)) for v in values]
-
-    order = field("parameter_order", list)
-    rows = field("covariance", list)
-    if len(rows) != len(order) or not all(isinstance(r, list) and len(r) == len(order)
-                                          for r in rows):
-        raise ParseError(path, _key_line(text, "covariance"),
-                         f"covariance: expected {len(order)} rows of {len(order)} numbers")
-    parameters = field("parameters", dict)
-    numbers("parameters", parameters.values())
-    if sorted(order, key=str) != sorted(parameters):  # written with sorted keys
-        raise ParseError(path, _key_line(text, "parameters"), f"parameters: keys "
-                         f"{sorted(parameters)} differ from parameter_order {order}")
-    n_points = field("n_points", int)
-    if n_points <= len(order):  # the goodness divides by n_points - len(order)
-        raise ParseError(path, _key_line(text, "n_points"), f"n_points: {n_points} data "
-                         f"points cannot determine {len(order)} fit parameters")
-    return FitResult(
-        model=field("model", str, MODELS),
-        parameters=parameters,
-        parameter_order=tuple(order),
-        covariance=np.array([numbers("covariance", row) for row in rows], dtype=float),
-        statistic=field("statistic", float),
-        n_points=n_points,
-        iterations=field("iterations", int),
-        stop_reason=field("stop_reason", str, STOP_REASONS),
-        warnings=tuple(field("warnings", list)),
-        extras=field("extras", dict),
-    )
-
-
 def write_profile_json(path, profile: CavityModeProfile, mode_volume: float | None):
     """Mode-profile metadata as JSON, the energy-density grid as a `.npy` sidecar.
 
@@ -475,52 +403,6 @@ def write_profile_json(path, profile: CavityModeProfile, mode_volume: float | No
     return doc
 
 
-def _key_line(text: str, key: str) -> int:
-    """1-based line of `"key":` in a JSON text; 1 when the key is absent."""
-    at = text.find(f'"{key}":')
-    return text.count("\n", 0, at) + 1 if at >= 0 else 1
-
-
-def read_profile_json(path) -> tuple[dict, np.ndarray]:
-    """Profile metadata and the energy-density grid, bit for bit as written.
-
-    The grid comes from the `.npy` sidecar named by `energy_density_file`, in
-    the profile's directory. It must match `energy_density_sha256`, hold
-    float64 values (no pickled objects) and have the shape `grid_shape`.
-    """
-    path = Path(path)
-    doc, text = read_json_object(path)
-    if "energy_density" in doc:
-        raise ParseError(path, _key_line(text, "energy_density"),
-                         "inline energy_density grid (schema 1); this reader takes "
-                         "the .npy sidecar named by energy_density_file")
-    name = doc.get("energy_density_file")
-    line = _key_line(text, "energy_density_file")
-    if not isinstance(name, str) or Path(name).name != name:
-        raise ParseError(path, line, f"energy_density_file: expected a file name, got {name!r}")
-    grid_path = path.parent / name
-    if not grid_path.is_file():
-        raise ParseError(path, line, f"energy_density_file: {grid_path} does not exist")
-    grid_bytes = grid_path.read_bytes()
-    digest = hashlib.sha256(grid_bytes).hexdigest()
-    if digest != doc.get("energy_density_sha256"):
-        raise ParseError(path, _key_line(text, "energy_density_sha256"),
-                         f"energy_density_sha256: {grid_path} has SHA-256 {digest}")
-    try:
-        grid = np.lib.format.read_array(BytesIO(grid_bytes), allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise ParseError(path, line, f"energy_density_file: {grid_path} is not a "
-                         f"plain .npy array: {exc}") from exc
-    if grid.dtype != np.float64:
-        raise ParseError(path, line, f"energy_density_file: dtype {grid.dtype}, "
-                         "expected float64")
-    if list(grid.shape) != doc.get("grid_shape"):
-        raise ParseError(path, _key_line(text, "grid_shape"),
-                         f"grid_shape: {doc.get('grid_shape')!r} disagrees with the "
-                         f"grid's shape {list(grid.shape)}")
-    return doc, grid
-
-
 # ---------------------------------------------------------------------------
 # Spectral scans: CSV "wavelength_nm,lifetime_ps,lifetime_err_ps" + sidecar.
 # ---------------------------------------------------------------------------
@@ -545,9 +427,8 @@ def read_scan_csv(path) -> tuple[SpectralScan, dict]:
     """Scan and sidecar metadata; wavelengths must increase, lifetimes and
     uncertainties be positive, and a tau0 reference be positive."""
     meta_path = sidecar_path(path)
-    meta = read_json_object(meta_path)[0] if meta_path.exists() else {}
-    _, numbers, (lam_cells, tau_cells, err_cells) = _table(
-        path, lambda names: names == SCAN_HEADER.split(","), "spectral-scan")
+    meta = read_json_object(meta_path) if meta_path.exists() else {}
+    numbers, (lam_cells, tau_cells, err_cells) = _table(path, SCAN_HEADER, "spectral-scan")
     lams = _column(path, numbers, "wavelength_nm", lam_cells, positive=True)
     taus = _column(path, numbers, "lifetime_ps", tau_cells, positive=True)
     bad = np.flatnonzero(~(np.diff(lams) > 0))

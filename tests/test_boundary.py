@@ -62,13 +62,6 @@ def _write_scan(path):
     return Path(path)
 
 
-def _write_bands(path):
-    lat = TriangularLattice(300.0, 0.3, 10.0)
-    bands = compute_bands(lat, 2, PlaneWaveBasis.bulk(lat, 2), 3)
-    pcio.write_band_csv(path, bands)
-    return Path(path)
-
-
 def _fit(tmp, *inputs, config=None):
     cfg = Path(tmp) / "fit.json"
     cfg.write_text(json.dumps(config or {"fit": {"model": "mono"}}))
@@ -583,19 +576,41 @@ def _numbers(node):
 
 
 # ---------------------------------------------------------------------------
-# The CSV table reader shared by the histogram, band and scan formats.
+# The file reading, JSON loading and CSV table parsing that every input
+# shares: the config, the histogram and scan CSVs and their sidecars.
 # ---------------------------------------------------------------------------
 
-def test_band_csv_without_rows(tmp_path):
-    path = _write_bands(tmp_path / "b.csv")
+def test_input_not_utf8_exits_2_at_its_line_1(tmp_path, capsys):
+    hist = _write_histogram(tmp_path / "h.csv")
+    lines = hist.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b",", b"\xff,")
+    hist.write_bytes(b"\n".join(lines))
+    assert _fit(tmp_path, hist) == EXIT_CONFIG
+    assert f"error: {hist}:1: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["histogram", "scan"])
+def test_input_without_rows_exits_2(tmp_path, capsys, kind):
+    write = _write_histogram if kind == "histogram" else _write_scan
+    path = write(tmp_path / "t.csv")
     path.write_text(path.read_text().splitlines()[0] + "\n\n")
-    with pytest.raises(pcio.ParseError, match=r"b\.csv:2: no data rows"):
-        pcio.read_band_csv(path)
+    assert _fit(tmp_path, path) == EXIT_CONFIG
+    assert f"error: {path}:2: no data rows" in capsys.readouterr().err
+
+
+def test_invalid_json_names_its_line(tmp_path, capsys):
+    config = tmp_path / "fit.json"
+    config.write_text('{\n "fit": {\n  "model": ,\n }\n}\n')
+    hist = _write_histogram(tmp_path / "h.csv")
+    argv = ["fit", "--config", str(config), "--out", str(tmp_path / "out"), str(hist)]
+    assert main(argv) == EXIT_CONFIG
+    assert f"error: {config}:3: invalid JSON: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, column, cell, message", [
     pytest.param("histogram", "counts", "1.0x", "counts: bad value '1.0x'", id="histogram-counts"),
-    pytest.param("band", "band_2", "1.0x", "band_2: bad value '1.0x'", id="band-band_2"),
+    *[pytest.param("histogram", "time_ps", value, f"time_ps: expected a finite number, got {value}",
+                   id=f"histogram-time_ps-{value}") for value in ("nan", "inf", "-inf")],
     pytest.param("scan", "lifetime_ps", "1.0x", "lifetime_ps: bad value '1.0x'",
                  id="scan-lifetime_ps"),
     # The first data row sets whether uncertainties are present.
@@ -605,7 +620,6 @@ def test_band_csv_without_rows(tmp_path):
 def test_non_numeric_cell_is_named(tmp_path, kind, column, cell, message):
     write, read = {
         "histogram": (_write_histogram, pcio.read_histogram_csv),
-        "band": (_write_bands, pcio.read_band_csv),
         "scan": (_write_scan, pcio.read_scan_csv),
     }[kind]
     path = write(tmp_path / "t.csv")
@@ -668,17 +682,9 @@ def _mutate_sidecar(text, data):
 
 
 @settings(max_examples=90, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(["histogram", "scan", "band"]), data=st.data())
+@given(kind=st.sampled_from(["histogram", "scan"]), data=st.data())
 def test_malformed_inputs_never_raise(kind, data):
     with tempfile.TemporaryDirectory() as tmp:
-        if kind == "band":
-            path = _write_bands(Path(tmp) / "b.csv")
-            path.write_text(_mutate_csv(path.read_text(), data))
-            try:
-                pcio.read_band_csv(path)
-            except pcio.ParseError:
-                pass
-            return
         path = (_write_histogram(Path(tmp) / "h.csv", n_bins=128) if kind == "histogram"
                 else _write_scan(Path(tmp) / "scan.csv"))
         meta_path = Path(f"{path}.meta.json")

@@ -1,9 +1,6 @@
 import dataclasses
 import hashlib
-import io
 import json
-import pickle
-import re
 
 import numpy as np
 import pytest
@@ -112,10 +109,11 @@ def test_band_csv_round_trip(tmp_path):
     bands = compute_bands(lat, 4, PlaneWaveBasis.bulk(lat, 3), 3)
     path = tmp_path / "b.csv"
     pcio.write_band_csv(path, bands)
-    frac, arc, freqs = pcio.read_band_csv(path)
-    np.testing.assert_array_equal(frac, bands.k_fractions)
-    np.testing.assert_array_equal(arc, bands.arc_lengths)
-    np.testing.assert_array_equal(freqs, bands.frequencies)
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, 0], np.arange(len(bands.arc_lengths)))
+    np.testing.assert_array_equal(table[:, 1:3], bands.k_fractions)
+    np.testing.assert_array_equal(table[:, 3], bands.arc_lengths)
+    np.testing.assert_array_equal(table[:, 4:], bands.frequencies)
 
 
 def test_scan_csv_round_trip(tmp_path):
@@ -163,161 +161,20 @@ def test_fit_json_round_trip(tmp_path):
     result = fit_monoexponential(hist)
     path = tmp_path / "fit.json"
     pcio.write_fit_json(path, result)
-    back = pcio.read_fit_json(path)
-    assert back.parameters == result.parameters
-    assert back.std_errors == result.std_errors
-    assert back.parameter_order == result.parameter_order
-    np.testing.assert_array_equal(back.covariance, result.covariance)
-    assert back.statistic == result.statistic
-    assert back.converged == result.converged
+    back = json.loads(path.read_text())
+    assert back["parameters"] == result.parameters
+    assert back["std_errors"] == result.std_errors
+    assert tuple(back["parameter_order"]) == result.parameter_order
+    np.testing.assert_array_equal(np.array(back["covariance"]), result.covariance)
+    assert back["statistic"] == result.statistic
+    assert back["converged"] == result.converged
 
 
-def _written_fit(tmp_path):
-    grid = BinGrid(bin_width=12.0, n_bins=512)
-    curve = expected_curve(DecayModel([(1.0, 400.0)]), IRF, grid)
-    path = tmp_path / "fit.json"
-    pcio.write_fit_json(path, fit_monoexponential(sample_histogram(curve, 20_000, 3, grid=grid,
-                                                                   irf=IRF)))
-    return path
-
-
-def test_fit_json_reader_rejects_a_missing_key(tmp_path):
-    path = _written_fit(tmp_path)
-    doc = json.loads(path.read_text())
-    del doc["stop_reason"]
-    path.write_text(json.dumps(doc, indent=1))
-    with pytest.raises(pcio.ParseError, match=r"fit\.json:1: stop_reason: expected str"):
-        pcio.read_fit_json(path)
-
-
-def test_fit_json_reader_rejects_bad_json(tmp_path):
-    path = _written_fit(tmp_path)
-    path.write_text('{\n "model": "monoexponential",\n "parameters": {,\n}')
-    with pytest.raises(pcio.ParseError, match=r"fit\.json:3: invalid JSON"):
-        pcio.read_fit_json(path)
-
-
-def test_fit_json_reader_rejects_non_finite_covariance(tmp_path):
-    path = _written_fit(tmp_path)
-    doc = json.loads(path.read_text())
-    doc["covariance"][1][1] = float("nan")
-    path.write_text(json.dumps(doc, indent=1))
-    with pytest.raises(pcio.ParseError) as err:
-        pcio.read_fit_json(path)
-    assert "covariance: expected a finite number, got nan" in str(err.value)
-    assert err.value.line_number == path.read_text().splitlines().index(' "covariance": [') + 1
-
-
-def test_fit_json_rewrites_the_same_bytes(tmp_path):
-    path = _written_fit(tmp_path)
-    pcio.write_fit_json(tmp_path / "again.json", pcio.read_fit_json(path))
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
-
-
-def test_fit_json_reader_derives_the_verdict_errors_and_goodness(tmp_path):
-    # A file whose stored verdict, errors and goodness contradict its stop
-    # reason, covariance and statistic reads back with the derived values.
-    path = _written_fit(tmp_path)
-    written = pcio.read_fit_json(path)
-    doc = json.loads(path.read_text())
-    doc.update(stop_reason="budget", converged=True, goodness=-3, goodness_kind="none")
-    doc["std_errors"]["lifetime_ps"] = 1e9
-    path.write_text(json.dumps(doc, indent=1))
-    back = pcio.read_fit_json(path)
-    assert back.converged is False
-    assert back.std_errors == written.std_errors
-    assert back.std_errors["lifetime_ps"] == np.sqrt(back.covariance[1, 1])
-    assert back.goodness == written.goodness > 0
-    assert back.goodness_kind == "poisson-deviance"
+def test_fit_result_stores_no_derived_value():
+    # The verdict, errors and goodness derive from the stop reason,
+    # covariance and statistic; storing them as well would let them disagree.
     stored = {f.name for f in dataclasses.fields(fitting.FitResult)}
     assert not stored & {"converged", "std_errors", "goodness", "goodness_kind"}
-
-
-def test_fit_json_reader_rejects_too_few_points_for_the_goodness(tmp_path):
-    path = _written_fit(tmp_path)
-    doc = json.loads(path.read_text())
-    doc["n_points"] = len(doc["parameter_order"])
-    path.write_text(json.dumps(doc, indent=1))
-    line = path.read_text().splitlines().index(' "n_points": 4,') + 1
-    with pytest.raises(pcio.ParseError, match=rf"fit\.json:{line}: n_points: 4 data points "
-                       "cannot determine 4 fit parameters"):
-        pcio.read_fit_json(path)
-
-
-def test_fit_json_reader_rejects_an_unknown_stop_reason(tmp_path):
-    path = _written_fit(tmp_path)
-    doc = json.loads(path.read_text())
-    doc["stop_reason"] = "whatever"
-    path.write_text(json.dumps(doc, indent=1))
-    line = path.read_text().splitlines().index(' "stop_reason": "whatever",') + 1
-    with pytest.raises(pcio.ParseError, match=rf"fit\.json:{line}: stop_reason: expected one of "
-                       "step, gradient, stationary, budget, got 'whatever'"):
-        pcio.read_fit_json(path)
-
-
-def test_fit_json_reader_rejects_an_unknown_model(tmp_path):
-    path = _written_fit(tmp_path)
-    doc = json.loads(path.read_text())
-    doc["model"] = "whatever"
-    path.write_text(json.dumps(doc, indent=1))
-    line = path.read_text().splitlines().index(' "model": "whatever",') + 1
-    with pytest.raises(pcio.ParseError, match=rf"fit\.json:{line}: model: expected one of "
-                       "monoexponential, biexponential, spectral-detuning, got 'whatever'"):
-        pcio.read_fit_json(path)
-
-
-@pytest.mark.parametrize("parameters", [
-    {"x": 1.0},
-    {"amplitude": 1.0, "lifetime_ps": 400.0, "t0_shift_ps": 0.0},
-    {"amplitude": 1.0, "lifetime_ps": 400.0, "t0_shift_ps": 0.0, "background": 1.0, "x": 1.0},
-])
-def test_fit_json_reader_rejects_parameters_other_than_the_order(tmp_path, parameters):
-    path = _written_fit(tmp_path)
-    doc = json.loads(path.read_text())
-    doc["parameters"] = parameters
-    path.write_text(json.dumps(doc, indent=1))
-    line = path.read_text().splitlines().index(' "parameters": {') + 1
-    message = f"fit.json:{line}: parameters: keys {sorted(parameters)} differ from parameter_order"
-    with pytest.raises(pcio.ParseError, match=re.escape(message)):
-        pcio.read_fit_json(path)
-
-
-def test_fit_json_reader_takes_parameters_in_any_key_order(tmp_path):
-    # write_fit_json sorts the keys, so parameters and parameter_order differ
-    # in order in every file it writes.
-    path = _written_fit(tmp_path)
-    doc = json.loads(path.read_text())
-    assert list(doc["parameters"]) != doc["parameter_order"]
-    assert pcio.read_fit_json(path).parameters == doc["parameters"]
-
-
-def _written_bands(tmp_path):
-    from pcqed.geometry import TriangularLattice
-
-    lat = TriangularLattice(300.0, 0.3, 10.0)
-    path = tmp_path / "b.csv"
-    bands = compute_bands(lat, 2, PlaneWaveBasis.bulk(lat, 2), 3)
-    pcio.write_band_csv(path, bands)
-    return path
-
-
-def test_band_csv_reader_rejects_non_utf8(tmp_path):
-    path = _written_bands(tmp_path)
-    path.write_bytes(path.read_bytes().replace(b"k_index", b"k_ind\xffx"))
-    with pytest.raises(pcio.ParseError, match=r"b\.csv:1: not UTF-8 text"):
-        pcio.read_band_csv(path)
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_band_csv_reader_rejects_non_finite_values(tmp_path, value):
-    path = _written_bands(tmp_path)
-    lines = path.read_text().splitlines()
-    cells = lines[3].split(",")
-    cells[5] = value
-    lines[3] = ",".join(cells)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(pcio.ParseError, match=r"b\.csv:4: band_2: expected a finite number"):
-        pcio.read_band_csv(path)
 
 
 def test_profile_json_round_trip(tmp_path):
@@ -332,30 +189,18 @@ def test_profile_json_round_trip(tmp_path):
     volume = mode_volume(a, slab)
     path = tmp_path / "p.json"
     pcio.write_profile_json(path, a, volume)
-    doc, grid = pcio.read_profile_json(path)
+    doc = json.loads(path.read_text())
+    grid_path = tmp_path / doc["energy_density_file"]
+    grid = np.load(grid_path, allow_pickle=False)
     assert grid.dtype == np.float64
     assert grid.tobytes() == a.energy_density.tobytes()
+    assert hashlib.sha256(grid_path.read_bytes()).hexdigest() == doc["energy_density_sha256"]
+    assert list(grid.shape) == doc["grid_shape"]
     assert doc["frequency"] == a.frequency
     assert doc["mode_volume"] == volume
     assert doc["supercell_size"] == 5
     assert doc["energy_density_file"] == "p.npy"
-    assert "energy_density" not in json.loads(path.read_text())
-
-
-def _small_profile_json(tmp_path):
-    """A synthetic 24x24 profile written by write_profile_json: (path, document)."""
-    from pcqed.bands import CavityModeProfile
-    from pcqed.geometry import TriangularLattice
-
-    n = 3 * 8
-    density = np.linspace(0.0, 1.0, n * n).reshape(n, n)
-    profile = CavityModeProfile(
-        frequency=0.29, energy_density=density, lattice=TriangularLattice(300.0, 0.37, 10.0),
-        supercell_size=3, grid_per_period=8, localization=0.9, parity=-1.0,
-        density_sum=float(density.sum()), dielectric_peak=1.0,
-    )
-    path = tmp_path / "p.json"
-    return path, pcio.write_profile_json(path, profile, 1.5)
+    assert "energy_density" not in doc
 
 
 def test_profile_writer_rejects_a_profile_without_a_grid(tmp_path):
@@ -370,75 +215,6 @@ def test_profile_writer_rejects_a_profile_without_a_grid(tmp_path):
     with pytest.raises(ValueError, match="has no grid"):
         pcio.write_profile_json(tmp_path / "p.json", profile, 1.5)
     assert list(tmp_path.iterdir()) == []
-
-
-def _npy_bytes(array, allow_pickle=False):
-    buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=allow_pickle)
-    return buffer.getvalue()
-
-
-def _replace_grid(path, doc, data: bytes):
-    """Put `data` in the sidecar and record its hash, so only its content is wrong."""
-    (path.parent / doc["energy_density_file"]).write_bytes(data)
-    pcio.write_json(path, {**doc, "energy_density_sha256": hashlib.sha256(data).hexdigest()})
-
-
-def _profile_rejected(path, message):
-    with pytest.raises(pcio.ParseError, match=message) as err:
-        pcio.read_profile_json(path)
-    assert str(err.value).startswith(f"{path}:{err.value.line_number}: ")
-    assert err.value.line_number > 1  # the line of the offending key
-
-
-def test_profile_reader_rejects_missing_sidecar(tmp_path):
-    path, doc = _small_profile_json(tmp_path)
-    (tmp_path / doc["energy_density_file"]).unlink()
-    _profile_rejected(path, "does not exist")
-
-
-def test_profile_reader_rejects_sidecar_outside_its_directory(tmp_path):
-    path, doc = _small_profile_json(tmp_path)
-    pcio.write_json(path, {**doc, "energy_density_file": "../p.npy"})
-    _profile_rejected(path, "expected a file name")
-
-
-def test_profile_reader_rejects_hash_mismatch(tmp_path):
-    path, doc = _small_profile_json(tmp_path)
-    grid_path = tmp_path / doc["energy_density_file"]
-    data = bytearray(grid_path.read_bytes())
-    data[-1] ^= 1
-    grid_path.write_bytes(bytes(data))
-    _profile_rejected(path, "energy_density_sha256")
-
-
-@pytest.mark.parametrize("array, message", [
-    (np.zeros((24, 23)), "grid_shape"),
-    (np.zeros((24, 24), dtype=np.float32), "dtype float32, expected float64"),
-], ids=["shape", "dtype"])
-def test_profile_reader_rejects_wrong_grid(tmp_path, array, message):
-    path, doc = _small_profile_json(tmp_path)
-    _replace_grid(path, doc, _npy_bytes(array))
-    _profile_rejected(path, message)
-
-
-@pytest.mark.parametrize("data", [
-    pickle.dumps(np.zeros((24, 24))),
-    _npy_bytes(np.array([None] * 24 * 24, dtype=object).reshape(24, 24), allow_pickle=True),
-    b"0.0,1.0\n",
-], ids=["pickle", "object-npy", "text"])
-def test_profile_reader_rejects_non_npy(tmp_path, data):
-    path, doc = _small_profile_json(tmp_path)
-    _replace_grid(path, doc, data)
-    _profile_rejected(path, "not a plain .npy array")
-
-
-def test_profile_reader_rejects_inline_schema1_grid(tmp_path):
-    path, doc = _small_profile_json(tmp_path)
-    legacy = {k: v for k, v in doc.items() if not k.startswith("energy_density_")}
-    pcio.write_json(path, {**legacy, "schema_version": 1,
-                           "energy_density": np.zeros((24, 24)).tolist()})
-    _profile_rejected(path, "inline energy_density")
 
 
 def test_gap_json_reports_absence(tmp_path):

@@ -88,3 +88,27 @@ def test_every_cli_write_goes_through_the_result_bundle():
               and isinstance(node.func, ast.Attribute) and node.func.attr == "write"
               and len(node.args) > 2}  # bundle.write(name, filename, writer, ...)
     assert writers and writers <= passed
+
+
+def test_every_public_reader_serves_a_command():
+    # A reader that no command reaches is an input format no run uses, with
+    # validation rules nothing exercises. A command reaches a reader when
+    # `cli` calls it, or calls a `pcqed.io` function that calls it
+    # (`read_fit_input` dispatches to the histogram and scan readers).
+    from pcqed import cli
+    from pcqed import io as pcio
+
+    own = {name: obj for name, obj in vars(pcio).items()
+           if inspect.isfunction(obj) and obj.__module__ == pcio.__name__}
+    frontier = {node.func.attr for node in ast.walk(ast.parse(inspect.getsource(cli)))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "pcio"}
+    reached = set()
+    while frontier:
+        name = frontier.pop()
+        reached.add(name)
+        frontier |= {node.func.id for node in ast.walk(ast.parse(inspect.getsource(own[name])))
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id in own} - reached
+    readers = {name for name in pcio.__all__ if name.startswith("read_")}
+    assert sorted(readers - reached) == []
