@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import operator
 import os
@@ -252,6 +253,9 @@ class Config:
         return dataclasses.replace(self, simulate=simulate)
 
 
+_type_hints = functools.cache(typing.get_type_hints)  # per config class, once a process
+
+
 def _parse(cls, node, prefix: str):
     """Config dataclass `cls` from the JSON object `node`; `prefix` is its path + '.'."""
     if not isinstance(node, dict):
@@ -260,7 +264,7 @@ def _parse(cls, node, prefix: str):
     for key in node:
         if key not in settings:
             raise ConfigError(f"{prefix}{key}: unknown key")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     values = {}
     for name, spec in settings.items():
         if node.get(name) is not None:
@@ -787,6 +791,7 @@ def cmd_reproduce_paper(out_dir: Path, seed: int | None = None) -> ResultBundle:
 # Argument parsing and dispatch.
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcqed",

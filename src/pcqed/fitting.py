@@ -166,11 +166,23 @@ class SpectralScan:
 
 def poisson_deviance(counts: np.ndarray, mu: np.ndarray) -> float:
     """2 * sum[mu - y + y*ln(y/mu)], the Poisson likelihood-ratio statistic."""
-    mu = np.maximum(mu, 1e-300)
+    return _deviance(counts)(mu)
+
+
+def _deviance(counts):
+    """`poisson_deviance` of the fixed `counts` as a function of mu: the terms
+    that depend on the counts alone (the nonzero bins and their sum) are
+    computed once, here."""
     y = np.asarray(counts, dtype=float)
     seen = np.flatnonzero(y)
     y_seen = y[seen]
-    return 2.0 * float(mu.sum() - y_seen.sum() + y_seen @ np.log(y_seen / mu[seen]))
+    y_total = y_seen.sum()
+
+    def deviance(mu):
+        mu = np.maximum(mu, 1e-300)
+        return 2.0 * float(mu.sum() - y_total + y_seen @ np.log(y_seen / mu[seen]))
+
+    return deviance
 
 
 def _gauss_newton(x, mu, J, y, lower, upper, weights=None):
@@ -195,7 +207,7 @@ def _gauss_newton(x, mu, J, y, lower, upper, weights=None):
     grad = 2.0 * (J @ residual)
     free = J.any(axis=1) & ~((x <= lower) & (grad > 0)) & ~((x >= upper) & (grad < 0))
     g = grad[free]
-    Jf = J[free]
+    Jf = J if free.all() else J[free]  # the copy only when a coordinate is held
     N = 2.0 * ((Jf * w) @ Jf.T)
     scale = 2.0 * ((Jf * Jf) @ inv_mu)
     try:
@@ -237,12 +249,13 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
         )
     poisson = weights is None
     weights, weight_scale = (None, 1.0) if poisson else _scaled_weights(weights)
+    deviance = _deviance(y) if poisson else None
 
     def statistic(mu):
         if mu is None:
             return np.inf
         if poisson:
-            return poisson_deviance(y, mu)
+            return deviance(mu)
         return float(weights @ (y - mu) ** 2)
 
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)

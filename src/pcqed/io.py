@@ -54,6 +54,8 @@ __all__ = [
 SCHEMA_VERSION = 2
 HISTOGRAM_HEADER = "time_ps,counts"
 SCAN_HEADER = "wavelength_nm,lifetime_ps,lifetime_err_ps"
+# Every byte but "," and "\n": what `_uniform_table` deletes to see a table's shape.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
 class ParseError(ValueError):
@@ -191,14 +193,42 @@ def _number(value, name: str, path, line: int, kind=(int, float), positive=False
 def _table(path, header, what):
     """1-based line numbers and columns of a CSV file whose first line is `header`.
 
+    Lines end at "\\n" only (text mode has already turned "\\r\\n" and "\\r"
+    into it), so a line number is the one an editor or `grep -n` shows.
     Blank lines are skipped and every other row must hold one field per
-    header name. All rows are split at once, as one joined string.
+    header name. When every row holds exactly that, as a written file does,
+    the shape is checked on the whole text at once; otherwise `_row_walk`
+    skips the blank lines and names the first bad row.
     """
-    lines = _read(path).splitlines()
-    found = lines[0].strip() if lines else ""
-    if found != header:
+    text = _read(path)
+    first, _, body = text.partition("\n")
+    if (found := first.strip()) != header:
         raise ParseError(path, 1, f"bad {what} header {found!r}")
     n_fields = header.count(",") + 1
+    table = _uniform_table(body, n_fields)
+    return table if table is not None else _row_walk(path, text, n_fields)
+
+
+def _uniform_table(body, n_fields):
+    """`_row_walk`'s result for the data rows `body` when each of them holds
+    exactly `n_fields` fields, else None: the separators of `body`, in order,
+    are then n_fields - 1 commas and a newline per row."""
+    body = body if body.endswith("\n") else body + "\n"
+    separators = body.encode().translate(None, _NOT_SEPARATORS)
+    n_rows = separators.count(b"\n")
+    if separators != (b"," * (n_fields - 1) + b"\n") * n_rows:
+        return None
+    cells = body[:-1].replace("\n", ",").split(",")
+    return range(2, 2 + n_rows), [cells[j::n_fields] for j in range(n_fields)]
+
+
+def _row_walk(path, text, n_fields):
+    """Line numbers and columns of the data rows of the CSV `text`, row by
+    row: blank lines are skipped, and the first row with another number of
+    fields than `n_fields` fails at its line."""
+    lines = text.split("\n")
+    if lines[-1] == "":  # the final "\n" ends the last line
+        lines.pop()
     numbers = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
     if not numbers:
         raise ParseError(path, len(lines), "no data rows")

@@ -10,6 +10,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -598,6 +599,21 @@ def test_input_without_rows_exits_2(tmp_path, capsys, kind):
     assert f"error: {path}:2: no data rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ending", ["\n", "\n\n"], ids=["rows-alike", "blank-last-line"])
+@pytest.mark.parametrize("mark", ["\x0c", "\x0b", "\x85", "\u2028", "\u2029"])
+def test_line_numbers_count_newlines_only(tmp_path, capsys, mark, ending):
+    # str.splitlines would also break line 4 at its trailing mark and name
+    # the bad cell on line 10 as line 11; an editor and grep -n say line 10.
+    # A blank last line leaves the rows to the row walk.
+    hist = _write_histogram(tmp_path / "lines.csv")
+    lines = hist.read_text().splitlines()
+    lines[3] += mark
+    lines[9] = lines[9].split(",")[0] + ",oops"
+    hist.write_text("\n".join(lines) + ending)
+    assert _fit(tmp_path, hist) == EXIT_CONFIG
+    assert f"error: {hist}:10: counts: bad value 'oops'" in capsys.readouterr().err
+
+
 def test_invalid_json_names_its_line(tmp_path, capsys):
     config = tmp_path / "fit.json"
     config.write_text('{\n "fit": {\n  "model": ,\n }\n}\n')
@@ -695,3 +711,49 @@ def test_malformed_inputs_never_raise(kind, data):
         else:
             meta_path.write_text(meta)
         assert _fit(tmp, path, config={"fit": {"model": "auto"}}) in (0, 2, 3, 4)
+
+
+def _read_outcome(read, path):
+    """What a reader makes of `path`: its arrays and numbers, or its error."""
+    try:
+        data = read(path)
+    except ValueError as exc:  # ParseError, or a check of the data classes
+        return type(exc).__name__, str(exc)
+    if isinstance(data, tuple):
+        scan, meta = data
+        errors = None if scan.errors is None else scan.errors.tolist()
+        return (scan.wavelengths.tolist(), scan.lifetimes.tolist(), errors,
+                scan.reference_tau0, meta)
+    return (data.counts.dtype.str, data.counts.tolist(), data.grid, data.irf.fwhm, data.irf.t0)
+
+
+def test_a_written_table_takes_the_whole_text_check(tmp_path):
+    for path, header in ((_write_histogram(tmp_path / "h.csv"), pcio.HISTOGRAM_HEADER),
+                         (_write_scan(tmp_path / "s.csv"), pcio.SCAN_HEADER)):
+        text = path.read_text()
+        n_fields = header.count(",") + 1
+        numbers, columns = pcio._uniform_table(text.partition("\n")[2], n_fields)
+        assert (list(numbers), columns) == pcio._row_walk(path, text, n_fields)
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["histogram", "scan"]), data=st.data())
+def test_whole_text_check_agrees_with_the_row_walk(kind, data):
+    # The mutations of test_malformed_inputs_never_raise, read twice: through
+    # `_table`, and with the whole-text check declining so that every row is
+    # walked. Both must give the same arrays or the same error text.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = (_write_histogram(Path(tmp) / "h.csv", n_bins=128) if kind == "histogram"
+                else _write_scan(Path(tmp) / "scan.csv"))
+        meta_path = Path(f"{path}.meta.json")
+        path.write_text(_mutate_csv(path.read_text(), data))
+        meta = _mutate_sidecar(meta_path.read_text(), data)
+        if meta is None:
+            meta_path.unlink()
+        else:
+            meta_path.write_text(meta)
+        read = pcio.read_histogram_csv if kind == "histogram" else pcio.read_scan_csv
+        checked = _read_outcome(read, path)
+        with mock.patch.object(pcio, "_uniform_table", lambda body, n_fields: None):
+            walked = _read_outcome(read, path)
+        assert checked == walked

@@ -225,6 +225,54 @@ def test_nested_fits_never_worse_than_mono():
         assert sel.bi.statistic <= sel.mono.statistic * (1 + 1e-9), lam
 
 
+def _scan_histogram_counts(lam, seed):
+    """Counts like the benchmark's scan: a detuned fast component plus 1800 ps."""
+    t = GRID.centers()
+    width = M2.lambda_c / M2.q_factor
+    tau = 840.0 / (56.0 / 3.0 * width**2 / (width**2 + 4.0 * (lam - M2.lambda_c) ** 2) + 0.47)
+    mu = _emg(t, 1.0, tau, IRF.sigma, IRF.t0) + _emg(t, 0.0556, 1800.0, IRF.sigma, IRF.t0)
+    return np.random.default_rng(seed).multinomial(100_000, mu / mu.sum()), mu
+
+
+def _deviance_in_one_expression(counts, mu):
+    # The statistic with every term, count-only ones included, made afresh.
+    mu = np.maximum(mu, 1e-300)
+    y = np.asarray(counts, dtype=float)
+    seen = np.flatnonzero(y)
+    return 2.0 * float(mu.sum() - y[seen].sum() + y[seen] @ np.log(y[seen] / mu[seen]))
+
+
+@pytest.mark.parametrize("lam", [1029.0, 1031.5, 1034.0])
+def test_hoisted_deviance_is_bit_identical(lam):
+    counts, shape = _scan_histogram_counts(lam, seed=int(lam * 10))
+    tail = counts.copy()
+    tail[1500:] = 0  # an all-zero tail
+    for y in (counts, tail, counts.astype(float)):
+        deviance = fitting._deviance(y)  # made once, as `_minimize` makes it
+        expected = 1e5 * shape / shape.sum()
+        tiny = expected.copy()
+        tiny[::7] = 1e-320  # below the 1e-300 floor, at seen and unseen bins
+        tiny[2000:2100] = 0.0
+        for mu in (expected, 0.5 * expected + 3.0, tiny, np.full(len(y), 1e-301)):
+            bits = _deviance_in_one_expression(y, mu).hex()
+            assert deviance(mu).hex() == bits
+            assert poisson_deviance(y, mu).hex() == bits
+
+
+def test_gauss_newton_with_every_coordinate_free_uses_the_same_values():
+    counts, _ = _scan_histogram_counts(1031.5, seed=5)
+    hist = tcspc.TransientHistogram(counts=counts, grid=GRID, irf=IRF)
+    model = fitting._Reconvolution(hist, 1)
+    x = np.array([200.0, 300.0, 0.0, 1.0])
+    mu, J = model(x)
+    free, _, N, scale, _ = fitting._gauss_newton(x, mu, J, model.y, model.lower, model.upper)
+    assert free.all()
+    inv_mu = 1.0 / np.maximum(mu, fitting.MU_FLOOR)
+    Jf = J[free]  # the indexed copy taken when a coordinate is held
+    assert np.array_equal(N, 2.0 * ((Jf * (model.y * inv_mu**2)) @ Jf.T))
+    assert np.array_equal(scale, 2.0 * ((Jf * Jf) @ inv_mu))
+
+
 # ---------------------------------------------------------------------------
 # Spectral detuning fit
 # ---------------------------------------------------------------------------

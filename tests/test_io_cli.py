@@ -519,6 +519,37 @@ def test_main_fit_usage_error_without_inputs(tmp_path):
     assert exc.value.code == 2
 
 
+def test_main_calls_share_one_parser_and_leak_nothing(tmp_path):
+    # One process may run many commands (a batch script, the benchmark): the
+    # parser is built once, and no flag of one call reaches the next.
+    assert cli._build_parser() is cli._build_parser()
+    doc = sim_config(seed=11)
+    del doc["simulate"]["spectral_scan"]
+    doc["simulate"]["histogram"]["grid"]["n_bins"] = 512
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+
+    def seed_written(out):
+        return json.loads((tmp_path / out / "histogram.csv.meta.json").read_text())["seed"]
+
+    simulate = ["simulate", "--config", str(cfg)]
+    assert main([*simulate, "--seed", "5", "--out", str(tmp_path / "a")]) == 0
+    assert main([*simulate, "--out", str(tmp_path / "b")]) == 0
+    assert (seed_written("a"), seed_written("b")) == (5, 11)
+    with pytest.raises(SystemExit) as exc:  # --seed is read, then the argv is rejected
+        main([*simulate, "--seed", "7", "--bogus"])
+    assert exc.value.code == 2
+    assert main([*simulate, "--out", str(tmp_path / "c")]) == 0
+    assert seed_written("c") == 11
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")])  # no inputs
+    assert exc.value.code == 2
+    hist = tmp_path / "b" / "histogram.csv"
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "fit"), str(hist)]) == 0
+    assert json.loads((tmp_path / "fit" / "fit_histogram.json").read_text())["converged"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_main_happy_path(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(small_band_config((0.33,))))
