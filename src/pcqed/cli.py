@@ -351,6 +351,7 @@ class ResultBundle:
     failed: list = field(default_factory=list)
     summary_lines: list = field(default_factory=list)
     results: dict = field(default_factory=dict)
+    _made_dir: bool = field(default=False, init=False, repr=False)
 
     def write(self, name: str | None, filename: str, writer, *args, **kwargs):
         """`writer(out_dir / filename, *args, **kwargs)`, listed in the manifest
@@ -358,7 +359,9 @@ class ResultBundle:
         cannot be written is a ConfigError at its path."""
         path = self.out_dir / filename
         try:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
+            if not self._made_dir:
+                self.out_dir.mkdir(parents=True, exist_ok=True)
+                self._made_dir = True
             written = writer(path, *args, **kwargs)
         except OSError as exc:
             raise ConfigError(f"{exc.filename or path}: cannot write: "
@@ -382,14 +385,15 @@ class ResultBundle:
                    self.config_hash, self.outputs, self.failed)
 
 
-def _new_bundle(cfg: Config, out_dir: Path, inputs=()) -> ResultBundle:
-    """Bundle whose run id hashes the effective config and every input's bytes.
+def _new_bundle(cfg: Config, out_dir: Path, input_digests=()) -> ResultBundle:
+    """Bundle whose run id hashes the effective config and the SHA-256 of every
+    input file's bytes (`input_digests`, each input's then its sidecar's).
 
     `cfg` must already carry the command-line overrides (the seed), so a run
     id changes whenever the data can: another seed, other input bytes.
     """
     digest = config_hash(cfg)
-    provenance = {"config": digest, "inputs": pcio.input_digests(inputs)}
+    provenance = {"config": digest, "inputs": list(input_digests)}
     run_id = hashlib.sha256(pcio.canonical_json(provenance).encode()).hexdigest()[:12]
     return ResultBundle(run_id=run_id, config_hash=digest, out_dir=out_dir)
 
@@ -597,10 +601,11 @@ def _fit_scan(path: Path, scan, modes: tuple[Mode, ...], bundle):
 
 def _read_fit_input(cfg: Config, path: Path):
     """The call that fits the input `path` into a bundle, once the input is read
-    and checked; a scan's modes and tau0 come from the config or its sidecar."""
-    data = pcio.read_fit_input(path)
+    and checked, and the digests of the bytes read (`pcio.read_fit_input`); a
+    scan's modes and tau0 come from the config or its sidecar."""
+    data, digests = pcio.read_fit_input(path)
     if isinstance(data, TransientHistogram):
-        return lambda bundle: _fit_histogram(cfg, path, data, bundle)
+        return (lambda bundle: _fit_histogram(cfg, path, data, bundle)), digests
     scan, meta = data
     spec = cfg.fit.spectral
     if spec.modes is None and meta.get("modes") is None:
@@ -612,7 +617,7 @@ def _read_fit_input(cfg: Config, path: Path):
         scan = dataclasses.replace(scan, reference_tau0=spec.tau0_ps)
     if scan.reference_tau0 is None:
         raise ConfigError("fit.spectral.tau0_ps: required (no tau0 in scan sidecar)")
-    return lambda bundle: _fit_scan(path, scan, modes, bundle)
+    return (lambda bundle: _fit_scan(path, scan, modes, bundle)), digests
 
 
 def cmd_fit(cfg: Config, out_dir: Path, inputs: list) -> ResultBundle:
@@ -629,13 +634,15 @@ def cmd_fit(cfg: Config, out_dir: Path, inputs: list) -> ResultBundle:
     if not inputs:
         raise ConfigError("fit: at least one input file is required")
     paths = [Path(p) for p in inputs]
-    fits = {}
+    fits, digests = {}, []
     for path in paths:
         if path.stem in fits:
             raise ConfigError(f"fit: inputs {fits[path.stem][0]} and {path} would both "
                               f"write fit_{path.stem}.json")
-        fits[path.stem] = path, _read_fit_input(cfg, path)
-    bundle = _new_bundle(cfg, out_dir, paths)
+        fit, file_digests = _read_fit_input(cfg, path)
+        fits[path.stem] = path, fit
+        digests += file_digests
+    bundle = _new_bundle(cfg, out_dir, digests)
     errors = []
     for path, fit in fits.values():
         try:

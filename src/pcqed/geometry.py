@@ -10,6 +10,10 @@ crystallographic basis
 for which the dual reciprocal vectors subtend 60 degrees and the Brillouin-zone
 corner K sits at fractional coordinates (1/3, 1/3). The zone-edge midpoint M is
 at (1/2, 0).
+
+The slab's effective index is found by `_brentq`, a port of Brent's method as
+scipy's `brentq.c` runs it, step for step; no scipy root finder is imported, so
+loading this module does not load `scipy.optimize`.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import j1
 
 __all__ = [
@@ -223,4 +226,56 @@ def effective_index(slab: SlabWaveguide, wavelength: float) -> float:
             f"no guided TE mode for d={d} nm, n_core={nco}, n_clad={ncl}, "
             f"wavelength={wavelength} nm"
         )
-    return brentq(dispersion, lo + eps, nco - eps, xtol=1e-14, rtol=8.9e-16)
+    return _brentq(dispersion, lo + eps, nco - eps, xtol=1e-14, rtol=8.9e-16)
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of `f` in [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
+    1973, ch. 4) exactly as scipy's `brentq.c` runs it: the same steps in the
+    same floating-point order, so it returns the same bits as
+    `scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol)`. The root is within
+    xtol + rtol*|root| of the returned point. Raises RuntimeError when scipy's
+    default of 100 iterations does not get there, as scipy does.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):  # scipy's default maxiter
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant through the last two points
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic through all three
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:  # C's inf or nan step, which fails that test too
+                pass
+        if short:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError("Failed to converge after 100 iterations.")

@@ -33,7 +33,6 @@ __all__ = [
     "ParseError",
     "canonical_json",
     "sidecar_path",
-    "input_digests",
     "read_json_object",
     "read_fit_input",
     "write_json",
@@ -109,21 +108,39 @@ def write_summary(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read(path, mode="r", first_line=False):
-    """The text (mode "r") or bytes ("rb") of `path`, or only its first line.
-    A file that cannot be read or is not UTF-8 text fails at its line 1."""
+def _read(path, files=None) -> bytes:
+    """The bytes of `path`; a file that cannot be read fails at its line 1.
+
+    `files`, when given, maps each path already read to its bytes: a path
+    found there is not read again, and one read here is added to it.
+    """
+    key = Path(path)
+    if files is not None and key in files:
+        return files[key]
     try:
-        with open(path, mode, encoding=None if "b" in mode else "utf-8") as file:
-            return file.readline() if first_line else file.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, 1, "not UTF-8 text") from exc
+        with open(path, "rb") as file:
+            data = file.read()
     except OSError as exc:
         raise ParseError(path, 1, f"cannot read: {exc.strerror or exc}") from exc
+    if files is not None:
+        files[key] = data
+    return data
 
 
-def read_json_object(path) -> dict:
-    """The JSON object in `path`; malformed text fails at its line."""
-    text = _read(path)
+def _text(path, data: bytes) -> str:
+    """`data` as text mode reads it: UTF-8, with "\\r\\n" and "\\r" turned into
+    "\\n"; bytes that are not UTF-8 fail at line 1."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, 1, "not UTF-8 text") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_json_object(path, files=None) -> dict:
+    """The JSON object in `path`; malformed text fails at its line. `files`
+    is the cache of bytes already read, as for `_read`."""
+    text = _text(path, _read(path, files))
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -138,22 +155,22 @@ def sidecar_path(path) -> Path:
     return Path(f"{path}.meta.json")
 
 
-def input_digests(paths) -> list:
-    """SHA-256 of each input file and of its metadata sidecar, where one exists."""
-    parts = (part for path in paths for part in (Path(path), sidecar_path(path)))
-    return [hashlib.sha256(_read(part, "rb")).hexdigest() for part in parts if part.exists()]
-
-
-def read_fit_input(path) -> TransientHistogram | tuple[SpectralScan, dict]:
-    """A fit input, read by the reader its header line names: a histogram, or
-    a spectral scan with its sidecar metadata."""
-    header = _read(path, first_line=True).strip()
+def read_fit_input(path) -> tuple[TransientHistogram | tuple[SpectralScan, dict], list[str]]:
+    """A fit input, read by the reader its header line names (a histogram, or
+    a spectral scan with its sidecar metadata), and the SHA-256 of the bytes
+    it was parsed from: the input's, then its sidecar's where one was read.
+    Each file is read once."""
+    files = {}
+    first = _read(path, files).split(b"\n", 1)[0]  # `_text` also ends it at a lone "\r"
+    header = _text(path, first).partition("\n")[0].strip()
     if header == HISTOGRAM_HEADER:
-        return read_histogram_csv(path)
-    if header == SCAN_HEADER:
-        return read_scan_csv(path)
-    raise ParseError(path, 1, f"unrecognized header {header!r}; expected "
-                     f"{HISTOGRAM_HEADER!r} or {SCAN_HEADER!r}")
+        data = read_histogram_csv(path, files)
+    elif header == SCAN_HEADER:
+        data = read_scan_csv(path, files)
+    else:
+        raise ParseError(path, 1, f"unrecognized header {header!r}; expected "
+                         f"{HISTOGRAM_HEADER!r} or {SCAN_HEADER!r}")
+    return data, [hashlib.sha256(raw).hexdigest() for raw in files.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +207,17 @@ def _number(value, name: str, path, line: int, kind=(int, float), positive=False
     return value
 
 
-def _table(path, header, what):
+def _table(path, header, what, files=None):
     """1-based line numbers and columns of a CSV file whose first line is `header`.
 
-    Lines end at "\\n" only (text mode has already turned "\\r\\n" and "\\r"
+    Lines end at "\\n" only (`_text` has already turned "\\r\\n" and "\\r"
     into it), so a line number is the one an editor or `grep -n` shows.
     Blank lines are skipped and every other row must hold one field per
     header name. When every row holds exactly that, as a written file does,
     the shape is checked on the whole text at once; otherwise `_row_walk`
     skips the blank lines and names the first bad row.
     """
-    text = _read(path)
+    text = _text(path, _read(path, files))
     first, _, body = text.partition("\n")
     if (found := first.strip()) != header:
         raise ParseError(path, 1, f"bad {what} header {found!r}")
@@ -261,19 +278,20 @@ def _column(path, numbers, name, cells, dtype=float, positive=False) -> np.ndarr
     return values
 
 
-def read_histogram_csv(path) -> TransientHistogram:
+def read_histogram_csv(path, files=None) -> TransientHistogram:
     """Reconstruct a TransientHistogram from CSV + sidecar.
 
     The rows must match the sidecar: `n_bins` rows summing to `total_counts`,
-    each `time_ps` at its bin centre on the sidecar's grid.
+    each `time_ps` at its bin centre on the sidecar's grid. `files` is the
+    cache of bytes already read, as for `_read`.
     """
     meta_path = sidecar_path(path)
-    meta = read_json_object(meta_path)
+    meta = read_json_object(meta_path, files)
     width, fwhm = (_number(meta.get(key), key, meta_path, 1, positive=True)
                    for key in ("bin_width_ps", "irf_fwhm_ps"))
     t_start, irf_t0 = (_number(meta.get(key), key, meta_path, 1)
                        for key in ("t_start_ps", "irf_t0_ps"))
-    numbers, (time_cells, count_cells) = _table(path, HISTOGRAM_HEADER, "histogram")
+    numbers, (time_cells, count_cells) = _table(path, HISTOGRAM_HEADER, "histogram", files)
     times = _column(path, numbers, "time_ps", time_cells)
     counts = _column(path, numbers, "counts", count_cells, np.int64)
     grid = BinGrid(float(width), len(numbers), float(t_start))
@@ -453,12 +471,14 @@ def write_scan_csv(path, scan: SpectralScan, metadata: dict | None = None) -> di
     return meta
 
 
-def read_scan_csv(path) -> tuple[SpectralScan, dict]:
+def read_scan_csv(path, files=None) -> tuple[SpectralScan, dict]:
     """Scan and sidecar metadata; wavelengths must increase, lifetimes and
-    uncertainties be positive, and a tau0 reference be positive."""
+    uncertainties be positive, and a tau0 reference be positive. `files` is
+    the cache of bytes already read, as for `_read`."""
     meta_path = sidecar_path(path)
-    meta = read_json_object(meta_path) if meta_path.exists() else {}
-    numbers, (lam_cells, tau_cells, err_cells) = _table(path, SCAN_HEADER, "spectral-scan")
+    meta = read_json_object(meta_path, files) if meta_path.exists() else {}
+    numbers, (lam_cells, tau_cells, err_cells) = _table(path, SCAN_HEADER, "spectral-scan",
+                                                        files)
     lams = _column(path, numbers, "wavelength_nm", lam_cells, positive=True)
     taus = _column(path, numbers, "lifetime_ps", tau_cells, positive=True)
     bad = np.flatnonzero(~(np.diff(lams) > 0))

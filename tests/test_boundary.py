@@ -757,3 +757,27 @@ def test_whole_text_check_agrees_with_the_row_walk(kind, data):
         with mock.patch.object(pcio, "_uniform_table", lambda body, n_fields: None):
             walked = _read_outcome(read, path)
         assert checked == walked
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+@pytest.mark.parametrize("kind", ["histogram", "scan"])
+def test_carriage_returns_end_lines_as_in_text_mode(tmp_path, kind, ending):
+    # The readers decode the bytes they hash for the run id, so they fold
+    # "\r\n" and "\r" into "\n" themselves: the arrays and every path:line:
+    # must be those of the "\n" file, through `_table` and the row walk alike.
+    write, read = {
+        "histogram": (_write_histogram, pcio.read_histogram_csv),
+        "scan": (_write_scan, pcio.read_scan_csv),
+    }[kind]
+    path = write(tmp_path / "t.csv")
+    lines = path.read_text().splitlines()
+    clean = _read_outcome(read, path)
+    cells = lines[9].split(",")
+    cells[1] = "oops"
+    bad = lines[:9] + [",".join(cells)] + lines[10:]
+    message = ("ParseError", f"{path}:10: {lines[0].split(',')[1]}: bad value 'oops'")
+    for rows, expected in ((lines, clean), (bad, message)):
+        path.write_bytes((ending.join(rows) + ending).encode())
+        assert _read_outcome(read, path) == expected
+        with mock.patch.object(pcio, "_uniform_table", lambda body, n_fields: None):
+            assert _read_outcome(read, path) == expected

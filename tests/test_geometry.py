@@ -240,6 +240,70 @@ def test_effective_index_monotonic_in_thickness_and_core():
     assert all(b > a for a, b in zip(values_n, values_n[1:]))
 
 
+def test_effective_index_equals_scipy_brentq_bit_for_bit(monkeypatch):
+    # `_brentq` ports scipy's brentq.c step for step, so n_eff, and with it
+    # eps_background, every config hash and every run id, keeps its bits.
+    from scipy.optimize import brentq
+
+    from pcqed import geometry
+
+    rng = np.random.default_rng(26)
+    cases = [(SlabWaveguide(400.0, 3.4, 1.0), 1050.0)]  # the paper's slab
+    cases += [(SlabWaveguide(d, n_clad + dn, n_clad), wavelength)
+              for d, n_clad, dn, wavelength in zip(
+                  10 ** rng.uniform(1.0, 3.5, 2000), rng.uniform(1.0, 2.0, 2000),
+                  rng.uniform(1e-3, 2.5, 2000), 10 ** rng.uniform(2.5, 3.8, 2000))]
+    ported = [effective_index(slab, wavelength) for slab, wavelength in cases]
+    brackets = []
+
+    def oracle(f, a, b, **tolerances):
+        brackets.append((a, b))
+        return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, maxiter=100)
+
+    monkeypatch.setattr(geometry, "_brentq", oracle)
+    expected = [effective_index(slab, wavelength) for slab, wavelength in cases]
+    assert len(brackets) == len(cases)
+    assert all(type(n) is float for n in ported)
+    assert ported == expected
+
+
+def test_brentq_port_equals_scipy_where_interpolation_steps_are_refused():
+    # The smooth slab dispersion rarely tests the step-acceptance rules; these
+    # wiggly cubics do, and a step function never converges at all.
+    from scipy.optimize import brentq
+
+    from pcqed.geometry import _brentq
+
+    tolerances = {"xtol": 1e-14, "rtol": 8.9e-16}
+    rng = np.random.default_rng(26)
+    compared = 0
+    for c0, c1, c2, c3 in rng.normal(size=(400, 4)):
+        def f(x):
+            return c0 + c1 * x + c2 * x**3 + np.sin(c3 * x)
+
+        if np.sign(f(-5.0)) != np.sign(f(5.0)):
+            compared += 1
+            assert _brentq(f, -5.0, 5.0, **tolerances) == brentq(f, -5.0, 5.0, **tolerances)
+    assert compared > 200
+
+    def step(x):
+        return -1.0 if x < 1.0 / 3.0 else 1.0
+
+    with pytest.raises(RuntimeError) as scipy_error:
+        brentq(step, -1e300, 1e300, **tolerances)
+    with pytest.raises(RuntimeError) as port_error:
+        _brentq(step, -1e300, 1e300, **tolerances)
+    assert str(port_error.value) == str(scipy_error.value)
+
+
+def test_effective_index_without_a_guided_mode():
+    # A slab too thin for the dispersion to change sign on the bracket.
+    with pytest.raises(ValueError) as err:
+        effective_index(SlabWaveguide(1e-6, 3.4, 1.0), 1050.0)
+    assert str(err.value) == ("no guided TE mode for d=1e-06 nm, n_core=3.4, n_clad=1.0, "
+                              "wavelength=1050.0 nm")
+
+
 def test_effective_index_bad_wavelength():
     with pytest.raises(ValueError):
         effective_index(SlabWaveguide(400.0, 3.4, 1.0), -5.0)

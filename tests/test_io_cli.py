@@ -140,15 +140,17 @@ def test_fit_inputs_come_back_through_the_header_dispatch(tmp_path):
     hist = sample_histogram(expected_curve(DecayModel([(1.0, 400.0)]), IRF, grid), 5_000, 5,
                             grid=grid, irf=IRF)
     pcio.write_histogram_csv(tmp_path / "h.csv", hist)
-    back = pcio.read_fit_input(tmp_path / "h.csv")
+    back, digests = pcio.read_fit_input(tmp_path / "h.csv")
+    assert digests == [hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in (tmp_path / "h.csv", tmp_path / "h.csv.meta.json")]
     assert isinstance(back, TransientHistogram)
     np.testing.assert_array_equal(back.counts, hist.counts)
     assert (back.grid, back.irf) == (hist.grid, hist.irf)
     scan = SpectralScan(wavelengths=np.array([1030.0, 1031.0]), lifetimes=np.array([120.0, 45.5]),
                         errors=None, reference_tau0=840.0)
     pcio.write_scan_csv(tmp_path / "s.csv", scan, metadata={"seed": 1})
-    back, meta = pcio.read_fit_input(tmp_path / "s.csv")
-    assert isinstance(back, SpectralScan) and meta["seed"] == 1
+    (back, meta), digests = pcio.read_fit_input(tmp_path / "s.csv")
+    assert len(digests) == 2 and isinstance(back, SpectralScan) and meta["seed"] == 1
     np.testing.assert_array_equal(back.wavelengths, scan.wavelengths)
     np.testing.assert_array_equal(back.lifetimes, scan.lifetimes)
     assert back.errors is None and back.reference_tau0 == 840.0
@@ -428,6 +430,46 @@ def test_rerun_on_identical_inputs_keeps_run_id(tmp_path):
     assert (tmp_path / "fit1" / "manifest.json").read_bytes() == (
         tmp_path / "fit2" / "manifest.json"
     ).read_bytes()
+
+
+def test_a_histogram_fit_reads_each_file_once(tmp_path, monkeypatch):
+    # One `pcqed fit` call opens its config, histogram and sidecar once each,
+    # hashes for the run id the bytes it parsed, and makes its output
+    # directory once, before the first of its three files.
+    import builtins
+    import io
+    import pathlib
+
+    hist = _simulated_histogram(tmp_path, 1)
+    cfg = tmp_path / "fit.json"
+    cfg.write_text(json.dumps(sim_config()))
+    opened, made = [], []
+    real_open, real_mkdir = io.open, pathlib.Path.mkdir
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        opened.append((pathlib.Path(file).name, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(path)
+        return real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)  # what pathlib calls
+    monkeypatch.setattr(pathlib.Path, "mkdir", counting_mkdir)
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(cfg), "--out", str(out), str(hist)]) == 0
+    monkeypatch.undo()
+    assert sorted(name for name, mode in opened if "r" in mode) == [
+        "fit.json", "histogram.csv", "histogram.csv.meta.json"]
+    assert sorted(name for name, mode in opened if "w" in mode) == [
+        "fit_histogram.json", "manifest.json", "summary.txt"]
+    assert made == [out]
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (hist, pcio.sidecar_path(hist))]
+    provenance = {"config": config_hash(parse_config(sim_config())), "inputs": digests}
+    assert _run_id(out) == hashlib.sha256(
+        pcio.canonical_json(provenance).encode()).hexdigest()[:12]
 
 
 def test_batch_fit_keeps_going_past_a_failed_input(tmp_path, monkeypatch, capsys):

@@ -35,11 +35,15 @@ def _in_fresh_interpreter(code: str) -> str:
                           timeout=120, text=True, check=True).stdout.strip()
 
 
-def test_fitting_imports_no_scipy_optimize():
-    # Every fit runs on `fitting._minimize`; loading scipy.optimize would only
-    # lengthen the start of each process that fits.
-    code = "import sys, pcqed.fitting; print('scipy.optimize' in sys.modules)"
-    assert _in_fresh_interpreter(code) == "False"
+@pytest.mark.parametrize("module", ["pcqed.fitting", "pcqed.cli"])
+def test_import_loads_no_scipy_beyond_special_and_linalg(module):
+    # Every fit runs on `fitting._minimize` and n_eff on `geometry._brentq`:
+    # scipy.optimize, and the sparse, spatial and fft packages it pulls in,
+    # would only lengthen the start of every pcqed process.
+    code = (f"import sys, {module}; print(*[name for name, mod in sys.modules.items() "
+            "if name.count('.') == 1 and name.startswith('scipy.') "
+            "and not name.startswith('scipy._') and hasattr(mod, '__path__')])")
+    assert set(_in_fresh_interpreter(code).split()) <= {"scipy.special", "scipy.linalg"}
 
 
 def test_io_imports_no_band_solver():
