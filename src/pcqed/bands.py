@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .geometry import (
     SlabWaveguide,
@@ -152,6 +151,70 @@ def _inverse_eps_table(E: np.ndarray) -> np.ndarray:
         raise BandSolverError(f"singular permittivity matrix: {exc}") from exc
 
 
+# Point-group operations (m, n) -> (a m + b n, c m + d n) on the hexagonal
+# basis, as (a, b, c, d): the inversion G -> -G, and the mirrors y -> -y and
+# through the Gamma-M line (along b1) and the Gamma-K line (along b1 + b2).
+_INVERSION = (-1, 0, 0, -1)
+_MIRROR_Y = (1, 0, -1, -1)
+_MIRROR_GM = (1, 1, 0, -1)
+_MIRROR_GK = (0, 1, 1, 0)
+
+
+def _basis_image(basis: PlaneWaveBasis, operation) -> np.ndarray:
+    """Position in `basis` of the image of each plane wave under `operation`.
+
+    The basis is closed under the point group, and its row-major (m, n) are
+    sorted by the key m * width + n, so each image is found by bisection.
+    """
+    a, b, c, d = operation
+    m, n = basis.indices.T
+    width = 2 * int(np.abs(basis.indices).max()) + 1
+    return np.searchsorted(m * width + n, (a * m + b * n) * width + (c * m + d * n))
+
+
+def _class_blocks(matrix: np.ndarray, image: np.ndarray, sign: np.ndarray) -> dict:
+    """Split symmetric `matrix` (..., n, n) by a signed basis permutation.
+
+    P e_i = sign[i] e_image[i] must be an involution that commutes with
+    `matrix`. Its class c (+1 or -1) is spanned by e_f for the fixed points
+    f = image[f] with sign[f] = c, then by (e_p + w e_q)/sqrt(2), w = c sign[p],
+    for the pairs p < q = image[p]. There the matrix is the block
+        [[M[f, f'],            sqrt(2) M[f, p']],
+         [sqrt(2) M[p, f'],    M[p, p'] + w' M[p, q']]].
+    Returns {c: (block, column, weight)}: basis vector i enters the class's
+    vector column[i] with coefficient weight[i], 0 when it is not in the
+    class, so a vector y of the block is weight * y[column] in the basis.
+    """
+    index = np.arange(len(image))
+    p = np.flatnonzero(index < image)
+    q = image[p]
+    m_pp, m_pq = matrix[..., p[:, None], p], matrix[..., p[:, None], q]
+    classes = {}
+    for c in (+1, -1):
+        f = np.flatnonzero((index == image) & (sign == c))
+        w = c * sign[p]
+        nf = len(f)
+        block = np.empty(matrix.shape[:-2] + (nf + len(p),) * 2)
+        block[..., :nf, :nf] = matrix[..., f[:, None], f]
+        block[..., :nf, nf:] = np.sqrt(2.0) * matrix[..., f[:, None], p]
+        block[..., nf:, :nf] = np.swapaxes(block[..., :nf, nf:], -1, -2)
+        np.add(m_pp, w * m_pq, out=block[..., nf:, nf:])
+        column, weight = np.zeros(len(image), dtype=int), np.zeros(len(image))
+        column[f], weight[f] = np.arange(nf), 1.0
+        column[p] = column[q] = nf + np.arange(len(p))
+        weight[p], weight[q] = np.sqrt(0.5), w * np.sqrt(0.5)
+        classes[c] = block, column, weight
+    return classes
+
+
+def _inverse_by_classes(matrix: np.ndarray, image: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """inv(matrix) from the inverses of its class blocks (`_class_blocks`)."""
+    inverse = np.zeros_like(matrix)
+    for block, column, weight in _class_blocks(matrix, image, sign).values():
+        inverse += np.outer(weight, weight) * _inverse_eps_table(block)[column[:, None], column]
+    return inverse
+
+
 def _reduce_k(k: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """The shortest k - G over reciprocal vectors G: k moved into the first
     Brillouin zone. Of the nine cells around the nearest lattice point, k
@@ -169,9 +232,10 @@ def _reduce_k(k: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
 
 
 def _assemble_te(eta: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
-    kg = k[None, :] + g
-    theta = eta * (kg @ kg.T)
-    return 0.5 * (theta + theta.T)
+    """The operator at wavevector k, shape (2,), or at a stack of them, (..., 2).
+    `eta` is symmetrized first, so the operator is exactly symmetric."""
+    kg = k[..., None, :] + g
+    return 0.5 * (eta + eta.T) * (kg @ np.swapaxes(kg, -1, -2))
 
 
 def build_te_operator(
@@ -237,7 +301,11 @@ def compute_bands(
     with `samples_per_segment` points per segment.
 
     Eigenvalues lambda of the TE operator are converted to a/lambda via
-    (a/2pi) * sqrt(lambda), one k-point at a time.
+    (a/2pi) * sqrt(lambda). On the Gamma-M and K-Gamma segments k lies on a
+    mirror line of C6v, so the operator splits into that mirror's two
+    classes (`_class_blocks`); the M-K points are solved whole. At Gamma it
+    splits by inversion, and the even class's G = 0 row, which is zero, is
+    dropped: band 1 starts at exactly 0.
     """
     if n_bands > len(basis):
         raise ValueError(f"n_bands={n_bands} exceeds basis size {len(basis)}")
@@ -245,17 +313,34 @@ def compute_bands(
     eta = _inverse_eps_table(_eps_matrix(lattice, basis))
     g = basis.g_vectors
 
-    rows = []
-    for i, k in enumerate(kpts):
-        theta = _assemble_te(eta, k, g)  # path points lie in the first zone
+    gamma = np.all(frac == 0.0, axis=1)
+    on_gm = (frac[:, 1] == 0.0) & ~gamma
+    on_gk = (frac[:, 0] == frac[:, 1]) & ~gamma & ~on_gm
+    rest = ~(gamma | on_gm | on_gk)
+    lambdas = np.empty((len(kpts), n_bands))
+    for points, operation in ((gamma, _INVERSION), (on_gm, _MIRROR_GM), (on_gk, _MIRROR_GK),
+                              (rest, None)):
+        idx = np.flatnonzero(points)
+        if idx.size == 0:
+            continue
+        theta = _assemble_te(eta, kpts[idx], g)  # path points lie in the first zone
+        if operation is None:
+            parts = [theta]
+        else:
+            classes = _class_blocks(theta, _basis_image(basis, operation), np.ones(len(basis)))
+            parts = [block for block, _, _ in classes.values()]
+        vals = []
+        if operation is _INVERSION:
+            parts[0] = parts[0][..., 1:, 1:]  # the zero G = 0 row,
+            vals.append(np.zeros((len(idx), 1)))  # whose lambda is exactly 0
         try:
-            vals = eigh(
-                theta, eigvals_only=True, subset_by_index=[0, n_bands - 1]
-            )
+            vals += [np.linalg.eigvalsh(part) for part in parts]
         except np.linalg.LinAlgError as exc:
-            raise BandSolverError(f"eigensolver failed at k-point {i}: {exc}") from exc
-        rows.append(np.sqrt(np.clip(vals, 0.0, None)))
-    freqs = lattice.period_a / (2.0 * np.pi) * np.array(rows)
+            raise BandSolverError(
+                f"eigensolver failed at k-points {idx.tolist()}: {exc}") from exc
+        vals = np.sort(np.concatenate(vals, axis=-1), axis=-1)
+        lambdas[idx] = vals[:, :n_bands]
+    freqs = lattice.period_a / (2.0 * np.pi) * np.sqrt(np.clip(lambdas, 0.0, None))
     return BandStructure(k_fractions=frac, arc_lengths=arc, frequencies=freqs)
 
 
@@ -279,7 +364,7 @@ class CavityModeProfile:
     uniform fractional grid over the supercell, normalized to a maximum of 1;
     `density_sum` is its sum and `dielectric_peak` its maximum over the
     dielectric. `parity` is the eigenvector's inversion character, h(-G) =
-    parity * h(G), exactly +1.0 or -1.0: the inversion block it was solved in.
+    parity * h(G), exactly +1.0 or -1.0: the inversion class it was solved in.
     `localization` is the energy fraction within 1.5 periods of the defect,
     used to tell defect modes from folded continuum states.
     """
@@ -375,7 +460,10 @@ def _energy_densities(vecs: np.ndarray, basis: PlaneWaveBasis, eps_grid: np.ndar
     dH/dy are both real (even) or both imaginary (odd), so |dH/dx + i dH/dy|^2
     is |grad H|^2, and one zero-padded inverse FFT of i(G_x + i G_y) h_G gives
     the density. For a column without a definite parity the result is not
-    |grad H|^2. The transform runs along axis 0 first, over only the columns
+    |grad H|^2. The grid is the cell-centred one of `_supercell_grid`, where
+    the permittivity and the masks are sampled: point j sits at (j + 1/2)/n,
+    so plane wave (m, n') carries the half-cell phase exp(i pi (m + n')/n).
+    The transform runs along axis 0 first, over only the columns
     holding plane waves, then along the contiguous last axis over the whole
     grid. The padded spectrum and the field are buffers reused across states;
     each state's density is a fresh array.
@@ -386,6 +474,7 @@ def _energy_densities(vecs: np.ndarray, basis: PlaneWaveBasis, eps_grid: np.ndar
     g = basis.g_vectors
     # i(G_x + i G_y), times ngrid^2 to undo the inverse transform's 1/ngrid^2.
     weights = (1j * g[:, 0] - g[:, 1]) * ngrid**2
+    weights *= np.exp(1j * np.pi * basis.indices.sum(axis=1) / ngrid)
     spectrum = np.zeros((ngrid, len(cols)), dtype=complex)
     padded = np.zeros((ngrid, ngrid), dtype=complex)
     field = np.empty_like(padded)
@@ -399,49 +488,46 @@ def _energy_densities(vecs: np.ndarray, basis: PlaneWaveBasis, eps_grid: np.ndar
         yield u_e
 
 
-def _mirror_partners(vals: np.ndarray, vecs: np.ndarray, mirror: np.ndarray) -> None:
-    """Rotate each degenerate group of `vecs` (sorted `vals` within
-    `DEGENERACY_RTOL`) in place onto the eigenbasis of the mirror that sends
-    plane wave i to `mirror[i]`, ordered by mirror character -1, +1."""
-    start = 0
-    for stop in range(1, len(vals) + 1):
-        if stop < len(vals) and vals[stop] - vals[start] <= DEGENERACY_RTOL * vals[stop]:
-            continue
-        if stop - start > 1:
-            group = vecs[:, start:stop]
-            _, rotation = eigh(group.T @ group[mirror])
-            vecs[:, start:stop] = group @ rotation
-        start = stop
+def _h1_classes(E: np.ndarray, basis: PlaneWaveBasis):
+    """The Gamma-point TE operator of the supercell in its four symmetry classes.
 
-
-def _inversion_blocks(E: np.ndarray, basis: PlaneWaveBasis, neg: np.ndarray):
-    """The Gamma-point TE operator in its two inversion blocks.
-
-    `neg` sends plane wave i to the one at -G_i. The pairs p < q = neg[p] and
-    the single G = 0 index z span the states with h(-G) = +h(G) (even) and
-    h(-G) = -h(G) (odd). On the combinations (e_p +- e_q)/sqrt(2) the
-    permittivity matrix splits into
-        E_odd = E[p, p'] - E[p, q'],
-        E_even = E[p, p'] + E[p, q'], bordered by sqrt(2) E[z, p'] and E[z, z],
-    and, since G_q = -G_p, the operator into
+    By inversion first (`_class_blocks` on E with the map G -> -G): on the
+    pairs p < q = -p, since G_q = -G_p, the operator's blocks are
         Theta_even = inv(E_odd) o (G_p . G_p'),
-        Theta_odd = inv(E_even)[1:, 1:] o (G_p . G_p').
-    The even block's G = 0 row is zero, so dropping it loses only the
-    lambda = 0 state (Painter, Vuckovic & Scherer, JOSA B 16, 275, 1999, for
-    the symmetry of H1 modes).
+        Theta_odd = inv(E_even)[1:, 1:] o (G_p . G_p'),
+    where E_even's first row is the single G = 0 index, at which the operator
+    is zero: dropping it loses only the lambda = 0 state. Then by the mirror
+    y -> -y, which sends pair p to the pair holding sigma G_p, with the sign
+    of the parity when sigma G_p is the second of its pair: E_odd and E_even
+    are inverted one mirror class at a time, and each Theta block is split
+    into its two classes. The dipole doublet's partners fall in the two
+    mirror classes of the odd block (Painter, Vuckovic & Scherer, JOSA B 16,
+    275, 1999).
 
-    Returns p, q and the operators by parity, {+1: Theta_even, -1: Theta_odd}.
+    Yields (parity, mirror, theta, to_pairs, to_waves), where the
+    (column, weight) maps `to_pairs` take the block's vectors to the pairs
+    and `to_waves` the pairs to the plane waves (see `_class_blocks`).
     """
-    index = np.arange(len(neg))
-    p = np.flatnonzero(index < neg)
-    q = neg[p]
-    z = np.flatnonzero(index == neg)
-    e_pp, e_pq = E[np.ix_(p, p)], E[np.ix_(p, q)]
-    border = np.sqrt(2.0) * E[np.ix_(z, p)]
-    e_even = np.block([[E[np.ix_(z, z)], border], [border.T, e_pp + e_pq]])
-    eta = {+1: _inverse_eps_table(e_pp - e_pq), -1: _inverse_eps_table(e_even)[1:, 1:]}
+    neg = _basis_image(basis, _INVERSION)
+    p = np.flatnonzero(np.arange(len(basis)) < neg)
+    pair = np.empty(len(basis), dtype=int)
+    pair[p] = pair[neg[p]] = np.arange(len(p))
+    sigma = _basis_image(basis, _MIRROR_Y)[p]
+    image, second = pair[sigma], sigma > neg[sigma]
+    e_classes = _class_blocks(E, neg, np.ones(len(basis)))
+    (e_even, col_even, w_even), (e_odd, col_odd, w_odd) = e_classes[+1], e_classes[-1]
+    eta_even = _inverse_by_classes(e_even, np.concatenate([[0], 1 + image]),
+                                   np.ones(len(p) + 1))[1:, 1:]
+    eta_odd = _inverse_by_classes(e_odd, image, np.where(second, -1.0, 1.0))
+    # Theta_even lives on E_even's pair vectors, which follow its G = 0 one.
+    to_even = (np.maximum(col_even - 1, 0), np.where(col_even > 0, w_even, 0.0))
+    by_parity = {+1: (eta_odd, to_even), -1: (eta_even, (col_odd, w_odd))}
     g = basis.g_vectors[p]
-    return p, q, {parity: _assemble_te(block, np.zeros(2), g) for parity, block in eta.items()}
+    for parity, (eta, to_waves) in by_parity.items():
+        theta = _assemble_te(eta, np.zeros(2), g)
+        mirror_classes = _class_blocks(theta, image, np.where(second, float(parity), 1.0))
+        for mirror, (block, column, weight) in mirror_classes.items():
+            yield parity, mirror, block, (column, weight), to_waves
 
 
 def solve_h1_modes(
@@ -457,18 +543,16 @@ def solve_h1_modes(
     its Gamma point and keeps states whose frequency falls strictly inside
     `gap`, the bulk crystal's TE gap (`find_te_gap`). Returns an empty list
     when the gap is None or no state lands inside it. The operator is solved
-    in its inversion-even and inversion-odd blocks (`_inversion_blocks`), so
-    each state's parity is exact, that of its block; the states of the two
-    blocks are merged by frequency. Field grids use `grid_per_period` points
-    per lattice period. Every state gets its grid's sum and dielectric peak;
-    only dipole-doublet candidates keep the grid.
+    in its four classes of inversion and the mirror y -> -y (`_h1_classes`),
+    so each state's parity is exact, that of its class; the states are
+    merged by frequency. Field grids use `grid_per_period` points per lattice
+    period. Every state gets its grid's sum and dielectric peak; only
+    dipole-doublet candidates keep the grid.
 
-    The partners of a degenerate pair within a block (the dipole doublet) are
-    the mirror y -> -y odd and even states, in that order (Painter, Vuckovic & Scherer,
-    JOSA B 16, 275, 1999), not whatever rotation of the pair the eigensolver
-    returns; so their fields do not depend on the last bits of `gap` or on
-    the BLAS thread count. Each keeps an eigenvalue of the pair, in
-    ascending order.
+    The partners of a degenerate pair (the dipole doublet) come from the two
+    mirror classes, so their fields do not depend on the last bits of `gap`
+    or on the BLAS thread count. They are ordered by mirror class, odd then
+    even, and keep the pair's eigenvalues in ascending order.
     """
     S = basis.supercell_size
     if S < 5 or S % 2 == 0:
@@ -478,33 +562,33 @@ def solve_h1_modes(
     if gap is None:
         return []
 
-    # Index maps of the inversion G -> -G and of the mirror y -> -y, which
-    # sends (m, n) to (m, -m - n) in this basis.
-    order = {(m, n): i for i, (m, n) in enumerate(map(tuple, basis.indices))}
-    neg = np.array([order[(-m, -n)] for m, n in map(tuple, basis.indices)])
-    mirror = np.array([order[(m, -m - n)] for m, n in map(tuple, basis.indices)])
-    p, q, blocks = _inversion_blocks(_eps_matrix(lattice, basis), basis, neg)
-
     margin = 1e-7
     scale = 2.0 * np.pi / lattice.period_a
     lo = (gap.lower_edge * (1.0 + margin) * scale) ** 2
     hi = (gap.upper_edge * (1.0 - margin) * scale) ** 2
     solved = []
-    for parity, theta in blocks.items():
+    for parity, mirror, theta, to_pairs, to_waves in _h1_classes(_eps_matrix(lattice, basis),
+                                                                 basis):
         try:
-            vals, v = eigh(theta, subset_by_value=[lo, hi])
+            vals, v = np.linalg.eigh(theta)
         except np.linalg.LinAlgError as exc:
             raise BandSolverError(f"supercell eigensolver failed: {exc}") from exc
-        vecs = np.zeros((len(basis), len(vals)))
-        vecs[p] = v / np.sqrt(2.0)
-        vecs[q] = parity * vecs[p]
-        _mirror_partners(vals, vecs, mirror)
-        solved.append((vals, np.full(len(vals), float(parity)), vecs))
-    vals, parities, vecs = (np.concatenate(part, axis=-1) for part in zip(*solved))
-    rank = np.argsort(vals, kind="stable")
-    vals, parities, vecs = vals[rank], parities[rank], vecs[:, rank]
+        keep = (vals > lo) & (vals <= hi)
+        vecs = v[:, keep]
+        for column, weight in (to_pairs, to_waves):
+            vecs = weight[:, None] * vecs[column]
+        n = vecs.shape[1]
+        solved.append((vals[keep], np.full(n, float(parity)), np.full(n, mirror), vecs))
+    vals, parities, mirrors, vecs = (np.concatenate(part, axis=-1) for part in zip(*solved))
     if vals.size == 0:
         return []
+    # States by frequency, those of a degenerate group by mirror class; each
+    # group's eigenvalues stay ascending.
+    rank = np.argsort(vals, kind="stable")
+    vals = vals[rank]
+    group = np.cumsum(np.diff(vals, prepend=vals[0]) > DEGENERACY_RTOL * vals)
+    rank = rank[np.lexsort((mirrors[rank], group))]
+    parities, vecs = parities[rank], vecs[:, rank]
 
     ngrid = grid_per_period * S
     eps_grid = _supercell_eps_grid(lattice, S, ngrid)

@@ -339,10 +339,13 @@ def _tail_lifetime_guess(t: np.ndarray, y: np.ndarray, bin_width: float) -> floa
 
 def _background_guess(y: np.ndarray) -> float:
     peak = int(np.argmax(y))
-    head = y[: max(3, peak // 2)]
+    head = np.sort(y[: max(3, peak // 2)])
+    # The median of the head, as np.median gives it; np.median itself would
+    # import numpy.ma on its first call, 10 ms of every fitting process.
+    median = 0.5 * (head[(len(head) - 1) // 2] + head[len(head) // 2])
     # Started above zero: the Gauss-Newton steps approach a near-zero
     # background from below only in small geometric steps.
-    return max(float(np.median(head)), 0.1)
+    return max(float(median), 0.1)
 
 
 class _Reconvolution:
@@ -369,9 +372,10 @@ class _Reconvolution:
         J = np.empty((len(x), len(self.y)))
         mu = x[-1]
         d_t0 = 0.0
+        u = self.t - t0  # bin centres ascend, as `tcspc._emg_terms` needs
         for k in range(self.n):
             amplitude = x[2 * k]
-            g, d_tau, d_shift = tcspc.exp_gauss_terms(self.t, x[2 * k + 1], sigma, t0)
+            g, d_tau, d_shift = tcspc._emg_terms(u, sigma, np.float64(1.0) / x[2 * k + 1])
             mu = mu + amplitude * g
             d_t0 = d_t0 + amplitude * d_shift
             J[2 * k] = g

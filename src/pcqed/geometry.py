@@ -12,8 +12,8 @@ corner K sits at fractional coordinates (1/3, 1/3). The zone-edge midpoint M is
 at (1/2, 0).
 
 The slab's effective index is found by `_brentq`, a port of Brent's method as
-scipy's `brentq.c` runs it, step for step; no scipy root finder is imported, so
-loading this module does not load `scipy.optimize`.
+scipy's `brentq.c` runs it, step for step, and the hole form factor's Bessel
+function by `_j1`, a port of Cephes `j1`; the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j1
 
 __all__ = [
     "TriangularLattice",
@@ -124,12 +123,69 @@ def reciprocal_basis(lattice: TriangularLattice) -> tuple[np.ndarray, np.ndarray
     return b1, b2
 
 
+# Cephes `j1.c` (Moshier, *Methods and Programs for Mathematical Functions*,
+# 1989), highest power first: J1(x) = x (x^2 - Z1)(x^2 - Z2) RP(x^2) / RQ(x^2)
+# for |x| <= 5, and the Hankel asymptotic form with PP/PQ and QP/QQ in
+# (5/x)^2 beyond. RQ and QQ have a leading 1.
+_J1_RP = (-8.99971225705559398224e8, 4.52228297998194034323e11,
+          -7.27494245221818276015e13, 3.68295732863852883286e15)
+_J1_RQ = (6.20836478118054335476e2, 2.56987256757748830383e5, 8.35146791431949253037e7,
+          2.21511595479792499675e10, 4.74914122079991414898e12, 7.84369607876235854894e14,
+          8.95222336184627338078e16, 5.32278620332680085395e18)
+_J1_PP = (7.62125616208173112003e-4, 7.31397056940917570436e-2, 1.12719608129684925192e0,
+          5.11207951146807644818e0, 8.42404590141772420927e0, 5.21451598682361504063e0,
+          1.00000000000000000254e0)
+_J1_PQ = (5.71323128072548699714e-4, 6.88455908754495404082e-2, 1.10514232634061696926e0,
+          5.07386386128601488557e0, 8.39985554327604159757e0, 5.20982848682361821619e0,
+          9.99999999999999997461e-1)
+_J1_QP = (5.10862594750176621635e-2, 4.98213872951233449420e0, 7.58238284132545283818e1,
+          3.66779609360150777800e2, 7.10856304998926107277e2, 5.97489612400613639965e2,
+          2.11688757100572135698e2, 2.52070205858023719784e1)
+_J1_QQ = (7.42373277035675149943e1, 1.05644886038262816351e3, 4.98641058337653607651e3,
+          9.56231892404756170795e3, 7.99704160447350683650e3, 2.82619278517639096600e3,
+          3.36093607810698293419e2)
+_J1_Z1, _J1_Z2 = 1.46819706421238932572e1, 4.92184563216946036703e1
+_THPIO4 = 2.35619449019234492885  # 3 pi / 4
+_SQ2OPI = 7.9788456080286535587989e-1  # sqrt(2 / pi)
+
+
+def _polevl(x, coefficients, monic=False):
+    """Horner's rule as Cephes `polevl` (or, if `monic`, `p1evl`, whose
+    leading coefficient 1 is implied), in the same floating-point order."""
+    first, *rest = coefficients
+    value = x + first if monic else first
+    for c in rest:
+        value = value * x + c
+    return value
+
+
+def _j1(x: np.ndarray) -> np.ndarray:
+    """The Bessel function J1, elementwise: Cephes `j1` step for step, so the
+    same bits as `scipy.special.j1`."""
+    x = np.asarray(x, dtype=float)
+    ax = np.where(x < 0, -x, x)  # as Cephes: -0.0 keeps its sign
+    out = np.empty_like(ax)
+    inner = ax <= 5.0
+    xi = ax[inner]
+    z = xi * xi
+    w = _polevl(z, _J1_RP) / _polevl(z, _J1_RQ, monic=True)
+    out[inner] = w * xi * (z - _J1_Z1) * (z - _J1_Z2)
+    xo = ax[~inner]
+    w = 5.0 / xo
+    z = w * w
+    p = _polevl(z, _J1_PP) / _polevl(z, _J1_PQ)
+    q = _polevl(z, _J1_QP) / _polevl(z, _J1_QQ, monic=True)
+    xn = xo - _THPIO4
+    out[~inner] = (p * np.cos(xn) - w * q * np.sin(xn)) * _SQ2OPI / np.sqrt(xo)
+    return np.where(x < 0, -out, out)  # J1 is odd
+
+
 def _hole_form_factor(x: np.ndarray) -> np.ndarray:
     """2*J1(x)/x for a circular hole, with the x -> 0 limit equal to 1."""
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-12
     safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0, 2.0 * j1(safe) / safe)
+    return np.where(small, 1.0, 2.0 * _j1(safe) / safe)
 
 
 def _fourier_coefficient(lattice: TriangularLattice, gnorm, origin):

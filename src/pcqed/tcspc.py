@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 __all__ = [
     "FWHM_TO_SIGMA",
@@ -130,32 +129,104 @@ ERFC_SATURATION_Z = -6.0
 # numpy's exp leaves its fast path for inputs near the underflow threshold.
 EXP_FLOOR = -700.0
 
+# The rational approximations of Cephes `ndtr.c` (Moshier, *Methods and
+# Programs for Mathematical Functions*, 1989), highest power first: erf(x) =
+# x T(x^2) / U(x^2) for x < 1, erfc(x) = exp(-x^2) P(x) / Q(x) on [1, 8) and
+# exp(-x^2) R(x) / S(x) from 8 on. Q, S and U have a leading 1.
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
 
-def _emg(u, sigma, inv_tau, half_amplitude):
-    """Masked EMG kernel on offsets u = t - t0.
 
-    Returns (curve, near, gauss): the special functions are evaluated only on
-    the bins `near` (z >= -6, the few bins around the instrument response);
-    every later bin gets the exact closed form 2*half_amplitude*exp(s^2/2tau^2
-    - u/tau). `gauss` is exp(-u^2/2s^2) on the near bins.
+def _erfcx_rows() -> np.ndarray:
+    """Numerator and denominator rows of erfcx's three branches on the powers
+    v^10, ..., v^0 of v = x (x < 1) or v = 1/x (x >= 1): (U - x T)/U times
+    exp(x^2), P/Q and R/S with both sides divided by x^8 and x^6."""
+    rows = np.zeros((6, 11))
+    rows[0, 0::2] = rows[1, 0::2] = _U
+    rows[0, 1::2] = np.negative(_T)
+    rows[2, 2:], rows[3, 2:] = _P[::-1], _Q[::-1]
+    rows[4, 4:10], rows[5, 4:] = _R[::-1], _S[::-1]
+    return rows
+
+
+_ERFCX_ROWS = _erfcx_rows()
+_ERFCX_BREAKS = np.array([1.0, 8.0])  # the branches x < 1, [1, 8), >= 8
+
+
+def _erfcx(x: np.ndarray) -> np.ndarray:
+    """exp(x^2) erfc(x) for a 1-D array of x >= 0, from the Cephes rationals.
+
+    The six polynomials are one matrix product with the powers of
+    v = min(x, 1/x), highest first, so no power exceeds 1. Within 8 ulp of
+    the exact value on [0, 30]; the 1 - erf of the x < 1 branch loses the
+    most, just below 1.
     """
-    u_cut = sigma * (sigma * inv_tau - np.sqrt(2.0) * ERFC_SATURATION_Z)
-    near = np.flatnonzero(u <= u_cut)
-    un = u[near]
-    z = (sigma * inv_tau - un / sigma) / np.sqrt(2.0)
-    gauss = np.exp(-0.5 * (un / sigma) ** 2)
-    exponent = 0.5 * (sigma * inv_tau) ** 2 - u * inv_tau
-    # The near bins can overflow here; they are overwritten below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = half_amplitude * np.exp(np.maximum(exponent, EXP_FLOOR)) * 2.0
-    out[exponent < EXP_FLOOR] = 0.0
-    early = z >= 0
-    late = ~early
-    values = np.empty_like(un)
-    values[early] = half_amplitude * gauss[early] * erfcx(z[early])
-    values[late] = half_amplitude * np.exp(exponent[near][late]) * erfc(z[late])
-    out[near] = values
-    return out, near, gauss
+    powers = np.empty((11, len(x)))
+    v = np.divide(1.0, np.maximum(x, 1.0), out=powers[9])
+    np.minimum(v, x, out=v)
+    np.multiply(v, v, out=powers[8])
+    powers[10] = 1.0
+    np.multiply(powers[8:10], powers[8], out=powers[6:8])
+    np.multiply(powers[6:10], powers[6], out=powers[2:6])
+    np.multiply(powers[8:10], powers[2], out=powers[0:2])
+    ratio = _ERFCX_ROWS @ powers
+    ratio = ratio[0::2] / ratio[1::2]
+    ratio[0] *= np.exp(powers[8])
+    return ratio[_ERFCX_BREAKS.searchsorted(x, "right"), np.arange(len(x))]
+
+
+def _emg(u, sigma, inv_tau):
+    """Unit-amplitude EMG kernel on ascending offsets u = t - t0.
+
+    With z = (s/tau - u/s)/sqrt(2), g = exp(-u^2/2s^2) and the exponent
+    e = s^2/2tau^2 - u/tau, where e - z^2 = -u^2/2s^2, the curve is
+        g erfcx(z) / 2               for z >= 0,
+        exp(e) - g erfcx(-z) / 2     for -6 <= z < 0,
+        exp(e)                       beyond, where erfc(z) == 2.0,
+    and exactly 0 where e < `EXP_FLOOR`. Since u ascends, each of these is a
+    slice. Returns (curve, e, near, gauss): `near` is the slice z >= -6 and
+    `gauss` is g on it.
+    """
+    s_tau = sigma * inv_tau
+    exponent = u * -inv_tau
+    exponent += 0.5 * s_tau**2
+    near = slice(0, int(u.searchsorted(
+        sigma * (s_tau - np.sqrt(2.0) * ERFC_SATURATION_Z), "right")))
+    un = u[near] / sigma
+    early = int(un.searchsorted(s_tau, "right"))  # z >= 0
+    live = max(near.stop, len(u) - int(exponent[::-1].searchsorted(EXP_FLOOR)))
+    gauss = np.exp(-0.5 * un**2)
+    half_g_erfcx = 0.5 * gauss * _erfcx(np.abs((s_tau - un) / np.sqrt(2.0)))
+    out = np.empty_like(u)
+    out[:early] = half_g_erfcx[:early]
+    np.exp(exponent[early:live], out=out[early:live])
+    out[early:near.stop] -= half_g_erfcx[early:]
+    out[live:] = 0.0
+    return out, exponent, near, gauss
+
+
+def _emg_terms(u, sigma, inv_tau):
+    """`exp_gauss_terms` on ascending offsets u = t - t0, with inv_tau = 1/tau."""
+    g, exponent, near, gauss = _emg(u, sigma, inv_tau)
+    d_t0 = g * inv_tau
+    d_tau = -0.5 * (sigma * inv_tau) ** 2 - exponent
+    d_tau *= d_t0
+    normal = gauss / (sigma * np.sqrt(2.0 * np.pi))
+    d_tau[near] += (sigma * inv_tau) ** 2 * normal
+    d_t0[near] -= normal
+    return g, d_tau, d_t0
 
 
 def exp_gauss_terms(
@@ -163,20 +234,21 @@ def exp_gauss_terms(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit-amplitude EMG g and its partial derivatives dg/dtau and dg/dt0.
 
-    With u = t - t0 and N(u) the unit-area Gaussian of width s,
-    dg/dtau = (g (u - s^2/tau) + s^2 N) / tau^2 and dg/dt0 = g/tau - N.
-    Beyond the masked bins N < g exp(-36) / (s sqrt(2 pi)), below the float64
-    resolution of either term, so N is added only on the masked bins.
+    With u = t - t0, N(u) the unit-area Gaussian of width s and e the
+    exponent of `_emg`, dg/dt0 = g/tau - N and dg/dtau = (g (u - s^2/tau)
+    + s^2 N) / tau^2 = -(e + s^2/2tau^2) g/tau + (s/tau)^2 N. Beyond the near
+    bins N < g exp(-36) / (s sqrt(2 pi)), below the float64 resolution of
+    either term, so N is added only on the near bins. Times that do not
+    ascend are evaluated in ascending order and put back.
     """
     u = np.asarray(t, dtype=float) - t0
     inv_tau = np.float64(1.0) / lifetime
-    g, near, gauss = _emg(u, sigma, inv_tau, 0.5)
-    d_tau = g * ((u - sigma**2 * inv_tau) * inv_tau**2)
-    d_t0 = g * inv_tau
-    normal = gauss / (sigma * np.sqrt(2.0 * np.pi))
-    d_tau[near] += (sigma * inv_tau) ** 2 * normal
-    d_t0[near] -= normal
-    return g, d_tau, d_t0
+    if not (u[1:] < u[:-1]).any():
+        return _emg_terms(u, sigma, inv_tau)
+    order = u.argsort()
+    terms = np.empty((3, len(u)))
+    terms[:, order] = _emg_terms(u[order], sigma, inv_tau)
+    return terms[0], terms[1], terms[2]
 
 
 def expected_curve(
@@ -193,7 +265,7 @@ def expected_curve(
     for amplitude, lifetime in model.components:
         if amplitude > 0:
             # float64 ops saturate instead of raising
-            mu = mu + _emg(u, irf.sigma, np.float64(1.0) / lifetime, 0.5 * amplitude)[0]
+            mu = mu + amplitude * _emg(u, irf.sigma, np.float64(1.0) / lifetime)[0]
     return mu
 
 

@@ -185,13 +185,15 @@ def _whole_grid_near_defect(lat, S, ngrid):
 
 
 def _ifft2_energy_density(vec, basis, eps_grid):
-    """|grad H_z|^2 / eps from `np.fft.ifft2` of the whole zero-padded spectrum."""
+    """|grad H_z|^2 / eps from `np.fft.ifft2` of the whole zero-padded spectrum,
+    at the cell centres (j + 1/2)/n where the permittivity grid is sampled."""
     ngrid = eps_grid.shape[0]
     g = basis.g_vectors
+    m, n = basis.indices.T
 
     def synth(weights):
         spectrum = np.zeros((ngrid, ngrid), dtype=complex)
-        spectrum[basis.indices[:, 0] % ngrid, basis.indices[:, 1] % ngrid] = weights
+        spectrum[m % ngrid, n % ngrid] = weights * np.exp(1j * np.pi * (m + n) / ngrid)
         return np.fft.ifft2(spectrum) * ngrid**2
 
     dhx, dhy = synth(vec * 1j * g[:, 0]), synth(vec * 1j * g[:, 1])
@@ -376,21 +378,41 @@ def test_volume_from_stored_numbers_equals_the_grid_formula(paper_scenario, monk
 
 
 # ---------------------------------------------------------------------------
-# The inversion-blocked solve against the dense one
+# The solve in inversion and mirror classes against the dense one
 # ---------------------------------------------------------------------------
+
+def _mirror_index(basis):
+    """Position of the mirror image (y -> -y) of G_i in `basis` for each plane wave i."""
+    return _index_map(basis, lambda m, n: (m, -m - n))
+
+
+def _mirror_rotation(vals, vecs, mirror):
+    """Rotate each degenerate group of `vecs` (sorted `vals` within 1e-10) in
+    place onto the eigenbasis of the mirror, ordered by mirror character -1, +1."""
+    start = 0
+    for stop in range(1, len(vals) + 1):
+        if stop < len(vals) and vals[stop] - vals[start] <= 1e-10 * vals[stop]:
+            continue
+        if stop - start > 1:
+            group = vecs[:, start:stop]
+            _, rotation = scipy.linalg.eigh(group.T @ group[mirror])
+            vecs[:, start:stop] = group @ rotation
+        start = stop
+
 
 def _dense_h1_states(lat, basis, gap, grid_per_period):
     """The in-gap states of the whole Gamma-point operator: `inv` of the full
-    permittivity matrix, `_assemble_te`, `eigh`, the mirror rotation of
-    degenerate groups, and parity as sign(h . h(-G)). Each state comes back
-    as a grid-free profile, so `dipole_doublets` applies to it."""
+    permittivity matrix, `_assemble_te`, scipy's `eigh` on (lo, hi], the
+    mirror rotation of degenerate groups, and parity as sign(h . h(-G)).
+    Each state comes back as a grid-free profile, so `dipole_doublets`
+    applies to it, with its eigenvector."""
     theta = bands._assemble_te(np.linalg.inv(bands._eps_matrix(lat, basis)), np.zeros(2),
                                basis.g_vectors)
     scale = 2.0 * np.pi / lat.period_a
     lo = (gap.lower_edge * (1.0 + 1e-7) * scale) ** 2
     hi = (gap.upper_edge * (1.0 - 1e-7) * scale) ** 2
     vals, vecs = scipy.linalg.eigh(theta, subset_by_value=[lo, hi])
-    bands._mirror_partners(vals, vecs, _index_map(basis, lambda m, n: (m, -m - n)))
+    _mirror_rotation(vals, vecs, _mirror_index(basis))
     neg = _inverse_index(basis)
     S = basis.supercell_size
     ngrid = S * grid_per_period
@@ -411,7 +433,7 @@ def _dense_h1_states(lat, basis, gap, grid_per_period):
             density_sum=float(u.sum()),
             dielectric_peak=float(u[eps_grid == lat.eps_background].max()),
         ))
-    return states
+    return states, vecs
 
 
 def _doublet_positions(states):
@@ -420,30 +442,45 @@ def _doublet_positions(states):
             for pair in pairs]
 
 
+def _mirror_characters(vecs, basis):
+    """h(sigma G) . h(G) / |h|^2 of each column: +1 or -1 for a state of one
+    mirror class."""
+    return np.einsum("ij,ij->j", vecs[_mirror_index(basis)], vecs) / np.einsum(
+        "ij,ij->j", vecs, vecs)
+
+
 @pytest.mark.parametrize("size", [5, 7, 9])
-def test_blocked_solve_matches_the_dense_solve(paper_scenario, size):
+def test_blocked_solve_matches_the_dense_solve(paper_scenario, size, monkeypatch):
+    # The four classes of inversion and mirror against the whole operator:
+    # the same states, parities, mirror characters and doublets, and the
+    # doublet's partners in the two mirror classes of the inversion-odd block.
     cfg, gaps = paper_scenario
     settings = cfg.modes
+    _, seen = _recording_energy_densities(monkeypatch)
     for ra, gap in gaps.items():
         lat = cfg.crystal.lattice(ra)
         basis = PlaneWaveBasis.supercell(lat, size, settings.cutoff)
         got = solve_h1_modes(lat, basis, gap=gap, grid_per_period=settings.grid_per_period)
-        ref = _dense_h1_states(lat, basis, gap, settings.grid_per_period)
+        got_mirror = _mirror_characters(seen.pop(), basis)
+        ref, ref_vecs = _dense_h1_states(lat, basis, gap, settings.grid_per_period)
+        ref_mirror = _mirror_characters(ref_vecs, basis)
         assert len(got) == len(ref) > 0, f"S={size}, r/a={ra}"
+        assert np.array_equal(np.abs(got_mirror), np.ones(len(got)))
+        assert np.abs(ref_mirror - got_mirror).max() <= 1e-9
         for a, b in zip(got, ref):
             assert a.parity == b.parity
             assert abs(a.frequency - b.frequency) <= 1e-12 * b.frequency
             assert abs(a.localization - b.localization) <= 1e-12
-        assert _doublet_positions(got) == _doublet_positions(ref)
-        assert len(_doublet_positions(got)) == 1
+        doublets = _doublet_positions(got)
+        assert doublets == _doublet_positions(ref)
+        assert len(doublets) == 1
+        assert [got_mirror[i] for i in doublets[0]] == [-1.0, 1.0]
 
 
 def test_kept_grids_are_inversion_symmetric(paper_scenario):
-    # |grad H|^2 of a state with exact parity is inversion-symmetric. The FFT
-    # samples it at the nodes j/n of the supercell, where inversion sends
-    # index j to -j mod n, while the permittivity grid it is divided by is
-    # cell-centred, (j + 1/2)/n, and symmetric under j -> n - 1 - j; so the
-    # check is made on the density times eps.
+    # |grad H|^2 of a state with exact parity is inversion-symmetric, and so
+    # is the permittivity. Both are sampled at the cell centres (j + 1/2)/n,
+    # where inversion sends index j to n - 1 - j.
     cfg, gaps = paper_scenario
     settings = cfg.modes
     ngrid = settings.supercell_size * settings.grid_per_period
@@ -457,8 +494,7 @@ def test_kept_grids_are_inversion_symmetric(paper_scenario):
                                    grid_per_period=settings.grid_per_period):
             if mode.energy_density is None:
                 continue
-            d = mode.energy_density * eps_grid
-            inverted = np.roll(d[::-1, ::-1], 1, axis=(0, 1))
-            assert np.abs(inverted - d).max() <= 1e-12 * d.max()
+            u = mode.energy_density
+            assert np.abs(u[::-1, ::-1] - u).max() <= 1e-12
             kept += 1
     assert kept == 12

@@ -207,6 +207,21 @@ def _emg(t, amplitude, lifetime, sigma, t0):
     return out
 
 
+@pytest.mark.parametrize("lifetime", [0.5, 3.0, 44.0, 840.0, 1800.0, 1e6])
+@pytest.mark.parametrize("t0", [600.0, 731.7, -3000.0])
+def test_exp_gauss_terms_match_the_closed_form(lifetime, t0):
+    # `tcspc.exp_gauss_terms` against the scipy closed form above, over the
+    # saturated tail (z < -6, where erfc == 2), the far-early bins (z >= 8),
+    # lifetimes whose exp(s^2/2tau^2) overflows, and the flushed tail.
+    t = GRID.centers()
+    g, _, _ = tcspc.exp_gauss_terms(t, lifetime, IRF.sigma, t0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reference = _emg(t, 1.0, lifetime, IRF.sigma, t0)
+    finite = np.isfinite(reference)
+    assert np.abs(g[finite] - reference[finite]).max() <= 1e-13 * max(g.max(), 1e-300)
+    assert np.all(np.isfinite(g)) and np.all(g >= 0.0)
+
+
 def test_nested_fits_never_worse_than_mono():
     # The paper's detuning scan: 51 wavelengths, each a fast cavity-modified
     # component plus an 1800 ps one. Two components contain one, so at the

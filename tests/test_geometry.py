@@ -296,6 +296,43 @@ def test_brentq_port_equals_scipy_where_interpolation_steps_are_refused():
     assert str(port_error.value) == str(scipy_error.value)
 
 
+def _eps_table_arguments(lat, basis):
+    """|G| r at every index difference of `bands._eps_matrix`'s table."""
+    span = 2 * int(np.abs(basis.indices).max())
+    d = np.arange(-span, span + 1)
+    dm, dn = np.meshgrid(d, d, indexing="ij")
+    dg = dm[..., None] * basis.g1 + dn[..., None] * basis.g2
+    return np.linalg.norm(dg, axis=-1).ravel() * lat.hole_radius
+
+
+def test_j1_port_equals_scipy_bit_for_bit():
+    # `_j1` ports Cephes j1 step for step, so every permittivity matrix, and
+    # with it every band and mode, keeps the bits scipy.special.j1 gave: on
+    # every argument of the paper's five hole ratios (bulk cutoff 7,
+    # supercell 7 x 7 at cutoff 12) and on a seeded set in [0, 200].
+    from scipy.special import j1
+
+    from pcqed import cli
+    from pcqed.bands import PlaneWaveBasis
+    from pcqed.geometry import _hole_form_factor, _j1
+
+    cfg = cli.parse_config(cli.REPRODUCE_CONFIG)
+    args = [np.random.default_rng(27).uniform(0.0, 200.0, 100_000), np.linspace(0.0, 10.0, 10_001)]
+    for ra in cfg.crystal.hole_ratio_values:
+        lat = cfg.crystal.lattice(ra)
+        for basis in (PlaneWaveBasis.bulk(lat, cfg.bands.cutoff),
+                      PlaneWaveBasis.supercell(lat, cfg.modes.supercell_size, cfg.modes.cutoff)):
+            args.append(_eps_table_arguments(lat, basis))
+    assert (cfg.bands.cutoff, cfg.modes.supercell_size, cfg.modes.cutoff) == (7, 7, 12)
+    for x in args:
+        assert _j1(x).tobytes() == j1(x).tobytes()
+        assert _j1(-x).tobytes() == j1(-x).tobytes()
+    small = np.abs(args[-1]) < 1e-12
+    safe = np.where(small, 1.0, args[-1])
+    assert _hole_form_factor(args[-1]).tobytes() == np.where(
+        small, 1.0, 2.0 * j1(safe) / safe).tobytes()
+
+
 def test_effective_index_without_a_guided_mode():
     # A slab too thin for the dispersion to change sign on the bracket.
     with pytest.raises(ValueError) as err:

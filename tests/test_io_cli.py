@@ -251,6 +251,20 @@ def test_cmd_bands_gap_grows_with_hole_ratio(tmp_path):
     assert g42["gap_width"] > g33["gap_width"]
 
 
+def test_band_csvs_start_at_exactly_zero(tmp_path):
+    # Band 1 at Gamma is the lambda = 0 state, dropped from the solve and
+    # written as an exact 0, not the square root of eigensolver rounding.
+    cfg = parse_config(cli.REPRODUCE_CONFIG)
+    cmd_bands(cfg, tmp_path / "out")
+    paths = sorted((tmp_path / "out").glob("bands_ra*.csv"))
+    assert len(paths) == len(cfg.crystal.hole_ratio_values)
+    for path in paths:
+        lines = path.read_text().splitlines()
+        first, last = (np.array(line.split(","), dtype=float) for line in (lines[1], lines[-1]))
+        assert np.array_equal(first[:5], np.zeros(5)), path.name  # k_index 0 at Gamma
+        assert last[4] == 0.0 and first[5:].min() > 0.1, path.name
+
+
 def test_cmd_bands_byte_identical_reruns(tmp_path):
     cfg = small_band_config()
     cmd_bands(parse_config(cfg), tmp_path / "a")
@@ -540,6 +554,27 @@ def test_bands_without_a_crystal_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"bands": {"cutoff": 3}}))
     assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "error: crystal: required" in capsys.readouterr().err
+
+
+def test_main_asks_the_allocator_to_keep_freed_memory(tmp_path, monkeypatch):
+    # Once per process, before any work, and only where mallopt exists.
+    requests = []
+
+    class Libc:
+        def mallopt(self, parameter, value):
+            requests.append((parameter, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+    cli._keep_freed_memory.cache_clear()
+    missing = str(tmp_path / "missing.json")
+    for _ in range(2):
+        assert main(["bands", "--config", missing]) == EXIT_CONFIG
+    assert requests == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())  # no mallopt
+    cli._keep_freed_memory.cache_clear()
+    cli._keep_freed_memory()
+    assert len(requests) == 2
 
 
 def test_band_solver_error_exits_3(tmp_path, capsys, monkeypatch):
