@@ -87,7 +87,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 _BOUNDS = {"minimum": (operator.ge, ">="), "above": (operator.gt, ">"),
-           "below": (operator.lt, "<")}
+           "below": (operator.lt, "<"), "maximum": (operator.le, "<=")}
 
 
 def _setting(default=MISSING, **bounds):
@@ -177,17 +177,18 @@ class Irf:
 @dataclass(frozen=True, kw_only=True)
 class Grid:
     bin_width_ps: float = _setting(12.0, above=0.0)
-    n_bins: int = _setting(4096, minimum=1)
+    n_bins: int = _setting(4096, minimum=1, below=2**60)  # numpy: < 2**63 bytes
     t_start_ps: float = 0.0
 
 
 @dataclass(frozen=True, kw_only=True)
 class Histogram:
     components: tuple[tuple[float, float], ...]
-    total_counts: int = _setting(minimum=1)
+    total_counts: int = _setting(minimum=1, below=2**63)  # numpy draws an int64
     irf: Irf = Irf()
     grid: Grid = Grid()
-    background_rate_per_bin: float = _setting(0.0, minimum=0.0)
+    # numpy draws a Poisson mean at most 10 sigma below the int64 maximum
+    background_rate_per_bin: float = _setting(0.0, minimum=0.0, maximum=9.223372006484771e18)
 
     def __post_init__(self):
         try:
@@ -475,11 +476,11 @@ def _simulate_histogram(spec: Histogram, bundle, seed):
     irf = InstrumentResponse(fwhm=spec.irf.fwhm_ps, t0=spec.irf.t0_ps)
     grid = BinGrid(bin_width=spec.grid.bin_width_ps, n_bins=spec.grid.n_bins,
                    t_start=spec.grid.t_start_ps)
-    curve = expected_curve(model, irf, grid)
-    hist = sample_histogram(
-        curve, spec.total_counts, seed, grid=grid, irf=irf,
-        background_rate=spec.background_rate_per_bin,
-    )
+    try:  # more bins than memory holds, or a curve that is 0 in every bin
+        hist = sample_histogram(expected_curve(model, irf, grid), spec.total_counts, seed,
+                                grid=grid, irf=irf, background_rate=spec.background_rate_per_bin)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"simulate.histogram: {exc}") from None
     bundle.write("histogram", "histogram.csv", pcio.write_histogram_csv, hist, metadata={
         "seed": seed,
         "background_rate_per_bin": spec.background_rate_per_bin,

@@ -1,13 +1,13 @@
 """Reconvolution decay fits and the spectral detuning-model fit.
 
 Histogram fits maximize the Poisson likelihood (equivalently minimize the
-deviance) of a sum of IRF-convolved exponentials plus a flat background, built
-on the kernel behind `tcspc.expected_curve`: the fit model and the generator
-share one definition.
+deviance) of `tcspc.decay_terms`, the sum of IRF-convolved exponentials plus a
+flat background that `tcspc.expected_curve` also evaluates: the fit model and
+the generator are one function.
 
 One engine, `_minimize`, serves every fit: a bounded Levenberg-Marquardt loop
-on the natural parameters with an analytic Jacobian (`tcspc.exp_gauss_terms`
-for histograms), one model-and-Jacobian evaluation per trial point and no
+on the natural parameters with an analytic Jacobian (from `decay_terms` for
+histograms), one model-and-Jacobian evaluation per trial point and no
 finite differences. Amplitudes and the background are linear and bounded at
 0, so a vanished component is an active bound rather than a parameter
 drifting off; lifetimes are bounded below by a tenth of the IRF width and the
@@ -349,40 +349,19 @@ def _background_guess(y: np.ndarray) -> float:
 
 
 class _Reconvolution:
-    """Sum of IRF-convolved exponentials plus background for one histogram.
-
-    Parameters are (amplitude, lifetime) per component, then the IRF shift
-    and the background; amplitudes and background are linear and bounded at
-    0, the shift at +-2 FWHM.
-    """
+    """`tcspc.decay_terms` on one histogram's bins, and its parameters' bounds."""
 
     def __init__(self, hist: TransientHistogram, n_components: int):
-        self.hist = hist
+        self.irf = hist.irf
         self.y = hist.counts.astype(float)
         self.t = hist.grid.centers()
-        self.n = n_components
         span = self.t[-1] - self.t[0] + hist.grid.bin_width
         t0_bound = 2.0 * hist.irf.fwhm
         self.lower = np.array([0.0, 0.1 * hist.irf.sigma] * n_components + [-t0_bound, 0.0])
         self.upper = np.array([np.inf, 100.0 * span] * n_components + [t0_bound, np.inf])
 
     def __call__(self, x):
-        t0 = self.hist.irf.t0 + x[-2]
-        sigma = self.hist.irf.sigma
-        J = np.empty((len(x), len(self.y)))
-        mu = x[-1]
-        d_t0 = 0.0
-        u = self.t - t0  # bin centres ascend, as `tcspc._emg_terms` needs
-        for k in range(self.n):
-            amplitude = x[2 * k]
-            g, d_tau, d_shift = tcspc._emg_terms(u, sigma, np.float64(1.0) / x[2 * k + 1])
-            mu = mu + amplitude * g
-            d_t0 = d_t0 + amplitude * d_shift
-            J[2 * k] = g
-            J[2 * k + 1] = amplitude * d_tau
-        J[-2] = d_t0
-        J[-1] = 1.0
-        return mu, J
+        return tcspc.decay_terms(self.t, self.irf, x)
 
 
 def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=None,
@@ -449,7 +428,7 @@ def fit_monoexponential(hist: TransientHistogram) -> FitResult:
     model = _Reconvolution(hist, 1)
     bg0 = _background_guess(model.y)
     tau0 = _tail_lifetime_guess(model.t, model.y, hist.grid.bin_width)
-    shape = tcspc.exp_gauss_terms(model.t, tau0, hist.irf.sigma, hist.irf.t0)[0]
+    shape = model(np.array([1.0, tau0, 0.0, 0.0]))[0]  # the unit EMG of lifetime tau0
     amp0 = max(model.y.sum() - bg0 * len(model.y), 1.0) / shape.sum()
     x, mu, J, deviance, iterations, stop = _minimize(
         np.array([amp0, tau0, 0.0, bg0]), model, model.y, model.lower, model.upper

@@ -272,7 +272,11 @@ def effective_index(slab: SlabWaveguide, wavelength: float) -> float:
 
     # Fundamental-mode bracket: restrict kappa*d/2 to (0, pi/2).
     lo = ncl
-    cutoff = nco**2 - (np.pi / (k0 * d)) ** 2
+    try:  # n_core^2 - (wavelength/2d)^2 in Python floats, which raise on overflow
+        cutoff = nco**2 - (np.pi / (k0 * d)) ** 2
+    except ArithmeticError:
+        raise ValueError(f"n_core^2 or (wavelength/2d)^2 overflows for {slab} at "
+                         f"{wavelength} nm") from None
     if cutoff > ncl**2:
         lo = np.sqrt(cutoff)
     eps = 1e-12 * nco

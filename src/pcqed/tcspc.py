@@ -4,7 +4,9 @@ A decay model (sum of exponentials plus a flat background) is convolved with a
 Gaussian instrument response using the closed-form exponentially-modified
 Gaussian per component, then sampled with photon-counting statistics: a
 multinomial draw for the signal (so the requested total is reproduced exactly)
-plus independent per-bin Poisson background. Times are in ps.
+plus independent per-bin Poisson background. Times are in ps. `decay_terms`
+is the one evaluation of the model: `expected_curve` takes its curve, and the
+histogram fits of `fitting` its curve and Jacobian.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ __all__ = [
     "DecayModel",
     "BinGrid",
     "TransientHistogram",
-    "exp_gauss_terms",
+    "decay_terms",
     "expected_curve",
     "sample_histogram",
 ]
@@ -217,56 +219,49 @@ def _emg(u, sigma, inv_tau):
     return out, exponent, near, gauss
 
 
-def _emg_terms(u, sigma, inv_tau):
-    """`exp_gauss_terms` on ascending offsets u = t - t0, with inv_tau = 1/tau."""
-    g, exponent, near, gauss = _emg(u, sigma, inv_tau)
-    d_t0 = g * inv_tau
-    d_tau = -0.5 * (sigma * inv_tau) ** 2 - exponent
-    d_tau *= d_t0
-    normal = gauss / (sigma * np.sqrt(2.0 * np.pi))
-    d_tau[near] += (sigma * inv_tau) ** 2 * normal
-    d_t0[near] -= normal
-    return g, d_tau, d_t0
+def decay_terms(t: np.ndarray, irf: InstrumentResponse,
+                parameters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decay model mu and its Jacobian, shape (parameters, bins), at the
+    ascending bin centres `t`.
 
-
-def exp_gauss_terms(
-    t: np.ndarray, lifetime: float, sigma: float, t0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit-amplitude EMG g and its partial derivatives dg/dtau and dg/dt0.
-
-    With u = t - t0, N(u) the unit-area Gaussian of width s and e the
-    exponent of `_emg`, dg/dt0 = g/tau - N and dg/dtau = (g (u - s^2/tau)
-    + s^2 N) / tau^2 = -(e + s^2/2tau^2) g/tau + (s/tau)^2 N. Beyond the near
-    bins N < g exp(-36) / (s sqrt(2 pi)), below the float64 resolution of
-    either term, so N is added only on the near bins. Times that do not
-    ascend are evaluated in ascending order and put back.
+    `parameters` are (amplitude A, lifetime tau) per component, then the IRF
+    shift (added to irf.t0) and the flat background b: mu = b + sum A g with
+    g the unit EMG of `_emg`. The Jacobian rows are g and A dg/dtau per
+    component, sum A dg/dt0, and 1. With u = t - t0, N(u) the unit-area
+    Gaussian of width s and e the exponent of `_emg`, dg/dt0 = g/tau - N and
+    dg/dtau = (g (u - s^2/tau) + s^2 N) / tau^2 = -(e + s^2/2tau^2) g/tau
+    + (s/tau)^2 N. Beyond the near bins N < g exp(-36) / (s sqrt(2 pi)),
+    below the float64 resolution of either term, so N is added only there.
     """
-    u = np.asarray(t, dtype=float) - t0
-    inv_tau = np.float64(1.0) / lifetime
-    if not (u[1:] < u[:-1]).any():
-        return _emg_terms(u, sigma, inv_tau)
-    order = u.argsort()
-    terms = np.empty((3, len(u)))
-    terms[:, order] = _emg_terms(u[order], sigma, inv_tau)
-    return terms[0], terms[1], terms[2]
+    sigma = irf.sigma
+    u = t - (irf.t0 + parameters[-2])
+    J = np.empty((len(parameters), len(t)))
+    mu = parameters[-1]
+    d_t0 = 0.0
+    for k in range(0, len(parameters) - 2, 2):
+        amplitude, inv_tau = parameters[k], np.float64(1.0) / parameters[k + 1]
+        g, exponent, near, gauss = _emg(u, sigma, inv_tau)
+        d_shift = g * inv_tau
+        d_tau = -0.5 * (sigma * inv_tau) ** 2 - exponent
+        d_tau *= d_shift
+        normal = gauss / (sigma * np.sqrt(2.0 * np.pi))
+        d_tau[near] += (sigma * inv_tau) ** 2 * normal
+        d_shift[near] -= normal
+        mu = mu + amplitude * g
+        d_t0 = d_t0 + amplitude * d_shift
+        J[k] = g
+        J[k + 1] = amplitude * d_tau
+    J[-2] = d_t0
+    J[-1] = 1.0
+    return mu, J
 
 
-def expected_curve(
-    model: DecayModel, irf: InstrumentResponse, grid: BinGrid
-) -> np.ndarray:
-    """Per-bin expected counts: IRF-convolved exponentials plus background.
-
-    Each component is the closed-form EMG (A/2) exp(s^2/(2 tau^2) - u/tau)
-    erfc((s^2/tau - u) / (sqrt(2) s)) with u = t - t0 (`_emg`), evaluated at
-    bin centers; everywhere >= model.background.
-    """
-    u = grid.centers() - irf.t0
-    mu = np.full(grid.n_bins, float(model.background))
-    for amplitude, lifetime in model.components:
-        if amplitude > 0:
-            # float64 ops saturate instead of raising
-            mu = mu + amplitude * _emg(u, irf.sigma, np.float64(1.0) / lifetime)[0]
-    return mu
+def expected_curve(model: DecayModel, irf: InstrumentResponse, grid: BinGrid) -> np.ndarray:
+    """Per-bin expected counts, everywhere >= model.background: `decay_terms`
+    at the bin centres with no IRF shift, over the components of positive
+    amplitude only (a zero one adds nothing, but its lifetime may overflow)."""
+    live = [v for amplitude, tau in model.components if amplitude > 0 for v in (amplitude, tau)]
+    return decay_terms(grid.centers(), irf, np.array([*live, 0.0, model.background]))[0]
 
 
 def sample_histogram(

@@ -86,6 +86,15 @@ def _purcell(values):
     return {"simulate": sim}
 
 
+def _slab(**slab):
+    return {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37], "slab": slab}}
+
+
+def _histogram(**changes):
+    return {"simulate": {"seed": 1, "histogram": {
+        "components": [[1.0, 400.0]], "total_counts": 1000, **changes}}}
+
+
 @pytest.mark.parametrize("command, document, dotted", [
     ("simulate", _scan_mode(q_factor=0.5), "simulate.spectral_scan.modes[0].q_factor"),
     ("simulate", _scan_mode(v_mode="x"), "simulate.spectral_scan.modes[0].v_mode"),
@@ -115,6 +124,14 @@ def _purcell(values):
     ("fit", {"fit": {"spectral": {"modes": [{"wavelength_nm": 1031.5, "q_factor": 1950.0,
                                               "v_mode": 1.5}]}}},
      "fit.spectral.modes[0].v_mode: unknown key"),
+    # Settings whose squares overflow the slab's Python floats.
+    ("bands", _slab(thickness_nm=1e-300), "crystal.slab: n_core^2 or (wavelength/2d)^2 overflows"),
+    ("bands", _slab(n_core=1e200), "crystal.slab: n_core^2 or (wavelength/2d)^2 overflows"),
+    # Settings beyond numpy's samplers and arrays.
+    ("simulate", _histogram(total_counts=10**20), "simulate.histogram.total_counts: must be <"),
+    ("simulate", _histogram(background_rate_per_bin=1e300),
+     "simulate.histogram.background_rate_per_bin: must be <="),
+    ("simulate", _histogram(grid={"n_bins": 10**20}), "simulate.histogram.grid.n_bins: must be <"),
 ])
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document, dotted):
     cfg = tmp_path / "cfg.json"
@@ -126,6 +143,40 @@ def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document
     err = capsys.readouterr().err
     assert f"{cfg}: {dotted}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"n_bins": 64, "t_start_ps": 1e7}, "curve must have positive total weight"),
+    ({"n_bins": 2**59}, "Unable to allocate"),  # 4 EiB: refused before any page is touched
+])
+def test_histogram_that_cannot_be_drawn_exits_2(tmp_path, capsys, grid, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_histogram(grid=grid)))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"simulate.histogram: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sampler_bounds_are_numpys_limits():
+    # The schema admits exactly the counts and Poisson means numpy draws, and
+    # no more bins than a numpy float64 array can have.
+    import numpy as np
+
+    from pcqed.cli import Grid, Histogram
+
+    bounds = {f.name: f.metadata for cls in (Histogram, Grid) for f in dataclasses.fields(cls)}
+    rng = np.random.default_rng(0)
+    most = bounds["total_counts"]["below"] - 1
+    assert rng.multinomial(most, [0.5, 0.5]).sum() == most
+    with pytest.raises(OverflowError):
+        rng.multinomial(most + 1, [0.5, 0.5])
+    lam = bounds["background_rate_per_bin"]["maximum"]
+    rng.poisson(lam)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(lam, np.inf))
+    with pytest.raises(ValueError, match="array is too big"):
+        np.empty(bounds["n_bins"]["below"])
 
 
 @pytest.mark.parametrize("cutoff", range(1, 14))

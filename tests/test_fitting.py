@@ -210,11 +210,13 @@ def _emg(t, amplitude, lifetime, sigma, t0):
 @pytest.mark.parametrize("lifetime", [0.5, 3.0, 44.0, 840.0, 1800.0, 1e6])
 @pytest.mark.parametrize("t0", [600.0, 731.7, -3000.0])
 def test_exp_gauss_terms_match_the_closed_form(lifetime, t0):
-    # `tcspc.exp_gauss_terms` against the scipy closed form above, over the
-    # saturated tail (z < -6, where erfc == 2), the far-early bins (z >= 8),
-    # lifetimes whose exp(s^2/2tau^2) overflows, and the flushed tail.
+    # The unit component of `tcspc.decay_terms` against the scipy closed form
+    # above, over the saturated tail (z < -6, where erfc == 2), the far-early
+    # bins (z >= 8), lifetimes whose exp(s^2/2tau^2) overflows, and the
+    # flushed tail.
     t = GRID.centers()
-    g, _, _ = tcspc.exp_gauss_terms(t, lifetime, IRF.sigma, t0)
+    irf = tcspc.InstrumentResponse(IRF.fwhm, t0)
+    g = tcspc.decay_terms(t, irf, np.array([1.0, lifetime, 0.0, 0.0]))[1][0]
     with np.errstate(over="ignore", invalid="ignore"):
         reference = _emg(t, 1.0, lifetime, IRF.sigma, t0)
     finite = np.isfinite(reference)

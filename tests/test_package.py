@@ -26,6 +26,46 @@ def test_every_exported_name_exists(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
+def _private_reads(module) -> set:
+    """'owner._name' for every private name of another pcqed module that
+    `module` imports (`from .owner import _name`) or reads as an attribute of
+    an imported pcqed module (`owner._name`, `from . import owner`)."""
+    tree = ast.parse(inspect.getsource(module))
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").startswith("pcqed"))):
+            continue
+        owner = (node.module or "").removeprefix("pcqed").lstrip(".")
+        for alias in node.names:
+            if not owner:  # from . import tcspc
+                modules[alias.asname or alias.name] = alias.name
+            elif alias.name.startswith("_"):
+                reads.add(f"{owner}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            reads.add(f"{modules[node.value.id]}.{node.attr}")
+    return reads
+
+
+# The plane-wave operator of `bands._eps_matrix` is built from the hole's
+# Fourier coefficients, which stay private to `geometry`.
+SHARED_PRIVATES = {"bands": {"geometry._fourier_coefficient", "geometry._hole_form_factor"}}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_reads_another_modules_private_name(name):
+    module = importlib.import_module(f"pcqed.{name}")
+    assert _private_reads(module) - SHARED_PRIVATES.get(name, set()) == set()
+
+
+def test_private_reads_are_found():
+    from pcqed import bands
+
+    assert _private_reads(bands) == SHARED_PRIVATES["bands"]
+
+
 def _in_fresh_interpreter(code: str) -> str:
     """The stripped stdout of `code` run by a new interpreter that imports this pcqed."""
     src = os.path.dirname(os.path.dirname(pcqed.__file__))

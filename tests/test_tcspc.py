@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from pcqed.tcspc import (
     DecayModel,
     InstrumentResponse,
     TransientHistogram,
-    exp_gauss_terms,
+    decay_terms,
     expected_curve,
     sample_histogram,
 )
@@ -72,23 +74,54 @@ def test_expected_curve_matches_quadrature_oracle():
 @pytest.mark.parametrize("lifetime", [44.0, 400.0, 1800.0])
 @pytest.mark.parametrize("t0", [600.0, 731.7])
 def test_exp_gauss_terms_match_central_differences(lifetime, t0):
+    # One unit component of `decay_terms`: its rows are the unit EMG g,
+    # dg/dtau and dg/dt0, against central differences of g.
     t = grid().centers()
-    sigma = IRF.sigma
-    g, d_tau, d_t0 = exp_gauss_terms(t, lifetime, sigma, t0)
-    unit = expected_curve(DecayModel([(1.0, lifetime)]), InstrumentResponse(IRF.fwhm, t0), grid())
-    np.testing.assert_array_equal(g, unit)
+    irf = InstrumentResponse(IRF.fwhm, t0)
+
+    def g(lifetime, shift=0.0):
+        return decay_terms(t, irf, np.array([1.0, lifetime, shift, 0.0]))
+
+    mu, (unit, d_tau, d_t0, _) = g(lifetime)
+    np.testing.assert_array_equal(mu, unit)
+    np.testing.assert_array_equal(unit, expected_curve(DecayModel([(1.0, lifetime)]), irf, grid()))
     h_tau = 1e-5 * lifetime
-    fd_tau = (
-        exp_gauss_terms(t, lifetime + h_tau, sigma, t0)[0]
-        - exp_gauss_terms(t, lifetime - h_tau, sigma, t0)[0]
-    ) / (2.0 * h_tau)
+    fd_tau = (g(lifetime + h_tau)[0] - g(lifetime - h_tau)[0]) / (2.0 * h_tau)
     h_t0 = 1e-3
-    fd_t0 = (
-        exp_gauss_terms(t, lifetime, sigma, t0 + h_t0)[0]
-        - exp_gauss_terms(t, lifetime, sigma, t0 - h_t0)[0]
-    ) / (2.0 * h_t0)
+    fd_t0 = (g(lifetime, h_t0)[0] - g(lifetime, -h_t0)[0]) / (2.0 * h_t0)
     np.testing.assert_allclose(d_tau, fd_tau, rtol=1e-5, atol=1e-7 * np.abs(fd_tau).max())
     np.testing.assert_allclose(d_t0, fd_t0, rtol=1e-5, atol=1e-7 * np.abs(fd_t0).max())
+
+
+def test_decay_terms_jacobian_matches_central_differences():
+    # Every column the fits use, assembled: the amplitudes, amplitude times
+    # dg/dtau, the shift summed over both components, and the background.
+    t = grid().centers()
+    x = np.array([2.5, 150.0, 0.14, 1800.0, 37.0, 0.8])
+    mu, J = decay_terms(t, IRF, x)
+    shifted = InstrumentResponse(IRF.fwhm, IRF.t0 + x[4])
+    model = DecayModel([(2.5, 150.0), (0.14, 1800.0)], background=0.8)
+    np.testing.assert_array_equal(mu, expected_curve(model, shifted, grid()))
+    assert J.shape == (6, len(t))
+    for i, h in enumerate([1e-5 * abs(v) for v in x[:4]] + [1e-3, 1e-5]):
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        fd = (decay_terms(t, IRF, up)[0] - decay_terms(t, IRF, down)[0]) / (2.0 * h)
+        np.testing.assert_allclose(J[i], fd, rtol=1e-5, atol=1e-7 * np.abs(fd).max(),
+                                   err_msg=f"parameter {i}")
+
+
+def test_zero_amplitude_component_is_never_evaluated():
+    # A component of amplitude 0 adds nothing to the curve. Evaluated, a
+    # lifetime of 1e-300 ps would overflow (s/tau)^2 in the kernel.
+    g = grid(1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            decay_terms(g.centers(), IRF, np.array([0.0, 1e-300, 1.0, 400.0, 0.0, 0.2]))
+        curve = expected_curve(DecayModel([(0.0, 1e-300), (1.0, 400.0)], 0.2), IRF, g)
+    np.testing.assert_array_equal(curve, expected_curve(DecayModel([(1.0, 400.0)], 0.2), IRF, g))
 
 
 def test_erfcx_port_within_8_ulp_of_mpmath():
@@ -110,17 +143,6 @@ def test_erfcx_port_within_8_ulp_of_mpmath():
     ulps = np.abs(_erfcx(x) - exact) / np.spacing(exact)
     assert ulps.max() <= 8.0
     assert _erfcx(np.array([0.0, np.inf])).tolist() == [1.0, 0.0]
-
-
-def test_exp_gauss_terms_in_any_time_order():
-    # The kernel slices ascending offsets; other orders are evaluated sorted.
-    t = grid().centers()
-    order = np.random.default_rng(30).permutation(len(t))
-    for lifetime in (44.0, 1800.0):
-        ascending = exp_gauss_terms(t, lifetime, IRF.sigma, 731.7)
-        shuffled = exp_gauss_terms(t[order], lifetime, IRF.sigma, 731.7)
-        for a, b in zip(ascending, shuffled):
-            assert np.array_equal(a[order], b)
 
 
 def test_curve_never_below_background():
