@@ -233,9 +233,12 @@ def _reduce_k(k: np.ndarray, b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
 
 def _assemble_te(eta: np.ndarray, k: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The operator at wavevector k, shape (2,), or at a stack of them, (..., 2).
-    `eta` is symmetrized first, so the operator is exactly symmetric."""
+    `eta` is symmetrized first, so the operator is exactly symmetric. The
+    stack of (k + G).(k + G') is scaled in place: one stack-sized array."""
     kg = k[..., None, :] + g
-    return 0.5 * (eta + eta.T) * (kg @ np.swapaxes(kg, -1, -2))
+    theta = kg @ np.swapaxes(kg, -1, -2)
+    theta *= 0.5 * (eta + eta.T)
+    return theta
 
 
 def build_te_operator(
@@ -305,7 +308,10 @@ def compute_bands(
     mirror line of C6v, so the operator splits into that mirror's two
     classes (`_class_blocks`); the M-K points are solved whole. At Gamma it
     splits by inversion, and the even class's G = 0 row, which is zero, is
-    dropped: band 1 starts at exactly 0.
+    dropped: band 1 starts at exactly 0. The operators of one segment's
+    points are built as one stack, which is freed once split into its
+    classes, and the class blocks are freed before the next segment's
+    stack is built: at most one segment's operators are live.
     """
     if n_bands > len(basis):
         raise ValueError(f"n_bands={n_bands} exceeds basis size {len(basis)}")
@@ -327,8 +333,9 @@ def compute_bands(
         if operation is None:
             parts = [theta]
         else:
-            classes = _class_blocks(theta, _basis_image(basis, operation), np.ones(len(basis)))
-            parts = [block for block, _, _ in classes.values()]
+            parts = [block for block, _, _ in _class_blocks(
+                theta, _basis_image(basis, operation), np.ones(len(basis))).values()]
+        del theta  # the whole-k stack goes once it is split into the parts
         vals = []
         if operation is _INVERSION:
             parts[0] = parts[0][..., 1:, 1:]  # the zero G = 0 row,
@@ -338,6 +345,7 @@ def compute_bands(
         except np.linalg.LinAlgError as exc:
             raise BandSolverError(
                 f"eigensolver failed at k-points {idx.tolist()}: {exc}") from exc
+        del parts  # before the next segment's stack is assembled
         vals = np.sort(np.concatenate(vals, axis=-1), axis=-1)
         lambdas[idx] = vals[:, :n_bands]
     freqs = lattice.period_a / (2.0 * np.pi) * np.sqrt(np.clip(lambdas, 0.0, None))
@@ -464,11 +472,14 @@ def _energy_densities(vecs: np.ndarray, basis: PlaneWaveBasis, eps_grid: np.ndar
     the permittivity and the masks are sampled: point j sits at (j + 1/2)/n,
     so plane wave (m, n') carries the half-cell phase exp(i pi (m + n')/n).
     The transform runs along axis 0 first, over only the columns
-    holding plane waves, then along the contiguous last axis over the whole
-    grid. The padded spectrum and the field are buffers reused across states;
-    each state's density is a fresh array.
+    holding plane waves, then along the contiguous last axis one band of
+    grid-per-period rows at a time, each band's |field| going straight into
+    the density. The padded band and its field are buffers reused across
+    bands and states, a period's rows each, not the grid's; each state's
+    density is a fresh array.
     """
     ngrid = eps_grid.shape[0]
+    band = ngrid // basis.supercell_size
     cols, col_of = np.unique(basis.indices[:, 1] % ngrid, return_inverse=True)
     mm = basis.indices[:, 0] % ngrid
     g = basis.g_vectors
@@ -476,13 +487,16 @@ def _energy_densities(vecs: np.ndarray, basis: PlaneWaveBasis, eps_grid: np.ndar
     weights = (1j * g[:, 0] - g[:, 1]) * ngrid**2
     weights *= np.exp(1j * np.pi * basis.indices.sum(axis=1) / ngrid)
     spectrum = np.zeros((ngrid, len(cols)), dtype=complex)
-    padded = np.zeros((ngrid, ngrid), dtype=complex)
+    padded = np.zeros((band, ngrid), dtype=complex)
     field = np.empty_like(padded)
     for vec in vecs.T:
         spectrum[mm, col_of] = vec * weights
-        padded[:, cols] = np.fft.ifft(spectrum, axis=0)
-        np.fft.ifft(padded, axis=-1, out=field)
-        u_e = np.abs(field)
+        rows = np.fft.ifft(spectrum, axis=0)
+        u_e = np.empty(eps_grid.shape)
+        for r in range(0, ngrid, band):
+            padded[:, cols] = rows[r:r + band]
+            np.fft.ifft(padded, axis=-1, out=field)
+            np.abs(field, out=u_e[r:r + band])
         u_e *= u_e
         u_e /= eps_grid
         yield u_e

@@ -191,10 +191,20 @@ class Histogram:
     background_rate_per_bin: float = _setting(0.0, minimum=0.0, maximum=9.223372006484771e18)
 
     def __post_init__(self):
+        # The decay model, then the squares its curve takes on this IRF and grid.
+        irf = InstrumentResponse(fwhm=self.irf.fwhm_ps, t0=self.irf.t0_ps)
         try:
-            DecayModel(self.components)
+            model = DecayModel(self.components)
+            for amplitude, tau in model.components:
+                if amplitude > 0:  # `expected_curve` skips the others
+                    irf.check_lifetime(tau)
         except ValueError as exc:
             raise ValueError(f"components: {exc}") from exc
+        try:
+            irf.check_grid(BinGrid(self.grid.bin_width_ps, self.grid.n_bins,
+                                   self.grid.t_start_ps))
+        except ValueError as exc:
+            raise ValueError(f"irf.fwhm_ps: {exc}") from exc
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -467,6 +477,7 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
             name = f"profile_ra{tag}_mode{i}"
             doc = bundle.write(name, f"{name}.json", pcio.write_profile_json, modes[i], volumes[i])
             bundle.outputs[f"{name}_energy_density"] = doc["energy_density_file"]
+        del modes, pairs  # this ratio's grids go before the next ratio's solve
     bundle.finish()
     return bundle
 

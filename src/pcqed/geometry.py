@@ -256,7 +256,8 @@ def effective_index(slab: SlabWaveguide, wavelength: float) -> float:
     using the continuous equivalent form
     kappa*sin(kappa*d/2) - gamma*cos(kappa*d/2) = 0 on the fundamental-mode
     bracket, where kappa*d/2 < pi/2 guarantees a single sign change.
-    Raises ValueError when that bracket holds no root.
+    Raises ValueError when that bracket, narrowed by 1e-12 n_core at each
+    end, is empty or holds no root.
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
@@ -280,6 +281,9 @@ def effective_index(slab: SlabWaveguide, wavelength: float) -> float:
     if cutoff > ncl**2:
         lo = np.sqrt(cutoff)
     eps = 1e-12 * nco
+    if not lo + eps < nco - eps:
+        raise ValueError(f"no bracket for the guided TE mode: n_core={nco} lies within "
+                         f"2e-12 n_core of its lower end {lo}")
     f_lo, f_hi = dispersion(lo + eps), dispersion(nco - eps)
     if not (f_lo > 0 > f_hi or f_lo < 0 < f_hi):
         raise ValueError(

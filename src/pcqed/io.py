@@ -308,6 +308,10 @@ def read_histogram_csv(path, files=None) -> TransientHistogram:
         raise ParseError(path, numbers[-1], f"{len(numbers)} rows with {int(counts.sum())} "
                          f"counts, sidecar says n_bins {n_bins}, total_counts {total}")
     irf = InstrumentResponse(fwhm=float(fwhm), t0=float(irf_t0))
+    try:
+        irf.check_grid(grid)
+    except ValueError as exc:
+        raise ParseError(meta_path, 1, f"irf_fwhm_ps: {exc}") from None
     return TransientHistogram(counts=counts, grid=grid, irf=irf)
 
 

@@ -11,6 +11,7 @@ histogram fits of `fitting` its curve and Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +48,23 @@ class InstrumentResponse:
     @property
     def sigma(self) -> float:
         return self.fwhm / FWHM_TO_SIGMA
+
+    def check_lifetime(self, tau: float) -> None:
+        """ValueError when `decay_terms` would overflow squaring sigma/tau for
+        a component of lifetime `tau`."""
+        ratio = self.sigma * (1.0 / tau)
+        if not math.isfinite(ratio * ratio):
+            raise ValueError(f"lifetime {tau} ps against the IRF sigma {self.sigma} ps: "
+                             f"(sigma/tau)^2 overflows")
+
+    def check_grid(self, grid: BinGrid) -> None:
+        """ValueError when `decay_terms` would overflow squaring u/sigma, u =
+        t - t0, on `grid`: at the first bin centre, if it lies before t0 (bins
+        after t0 are squared only up to u/sigma of about sigma/tau)."""
+        lead = min(grid.t_start + 0.5 * grid.bin_width - self.t0, 0.0) / self.sigma
+        if not math.isfinite(lead * lead):
+            raise ValueError(f"the first bin lies {-lead} IRF sigmas before t0: "
+                             f"(u/sigma)^2 overflows")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,23 @@ def test_blocked_bands_match_the_dense_solve(ratio):
         vals = scipy.linalg.eigh(theta, eigvals_only=True, subset_by_index=[0, n_bands - 1])
         ref = (lat.period_a / (2.0 * np.pi)) ** 2 * vals
         assert np.abs(row**2 - ref).max() <= 1e-12
+
+
+def test_band_solve_frees_each_segment_before_the_next():
+    # At the paper's bulk settings the 45 path points come in four stacks.
+    # Each stack is scaled in place, dropped once split into its classes,
+    # and its blocks go before the next stack is built: the traced peak
+    # stays below 12 MB. Two live stacks plus a previous segment's blocks
+    # would reach 15.35 MB.
+    lat = device_lattice(0.37)
+    basis = PlaneWaveBasis.bulk(lat, 7)
+    tracemalloc.start()
+    try:
+        compute_bands(lat, 16, basis, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 def test_periodicity_under_reciprocal_translation():

@@ -132,6 +132,13 @@ def _histogram(**changes):
     ("simulate", _histogram(background_rate_per_bin=1e300),
      "simulate.histogram.background_rate_per_bin: must be <="),
     ("simulate", _histogram(grid={"n_bins": 10**20}), "simulate.histogram.grid.n_bins: must be <"),
+    # A core index 1e-13 above the cladding leaves effective_index no bracket.
+    ("bands", _slab(n_core=1.0000000000001), "crystal.slab: no bracket for the guided TE mode"),
+    # Settings whose squares overflow the EMG kernel: sigma/tau, and u/sigma at the first bin.
+    ("simulate", _histogram(components=[[1.0, 1e-300]]),
+     "simulate.histogram.components: lifetime 1e-300 ps against the IRF sigma"),
+    ("simulate", _histogram(irf={"fwhm_ps": 1e-300}, grid={"n_bins": 64}),
+     "simulate.histogram.irf.fwhm_ps: the first bin lies"),
 ])
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document, dotted):
     cfg = tmp_path / "cfg.json"
@@ -351,6 +358,19 @@ def test_sidecar_width_must_be_positive(tmp_path, capsys, key):
     Path(f"{hist}.meta.json").write_text(json.dumps(meta))
     assert _fit(tmp_path, hist) == EXIT_CONFIG
     assert f"{hist}.meta.json:1: {key}: expected a positive number, got 0.0" in capsys.readouterr().err
+
+
+def test_sidecar_irf_too_narrow_for_the_grid(tmp_path, capsys):
+    # The first bin centre would sit 1.4e303 IRF sigmas before t0, whose
+    # square overflows in the fit's EMG kernel.
+    hist = _write_histogram(tmp_path / "h.csv", n_bins=64)
+    meta = json.loads(Path(f"{hist}.meta.json").read_text())
+    meta["irf_fwhm_ps"] = 1e-300
+    Path(f"{hist}.meta.json").write_text(json.dumps(meta))
+    assert _fit(tmp_path, hist) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{hist}.meta.json:1: irf_fwhm_ps: the first bin lies" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_count(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -236,10 +238,29 @@ def _inverse_index(basis):
     return _index_map(basis, lambda m, n: (-m, -n))
 
 
+def _whole_grid_energy_density(vec, basis, eps_grid):
+    """The packed transform with its last-axis pass over the whole padded
+    grid at once, not a band of rows at a time."""
+    ngrid = eps_grid.shape[0]
+    cols, col_of = np.unique(basis.indices[:, 1] % ngrid, return_inverse=True)
+    g = basis.g_vectors
+    weights = (1j * g[:, 0] - g[:, 1]) * ngrid**2
+    weights *= np.exp(1j * np.pi * basis.indices.sum(axis=1) / ngrid)
+    spectrum = np.zeros((ngrid, len(cols)), dtype=complex)
+    spectrum[basis.indices[:, 0] % ngrid, col_of] = vec * weights
+    padded = np.zeros((ngrid, ngrid), dtype=complex)
+    padded[:, cols] = np.fft.ifft(spectrum, axis=0)
+    u_e = np.abs(np.fft.ifft(padded, axis=-1))
+    u_e *= u_e
+    u_e /= eps_grid
+    return u_e
+
+
 def test_energy_densities_match_ifft2(bulk_gap, monkeypatch):
     # One packed transform per state against the two whole-grid transforms,
     # on the solver's states and on random states of either inversion parity
-    # (the kernel's precondition).
+    # (the kernel's precondition); and bit for bit against the same packed
+    # transform run over the whole grid at once.
     lat = device_lattice(0.37)
     basis = PlaneWaveBasis.supercell(lat, 7, 12)
     kernel, seen = _recording_energy_densities(monkeypatch)
@@ -255,6 +276,7 @@ def test_energy_densities_match_ifft2(bulk_gap, monkeypatch):
         for vec, u_e in zip(vecs.T, got):
             ref = _ifft2_energy_density(vec, basis, eps_grid)
             assert np.abs(u_e - ref).max() <= 1e-12 * ref.max()
+            assert np.array_equal(u_e, _whole_grid_energy_density(vec, basis, eps_grid))
 
 
 def test_mode_grids_do_not_share_the_fft_buffer(bulk_gap, monkeypatch):
@@ -375,6 +397,52 @@ def test_volume_from_stored_numbers_equals_the_grid_formula(paper_scenario, monk
             states += 1
             kept += candidate
     assert (states, kept) == (41, 12)
+
+
+def test_h1_solve_peak_memory(paper_scenario):
+    # r/a = 0.42, the paper's largest solve (15 in-gap states): the density
+    # is transformed a band of rows at a time, so its buffers are two
+    # 64 x 448 complex arrays, not two whole 448 x 448 ones, and the traced
+    # peak stays below 14 MB. Whole-grid buffers would reach 17.1 MB.
+    cfg, gaps = paper_scenario
+    lat, settings = cfg.crystal.lattice(0.42), cfg.modes
+    basis = PlaneWaveBasis.supercell(lat, settings.supercell_size, settings.cutoff)
+    tracemalloc.start()
+    try:
+        solve_h1_modes(lat, basis, gap=gaps[0.42], grid_per_period=settings.grid_per_period)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
+
+
+def test_cmd_modes_releases_each_ratio_before_the_next(paper_scenario, tmp_path, monkeypatch):
+    # When the next hole ratio's solve starts, no grid of an earlier ratio is
+    # alive, and less than one grid (448 x 448 float64) is traced as live.
+    from pcqed import cli
+
+    cfg, gaps = paper_scenario
+    solve, grids, live = cli.solve_h1_modes, [], []
+
+    def recording_solve(*args, **kwargs):
+        live.append((tracemalloc.get_traced_memory()[0],
+                     sum(grid() is not None for grid in grids)))
+        modes = solve(*args, **kwargs)
+        grids.extend(weakref.ref(m.energy_density) for m in modes
+                     if m.energy_density is not None)
+        return modes
+
+    monkeypatch.setattr(cli, "solve_h1_modes", recording_solve)
+    tracemalloc.start()
+    try:
+        cli.cmd_modes(cfg, tmp_path / "modes", gaps)
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 5 and len(grids) == 12
+    one_grid = (cfg.modes.supercell_size * cfg.modes.grid_per_period) ** 2 * 8
+    for traced, alive in live:
+        assert alive == 0
+        assert traced < one_grid
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,13 @@ def test_effective_index_thin_slab_limit():
     assert 1.0 < n_eff < 1.1
 
 
+def test_effective_index_rejects_an_empty_bracket():
+    # Both bracket ends move in by 1e-12 n_core, so a core 1e-13 above the
+    # cladding leaves no bracket to search.
+    with pytest.raises(ValueError, match="no bracket for the guided TE mode"):
+        effective_index(SlabWaveguide(400.0, 1.0000000000001, 1.0), 1050.0)
+
+
 def test_effective_index_monotonic_in_thickness_and_core():
     wavelengths = 1000.0
     values_d = [

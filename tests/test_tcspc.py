@@ -124,6 +124,36 @@ def test_zero_amplitude_component_is_never_evaluated():
     np.testing.assert_array_equal(curve, expected_curve(DecayModel([(1.0, 400.0)], 0.2), IRF, g))
 
 
+@pytest.mark.parametrize("ratio, fits", [(1e100, True), (1.34e154, True), (1.35e154, False)])
+def test_irf_checks_reject_exactly_the_overflowing_squares(ratio, fits):
+    # sqrt(float64 max) is 1.3408e154: sigma/tau, or u/sigma at a first bin
+    # before t0, of 1.34e154 squares to a finite number, 1.35e154 overflows.
+    g = grid(64)
+    cases = [(IRF, DecayModel([(1.0, IRF.sigma / ratio)]), IRF.check_lifetime, IRF.sigma / ratio)]
+    narrow = InstrumentResponse(fwhm=(600.0 - 6.0) / ratio * 2.355, t0=600.0)
+    cases.append((narrow, DecayModel([(1.0, 400.0)]), narrow.check_grid, g))
+    for irf, model, check, argument in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if fits:
+                check(argument)
+                assert np.all(np.isfinite(expected_curve(model, irf, g)))
+            else:
+                with pytest.raises(ValueError, match="overflows"):
+                    check(argument)
+                with pytest.raises(RuntimeWarning, match="overflow"):
+                    expected_curve(model, irf, g)
+
+
+def test_irf_grid_check_ignores_bins_after_t0():
+    # Bins after t0 at a tiny IRF width are never squared: the curve is the
+    # plain exponential there, and the grid passes.
+    narrow = InstrumentResponse(fwhm=1e-300, t0=0.0)
+    narrow.check_grid(grid(64))
+    curve = expected_curve(DecayModel([(1.0, 400.0)]), narrow, grid(64))
+    np.testing.assert_allclose(curve, np.exp(-grid(64).centers() / 400.0), rtol=1e-15)
+
+
 def test_erfcx_port_within_8_ulp_of_mpmath():
     # `tcspc._erfcx` builds exp(x^2) erfc(x) from the Cephes rationals; each
     # branch and both branch points, against 40-digit mpmath, on [0, 30].
