@@ -14,6 +14,8 @@ are reported in dimensionless units a/lambda.
 from __future__ import annotations
 
 import itertools
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +95,20 @@ class PlaneWaveBasis:
     def supercell(
         cls, lattice: TriangularLattice, supercell_size: int, cutoff: int
     ) -> "PlaneWaveBasis":
-        """The basis of radius `cutoff` on the S x S supercell's reciprocal lattice."""
+        """The basis of radius `cutoff` on the S x S supercell's reciprocal lattice;
+        ValueError where the solvers' squared wavevectors leave the normal
+        floats: the largest, at a corner of the `_eps_matrix` table, overflows,
+        or the smallest nonzero, |g1|^2, underflows (the bands would read 0)."""
         if supercell_size < 1:
             raise ValueError("supercell_size must be >= 1")
+        indices = hexagon_indices(cutoff)
+        g = 4.0 * math.pi / (math.sqrt(3.0) * lattice.period_a) / supercell_size  # |g1|
+        edge = math.sqrt(3.0) * 2 * int(np.abs(indices).max()) * g  # dm = dn = span
+        if not (math.isfinite(edge * edge) and g * g >= sys.float_info.min):
+            raise ValueError(f"{lattice.period_a} nm gives squared wavevectors from {g * g:.3g} "
+                             f"to {edge * edge:.3g} nm^-2, beyond the normal float range")
         g1, g2 = (b / supercell_size for b in reciprocal_basis(lattice))
-        return cls(g1, g2, hexagon_indices(cutoff), supercell_size)
+        return cls(g1, g2, indices, supercell_size)
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -192,19 +192,24 @@ class Histogram:
 
     def __post_init__(self):
         # The decay model, then the squares its curve takes on this IRF and grid.
-        irf = InstrumentResponse(fwhm=self.irf.fwhm_ps, t0=self.irf.t0_ps)
+        # The bounds of irf and grid leave only the decay model to raise here.
         try:
-            model = DecayModel(self.components)
+            model, irf, grid = self.tcspc()
             for amplitude, tau in model.components:
                 if amplitude > 0:  # `expected_curve` skips the others
                     irf.check_lifetime(tau)
         except ValueError as exc:
             raise ValueError(f"components: {exc}") from exc
         try:
-            irf.check_grid(BinGrid(self.grid.bin_width_ps, self.grid.n_bins,
-                                   self.grid.t_start_ps))
+            irf.check_grid(grid)
         except ValueError as exc:
             raise ValueError(f"irf.fwhm_ps: {exc}") from exc
+
+    def tcspc(self) -> tuple[DecayModel, InstrumentResponse, BinGrid]:
+        """The decay model, instrument response and bin grid of this histogram."""
+        return (DecayModel(self.components),
+                InstrumentResponse(fwhm=self.irf.fwhm_ps, t0=self.irf.t0_ps),
+                BinGrid(self.grid.bin_width_ps, self.grid.n_bins, self.grid.t_start_ps))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -249,6 +254,15 @@ class Config:
     modes: Modes = Modes()
     simulate: Simulate | None = None
     fit: Fit = Fit()
+
+    def __post_init__(self):
+        if self.crystal is not None:  # the bases that `bands` and `modes` solve on
+            lattice = self.crystal.lattice(self.crystal.hole_ratio_values[0])
+            try:
+                PlaneWaveBasis.bulk(lattice, self.bands.cutoff)
+                PlaneWaveBasis.supercell(lattice, self.modes.supercell_size, self.modes.cutoff)
+            except ValueError as exc:
+                raise ValueError(f"crystal.period_nm: {exc}") from exc
 
     def require(self, section: str):
         if getattr(self, section) is None:
@@ -483,133 +497,117 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
 
 
 def _simulate_histogram(spec: Histogram, bundle, seed):
-    model = DecayModel(spec.components)
-    irf = InstrumentResponse(fwhm=spec.irf.fwhm_ps, t0=spec.irf.t0_ps)
-    grid = BinGrid(bin_width=spec.grid.bin_width_ps, n_bins=spec.grid.n_bins,
-                   t_start=spec.grid.t_start_ps)
+    model, irf, grid = spec.tcspc()
     try:  # more bins than memory holds, or a curve that is 0 in every bin
         hist = sample_histogram(expected_curve(model, irf, grid), spec.total_counts, seed,
                                 grid=grid, irf=irf, background_rate=spec.background_rate_per_bin)
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"simulate.histogram: {exc}") from None
-    bundle.write("histogram", "histogram.csv", pcio.write_histogram_csv, hist, metadata={
+    bundle.note(
+        f"simulate: histogram with {hist.total_counts} counts over "
+        f"{grid.n_bins} bins of {grid.bin_width} ps (seed {seed})"
+    )
+    metadata = {
         "seed": seed,
         "background_rate_per_bin": spec.background_rate_per_bin,
         "model": {
             "components": [[a, tau] for a, tau in model.components],
             "background_per_bin": model.background,
         },
-    })
-    bundle.note(
-        f"simulate: histogram with {hist.total_counts} counts over "
-        f"{grid.n_bins} bins of {grid.bin_width} ps (seed {seed})"
-    )
+    }
+    return lambda: bundle.write("histogram", "histogram.csv", pcio.write_histogram_csv, hist,
+                                metadata=metadata)
 
 
 def _simulate_scan(spec: Scan, bundle, seed):
     modes = [m.cavity() for m in spec.modes]
     fps = list(spec.purcell_factors)
     centers = [m.lambda_c for m in modes]
-    lam = np.arange(min(centers) - spec.span_nm,
-                    max(centers) + spec.span_nm + spec.step_nm / 2.0, spec.step_nm)
     scan_seed = seed + 1
-    scan = synthesize_spectral_scan(
-        modes, fps, spec.alpha, spec.tau0_ps, lam, spec.noise_fraction, scan_seed
+    try:  # a grid beyond numpy's arrays, or a lifetime that is not finite
+        lam = np.arange(min(centers) - spec.span_nm,
+                        max(centers) + spec.span_nm + spec.step_nm / 2.0, spec.step_nm)
+        scan = synthesize_spectral_scan(
+            modes, fps, spec.alpha, spec.tau0_ps, lam, spec.noise_fraction, scan_seed
+        )
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"simulate.spectral_scan: {exc}") from None
+    bundle.note(
+        f"simulate: spectral scan of {len(lam)} points around "
+        f"{', '.join(f'{c} nm' for c in centers)} (seed {scan_seed})"
     )
-    bundle.write("spectral_scan", "spectral_scan.csv", pcio.write_scan_csv, scan, metadata={
+    metadata = {
         "seed": scan_seed,
         "modes": [{"wavelength_nm": m.lambda_c, "q_factor": m.q_factor} for m in modes],
         "purcell_factors": fps,
         "alpha": spec.alpha,
         "noise_fraction": spec.noise_fraction,
-    })
-    bundle.note(
-        f"simulate: spectral scan of {len(lam)} points around "
-        f"{', '.join(f'{c} nm' for c in centers)} (seed {scan_seed})"
-    )
+    }
+    return lambda: bundle.write("spectral_scan", "spectral_scan.csv", pcio.write_scan_csv, scan,
+                                metadata=metadata)
 
 
 def cmd_simulate(cfg: Config, out_dir: Path) -> ResultBundle:
+    """Draw every sample before the first file is written, so one that cannot
+    be drawn leaves no output behind: `_simulate_histogram` and
+    `_simulate_scan` draw and note theirs and return the write that saves it."""
     spec = cfg.require("simulate")
     if spec.seed is None:
         raise ConfigError("simulate.seed: required for stochastic steps (or pass --seed)")
     if spec.histogram is None and spec.spectral_scan is None:
         raise ConfigError("simulate: nothing to do (no histogram or spectral_scan)")
     bundle = _new_bundle(cfg, out_dir)
+    writes = []
     if spec.histogram is not None:
-        _simulate_histogram(spec.histogram, bundle, spec.seed)
+        writes.append(_simulate_histogram(spec.histogram, bundle, spec.seed))
     if spec.spectral_scan is not None:
-        _simulate_scan(spec.spectral_scan, bundle, spec.seed)
+        writes.append(_simulate_scan(spec.spectral_scan, bundle, spec.seed))
+    for write in writes:
+        write()
     bundle.finish()
     return bundle
 
 
-def _beta_from_bi(result) -> tuple[float, float]:
-    """Coupling efficiency and its error from a biexponential FitResult."""
-    fast = result["lifetime_fast_ps"]
-    slow = result["lifetime_slow_ps"]
-    beta = coupling_efficiency(fast, slow)
-    i_f = result.parameter_order.index("lifetime_fast_ps")
-    i_s = result.parameter_order.index("lifetime_slow_ps")
-    grad = np.zeros(len(result.parameter_order))
-    grad[i_f] = -1.0 / slow
-    grad[i_s] = fast / slow**2
-    var = float(grad @ result.covariance @ grad)
-    return beta, np.sqrt(max(var, 0.0))
-
-
 def _fit_histogram(cfg: Config, path: Path, hist: TransientHistogram, bundle):
-    try:
-        if cfg.fit.model == "auto":
-            selection = select_model(hist)
-            result = selection.best
-            bundle.note(
-                f"fit {path.stem}: model selection: {selection.choice} "
-                f"(delta deviance {selection.delta_deviance:.1f})"
-            )
-        elif cfg.fit.model == "mono":
-            result = fit_monoexponential(hist)
-        else:
-            result = fit_biexponential(hist)
-    except ValueError as exc:  # fewer bins than fit parameters
-        raise ConfigError(f"{path}: {exc}") from exc
+    if cfg.fit.model == "auto":
+        selection = select_model(hist)
+        result = selection.best
+        bundle.note(
+            f"fit {path.stem}: model selection: {selection.choice} "
+            f"(delta deviance {selection.delta_deviance:.1f})"
+        )
+    elif cfg.fit.model == "mono":
+        result = fit_monoexponential(hist)
+    else:
+        result = fit_biexponential(hist)
     if result.model != "biexponential":
         bundle.note(
             f"fit {path.stem}: monoexponential lifetime "
             f"{result['lifetime_ps']:.1f} +- {result.std_errors['lifetime_ps']:.1f} ps"
         )
         return result
-    beta, beta_err = _beta_from_bi(result)
     bundle.note(
         f"fit {path.stem}: biexponential lifetimes "
         f"{result['lifetime_fast_ps']:.1f}/{result['lifetime_slow_ps']:.1f} ps, "
-        f"beta = {beta:.4f} +- {beta_err:.4f}"
+        f"beta = {result.extras['beta']:.4f} +- {result.extras['beta_std_error']:.4f}"
     )
-    return dataclasses.replace(
-        result, extras={**result.extras, "beta": beta, "beta_std_error": beta_err}
-    )
+    return result
 
 
 def _fit_scan(path: Path, scan, modes: tuple[Mode, ...], bundle):
-    try:
-        result = fit_spectral_model(scan, [m.cavity() for m in modes])
-    except ValueError as exc:  # the scan does not span a mode
-        raise ConfigError(f"{path}: {exc}") from exc
-    alpha = result["alpha"]
-    # beta = 1 - tau_res / tau_off with tau_off = tau0 / alpha: tau0 cancels.
-    betas = [1.0 - alpha / ratio for ratio in result.extras["lifetime_ratio_per_mode"]]
+    result = fit_spectral_model(scan, [m.cavity() for m in modes])
     fp_names = [n for n in result.parameter_order if n.startswith("purcell")]
     fp_text = ", ".join(
         f"{n}={result[n]:.1f}+-{result.std_errors[n]:.1f}" for n in fp_names
     )
     bundle.note(
-        f"fit {path.stem}: spectral model {fp_text}, alpha={alpha:.3f}, "
+        f"fit {path.stem}: spectral model {fp_text}, alpha={result['alpha']:.3f}, "
         f"tau on resonance "
         + "/".join(f"{t:.1f}" for t in result.extras["tau_on_resonance_ps"])
         + f" ps, max lifetime ratio {result.extras['lifetime_ratio_max']:.1f}, beta "
-        + "/".join(f"{b:.3f}" for b in betas)
+        + "/".join(f"{b:.3f}" for b in result.extras["beta_per_mode"])
     )
-    return dataclasses.replace(result, extras={**result.extras, "beta_per_mode": betas})
+    return result
 
 
 def _read_fit_input(cfg: Config, path: Path):
@@ -660,6 +658,8 @@ def cmd_fit(cfg: Config, out_dir: Path, inputs: list) -> ResultBundle:
     for path, fit in fits.values():
         try:
             bundle.results[path.stem] = fit(bundle)
+        except ValueError as exc:  # fewer bins than fit parameters, a scan not spanning a mode
+            raise ConfigError(f"{path}: {exc}") from exc
         except FitConvergenceError as exc:
             errors.append(exc)
             bundle.failed.append([path.name, exc.result.stop_reason])
@@ -887,10 +887,8 @@ def main(argv=None) -> int:
                 bundle = cmd_modes(cfg, out_dir, gaps)
             elif args.command == "simulate":
                 bundle = cmd_simulate(cfg.with_seed(args.seed), out_dir)
-            elif args.command == "fit":
+            else:  # fit, the last command argparse admits
                 bundle = cmd_fit(cfg, out_dir, args.inputs)
-            else:  # pragma: no cover - argparse guards this
-                raise ConfigError(f"unknown command {args.command}")
     except (ConfigError, pcio.ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

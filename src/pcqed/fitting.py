@@ -16,7 +16,7 @@ one-component optimum with the added amplitude at 0, so its deviance never
 exceeds the mono deviance. Each fit reports why the loop stopped
 (`stop_reason`: step, gradient, stationary or budget); only budget means not
 converged. Uncertainties come from the inverse Fisher information at the
-optimum.
+optimum; that of beta = 1 - tau_fast/tau_slow follows by the delta method.
 
 The spectral fit estimates the per-mode enhancement factors and the residual
 decay fraction alpha from a lifetime-vs-wavelength scan, using the same
@@ -35,7 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from . import tcspc
-from .cavity import CavityMode, lifetime_ratio_multimode, lorentzian_response
+from .cavity import (CavityMode, coupling_efficiency, enhanced_lifetime,
+                     lifetime_ratio_multimode, lorentzian_response)
 from .tcspc import TransientHistogram
 
 __all__ = [
@@ -77,7 +78,9 @@ BI_NAMES = (
 @dataclass(frozen=True, eq=False)
 class FitResult:
     """Estimates, uncertainties and diagnostics of one fit; the verdict,
-    errors and goodness derive from stop reason, covariance and statistic."""
+    errors and goodness derive from stop reason, covariance and statistic;
+    `extras` holds the figures derived from the estimates (none for one
+    component, beta and its error for two, per-mode figures for a scan)."""
 
     model: str  # "monoexponential", "biexponential" or "spectral-detuning"
     parameters: dict
@@ -136,10 +139,20 @@ class ModelSelection:
         return self.mono if self.choice == "mono" else self.bi
 
 
+def _require_finite(wavelengths, values, problem):
+    """ValueError at the first scan point where `values` is not finite,
+    described by `problem(index)`."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"scan point {k} at {float(wavelengths[k])!r} nm: {problem(k)}")
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralScan:
-    """Lifetime vs wavelength points with the free-space lifetime
-    `reference_tau0` (ps, the same at every wavelength) when known."""
+    """Lifetime vs wavelength points, with uncertainties and the free-space
+    lifetime `reference_tau0` (ps, the same at every wavelength) when known.
+    Lifetimes and uncertainties must be finite and positive."""
 
     wavelengths: np.ndarray
     lifetimes: np.ndarray
@@ -153,6 +166,7 @@ class SpectralScan:
             raise ValueError("wavelengths and lifetimes must be 1D and congruent")
         if np.any(np.diff(w) <= 0):
             raise ValueError("wavelengths must be strictly increasing")
+        _require_finite(w, t, lambda k: f"lifetime {float(t[k])!r} ps is not finite")
         if np.any(t <= 0):
             raise ValueError("lifetimes must be positive")
         object.__setattr__(self, "wavelengths", w)
@@ -161,6 +175,7 @@ class SpectralScan:
             e = np.asarray(self.errors, dtype=float)
             if e.shape != w.shape or np.any(e <= 0):
                 raise ValueError("errors must be positive and congruent")
+            _require_finite(w, e, lambda k: f"uncertainty {float(e[k])!r} ps is not finite")
             object.__setattr__(self, "errors", e)
 
 
@@ -371,11 +386,12 @@ def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=Non
 
     `weights` None marks a Poisson-deviance fit, else a weighted chi-square
     with these weights. A two-component result lists the faster component
-    first; a degenerate (unidentifiable) pair wanders a flat likelihood
-    valley and is returned flagged rather than raised, since the flag
-    explains the stall.
+    first and carries beta = 1 - tau_fast/tau_slow and its error; a
+    degenerate (unidentifiable) pair wanders a flat likelihood valley and is
+    returned flagged rather than raised, since the flag explains the stall.
     """
     warnings = list(warnings)
+    extras = dict(extras or {})
     covariance = _covariance(J, mu, weights)
     degenerate = False
     if names == BI_NAMES:
@@ -383,6 +399,10 @@ def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=Non
             perm = [2, 3, 0, 1, 4, 5]
             x = x[perm]
             covariance = covariance[np.ix_(perm, perm)]
+        fast, slow = float(x[1]), float(x[3])
+        grad = np.array([0.0, -1.0 / slow, 0.0, fast / slow**2, 0.0, 0.0])  # of beta
+        extras["beta"] = coupling_efficiency(fast, slow)
+        extras["beta_std_error"] = float(np.sqrt(max(float(grad @ covariance @ grad), 0.0)))
         ratio = x[3] / x[1]
         degenerate = ratio < DEGENERATE_LIFETIME_RATIO
         if degenerate:
@@ -401,7 +421,7 @@ def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=Non
         iterations=iterations,
         stop_reason=stop,
         warnings=tuple(warnings),
-        extras=extras or {},
+        extras=extras,
     )
     if not result.converged and not degenerate:
         raise FitConvergenceError(
@@ -505,8 +525,9 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
     `reference_tau0`. Weights are 1/sigma^2 when the scan carries
     uncertainties, else 1.
 
-    The result's extras report, per mode, the on-resonance lifetime
-    tau0 / (F_m/3 + alpha) and the maximal lifetime ratio.
+    The result's extras report, per mode, the on-resonance lifetime ratio
+    r_m = F_m/3 + alpha (and the largest), lifetime tau0 / r_m and coupling
+    efficiency beta_m = 1 - alpha / r_m (1 - tau_res/tau_off: tau0 cancels).
     """
     if not modes:
         raise ValueError("at least one cavity mode is required")
@@ -529,13 +550,8 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
     else:
         with np.errstate(over="ignore", divide="ignore"):
             weights = 1.0 / scan.errors**2
-        bad = np.flatnonzero(~np.isfinite(weights))
-        if bad.size:
-            k = bad[0]
-            raise ValueError(
-                f"scan point {k} at {float(lam[k])!r} nm: uncertainty "
-                f"{float(scan.errors[k])!r} ps gives a non-finite weight 1/sigma^2"
-            )
+        _require_finite(lam, weights, lambda k: f"uncertainty {float(scan.errors[k])!r} ps "
+                        "gives a non-finite weight 1/sigma^2")
     shapes = np.array(
         [lorentzian_response(lam, m.lambda_c, m.linewidth) / 3.0 for m in modes]
     )
@@ -547,13 +563,8 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
     # largest scale keeps the squared weights finite.
     with np.errstate(over="ignore"):
         rate_scale = y**2 * np.sqrt(weights) / tau0
-    bad = np.flatnonzero(~np.isfinite(rate_scale))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"scan point {k} at {float(lam[k])!r} nm: lifetime {float(y[k])!r} ps "
-            "gives a non-finite rate weight tau^2/(sigma*tau0)"
-        )
+    _require_finite(lam, rate_scale, lambda k: f"lifetime {float(y[k])!r} ps gives a "
+                    "non-finite rate weight tau^2/(sigma*tau0)")
     design = np.vstack([shapes, np.ones_like(lam)])
     n_params = len(design)
     lower, upper = np.zeros(n_params), np.full(n_params, np.inf)
@@ -574,12 +585,15 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
         names = ("purcell_factor", "alpha")
     else:
         names = tuple(f"purcell_factor_{i + 1}" for i in range(len(modes))) + ("alpha",)
-    ratios = [float(fp) / 3.0 + float(x[-1]) for fp in x[:-1]]
+    alpha = float(x[-1])
+    ratios = [lifetime_ratio_multimode(m.lambda_c, [m], [fp], alpha)
+              for m, fp in zip(modes, x[:-1])]
     extras = {
         "modes_used": [(m.lambda_c, m.q_factor) for m in modes],
-        "tau_on_resonance_ps": [tau0 / r for r in ratios],
+        "tau_on_resonance_ps": [enhanced_lifetime(tau0, r) for r in ratios],
         "lifetime_ratio_per_mode": ratios,
         "lifetime_ratio_max": max(ratios),
+        "beta_per_mode": [1.0 - alpha / r for r in ratios],
     }
     return _fit_result("spectral-detuning", names, x, mu, J, chi2, iterations, stop,
                        weights=weights, extras=extras)
@@ -599,17 +613,22 @@ def synthesize_spectral_scan(
     The true tau(lambda) from `lifetime_ratio_multimode` gets multiplicative
     Gaussian noise of relative size `noise_fraction`; reported uncertainties
     are noise_fraction * tau_true. `reference_tau0` is tau0 in ps.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed. A lifetime that is not finite (a ratio
+    of 0, or a product that overflows) fails in `SpectralScan` as a
+    ValueError, with no warning: a true one makes its sample or its
+    uncertainty infinite.
     """
     lam = np.asarray(wavelengths, dtype=float)
-    ratio = lifetime_ratio_multimode(lam, list(modes), list(fps), alpha)
-    tau_true = float(reference_tau0) / ratio
     rng = np.random.default_rng(seed)
-    tau = tau_true * (1.0 + noise_fraction * rng.standard_normal(lam.shape))
-    tau = np.maximum(tau, 1e-9)
+    with np.errstate(all="ignore"):
+        ratio = lifetime_ratio_multimode(lam, list(modes), list(fps), alpha)
+        tau_true = float(reference_tau0) / ratio
+        tau = tau_true * (1.0 + noise_fraction * rng.standard_normal(lam.shape))
+        tau = np.maximum(tau, 1e-9)
+        errors = noise_fraction * tau_true if noise_fraction > 0 else None
     return SpectralScan(
         wavelengths=lam,
         lifetimes=tau,
-        errors=noise_fraction * tau_true if noise_fraction > 0 else None,
+        errors=errors,
         reference_tau0=reference_tau0,
     )

@@ -12,6 +12,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +91,10 @@ def _slab(**slab):
     return {"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37], "slab": slab}}
 
 
+def _period(period_nm):
+    return {"crystal": {"period_nm": period_nm, "hole_ratio_values": [0.37]}}
+
+
 def _histogram(**changes):
     return {"simulate": {"seed": 1, "histogram": {
         "components": [[1.0, 400.0]], "total_counts": 1000, **changes}}}
@@ -139,6 +144,11 @@ def _histogram(**changes):
      "simulate.histogram.components: lifetime 1e-300 ps against the IRF sigma"),
     ("simulate", _histogram(irf={"fwhm_ps": 1e-300}, grid={"n_bins": 64}),
      "simulate.histogram.irf.fwhm_ps: the first bin lies"),
+    # Periods whose squared wavevectors overflow, or underflow to 0.
+    ("bands", _period(1e-170), "crystal.period_nm: 1e-170 nm gives squared wavevectors"),
+    ("bands", _period(1e200), "crystal.period_nm: 1e+200 nm gives squared wavevectors"),
+    ("modes", _period(1e-170), "crystal.period_nm: 1e-170 nm gives squared wavevectors"),
+    ("modes", _period(1e200), "crystal.period_nm: 1e+200 nm gives squared wavevectors"),
 ])
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document, dotted):
     cfg = tmp_path / "cfg.json"
@@ -165,11 +175,52 @@ def test_histogram_that_cannot_be_drawn_exits_2(tmp_path, capsys, grid, message)
     assert not (tmp_path / "out").exists()
 
 
+def _scan(**changes):
+    # With a histogram first: a scan that cannot be drawn must stop it being written too.
+    sim = json.loads(json.dumps(SCAN_SIM))
+    sim["spectral_scan"].update(changes)
+    sim["histogram"] = _histogram()["simulate"]["histogram"]
+    return {"simulate": sim}
+
+
+@pytest.mark.parametrize("document, message", [
+    (_scan(span_nm=1e300), "Maximum allowed size exceeded"),  # beyond numpy's arrays
+    (_scan(step_nm=1e-300), "Maximum allowed size exceeded"),
+    (_scan(purcell_factors=[0.0], alpha=0.0), "lifetime inf ps is not finite"),
+    (_scan(noise_fraction=1e308), "lifetime inf ps is not finite"),
+])
+def test_scan_that_cannot_be_drawn_exits_2(tmp_path, capsys, document, message):
+    # Pytest turns a RuntimeWarning into a failure: none may leak.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(document))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "simulate.spectral_scan: " in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("period_nm", [1e-150, 1e150])
+def test_extreme_periods_inside_the_float_range_keep_their_bands(period_nm):
+    # Frequencies are in a/lambda: a period whose squared wavevectors stay
+    # normal floats solves to the bands of any other.
+    bands = []
+    for period in (300.0, period_nm):
+        lat = TriangularLattice(period, 0.37, 10.0)
+        bands.append(compute_bands(lat, 4, PlaneWaveBasis.bulk(lat, 5), 3).frequencies)
+    np.testing.assert_allclose(bands[1], bands[0], rtol=1e-9, atol=1e-12)
+    parse_config(_period(period_nm))
+
+
+@pytest.mark.parametrize("period_nm", [5e-324, 1e-154, 1e155, 1e308])
+def test_bases_refuse_periods_beyond_the_float_range(period_nm):
+    lat = TriangularLattice(period_nm, 0.37, 10.0)
+    with pytest.raises(ValueError, match="beyond the normal float range"):
+        PlaneWaveBasis.bulk(lat, 7)
+
+
 def test_sampler_bounds_are_numpys_limits():
     # The schema admits exactly the counts and Poisson means numpy draws, and
     # no more bins than a numpy float64 array can have.
-    import numpy as np
-
     from pcqed.cli import Grid, Histogram
 
     bounds = {f.name: f.metadata for cls in (Histogram, Grid) for f in dataclasses.fields(cls)}

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import erfc, erfcx
 
 from pcqed import fitting, tcspc
-from pcqed.cavity import CavityMode
+from pcqed.cavity import CavityMode, coupling_efficiency
 from pcqed.fitting import (
     STOP_REASONS,
     FitConvergenceError,
@@ -192,6 +192,27 @@ def test_select_model_smoke():
     assert sel.delta_deviance > 9.0
 
 
+def test_bi_result_carries_beta_and_its_delta_method_error():
+    hist = synth([(1.0, 150.0), (1.0 / 18.0, 1800.0)], seed=20240803)
+    result = fit_biexponential(hist)
+    fast, slow = result["lifetime_fast_ps"], result["lifetime_slow_ps"]
+    assert result.extras["beta"] == coupling_efficiency(fast, slow)
+    grad = np.zeros(6)
+    grad[result.parameter_order.index("lifetime_fast_ps")] = -1.0 / slow
+    grad[result.parameter_order.index("lifetime_slow_ps")] = fast / slow**2
+    assert result.extras["beta_std_error"] == pytest.approx(
+        np.sqrt(grad @ result.covariance @ grad), rel=1e-12)
+    assert 0.0 < result.extras["beta_std_error"] < 0.05
+
+
+def test_select_model_results_carry_their_extras():
+    hist = synth([(1.0, 150.0), (1.0 / 18.0, 1800.0)], seed=6001)
+    sel = select_model(hist)
+    assert sel.mono.extras == {}
+    assert sel.bi.extras == fit_biexponential(hist).extras
+    assert set(sel.bi.extras) == {"beta", "beta_std_error"}
+
+
 def _emg(t, amplitude, lifetime, sigma, t0):
     # Closed-form exponentially-modified Gaussian, independent of pcqed.tcspc.
     u = t - t0
@@ -339,7 +360,24 @@ def test_spectral_two_modes():
     result = fit_spectral_model(scan, [m1, M2])
     assert result["purcell_factor_1"] == pytest.approx(40.0, abs=8.0)
     assert result["purcell_factor_2"] == pytest.approx(56.0, abs=8.0)
-    assert len(result.extras["tau_on_resonance_ps"]) == 2
+    # The on-resonance figures: F_m/3 + alpha, tau0 over it, and beta, bit for bit.
+    alpha = result["alpha"]
+    ratios = [result[f"purcell_factor_{m}"] / 3.0 + alpha for m in (1, 2)]
+    assert result.extras["lifetime_ratio_per_mode"] == ratios
+    assert result.extras["lifetime_ratio_max"] == max(ratios)
+    assert result.extras["tau_on_resonance_ps"] == [840.0 / r for r in ratios]
+    assert result.extras["beta_per_mode"] == [1.0 - alpha / r for r in ratios]
+
+
+@pytest.mark.parametrize("fps, alpha, noise", [
+    ([0.0], 0.0, 0.05),  # tau0 / 0
+    ([0.0], 0.0, 0.0),
+    ([56.0], 0.47, 1e308),  # tau (1 + 1e308 n) and 1e308 tau overflow
+])
+def test_synthesized_scan_refuses_non_finite_lifetimes(fps, alpha, noise):
+    # Pytest turns a RuntimeWarning into a failure: none may leak.
+    with pytest.raises(ValueError, match=r"scan point 0 at 1029\.0\d* nm: .* ps is not finite"):
+        synthesize_spectral_scan([M2], fps, alpha, 840.0, scan_wavelengths(), noise, seed=1)
 
 
 def test_spectral_span_requirement():
@@ -416,6 +454,11 @@ def test_spectral_scan_validation():
         SpectralScan(wavelengths=np.array([2.0, 1.0]), lifetimes=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         SpectralScan(wavelengths=np.array([1.0, 2.0]), lifetimes=np.array([1.0, -1.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="scan point 1 at 2.0 nm: lifetime"):
+            SpectralScan(wavelengths=[1.0, 2.0], lifetimes=[1.0, bad])
+        with pytest.raises(ValueError, match="scan point 1 at 2.0 nm: uncertainty"):
+            SpectralScan(wavelengths=[1.0, 2.0], lifetimes=[1.0, 1.0], errors=[1.0, bad])
     with pytest.raises(ValueError):
         fit_spectral_model(
             SpectralScan(

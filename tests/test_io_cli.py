@@ -15,6 +15,7 @@ from pcqed.bands import (
     find_te_gap,
     solve_h1_modes,
 )
+from pcqed.cavity import CavityMode
 from pcqed.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
@@ -385,6 +386,26 @@ def test_simulate_fit_round_trip_beta(tmp_path):
     doc = json.loads((fit_dir / "fit_histogram.json").read_text())
     assert doc["model"] == "biexponential"
     assert doc["extras"]["beta"] == pytest.approx(0.92, abs=0.02)
+
+
+def test_fit_files_carry_the_extras_fitting_returns(tmp_path):
+    # The command line writes each fit's extras as `fitting` returns them.
+    cfg = sim_config()
+    sim_dir = tmp_path / "sim"
+    cmd_simulate(parse_config(cfg), sim_dir)
+    inputs = [sim_dir / "histogram.csv", sim_dir / "spectral_scan.csv"]
+    bundle = cmd_fit(parse_config(cfg), tmp_path / "fit", inputs)
+    hist = pcio.read_histogram_csv(inputs[0])
+    scan, meta = pcio.read_scan_csv(inputs[1])
+    modes = [CavityMode(m["wavelength_nm"], m["q_factor"]) for m in meta["modes"]]
+    expected = {"histogram": fitting.fit_biexponential(hist).extras,
+                "spectral_scan": fitting.fit_spectral_model(scan, modes).extras}
+    for stem, extras in expected.items():
+        assert bundle.results[stem].extras == extras
+        doc = json.loads((tmp_path / "fit" / f"fit_{stem}.json").read_text())
+        assert doc["extras"] == json.loads(json.dumps(extras))
+    assert set(expected["histogram"]) == {"beta", "beta_std_error"}
+    assert len(expected["spectral_scan"]["beta_per_mode"]) == 1
 
 
 def test_simulate_scan_dip_position_and_fit(tmp_path):
