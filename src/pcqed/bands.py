@@ -690,11 +690,20 @@ def mode_volume(profile: CavityModeProfile, slab: SlabWaveguide) -> float:
     over the dielectric, the strongest point accessible to an embedded
     emitter; the global peak sits just inside a hole wall, where the normal
     E-field jumps by the permittivity contrast. Reads no grid: the profile
-    stores the sum and the dielectric peak of its grid.
+    stores the sum and the dielectric peak of its grid. ValueError where
+    (wavelength/n_core)^3 in nm^3 leaves the normal floats (a period above
+    about 5e102 nm or below about 3e-103 nm).
     """
     if not profile.density_sum > 0.0:
         raise ValueError("zero-field profile")
     ngrid = profile.grid_per_period * profile.supercell_size
     integral = profile.density_sum * (profile.supercell_area / ngrid**2)
-    return (integral * slab.thickness / profile.dielectric_peak
-            / (profile.wavelength / slab.n_core) ** 3)
+    length = profile.wavelength / slab.n_core
+    try:
+        cube = length**3
+    except OverflowError:
+        cube = math.inf
+    if not sys.float_info.min <= cube < math.inf:
+        raise ValueError(f"(wavelength/n_core)^3 = ({length:.3g} nm)^3 is beyond the "
+                         f"normal float range")
+    return integral * slab.thickness / profile.dielectric_peak / cube

@@ -471,7 +471,10 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
         modes = solve_h1_modes(lattice, basis, gap=gaps[ra],
                                grid_per_period=settings.grid_per_period)
         pairs = dipole_doublets(modes)
-        volumes = [mode_volume(mode, slab) for mode in modes]
+        try:
+            volumes = [mode_volume(mode, slab) for mode in modes]
+        except ValueError as exc:
+            raise ConfigError(f"crystal.period_nm: {exc}") from None
         bundle.results[ra] = [((a.frequency, b.frequency), volumes[modes.index(a)])
                               for a, b in pairs]
         tag = _ra_tag(ra)
@@ -603,9 +606,10 @@ def _fit_scan(path: Path, scan, modes: tuple[Mode, ...], bundle):
     bundle.note(
         f"fit {path.stem}: spectral model {fp_text}, alpha={result['alpha']:.3f}, "
         f"tau on resonance "
-        + "/".join(f"{t:.1f}" for t in result.extras["tau_on_resonance_ps"])
+        + "/".join("n/a" if t is None else f"{t:.1f}"
+                   for t in result.extras["tau_on_resonance_ps"])
         + f" ps, max lifetime ratio {result.extras['lifetime_ratio_max']:.1f}, beta "
-        + "/".join(f"{b:.3f}" for b in result.extras["beta_per_mode"])
+        + "/".join("n/a" if b is None else f"{b:.3f}" for b in result.extras["beta_per_mode"])
     )
     return result
 

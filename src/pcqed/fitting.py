@@ -5,6 +5,19 @@ deviance) of `tcspc.decay_terms`, the sum of IRF-convolved exponentials plus a
 flat background that `tcspc.expected_curve` also evaluates: the fit model and
 the generator are one function.
 
+A histogram fit evaluates its model only on the counted span: the bins up to
+the last one that holds counts, and at least up to where every admissible
+component is its plain exponential (past t0 + 2 FWHM + `irf.far_offset` of
+the shortest lifetime). The empty bins after that form one merged bin, whose
+expected count and Jacobian `tcspc.decay_terms` sums in closed form. This is
+exact: a Poisson likelihood treats a run of empty bins like one bin holding
+their summed expectation, so the deviance and its gradient are unchanged,
+and empty bins carry no weight in the curvature, which sums over the bins
+that hold counts. Only the damping scale of the Levenberg-Marquardt loop
+sees the merged bin as one. A histogram with counts in its last bin has no
+merged bin. The reported statistic, covariance and point count come from
+one evaluation on every bin at the optimum.
+
 One engine, `_minimize`, serves every fit: a bounded Levenberg-Marquardt loop
 on the natural parameters with an analytic Jacobian (from `decay_terms` for
 histograms), one model-and-Jacobian evaluation per trial point and no
@@ -195,35 +208,40 @@ def _deviance(counts):
 
     def deviance(mu):
         mu = np.maximum(mu, 1e-300)
-        return 2.0 * float(mu.sum() - y_total + y_seen @ np.log(y_seen / mu[seen]))
+        return 2.0 * float(mu.sum() - y_total + y_seen @ np.log(y_seen / mu.take(seen)))
 
     return deviance
 
 
-def _gauss_newton(x, mu, J, y, lower, upper, weights=None):
+def _gauss_newton(x, mu, J, y, lower, upper, weights=None, seen=None):
     """Free coordinates, gradient, normal matrix, damping scale and the
     Gauss-Newton step (None if the normal matrix is singular) there.
 
     The normal matrix weighs each point by the observed curvature: y/mu^2 for
-    the Poisson deviance (its exact Hessian in the linear parameters), the
-    weights for chi-square. The damping scale is the diagonal of the Fisher
-    information (weights 1/mu), which stays positive where counts are zero.
-    A coordinate is free unless it sits at a bound that its gradient pushes
-    against, or does not move the model at all (a lifetime whose amplitude
-    is zero).
+    the Poisson deviance (its exact Hessian in the linear parameters), summed
+    over the points `seen` that hold counts (by default all nonzero y; the
+    others weigh 0), the weights for chi-square. The damping scale is the
+    diagonal of the Fisher information (weights 1/mu), which stays positive
+    where counts are zero. A coordinate is free unless it sits at a bound
+    that its gradient pushes against, or does not move the model at all (a
+    lifetime whose amplitude is zero).
     """
     if weights is None:
         inv_mu = 1.0 / np.maximum(mu, MU_FLOOR)
         residual = 1.0 - y * inv_mu
-        w = y * inv_mu**2
     else:
         residual = -weights * (y - mu)
-        w = inv_mu = weights
+        inv_mu = weights
     grad = 2.0 * (J @ residual)
     free = J.any(axis=1) & ~((x <= lower) & (grad > 0)) & ~((x >= upper) & (grad < 0))
     g = grad[free]
     Jf = J if free.all() else J[free]  # the copy only when a coordinate is held
-    N = 2.0 * ((Jf * w) @ Jf.T)
+    if weights is None:
+        seen = np.flatnonzero(y) if seen is None else seen
+        Js = Jf.take(seen, axis=1)
+        N = 2.0 * ((Js * (y.take(seen) * inv_mu.take(seen) ** 2)) @ Js.T)
+    else:
+        N = 2.0 * ((Jf * weights) @ Jf.T)
     scale = 2.0 * ((Jf * Jf) @ inv_mu)
     try:
         newton = np.linalg.solve(N, -g)
@@ -249,8 +267,7 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
     that pair for `x0`. Where the model is undefined, `evaluate` returns
     (None, None) and the trial point is rejected like one with a non-finite
     statistic. Steps are taken on the free coordinates of `_gauss_newton`
-    and projected onto the bounds. Raises ValueError unless there are more
-    points than parameters. Returns
+    and projected onto the bounds. Returns
     (x, mu, J, statistic, iterations, stop_reason) with stop_reason one of
     STOP_REASONS:
       step        the Gauss-Newton step on the free coordinates is negligible;
@@ -258,13 +275,10 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
       stationary  no trial point changes the statistic beyond round-off;
       budget      MAX_ITERATIONS iterations (or damping) exhausted.
     """
-    if len(y) <= len(x0):
-        raise ValueError(
-            f"{len(y)} data points cannot determine {len(x0)} fit parameters"
-        )
     poisson = weights is None
     weights, weight_scale = (None, 1.0) if poisson else _scaled_weights(weights)
     deviance = _deviance(y) if poisson else None
+    seen = np.flatnonzero(y) if poisson else None
 
     def statistic(mu):
         if mu is None:
@@ -273,7 +287,7 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
             return deviance(mu)
         return float(weights @ (y - mu) ** 2)
 
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    x = np.minimum(np.maximum(np.asarray(x0, dtype=float), lower), upper)
     mu, J = initial if initial is not None else evaluate(x)
     stat = statistic(mu)
     damping = 1e-3
@@ -281,26 +295,29 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
     iterations = 0
     while iterations < MAX_ITERATIONS:
         iterations += 1
-        free, g, N, scale, newton = _gauss_newton(x, mu, J, y, lower, upper, weights)
+        free, g, N, scale, newton = _gauss_newton(x, mu, J, y, lower, upper, weights, seen)
         if newton is not None:
             if 0.0 <= -0.5 * float(g @ newton) <= DECREMENT_TOLERANCE * (1.0 + stat):
                 stop = "gradient"
                 break
-            if np.all(np.abs(newton) <= STEP_TOLERANCE * (np.abs(x[free]) + 1.0)):
+            if (np.abs(newton) <= STEP_TOLERANCE * (np.abs(x[free]) + 1.0)).all():
                 stop = "step"
                 break
         growth = 2.0
         smallest_change = np.inf
         accepted = False
         while damping <= 1e13:
+            damped = N.copy()
+            damped.flat[:: len(N) + 1] += damping * scale
             try:
-                delta = np.linalg.solve(N + np.diag(damping * scale), -g)
+                delta = np.linalg.solve(damped, -g)
             except np.linalg.LinAlgError:
                 delta = None
-            if delta is not None and np.all(np.isfinite(delta)):
+            if delta is not None and np.isfinite(delta).all():
                 candidate = x.copy()
                 candidate[free] += delta
-                candidate = np.clip(candidate, lower, upper)
+                np.maximum(candidate, lower, out=candidate)
+                np.minimum(candidate, upper, out=candidate)
                 mu_new, J_new = evaluate(candidate)
                 stat_new = statistic(mu_new)
                 if stat_new < stat:
@@ -363,20 +380,62 @@ def _background_guess(y: np.ndarray) -> float:
     return max(float(median), 0.1)
 
 
+def _require_points(n_points, n_params):
+    if n_points <= n_params:
+        raise ValueError(f"{n_points} data points cannot determine {n_params} fit parameters")
+
+
 class _Reconvolution:
-    """`tcspc.decay_terms` on one histogram's bins, and its parameters' bounds."""
+    """`tcspc.decay_terms` on one histogram's counted span, and its
+    parameters' bounds.
+
+    The fit arrays `t` and `y` end at the last bin that holds counts, or,
+    if that comes first, one bin past t0 + 2 FWHM + `irf.far_offset` of the
+    shortest lifetime: from there on every admissible component is its plain
+    exponential. The empty bins after the span, if any, are one merged bin
+    (`tail`, the last entry of `y`, which is 0).
+    """
 
     def __init__(self, hist: TransientHistogram, n_components: int):
+        n_params = 2 * n_components + 2
+        _require_points(hist.grid.n_bins, n_params)
         self.irf = hist.irf
-        self.y = hist.counts.astype(float)
-        self.t = hist.grid.centers()
-        span = self.t[-1] - self.t[0] + hist.grid.bin_width
+        self.hist = hist
+        centers = hist.grid.centers()
+        span = centers[-1] - centers[0] + hist.grid.bin_width
         t0_bound = 2.0 * hist.irf.fwhm
         self.lower = np.array([0.0, 0.1 * hist.irf.sigma] * n_components + [-t0_bound, 0.0])
         self.upper = np.array([np.inf, 100.0 * span] * n_components + [t0_bound, np.inf])
+        self.centers = centers
+        self.counts = hist.counts.astype(float)  # every bin
+        seen = np.flatnonzero(self.counts)
+        far = hist.irf.t0 + t0_bound + hist.irf.far_offset(self.lower[1])
+        end = max(int(seen[-1]) + 1 if seen.size else 0,
+                  int(centers.searchsorted(far, "right")) + 1)
+        self.t = centers[:end]
+        self.y = self.counts[:end]
+        self.tail = None
+        if end < len(centers):
+            self.tail = (hist.grid.bin_width, len(centers) - end)
+            self.y = np.append(self.y, 0.0)
 
     def __call__(self, x):
-        return tcspc.decay_terms(self.t, self.irf, x)
+        return tcspc.decay_terms(self.t, self.irf, x, self.tail)
+
+    def unit(self, lifetime, shift=0.0):
+        """The amplitude row of `self(x)` for one component."""
+        return tcspc.unit_decay(self.t, self.irf, lifetime, shift, self.tail)
+
+    def result(self, model, names, x, iterations, stop):
+        """`_fit_result` with the statistic, covariance and point count from
+        `decay_terms` on every bin at `x`."""
+        mu, J = tcspc.decay_terms(self.centers, self.irf, x)
+        warnings = []
+        if self.hist.total_counts < LOW_STATISTICS_COUNTS:
+            warnings.append(f"low statistics: total counts {self.hist.total_counts} "
+                            f"< {LOW_STATISTICS_COUNTS}")
+        return _fit_result(model, names, x, mu, J, poisson_deviance(self.counts, mu),
+                           iterations, stop, warnings=warnings)
 
 
 def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=None,
@@ -431,10 +490,14 @@ def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=Non
     return result
 
 
-def _low_statistics(hist) -> list:
-    if hist.total_counts < LOW_STATISTICS_COUNTS:
-        return [f"low statistics: total counts {hist.total_counts} < {LOW_STATISTICS_COUNTS}"]
-    return []
+def _mono_minimum(model: _Reconvolution):
+    """`_minimize` of the one-component model from its tail-regression start."""
+    y = model.counts
+    bg0 = _background_guess(y)
+    tau0 = _tail_lifetime_guess(model.centers, y, model.hist.grid.bin_width)
+    shape = model.unit(tau0)  # the unit EMG of lifetime tau0
+    amp0 = max(y.sum() - bg0 * len(y), 1.0) / shape.sum()
+    return _minimize(np.array([amp0, tau0, 0.0, bg0]), model, model.y, model.lower, model.upper)
 
 
 def fit_monoexponential(hist: TransientHistogram) -> FitResult:
@@ -446,60 +509,51 @@ def fit_monoexponential(hist: TransientHistogram) -> FitResult:
     is exhausted.
     """
     model = _Reconvolution(hist, 1)
-    bg0 = _background_guess(model.y)
-    tau0 = _tail_lifetime_guess(model.t, model.y, hist.grid.bin_width)
-    shape = model(np.array([1.0, tau0, 0.0, 0.0]))[0]  # the unit EMG of lifetime tau0
-    amp0 = max(model.y.sum() - bg0 * len(model.y), 1.0) / shape.sum()
-    x, mu, J, deviance, iterations, stop = _minimize(
-        np.array([amp0, tau0, 0.0, bg0]), model, model.y, model.lower, model.upper
-    )
-    return _fit_result("monoexponential", MONO_NAMES, x, mu, J, deviance,
-                       iterations, stop, warnings=_low_statistics(hist))
+    x, _, _, _, iterations, stop = _mono_minimum(model)
+    return model.result("monoexponential", MONO_NAMES, x, iterations, stop)
 
 
-def _nested_biexponential(hist, mono: FitResult) -> FitResult:
-    """Two-component fit started from the one-component optimum.
+def _nested_biexponential(model: _Reconvolution, mono) -> FitResult:
+    """Two-component fit started from the one-component optimum `mono`, the
+    (x, mu, J) of `_mono_minimum` on the same histogram.
 
     The second component enters with amplitude 0, so the start reproduces
     the mono deviance exactly and the fit can only improve on it. Its
     lifetime is the grid point (in units of the mono lifetime) whose first
-    Gauss-Newton step promises the largest deviance reduction.
+    Gauss-Newton step promises the largest deviance reduction. At each grid
+    point the model is the mono (mu, J) with the new component's amplitude
+    row and a zero lifetime row on top: what `model` gives there.
     """
-    model = _Reconvolution(hist, 2)
-    p = mono.parameters
+    x_mono, mu, J_mono = mono
     best = None
     for factor in SECOND_LIFETIME_GRID:
-        x0 = np.clip(
-            np.array([0.0, factor * p["lifetime_ps"], p["amplitude"], p["lifetime_ps"],
-                      p["t0_shift_ps"], p["background"]]),
-            model.lower, model.upper,
-        )
-        mu, J = model(x0)
+        lifetime = min(max(factor * x_mono[1], model.lower[1]), model.upper[1])
+        x0 = np.array([0.0, lifetime, *x_mono])
+        J = np.empty((6, J_mono.shape[1]))
+        J[0] = model.unit(lifetime, x_mono[2])
+        J[1] = 0.0
+        J[2:] = J_mono
         _, g, _, _, newton = _gauss_newton(x0, mu, J, model.y, model.lower, model.upper)
         gain = 0.0 if newton is None else -float(g @ newton)
         if best is None or gain > best[0]:
             best = (gain, x0, (mu, J))
     _, x0, initial = best
-    x, mu, J, deviance, iterations, stop = _minimize(
+    x, _, _, _, iterations, stop = _minimize(
         x0, model, model.y, model.lower, model.upper, initial=initial
     )
-    return _fit_result("biexponential", BI_NAMES, x, mu, J, deviance,
-                       iterations, stop, warnings=_low_statistics(hist))
+    return model.result("biexponential", BI_NAMES, x, iterations, stop)
 
 
 def fit_biexponential(hist: TransientHistogram) -> FitResult:
     """Poisson reconvolution fit of two decay components plus background.
 
-    Started from the monoexponential optimum, so its deviance never exceeds
-    the mono fit's. Components are reported with
-    lifetime_fast_ps < lifetime_slow_ps. A lifetime ratio below 1.2 is
-    flagged as unidentifiable in `warnings`.
+    Started from the monoexponential optimum (its last iterate, if that fit
+    does not converge), so its deviance never exceeds the mono fit's.
+    Components are reported with lifetime_fast_ps < lifetime_slow_ps. A
+    lifetime ratio below 1.2 is flagged as unidentifiable in `warnings`.
     """
-    try:
-        mono = fit_monoexponential(hist)
-    except FitConvergenceError as exc:
-        mono = exc.result  # its last iterate is still a valid start
-    return _nested_biexponential(hist, mono)
+    mono_model, model = _Reconvolution(hist, 1), _Reconvolution(hist, 2)
+    return _nested_biexponential(model, _mono_minimum(mono_model)[:3])
 
 
 def select_model(hist: TransientHistogram) -> ModelSelection:
@@ -508,8 +562,10 @@ def select_model(hist: TransientHistogram) -> ModelSelection:
     Prefers the biexponential only when it improves the deviance by more than
     `SELECTION_THRESHOLD`; ties go to the monoexponential.
     """
-    mono = fit_monoexponential(hist)
-    bi = _nested_biexponential(hist, mono)
+    model, bi_model = _Reconvolution(hist, 1), _Reconvolution(hist, 2)
+    x, mu, J, _, iterations, stop = _mono_minimum(model)
+    mono = model.result("monoexponential", MONO_NAMES, x, iterations, stop)
+    bi = _nested_biexponential(bi_model, (x, mu, J))
     delta = mono.statistic - bi.statistic
     choice = "bi" if delta > SELECTION_THRESHOLD else "mono"
     return ModelSelection(choice=choice, delta_deviance=delta, mono=mono, bi=bi)
@@ -527,7 +583,8 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
 
     The result's extras report, per mode, the on-resonance lifetime ratio
     r_m = F_m/3 + alpha (and the largest), lifetime tau0 / r_m and coupling
-    efficiency beta_m = 1 - alpha / r_m (1 - tau_res/tau_off: tau0 cancels).
+    efficiency beta_m = 1 - alpha / r_m (1 - tau_res/tau_off: tau0 cancels);
+    the last two are None for a mode with r_m = 0 (F_m and alpha both 0).
     """
     if not modes:
         raise ValueError("at least one cavity mode is required")
@@ -567,6 +624,7 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
                     "non-finite rate weight tau^2/(sigma*tau0)")
     design = np.vstack([shapes, np.ones_like(lam)])
     n_params = len(design)
+    _require_points(len(y), n_params)
     lower, upper = np.zeros(n_params), np.full(n_params, np.inf)
     x0 = _minimize(lower, lambda x: (x @ design, design), tau0 / y, lower, upper,
                    weights=(rate_scale / rate_scale.max()) ** 2)[0]
@@ -588,12 +646,14 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
     alpha = float(x[-1])
     ratios = [lifetime_ratio_multimode(m.lambda_c, [m], [fp], alpha)
               for m, fp in zip(modes, x[:-1])]
+    # A mode whose F_m and alpha both end on their bound 0 has ratio 0: no
+    # lifetime on its resonance and no beta (None).
     extras = {
         "modes_used": [(m.lambda_c, m.q_factor) for m in modes],
-        "tau_on_resonance_ps": [enhanced_lifetime(tau0, r) for r in ratios],
+        "tau_on_resonance_ps": [enhanced_lifetime(tau0, r) if r > 0 else None for r in ratios],
         "lifetime_ratio_per_mode": ratios,
         "lifetime_ratio_max": max(ratios),
-        "beta_per_mode": [1.0 - alpha / r for r in ratios],
+        "beta_per_mode": [1.0 - alpha / r if r > 0 else None for r in ratios],
     }
     return _fit_result("spectral-detuning", names, x, mu, J, chi2, iterations, stop,
                        weights=weights, extras=extras)

@@ -6,7 +6,10 @@ Gaussian per component, then sampled with photon-counting statistics: a
 multinomial draw for the signal (so the requested total is reproduced exactly)
 plus independent per-bin Poisson background. Times are in ps. `decay_terms`
 is the one evaluation of the model: `expected_curve` takes its curve, and the
-histogram fits of `fitting` its curve and Jacobian.
+histogram fits of `fitting` its curve and Jacobian. Past `far_offset` a
+component is its plain exponential, so `decay_terms` can also sum a run of
+such bins in closed form (a geometric series) into one merged bin: the fits
+use it for the empty tail of a histogram after its last count.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "BinGrid",
     "TransientHistogram",
     "decay_terms",
+    "unit_decay",
     "expected_curve",
     "sample_histogram",
 ]
@@ -48,6 +52,12 @@ class InstrumentResponse:
     @property
     def sigma(self) -> float:
         return self.fwhm / FWHM_TO_SIGMA
+
+    def far_offset(self, tau: float) -> float:
+        """The offset t - t0 past which `decay_terms` evaluates a component of
+        lifetime `tau` as its plain exponential: erfc == 2 and the Gaussian
+        terms are below resolution there. It grows as tau shrinks."""
+        return _far_offset(self.sigma, self.sigma * (1.0 / tau))
 
     def check_lifetime(self, tau: float) -> None:
         """ValueError when `decay_terms` would overflow squaring sigma/tau for
@@ -207,7 +217,53 @@ def _erfcx(x: np.ndarray) -> np.ndarray:
     return ratio[_ERFCX_BREAKS.searchsorted(x, "right"), np.arange(len(x))]
 
 
-def _emg(u, sigma, inv_tau):
+def _far_offset(sigma, s_tau):
+    """u/sigma - s/tau > -6 sqrt(2), i.e. z < -6, beyond this offset u."""
+    return sigma * (s_tau - np.sqrt(2.0) * ERFC_SATURATION_Z)
+
+
+def _half_minus_bose(y):
+    """1/y - 1/(e^y - 1) for y > 0, from its Taylor series below 0.1 (error
+    below 3e-17) where the difference would cancel."""
+    if y >= 0.1:
+        return 1.0 / y - 1.0 / math.expm1(y)
+    y2 = y * y
+    return 0.5 - y * (1.0 / 12.0 - y2 * (1.0 / 720.0 - y2 * (1.0 / 30240.0 - y2 / 1209600.0)))
+
+
+def _merged_tail(u0, width, count, sigma, inv_tau):
+    """The unit EMG summed over `count` bins at offsets u0 + i width, all past
+    `_far_offset`, and the offset at which one bin holding that sum T has
+    the sum's lifetime and shift derivatives.
+
+    There each bin is exp(e0 - i x), e0 the exponent at u0 and x = width/tau,
+    so T = exp(e0) (1 - e^-Kx)/(1 - e^-x) over the K bins whose exponent
+    `_emg` keeps (>= `EXP_FLOOR`). The derivatives of sum exp(e_i) are those
+    of a single exp(e) at the decay-weighted mean offset u0 + width m, with
+    m = sum i e^-ix / sum e^-ix = 1/(e^x - 1) - K/(e^Kx - 1). Below Kx = 1,
+    where both of those terms are near 1/x and would cancel, m is evaluated
+    as K f(Kx) - f(x) with f = `_half_minus_bose`.
+    """
+    s_tau = sigma * inv_tau
+    if not u0 > _far_offset(sigma, s_tau):
+        raise ValueError(f"a merged tail starting {u0} ps after t0 is not past the IRF "
+                         f"for a lifetime of {1.0 / inv_tau} ps")
+    e0 = 0.5 * s_tau**2 - u0 * inv_tau
+    if e0 < EXP_FLOOR:
+        return 0.0, u0
+    x = width * inv_tau
+    kept = (count if e0 - (count - 1) * x >= EXP_FLOOR
+            else int((e0 - EXP_FLOOR) / x) + 1)
+    kx = kept * x
+    total = math.exp(e0) * (math.expm1(-kx) / math.expm1(-x))
+    if kx >= 1.0:
+        mean = kept * math.exp(-kx) / math.expm1(-kx) - math.exp(-x) / math.expm1(-x)
+    else:
+        mean = kept * _half_minus_bose(kx) - _half_minus_bose(x)
+    return total, u0 + width * mean
+
+
+def _emg(u, sigma, inv_tau, out=None):
     """Unit-amplitude EMG kernel on ascending offsets u = t - t0.
 
     With z = (s/tau - u/s)/sqrt(2), g = exp(-u^2/2s^2) and the exponent
@@ -217,19 +273,18 @@ def _emg(u, sigma, inv_tau):
         exp(e)                       beyond, where erfc(z) == 2.0,
     and exactly 0 where e < `EXP_FLOOR`. Since u ascends, each of these is a
     slice. Returns (curve, e, near, gauss): `near` is the slice z >= -6 and
-    `gauss` is g on it.
+    `gauss` is g on it. The curve is written to `out` if given.
     """
     s_tau = sigma * inv_tau
     exponent = u * -inv_tau
     exponent += 0.5 * s_tau**2
-    near = slice(0, int(u.searchsorted(
-        sigma * (s_tau - np.sqrt(2.0) * ERFC_SATURATION_Z), "right")))
+    near = slice(0, int(u.searchsorted(_far_offset(sigma, s_tau), "right")))
     un = u[near] / sigma
     early = int(un.searchsorted(s_tau, "right"))  # z >= 0
     live = max(near.stop, len(u) - int(exponent[::-1].searchsorted(EXP_FLOOR)))
     gauss = np.exp(-0.5 * un**2)
     half_g_erfcx = 0.5 * gauss * _erfcx(np.abs((s_tau - un) / np.sqrt(2.0)))
-    out = np.empty_like(u)
+    out = np.empty_like(u) if out is None else out
     out[:early] = half_g_erfcx[:early]
     np.exp(exponent[early:live], out=out[early:live])
     out[early:near.stop] -= half_g_erfcx[early:]
@@ -237,8 +292,29 @@ def _emg(u, sigma, inv_tau):
     return out, exponent, near, gauss
 
 
-def decay_terms(t: np.ndarray, irf: InstrumentResponse,
-                parameters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _offsets(t, irf, shift, tail):
+    """u = t - (t0 + shift), with one more slot for the merged tail's offset."""
+    if tail is None:
+        return t - (irf.t0 + shift)
+    u = np.empty(len(t) + 1)
+    np.subtract(t, irf.t0 + shift, out=u[:-1])
+    return u
+
+
+def _component(u, sigma, inv_tau, tail, out=None):
+    """`_emg` on the offsets of `_offsets`; with a tail, its last entry is
+    the merged bin: the sum of `_merged_tail` at that sum's offset."""
+    if tail is None:
+        return _emg(u, sigma, inv_tau, out)
+    width, count = tail
+    total, u[-1] = _merged_tail(u[-2] + width, width, count, sigma, inv_tau)
+    g, exponent, near, gauss = _emg(u, sigma, inv_tau, out)
+    g[-1] = total
+    return g, exponent, near, gauss
+
+
+def decay_terms(t: np.ndarray, irf: InstrumentResponse, parameters: np.ndarray,
+                tail: tuple[float, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The decay model mu and its Jacobian, shape (parameters, bins), at the
     ascending bin centres `t`.
 
@@ -250,28 +326,43 @@ def decay_terms(t: np.ndarray, irf: InstrumentResponse,
     dg/dtau = (g (u - s^2/tau) + s^2 N) / tau^2 = -(e + s^2/2tau^2) g/tau
     + (s/tau)^2 N. Beyond the near bins N < g exp(-36) / (s sqrt(2 pi)),
     below the float64 resolution of either term, so N is added only there.
+
+    `tail` = (bin_width, n) appends one merged bin: the sums of mu and of
+    every Jacobian row over n more bins at t[-1] + bin_width, ...,
+    t[-1] + n bin_width, in closed form (`_merged_tail`). Each of them must
+    lie past `irf.far_offset` of every lifetime, else ValueError.
     """
     sigma = irf.sigma
-    u = t - (irf.t0 + parameters[-2])
-    J = np.empty((len(parameters), len(t)))
-    mu = parameters[-1]
-    d_t0 = 0.0
+    u = _offsets(t, irf, parameters[-2], tail)
+    J = np.empty((len(parameters), len(u)))
+    J[-1] = 1.0
+    if tail is not None:
+        J[-1, -1] = tail[1]
+    mu = parameters[-1] * J[-1]
+    d_t0 = J[-2]
+    d_t0[:] = 0.0
     for k in range(0, len(parameters) - 2, 2):
         amplitude, inv_tau = parameters[k], np.float64(1.0) / parameters[k + 1]
-        g, exponent, near, gauss = _emg(u, sigma, inv_tau)
+        g, exponent, near, gauss = _component(u, sigma, inv_tau, tail, out=J[k])
         d_shift = g * inv_tau
-        d_tau = -0.5 * (sigma * inv_tau) ** 2 - exponent
+        d_tau = np.subtract(-0.5 * (sigma * inv_tau) ** 2, exponent, out=J[k + 1])
         d_tau *= d_shift
         normal = gauss / (sigma * np.sqrt(2.0 * np.pi))
         d_tau[near] += (sigma * inv_tau) ** 2 * normal
+        d_tau *= amplitude
         d_shift[near] -= normal
-        mu = mu + amplitude * g
-        d_t0 = d_t0 + amplitude * d_shift
-        J[k] = g
-        J[k + 1] = amplitude * d_tau
-    J[-2] = d_t0
-    J[-1] = 1.0
+        mu += amplitude * g
+        d_shift *= amplitude
+        d_t0 += d_shift
     return mu, J
+
+
+def unit_decay(t: np.ndarray, irf: InstrumentResponse, lifetime: float, shift: float = 0.0,
+               tail: tuple[float, int] | None = None) -> np.ndarray:
+    """The unit-amplitude component g of `decay_terms` (its amplitude row),
+    bit for bit, without the derivative rows."""
+    u = _offsets(t, irf, shift, tail)
+    return _component(u, irf.sigma, np.float64(1.0) / lifetime, tail)[0]
 
 
 def expected_curve(model: DecayModel, irf: InstrumentResponse, grid: BinGrid) -> np.ndarray:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from pcqed import io as pcio
 from pcqed.bands import PlaneWaveBasis, compute_bands, solve_h1_modes
+from pcqed.cavity import CavityMode
 from pcqed.cli import (
     EXIT_CONFIG,
     EXIT_FIT,
@@ -29,7 +30,7 @@ from pcqed.cli import (
     main,
     parse_config,
 )
-from pcqed.fitting import SpectralScan
+from pcqed.fitting import SpectralScan, synthesize_spectral_scan
 from pcqed.geometry import TriangularLattice
 from pcqed.tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
 
@@ -209,6 +210,18 @@ def test_extreme_periods_inside_the_float_range_keep_their_bands(period_nm):
         bands.append(compute_bands(lat, 4, PlaneWaveBasis.bulk(lat, 5), 3).frequencies)
     np.testing.assert_allclose(bands[1], bands[0], rtol=1e-9, atol=1e-12)
     parse_config(_period(period_nm))
+
+
+@pytest.mark.parametrize("period_nm", [1e150, 1e-150])
+def test_modes_refuse_a_period_whose_mode_volume_leaves_the_floats(tmp_path, capsys, period_nm):
+    # The bands solve at these periods; the volume's (wavelength/n_core)^3
+    # in nm^3 overflows or underflows.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_period(period_nm), "modes": {"supercell_size": 5, "cutoff": 9}}))
+    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "crystal.period_nm: (wavelength/n_core)^3" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("period_nm", [5e-324, 1e-154, 1e155, 1e308])
@@ -465,6 +478,25 @@ def test_scan_sidecar_modes_follow_the_config_rule(tmp_path, capsys):
     Path(f"{scan}.meta.json").write_text(json.dumps(meta))
     assert _fit(runs[2], scan) == EXIT_CONFIG
     assert f"{scan}.meta.json:1: modes[0].v_mode: unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_scan_fit_with_a_vanished_mode_writes_null_for_it(tmp_path, capsys, seed):
+    # The first mode has F = 0 and there is no residual decay (alpha = 0): at
+    # these seeds the fit ends with both on 0, and that mode has no lifetime.
+    modes = [CavityMode(lambda_c=1025.0, q_factor=1950.0),
+             CavityMode(lambda_c=1031.5, q_factor=1950.0)]
+    lam = np.arange(1022.0, 1035.0 + 0.05, 0.1)
+    scan = synthesize_spectral_scan(modes, [0.0, 56.0], 0.0, 840.0, lam, 0.03, seed)
+    path = tmp_path / "scan.csv"
+    pcio.write_scan_csv(path, scan, metadata={
+        "modes": [{"wavelength_nm": m.lambda_c, "q_factor": m.q_factor} for m in modes]})
+    assert _fit(tmp_path, path) == EXIT_OK
+    extras = json.loads((tmp_path / "out" / "fit_scan.json").read_text())["extras"]
+    assert extras["tau_on_resonance_ps"][0] is None and extras["beta_per_mode"][0] is None
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "tau on resonance n/a/" in summary and "beta n/a/1.000" in summary
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("unreadable", ["histogram sidecar", "scan sidecar", "config", "input"])

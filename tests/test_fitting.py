@@ -298,17 +298,126 @@ def test_hoisted_deviance_is_bit_identical(lam):
 
 
 def test_gauss_newton_with_every_coordinate_free_uses_the_same_values():
+    # The normal matrix sums the observed curvature y/mu^2 over the bins that
+    # hold counts only: the empty ones, the merged tail bin among them, weigh 0.
     counts, _ = _scan_histogram_counts(1031.5, seed=5)
     hist = tcspc.TransientHistogram(counts=counts, grid=GRID, irf=IRF)
     model = fitting._Reconvolution(hist, 1)
+    assert model.tail is not None and model.y[-1] == 0.0
     x = np.array([200.0, 300.0, 0.0, 1.0])
     mu, J = model(x)
     free, _, N, scale, _ = fitting._gauss_newton(x, mu, J, model.y, model.lower, model.upper)
     assert free.all()
     inv_mu = 1.0 / np.maximum(mu, fitting.MU_FLOOR)
     Jf = J[free]  # the indexed copy taken when a coordinate is held
-    assert np.array_equal(N, 2.0 * ((Jf * (model.y * inv_mu**2)) @ Jf.T))
-    assert np.array_equal(scale, 2.0 * ((Jf * Jf) @ inv_mu))
+    seen = np.flatnonzero(model.y)
+    Js = Jf.take(seen, axis=1)
+    counted = 2.0 * ((Js * (model.y.take(seen) * inv_mu.take(seen) ** 2)) @ Js.T)
+    assert N.tobytes() == counted.tobytes()
+    np.testing.assert_allclose(N, 2.0 * ((Jf * (model.y * inv_mu**2)) @ Jf.T), rtol=1e-12, atol=0.0)
+    assert scale.tobytes() == (2.0 * ((Jf * Jf) @ inv_mu)).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The counted span: histogram fits against their evaluation on every bin
+# ---------------------------------------------------------------------------
+
+def _full_grid_selection(hist):
+    """`select_model` with the model evaluated on every bin, no merged bin,
+    and each nested start from a fresh evaluation: the mono and bi (x,
+    deviance, iterations), the bi with its faster component first."""
+    t, y = hist.grid.centers(), hist.counts.astype(float)
+
+    def evaluate(x):
+        return tcspc.decay_terms(t, hist.irf, x)
+
+    mono_bounds, bi_bounds = fitting._Reconvolution(hist, 1), fitting._Reconvolution(hist, 2)
+    bg0 = fitting._background_guess(y)
+    tau0 = fitting._tail_lifetime_guess(t, y, hist.grid.bin_width)
+    amp0 = max(y.sum() - bg0 * len(y), 1.0) / evaluate(np.array([1.0, tau0, 0.0, 0.0]))[0].sum()
+    xm, _, _, dev_m, it_m, _ = fitting._minimize(
+        np.array([amp0, tau0, 0.0, bg0]), evaluate, y, mono_bounds.lower, mono_bounds.upper)
+    lower, upper = bi_bounds.lower, bi_bounds.upper
+    best = None
+    for factor in fitting.SECOND_LIFETIME_GRID:
+        x0 = np.clip(np.array([0.0, factor * xm[1], *xm]), lower, upper)
+        mu, J = evaluate(x0)
+        _, g, _, _, newton = fitting._gauss_newton(x0, mu, J, y, lower, upper)
+        gain = 0.0 if newton is None else -float(g @ newton)
+        if best is None or gain > best[0]:
+            best = (gain, x0, (mu, J))
+    xb, _, _, dev_b, it_b, _ = fitting._minimize(best[1], evaluate, y, lower, upper,
+                                                 initial=best[2])
+    if xb[1] > xb[3]:
+        xb = xb[[2, 3, 0, 1, 4, 5]]
+    return (xm, dev_m, it_m), (xb, dev_b, it_b)
+
+
+@pytest.mark.parametrize("lam, seed", [(1029.0, 11), (1031.5, 12), (1032.2, 13), (1034.0, 14)])
+def test_counted_span_fits_match_the_full_grid(lam, seed):
+    # Exact in exact arithmetic; in float64 the loop's path moves within its
+    # stopping tolerance: parameters by 1e-4 relative (plus a hundredth of a
+    # standard error, for backgrounds near 0), the deviance by 1e-5 relative.
+    counts, _ = _scan_histogram_counts(lam, seed)
+    hist = tcspc.TransientHistogram(counts=counts, grid=GRID, irf=IRF)
+    assert fitting._Reconvolution(hist, 2).tail is not None
+    sel = select_model(hist)
+    for fit, (x, deviance, _) in zip((sel.mono, sel.bi), _full_grid_selection(hist)):
+        assert fit.n_points == GRID.n_bins
+        errors = np.array(list(fit.std_errors.values()))
+        params = np.array(list(fit.parameters.values()))
+        assert np.all(np.abs(params - x) <= 1e-4 * np.abs(x) + 1e-2 * errors), fit.model
+        assert abs(fit.statistic - deviance) <= 1e-5 * deviance
+
+
+def test_histogram_counted_to_its_last_bin_fits_as_on_the_full_grid():
+    # Counts in every bin: no merged bin, and every figure bit for bit.
+    hist = synth([(1.0, 840.0), (0.0556, 1800.0)], seed=4, background_rate=20.0)
+    assert np.all(hist.counts > 0)
+    assert fitting._Reconvolution(hist, 1).tail is None
+    sel = select_model(hist)
+    for fit, (x, deviance, iterations) in zip((sel.mono, sel.bi), _full_grid_selection(hist)):
+        assert np.array(list(fit.parameters.values())).tobytes() == x.tobytes()
+        assert fit.statistic.hex() == deviance.hex()
+        assert fit.iterations == iterations
+
+
+def test_nested_start_is_the_mono_optimum_plus_one_row_bit_for_bit():
+    # Each grid candidate's (mu, J) is the mono optimum's, with the new
+    # component's amplitude row on top and a zero lifetime row: what a full
+    # evaluation at the candidate gives, merged bin included.
+    counts, _ = _scan_histogram_counts(1031.0, seed=21)
+    hist = tcspc.TransientHistogram(counts=counts, grid=GRID, irf=IRF)
+    mono_model, model = fitting._Reconvolution(hist, 1), fitting._Reconvolution(hist, 2)
+    x, mu, J, *_ = fitting._mono_minimum(mono_model)
+    for factor in fitting.SECOND_LIFETIME_GRID:
+        x0 = np.clip(np.array([0.0, factor * x[1], *x]), model.lower, model.upper)
+        mu0, J0 = model(x0)
+        assert mu0.tobytes() == mu.tobytes()
+        assert model.unit(x0[1], x[2]).tobytes() == J0[0].tobytes()
+        assert not J0[1].any()
+        assert J0[2:].tobytes() == J.tobytes()
+    # The mono start's unit shape, likewise.
+    assert mono_model.unit(x[1]).tobytes() == \
+        mono_model(np.array([1.0, x[1], 0.0, 0.0]))[0].tobytes()
+
+
+def test_damping_and_projection_keep_the_bits_of_diag_and_clip():
+    counts, _ = _scan_histogram_counts(1030.0, seed=22)
+    hist = tcspc.TransientHistogram(counts=counts, grid=GRID, irf=IRF)
+    model = fitting._Reconvolution(hist, 2)
+    x = np.array([0.3, 150.0, 0.05, 1800.0, 5.0, 0.01])
+    mu, J = model(x)
+    _, _, N, scale, _ = fitting._gauss_newton(x, mu, J, model.y, model.lower, model.upper)
+    for damping in (1e-14, 1e-3, 0.37, 1e4, 1e13):
+        damped = N.copy()
+        damped.flat[:: len(N) + 1] += damping * scale
+        assert damped.tobytes() == (N + np.diag(damping * scale)).tobytes()
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        candidate = x + rng.normal(0.0, 1.0, x.size) * np.array([1.0, 1e3, 1.0, 1e7, 1e3, 1.0])
+        projected = np.minimum(np.maximum(candidate, model.lower), model.upper)
+        assert projected.tobytes() == np.clip(candidate, model.lower, model.upper).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +476,28 @@ def test_spectral_two_modes():
     assert result.extras["lifetime_ratio_max"] == max(ratios)
     assert result.extras["tau_on_resonance_ps"] == [840.0 / r for r in ratios]
     assert result.extras["beta_per_mode"] == [1.0 - alpha / r for r in ratios]
+
+
+def vanished_mode_scan(seed):
+    """A two-mode scan whose first mode has no enhancement and no residual
+    decay (F_1 = alpha = 0): at seeds 1 and 6 its fit ends with both on 0."""
+    modes = [CavityMode(lambda_c=1025.0, q_factor=1950.0), M2]
+    lam = np.arange(1022.0, 1035.0 + 0.05, 0.1)
+    return synthesize_spectral_scan(modes, [0.0, 56.0], 0.0, 840.0, lam, 0.03, seed), modes
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_spectral_fit_with_a_vanished_mode_reports_no_lifetime_for_it(seed):
+    scan, modes = vanished_mode_scan(seed)
+    result = fit_spectral_model(scan, modes)
+    assert result.converged
+    assert (result["purcell_factor_1"], result["alpha"]) == (0.0, 0.0)
+    assert result.extras["lifetime_ratio_per_mode"][0] == 0.0
+    assert result.extras["tau_on_resonance_ps"][0] is None
+    assert result.extras["beta_per_mode"][0] is None
+    ratio = result["purcell_factor_2"] / 3.0
+    assert result.extras["tau_on_resonance_ps"][1] == 840.0 / ratio
+    assert result.extras["beta_per_mode"][1] == 1.0
 
 
 @pytest.mark.parametrize("fps, alpha, noise", [

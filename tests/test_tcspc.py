@@ -124,6 +124,45 @@ def test_zero_amplitude_component_is_never_evaluated():
     np.testing.assert_array_equal(curve, expected_curve(DecayModel([(1.0, 400.0)], 0.2), IRF, g))
 
 
+# ---------------------------------------------------------------------------
+# The merged tail bin
+# ---------------------------------------------------------------------------
+
+SPAN = 4096 * 12.0
+# Far enough after t0 for a shift of +2 FWHM and a lifetime of sigma/10, as
+# the histogram fits place their merged bin.
+FAR = IRF.t0 + 2.0 * IRF.fwhm + IRF.far_offset(0.1 * IRF.sigma)
+
+
+@pytest.mark.parametrize("lifetime", [0.1 * IRF.sigma, IRF.sigma, 44.0, 840.0, 1800.0, 1e4,
+                                      100.0 * SPAN])
+@pytest.mark.parametrize("shift", [-2.0 * IRF.fwhm, 0.0, 2.0 * IRF.fwhm])
+@pytest.mark.parametrize("end", [int(FAR / 12.0) + 1, 1600, 4095])
+def test_merged_tail_sums_every_bin_it_replaces(lifetime, shift, end):
+    # The merged bin against the explicit per-bin sums of mu and of every
+    # Jacobian row, one component and two with a background, over tails
+    # that exp underflows within (sigma/10 and sigma) or entirely, and a
+    # one-bin tail. The counted span is evaluated as on the full grid.
+    t = grid().centers()
+    assert t[end] > FAR
+    for x in ([3.0, lifetime, shift, 0.0], [3.0, lifetime, 0.2, 900.0, shift, 0.05]):
+        x = np.array(x)
+        mu, J = decay_terms(t, IRF, x)
+        mu_span, J_span = decay_terms(t[:end], IRF, x, tail=(12.0, len(t) - end))
+        assert mu_span.shape == (end + 1,) and J_span.shape == (len(x), end + 1)
+        assert mu_span[:end].tobytes() == mu[:end].tobytes()
+        assert J_span[:, :end].tobytes() == J[:, :end].tobytes()
+        np.testing.assert_allclose(mu_span[end], mu[end:].sum(), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(J_span[:, end], J[:, end:].sum(axis=1), rtol=1e-12, atol=0.0)
+
+
+def test_merged_tail_must_lie_past_the_irf():
+    t = grid().centers()
+    x = np.array([1.0, 0.1 * IRF.sigma, 0.0, 0.0])
+    with pytest.raises(ValueError, match="not past the IRF"):
+        decay_terms(t[:100], IRF, x, tail=(12.0, len(t) - 100))  # t = 1206 ps: u/s ~ 9.5
+
+
 @pytest.mark.parametrize("ratio, fits", [(1e100, True), (1.34e154, True), (1.35e154, False)])
 def test_irf_checks_reject_exactly_the_overflowing_squares(ratio, fits):
     # sqrt(float64 max) is 1.3408e154: sigma/tau, or u/sigma at a first bin
