@@ -589,10 +589,11 @@ def _fit_histogram(cfg: Config, path: Path, hist: TransientHistogram, bundle):
             f"{result['lifetime_ps']:.1f} +- {result.std_errors['lifetime_ps']:.1f} ps"
         )
         return result
+    error = result.extras["beta_std_error"]
     bundle.note(
         f"fit {path.stem}: biexponential lifetimes "
         f"{result['lifetime_fast_ps']:.1f}/{result['lifetime_slow_ps']:.1f} ps, "
-        f"beta = {result.extras['beta']:.4f} +- {result.extras['beta_std_error']:.4f}"
+        f"beta = {result.extras['beta']:.4f} +- " + ("n/a" if error is None else f"{error:.4f}")
     )
     return result
 

@@ -3,7 +3,8 @@
 Histogram fits maximize the Poisson likelihood (equivalently minimize the
 deviance) of `tcspc.decay_terms`, the sum of IRF-convolved exponentials plus a
 flat background that `tcspc.expected_curve` also evaluates: the fit model and
-the generator are one function.
+the generator are one function, and the fits' only entry to the model. A
+component's unit curve is its curve at amplitude 1 and background 0.
 
 A histogram fit evaluates its model only on the counted span: the bins up to
 the last one that holds counts, and at least up to where every admissible
@@ -422,10 +423,6 @@ class _Reconvolution:
     def __call__(self, x):
         return tcspc.decay_terms(self.t, self.irf, x, self.tail)
 
-    def unit(self, lifetime, shift=0.0):
-        """The amplitude row of `self(x)` for one component."""
-        return tcspc.unit_decay(self.t, self.irf, lifetime, shift, self.tail)
-
     def result(self, model, names, x, iterations, stop):
         """`_fit_result` with the statistic, covariance and point count from
         `decay_terms` on every bin at `x`."""
@@ -445,9 +442,10 @@ def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=Non
 
     `weights` None marks a Poisson-deviance fit, else a weighted chi-square
     with these weights. A two-component result lists the faster component
-    first and carries beta = 1 - tau_fast/tau_slow and its error; a
-    degenerate (unidentifiable) pair wanders a flat likelihood valley and is
-    returned flagged rather than raised, since the flag explains the stall.
+    first and carries beta = 1 - tau_fast/tau_slow and its error (None where
+    the covariance gives it no finite value); a degenerate (unidentifiable)
+    pair wanders a flat likelihood valley and is returned flagged rather
+    than raised, since the flag explains the stall.
     """
     warnings = list(warnings)
     extras = dict(extras or {})
@@ -461,7 +459,10 @@ def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=Non
         fast, slow = float(x[1]), float(x[3])
         grad = np.array([0.0, -1.0 / slow, 0.0, fast / slow**2, 0.0, 0.0])  # of beta
         extras["beta"] = coupling_efficiency(fast, slow)
-        extras["beta_std_error"] = float(np.sqrt(max(float(grad @ covariance @ grad), 0.0)))
+        with np.errstate(invalid="ignore", over="ignore"):  # the covariance may hold inf
+            variance = float(grad @ covariance @ grad)
+        extras["beta_std_error"] = (float(np.sqrt(max(variance, 0.0)))
+                                    if np.isfinite(variance) else None)
         ratio = x[3] / x[1]
         degenerate = ratio < DEGENERATE_LIFETIME_RATIO
         if degenerate:
@@ -495,8 +496,7 @@ def _mono_minimum(model: _Reconvolution):
     y = model.counts
     bg0 = _background_guess(y)
     tau0 = _tail_lifetime_guess(model.centers, y, model.hist.grid.bin_width)
-    shape = model.unit(tau0)  # the unit EMG of lifetime tau0
-    amp0 = max(y.sum() - bg0 * len(y), 1.0) / shape.sum()
+    amp0 = max(y.sum() - bg0 * len(y), 1.0) / model(np.array([1.0, tau0, 0.0, 0.0]))[0].sum()
     return _minimize(np.array([amp0, tau0, 0.0, bg0]), model, model.y, model.lower, model.upper)
 
 
@@ -529,10 +529,8 @@ def _nested_biexponential(model: _Reconvolution, mono) -> FitResult:
     for factor in SECOND_LIFETIME_GRID:
         lifetime = min(max(factor * x_mono[1], model.lower[1]), model.upper[1])
         x0 = np.array([0.0, lifetime, *x_mono])
-        J = np.empty((6, J_mono.shape[1]))
-        J[0] = model.unit(lifetime, x_mono[2])
-        J[1] = 0.0
-        J[2:] = J_mono
+        unit = model(np.array([1.0, lifetime, x_mono[2], 0.0]))[0]
+        J = np.vstack([unit, np.zeros_like(unit), J_mono])
         _, g, _, _, newton = _gauss_newton(x0, mu, J, model.y, model.lower, model.upper)
         gain = 0.0 if newton is None else -float(g @ newton)
         if best is None or gain > best[0]:

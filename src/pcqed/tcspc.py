@@ -5,11 +5,12 @@ Gaussian instrument response using the closed-form exponentially-modified
 Gaussian per component, then sampled with photon-counting statistics: a
 multinomial draw for the signal (so the requested total is reproduced exactly)
 plus independent per-bin Poisson background. Times are in ps. `decay_terms`
-is the one evaluation of the model: `expected_curve` takes its curve, and the
-histogram fits of `fitting` its curve and Jacobian. Past `far_offset` a
-component is its plain exponential, so `decay_terms` can also sum a run of
-such bins in closed form (a geometric series) into one merged bin: the fits
-use it for the empty tail of a histogram after its last count.
+is the one evaluation of the model and the only caller of `_emg`:
+`expected_curve` takes its curve, and the histogram fits of `fitting` its
+curve and Jacobian. Past `far_offset` a component is its plain exponential,
+so `decay_terms` can also sum a run of such bins in closed form (a geometric
+series) into one merged bin: the fits use it for the empty tail of a
+histogram after its last count.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "BinGrid",
     "TransientHistogram",
     "decay_terms",
-    "unit_decay",
     "expected_curve",
     "sample_histogram",
 ]
@@ -292,27 +292,6 @@ def _emg(u, sigma, inv_tau, out=None):
     return out, exponent, near, gauss
 
 
-def _offsets(t, irf, shift, tail):
-    """u = t - (t0 + shift), with one more slot for the merged tail's offset."""
-    if tail is None:
-        return t - (irf.t0 + shift)
-    u = np.empty(len(t) + 1)
-    np.subtract(t, irf.t0 + shift, out=u[:-1])
-    return u
-
-
-def _component(u, sigma, inv_tau, tail, out=None):
-    """`_emg` on the offsets of `_offsets`; with a tail, its last entry is
-    the merged bin: the sum of `_merged_tail` at that sum's offset."""
-    if tail is None:
-        return _emg(u, sigma, inv_tau, out)
-    width, count = tail
-    total, u[-1] = _merged_tail(u[-2] + width, width, count, sigma, inv_tau)
-    g, exponent, near, gauss = _emg(u, sigma, inv_tau, out)
-    g[-1] = total
-    return g, exponent, near, gauss
-
-
 def decay_terms(t: np.ndarray, irf: InstrumentResponse, parameters: np.ndarray,
                 tail: tuple[float, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The decay model mu and its Jacobian, shape (parameters, bins), at the
@@ -333,7 +312,8 @@ def decay_terms(t: np.ndarray, irf: InstrumentResponse, parameters: np.ndarray,
     lie past `irf.far_offset` of every lifetime, else ValueError.
     """
     sigma = irf.sigma
-    u = _offsets(t, irf, parameters[-2], tail)
+    u = np.empty(len(t) + (tail is not None))  # a merged bin's offset is set per component
+    np.subtract(t, irf.t0 + parameters[-2], out=u[:len(t)])
     J = np.empty((len(parameters), len(u)))
     J[-1] = 1.0
     if tail is not None:
@@ -343,7 +323,11 @@ def decay_terms(t: np.ndarray, irf: InstrumentResponse, parameters: np.ndarray,
     d_t0[:] = 0.0
     for k in range(0, len(parameters) - 2, 2):
         amplitude, inv_tau = parameters[k], np.float64(1.0) / parameters[k + 1]
-        g, exponent, near, gauss = _component(u, sigma, inv_tau, tail, out=J[k])
+        if tail is not None:
+            total, u[-1] = _merged_tail(u[-2] + tail[0], *tail, sigma, inv_tau)
+        g, exponent, near, gauss = _emg(u, sigma, inv_tau, out=J[k])
+        if tail is not None:
+            g[-1] = total
         d_shift = g * inv_tau
         d_tau = np.subtract(-0.5 * (sigma * inv_tau) ** 2, exponent, out=J[k + 1])
         d_tau *= d_shift
@@ -355,14 +339,6 @@ def decay_terms(t: np.ndarray, irf: InstrumentResponse, parameters: np.ndarray,
         d_shift *= amplitude
         d_t0 += d_shift
     return mu, J
-
-
-def unit_decay(t: np.ndarray, irf: InstrumentResponse, lifetime: float, shift: float = 0.0,
-               tail: tuple[float, int] | None = None) -> np.ndarray:
-    """The unit-amplitude component g of `decay_terms` (its amplitude row),
-    bit for bit, without the derivative rows."""
-    u = _offsets(t, irf, shift, tail)
-    return _component(u, irf.sigma, np.float64(1.0) / lifetime, tail)[0]
 
 
 def expected_curve(model: DecayModel, irf: InstrumentResponse, grid: BinGrid) -> np.ndarray:

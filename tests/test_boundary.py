@@ -32,7 +32,8 @@ from pcqed.cli import (
 )
 from pcqed.fitting import SpectralScan, synthesize_spectral_scan
 from pcqed.geometry import TriangularLattice
-from pcqed.tcspc import BinGrid, DecayModel, InstrumentResponse, expected_curve, sample_histogram
+from pcqed.tcspc import (BinGrid, DecayModel, InstrumentResponse, TransientHistogram,
+                         expected_curve, sample_histogram)
 
 SCAN_SIM = {
     "seed": 1,
@@ -150,6 +151,12 @@ def _histogram(**changes):
     ("bands", _period(1e200), "crystal.period_nm: 1e+200 nm gives squared wavevectors"),
     ("modes", _period(1e-170), "crystal.period_nm: 1e-170 nm gives squared wavevectors"),
     ("modes", _period(1e200), "crystal.period_nm: 1e+200 nm gives squared wavevectors"),
+    # NaN and Infinity, tokens that Python's json reads.
+    ("bands", _period(math.nan), "crystal.period_nm: expected a finite number, got nan"),
+    ("simulate", _histogram(background_rate_per_bin=math.inf),
+     "simulate.histogram.background_rate_per_bin: expected a finite number, got inf"),
+    ("simulate", _histogram(components=[[1.0, -math.inf]]),
+     "simulate.histogram.components[0][1]: expected a finite number, got -inf"),
 ])
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document, dotted):
     cfg = tmp_path / "cfg.json"
@@ -497,6 +504,29 @@ def test_scan_fit_with_a_vanished_mode_writes_null_for_it(tmp_path, capsys, seed
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "tau on resonance n/a/" in summary and "beta n/a/1.000" in summary
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_config_that_is_not_a_json_object_exits_2_at_its_line_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps([{"crystal": {"period_nm": 300.0}}]))
+    assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"error: {cfg}:1: expected a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model", ["mono", "bi", "auto"])
+def test_fit_whose_covariance_holds_inf_exits_4_without_warnings(tmp_path, capsys, recwarn, model):
+    # The grid starts long after the IRF, with counts in its first five bins:
+    # no fit converges, and beta's error has no finite value.
+    counts = np.zeros(512, dtype=np.int64)
+    counts[:5] = [5, 4, 3, 2, 1]
+    path = tmp_path / "h.csv"
+    pcio.write_histogram_csv(path, TransientHistogram(counts, BinGrid(12.0, 512, 3000.0), IRF))
+    assert _fit(tmp_path, path, config={"fit": {"model": model}}) == EXIT_FIT
+    err = capsys.readouterr().err
+    assert err.endswith("1 of 1 inputs did not converge: h.csv (budget)\n")
+    assert "Warning" not in err and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("unreadable", ["histogram sidecar", "scan sidecar", "config", "input"])

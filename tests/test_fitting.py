@@ -213,6 +213,28 @@ def test_select_model_results_carry_their_extras():
     assert set(sel.bi.extras) == {"beta", "beta_std_error"}
 
 
+def late_grid_histogram():
+    """512 bins of 12 ps from 3000 ps, long after the IRF at 600 ps, with
+    counts only in the first five: no fit converges, and the two-component
+    covariance holds -inf."""
+    counts = np.zeros(512, dtype=np.int64)
+    counts[:5] = [5, 4, 3, 2, 1]
+    return tcspc.TransientHistogram(counts=counts, grid=BinGrid(12.0, 512, 3000.0), irf=IRF)
+
+
+@pytest.mark.parametrize("fit", [fit_monoexponential, fit_biexponential, select_model])
+def test_a_covariance_holding_inf_leaves_beta_without_an_error_and_warns_nothing(fit):
+    # Pytest turns a RuntimeWarning into a failure: the delta method's
+    # quadratic form must not leak one.
+    with pytest.raises(FitConvergenceError, match=r"in 2 iterations \(budget\)") as err:
+        fit(late_grid_histogram())
+    result = err.value.result
+    if result.model == "biexponential":
+        assert not np.isfinite(result.covariance).all()
+        fast, slow = result["lifetime_fast_ps"], result["lifetime_slow_ps"]
+        assert result.extras == {"beta": coupling_efficiency(fast, slow), "beta_std_error": None}
+
+
 def _emg(t, amplitude, lifetime, sigma, t0):
     # Closed-form exponentially-modified Gaussian, independent of pcqed.tcspc.
     u = t - t0
@@ -385,21 +407,25 @@ def test_histogram_counted_to_its_last_bin_fits_as_on_the_full_grid():
 def test_nested_start_is_the_mono_optimum_plus_one_row_bit_for_bit():
     # Each grid candidate's (mu, J) is the mono optimum's, with the new
     # component's amplitude row on top and a zero lifetime row: what a full
-    # evaluation at the candidate gives, merged bin included.
+    # evaluation at the candidate gives, merged bin included. The fit takes
+    # that row as the curve of the model at amplitude 1 and background 0.
     counts, _ = _scan_histogram_counts(1031.0, seed=21)
     hist = tcspc.TransientHistogram(counts=counts, grid=GRID, irf=IRF)
     mono_model, model = fitting._Reconvolution(hist, 1), fitting._Reconvolution(hist, 2)
+    assert model.tail is not None
     x, mu, J, *_ = fitting._mono_minimum(mono_model)
     for factor in fitting.SECOND_LIFETIME_GRID:
         x0 = np.clip(np.array([0.0, factor * x[1], *x]), model.lower, model.upper)
         mu0, J0 = model(x0)
         assert mu0.tobytes() == mu.tobytes()
-        assert model.unit(x0[1], x[2]).tobytes() == J0[0].tobytes()
+        unit = model(np.array([1.0, x0[1], x[2], 0.0]))[0]
+        assert unit.tobytes() == J0[0].tobytes()
         assert not J0[1].any()
         assert J0[2:].tobytes() == J.tobytes()
-    # The mono start's unit shape, likewise.
-    assert mono_model.unit(x[1]).tobytes() == \
-        mono_model(np.array([1.0, x[1], 0.0, 0.0]))[0].tobytes()
+    # The mono start's unit shape, likewise: the amplitude row of a full
+    # evaluation at that lifetime, whatever the amplitude and background.
+    shape = mono_model(np.array([1.0, x[1], 0.0, 0.0]))[0]
+    assert shape.tobytes() == mono_model(np.array([x[0], x[1], 0.0, x[3]]))[1][0].tobytes()
 
 
 def test_damping_and_projection_keep_the_bits_of_diag_and_clip():

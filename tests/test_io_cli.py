@@ -370,6 +370,14 @@ def test_cmd_simulate_requires_seed(tmp_path):
         cmd_simulate(parse_config(cfg), tmp_path / "out")
 
 
+def test_simulate_with_only_a_seed_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulate": {"seed": 1}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "error: simulate: nothing to do" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_simulate_rejects_zero_counts(tmp_path):
     cfg = sim_config()
     cfg["simulate"]["histogram"]["total_counts"] = 0
@@ -420,6 +428,23 @@ def test_simulate_scan_dip_position_and_fit(tmp_path):
     doc = json.loads((fit_dir / "fit_spectral_scan.json").read_text())
     assert doc["parameters"]["purcell_factor"] == pytest.approx(56.0, abs=10.0)
     assert doc["extras"]["lifetime_ratio_max"] == pytest.approx(19.0, abs=4.0)
+
+
+def test_noiseless_scan_fits_unweighted(tmp_path):
+    # A scan drawn without noise carries no uncertainties (empty
+    # lifetime_err_ps cells), so the spectral fit weighs every point 1.
+    lam = np.round(1029.0 + 0.1 * np.arange(51), 1)
+    scan = fitting.synthesize_spectral_scan([CavityMode(lambda_c=1031.5, q_factor=1950.0)],
+                                            [56.0], 0.47, 840.0, lam, 0.0, seed=1)
+    path = tmp_path / "scan.csv"
+    pcio.write_scan_csv(path, scan, metadata={
+        "modes": [{"wavelength_nm": 1031.5, "q_factor": 1950.0}]})
+    assert {line.split(",")[2] for line in path.read_text().splitlines()[1:]} == {""}
+    cfg = tmp_path / "fit.json"
+    cfg.write_text("{}")
+    assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "out"), str(path)]) == 0
+    parameters = json.loads((tmp_path / "out" / "fit_scan.json").read_text())["parameters"]
+    assert parameters == pytest.approx({"purcell_factor": 56.0, "alpha": 0.47}, rel=1e-6)
 
 
 def _simulated_histogram(tmp_path, seed):

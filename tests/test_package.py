@@ -156,3 +156,41 @@ def test_every_public_reader_serves_a_command():
                      and node.func.id in own} - reached
     readers = {name for name in pcio.__all__ if name.startswith("read_")}
     assert sorted(readers - reached) == []
+
+
+def _sources() -> dict:
+    """The parsed source of each pcqed module, by name."""
+    return {name: ast.parse(inspect.getsource(importlib.import_module(f"pcqed.{name}")))
+            for name in MODULES}
+
+
+def test_the_emg_kernel_has_one_caller():
+    # `tcspc.decay_terms` is the one evaluation of the decay model: the
+    # generator and every fit take their curves from it, so a second caller
+    # of the kernel would be a second formula to keep bit for bit in step.
+    callers = set()
+    for name, tree in _sources().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_emg" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None)):
+                    callers.add(f"{name}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"tcspc.decay_terms"}
+
+
+# Called only by tests: the reference seams of the physics oracles
+# (empty-lattice bands, the C6v degeneracies, criterion 4), kept on purpose.
+ORACLE_SEAMS = {"geometry.dielectric_fourier", "bands.build_te_operator"}
+
+
+def test_every_public_function_is_used_in_the_package():
+    # A public function that nothing in the package calls or passes on is a
+    # second path that no command runs.
+    sources = _sources()
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in sources.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    public = {f"{name}.{node.name}" for name, tree in sources.items() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert ORACLE_SEAMS <= public
+    assert sorted(f for f in public - ORACLE_SEAMS if f.split(".")[1] not in used) == []
