@@ -14,8 +14,6 @@ are reported in dimensionless units a/lambda.
 from __future__ import annotations
 
 import itertools
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +51,8 @@ DOUBLET_MAX_SPLITTING = 1e-3
 DOUBLET_MIN_LOCALIZATION = 0.6
 # `solve_h1_modes`: eigenvalues within this relative distance are degenerate.
 DEGENERACY_RTOL = 1e-10
+# `compute_bands`: the most operator entries built and solved as one stack (64 MiB).
+_STACK_ENTRIES = 2**23
 
 
 class BandSolverError(RuntimeError):
@@ -95,20 +95,13 @@ class PlaneWaveBasis:
     def supercell(
         cls, lattice: TriangularLattice, supercell_size: int, cutoff: int
     ) -> "PlaneWaveBasis":
-        """The basis of radius `cutoff` on the S x S supercell's reciprocal lattice;
-        ValueError where the solvers' squared wavevectors leave the normal
-        floats: the largest, at a corner of the `_eps_matrix` table, overflows,
-        or the smallest nonzero, |g1|^2, underflows (the bands would read 0)."""
+        """The basis of radius `cutoff` on the S x S supercell's reciprocal lattice.
+        The solvers square its wavevectors, in 1/nm: the config's period and
+        cutoff bounds keep those squares normal floats."""
         if supercell_size < 1:
             raise ValueError("supercell_size must be >= 1")
-        indices = hexagon_indices(cutoff)
-        g = 4.0 * math.pi / (math.sqrt(3.0) * lattice.period_a) / supercell_size  # |g1|
-        edge = math.sqrt(3.0) * 2 * int(np.abs(indices).max()) * g  # dm = dn = span
-        if not (math.isfinite(edge * edge) and g * g >= sys.float_info.min):
-            raise ValueError(f"{lattice.period_a} nm gives squared wavevectors from {g * g:.3g} "
-                             f"to {edge * edge:.3g} nm^-2, beyond the normal float range")
         g1, g2 = (b / supercell_size for b in reciprocal_basis(lattice))
-        return cls(g1, g2, indices, supercell_size)
+        return cls(g1, g2, hexagon_indices(cutoff), supercell_size)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -319,10 +312,11 @@ def compute_bands(
     mirror line of C6v, so the operator splits into that mirror's two
     classes (`_class_blocks`); the M-K points are solved whole. At Gamma it
     splits by inversion, and the even class's G = 0 row, which is zero, is
-    dropped: band 1 starts at exactly 0. The operators of one segment's
-    points are built as one stack, which is freed once split into its
-    classes, and the class blocks are freed before the next segment's
-    stack is built: at most one segment's operators are live.
+    dropped: band 1 starts at exactly 0. The operators of a segment's
+    points are built as one stack, or as several of at most `_STACK_ENTRIES`
+    entries, so memory does not grow with `samples_per_segment`; a stack is
+    freed once split into its classes, and the class blocks are freed
+    before the next stack is built.
     """
     if n_bands > len(basis):
         raise ValueError(f"n_bands={n_bands} exceeds basis size {len(basis)}")
@@ -334,31 +328,32 @@ def compute_bands(
     on_gm = (frac[:, 1] == 0.0) & ~gamma
     on_gk = (frac[:, 0] == frac[:, 1]) & ~gamma & ~on_gm
     rest = ~(gamma | on_gm | on_gk)
+    per_stack = max(1, _STACK_ENTRIES // len(basis) ** 2)
     lambdas = np.empty((len(kpts), n_bands))
     for points, operation in ((gamma, _INVERSION), (on_gm, _MIRROR_GM), (on_gk, _MIRROR_GK),
                               (rest, None)):
-        idx = np.flatnonzero(points)
-        if idx.size == 0:
-            continue
-        theta = _assemble_te(eta, kpts[idx], g)  # path points lie in the first zone
-        if operation is None:
-            parts = [theta]
-        else:
-            parts = [block for block, _, _ in _class_blocks(
-                theta, _basis_image(basis, operation), np.ones(len(basis))).values()]
-        del theta  # the whole-k stack goes once it is split into the parts
-        vals = []
-        if operation is _INVERSION:
-            parts[0] = parts[0][..., 1:, 1:]  # the zero G = 0 row,
-            vals.append(np.zeros((len(idx), 1)))  # whose lambda is exactly 0
-        try:
-            vals += [np.linalg.eigvalsh(part) for part in parts]
-        except np.linalg.LinAlgError as exc:
-            raise BandSolverError(
-                f"eigensolver failed at k-points {idx.tolist()}: {exc}") from exc
-        del parts  # before the next segment's stack is assembled
-        vals = np.sort(np.concatenate(vals, axis=-1), axis=-1)
-        lambdas[idx] = vals[:, :n_bands]
+        on_segment = np.flatnonzero(points)
+        for start in range(0, on_segment.size, per_stack):
+            idx = on_segment[start:start + per_stack]
+            theta = _assemble_te(eta, kpts[idx], g)  # path points lie in the first zone
+            if operation is None:
+                parts = [theta]
+            else:
+                parts = [block for block, _, _ in _class_blocks(
+                    theta, _basis_image(basis, operation), np.ones(len(basis))).values()]
+            del theta  # the stack goes once it is split into the parts
+            vals = []
+            if operation is _INVERSION:
+                parts[0] = parts[0][..., 1:, 1:]  # the zero G = 0 row,
+                vals.append(np.zeros((len(idx), 1)))  # whose lambda is exactly 0
+            try:
+                vals += [np.linalg.eigvalsh(part) for part in parts]
+            except np.linalg.LinAlgError as exc:
+                raise BandSolverError(
+                    f"eigensolver failed at k-points {idx.tolist()}: {exc}") from exc
+            del parts  # before the next stack is assembled
+            vals = np.sort(np.concatenate(vals, axis=-1), axis=-1)
+            lambdas[idx] = vals[:, :n_bands]
     freqs = lattice.period_a / (2.0 * np.pi) * np.sqrt(np.clip(lambdas, 0.0, None))
     return BandStructure(k_fractions=frac, arc_lengths=arc, frequencies=freqs)
 
@@ -690,20 +685,12 @@ def mode_volume(profile: CavityModeProfile, slab: SlabWaveguide) -> float:
     over the dielectric, the strongest point accessible to an embedded
     emitter; the global peak sits just inside a hole wall, where the normal
     E-field jumps by the permittivity contrast. Reads no grid: the profile
-    stores the sum and the dielectric peak of its grid. ValueError where
-    (wavelength/n_core)^3 in nm^3 leaves the normal floats (a period above
-    about 5e102 nm or below about 3e-103 nm).
+    stores the sum and the dielectric peak of its grid. (wavelength/n_core)^3
+    is taken in nm^3, a normal float at the config's periods and indices.
     """
     if not profile.density_sum > 0.0:
         raise ValueError("zero-field profile")
     ngrid = profile.grid_per_period * profile.supercell_size
     integral = profile.density_sum * (profile.supercell_area / ngrid**2)
-    length = profile.wavelength / slab.n_core
-    try:
-        cube = length**3
-    except OverflowError:
-        cube = math.inf
-    if not sys.float_info.min <= cube < math.inf:
-        raise ValueError(f"(wavelength/n_core)^3 = ({length:.3g} nm)^3 is beyond the "
-                         f"normal float range")
+    cube = (profile.wavelength / slab.n_core) ** 3
     return integral * slab.thickness / profile.dielectric_peak / cube

@@ -83,7 +83,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # The typed config: one frozen dataclass per JSON object, built by `_parse`.
 # A field without a default is required; the bounds given to `_setting` apply
-# to every number the field holds. `__post_init__` checks cross-field rules.
+# to every number the field holds: physical ranges, each with its reason, in
+# which every product the solvers form is a normal float and every array fits
+# in memory. `__post_init__` checks cross-field rules.
 # ---------------------------------------------------------------------------
 
 _BOUNDS = {"minimum": (operator.ge, ">="), "above": (operator.gt, ">"),
@@ -96,9 +98,9 @@ def _setting(default=MISSING, **bounds):
 
 @dataclass(frozen=True, kw_only=True)
 class Slab:
-    thickness_nm: float = _setting(400.0, above=0.0)
-    n_core: float = 3.4
-    n_clad: float = _setting(1.0, minimum=1.0)
+    thickness_nm: float = _setting(400.0, minimum=1.0, maximum=1e6)  # 1 nm films to 1 mm slabs
+    n_core: float = _setting(3.4, minimum=1.0, maximum=10.0)  # optical refractive indices
+    n_clad: float = _setting(1.0, minimum=1.0, maximum=10.0)
 
     def waveguide(self) -> SlabWaveguide:
         return SlabWaveguide(self.thickness_nm, self.n_core, self.n_clad)
@@ -111,10 +113,11 @@ def _ra_tag(value: float) -> str:
 
 @dataclass(frozen=True, kw_only=True)
 class Crystal:
-    period_nm: float = _setting(above=0.0)
-    hole_ratio_values: tuple[float, ...] = _setting(minimum=0.0, below=0.5)
+    period_nm: float = _setting(minimum=1.0, maximum=1e6)  # 1 nm to 1 mm lattices
+    hole_ratio_values: tuple[float, ...] = _setting(minimum=0.0, below=0.5)  # holes must not touch
     slab: Slab = Slab()
-    reference_wavelength_nm: float = _setting(1050.0, above=0.0)
+    # Quantum-dot and other emitters, near UV to mid-infrared.
+    reference_wavelength_nm: float = _setting(1050.0, minimum=300.0, maximum=3000.0)
     eps_background: float | None = None  # default: the slab's n_eff squared
 
     def __post_init__(self):
@@ -139,8 +142,8 @@ class Crystal:
 
 @dataclass(frozen=True, kw_only=True)
 class Bands:
-    cutoff: int = _setting(7, minimum=1)
-    samples_per_segment: int = _setting(16, minimum=2)
+    cutoff: int = _setting(7, minimum=1, maximum=40)  # 3.6 cutoff^2 plane waves, a dense solve
+    samples_per_segment: int = _setting(16, minimum=2, maximum=1000)  # a smooth band diagram
     n_bands: int = _setting(5, minimum=2)
 
     def __post_init__(self):
@@ -150,9 +153,9 @@ class Bands:
 
 @dataclass(frozen=True, kw_only=True)
 class Modes:
-    supercell_size: int = _setting(7, minimum=5)
-    cutoff: int = _setting(12, minimum=1)
-    grid_per_period: int = _setting(64, minimum=64)
+    supercell_size: int = _setting(7, minimum=5, maximum=15)  # 2 to 7 rings round the defect
+    cutoff: int = _setting(12, minimum=1, maximum=40)  # as bands.cutoff
+    grid_per_period: int = _setting(64, minimum=64, maximum=256)  # a 3,840^2 grid at S = 15
 
     def __post_init__(self):
         if self.supercell_size % 2 == 0:
@@ -161,7 +164,8 @@ class Modes:
 
 @dataclass(frozen=True, kw_only=True)
 class Mode:
-    wavelength_nm: float = _setting(above=0.0)
+    # As crystal.reference_wavelength_nm; with span_nm and step_nm it bounds a scan's grid.
+    wavelength_nm: float = _setting(minimum=300.0, maximum=3000.0)
     q_factor: float = _setting(above=1.0)
 
     def cavity(self) -> CavityMode:
@@ -170,40 +174,32 @@ class Mode:
 
 @dataclass(frozen=True, kw_only=True)
 class Irf:
-    fwhm_ps: float = _setting(150.0, above=0.0)
-    t0_ps: float = 600.0
+    fwhm_ps: float = _setting(150.0, minimum=0.1, maximum=1e6)  # 100 fs to 1 us
+    t0_ps: float = _setting(600.0, minimum=-1e9, maximum=1e9)  # within 1 ms of time zero
 
 
 @dataclass(frozen=True, kw_only=True)
 class Grid:
-    bin_width_ps: float = _setting(12.0, above=0.0)
-    n_bins: int = _setting(4096, minimum=1, below=2**60)  # numpy: < 2**63 bytes
-    t_start_ps: float = 0.0
+    bin_width_ps: float = _setting(12.0, minimum=0.01, maximum=1e6)  # 10 fs to 1 us
+    n_bins: int = _setting(4096, minimum=1, maximum=2**16)  # a TCSPC card's channel count
+    t_start_ps: float = _setting(0.0, minimum=-1e9, maximum=1e9)  # as irf.t0_ps
 
 
 @dataclass(frozen=True, kw_only=True)
 class Histogram:
-    components: tuple[tuple[float, float], ...]
-    total_counts: int = _setting(minimum=1, below=2**63)  # numpy draws an int64
+    components: tuple[tuple[float, float], ...] = _setting(maximum=1e12)  # [counts/bin, ps]
+    total_counts: int = _setting(minimum=1, maximum=10**12)  # days of counting at 10 MHz
     irf: Irf = Irf()
     grid: Grid = Grid()
-    # numpy draws a Poisson mean at most 10 sigma below the int64 maximum
-    background_rate_per_bin: float = _setting(0.0, minimum=0.0, maximum=9.223372006484771e18)
+    background_rate_per_bin: float = _setting(0.0, minimum=0.0, maximum=1e9)
 
     def __post_init__(self):
-        # The decay model, then the squares its curve takes on this IRF and grid.
-        # The bounds of irf and grid leave only the decay model to raise here.
         try:
-            model, irf, grid = self.tcspc()
-            for amplitude, tau in model.components:
-                if amplitude > 0:  # `expected_curve` skips the others
-                    irf.check_lifetime(tau)
+            DecayModel(self.components)
         except ValueError as exc:
             raise ValueError(f"components: {exc}") from exc
-        try:
-            irf.check_grid(grid)
-        except ValueError as exc:
-            raise ValueError(f"irf.fwhm_ps: {exc}") from exc
+        if (tau := min(tau for _, tau in self.components)) < 1e-3:  # 1 fs, far below any IRF
+            raise ValueError(f"components: lifetimes must be >= 0.001 ps, got {tau}")
 
     def tcspc(self) -> tuple[DecayModel, InstrumentResponse, BinGrid]:
         """The decay model, instrument response and bin grid of this histogram."""
@@ -218,8 +214,8 @@ class Scan:
     purcell_factors: tuple[float, ...] = _setting(minimum=0.0)
     alpha: float = _setting(minimum=0.0)
     tau0_ps: float = _setting(above=0.0)
-    span_nm: float = _setting(2.5, above=0.0)
-    step_nm: float = _setting(0.1, above=0.0)
+    span_nm: float = _setting(2.5, above=0.0, maximum=100.0)  # a spectrometer window
+    step_nm: float = _setting(0.1, minimum=0.01, maximum=100.0)  # a spectrometer's resolution
     noise_fraction: float = _setting(0.05, minimum=0.0)
 
     def __post_init__(self):
@@ -254,15 +250,6 @@ class Config:
     modes: Modes = Modes()
     simulate: Simulate | None = None
     fit: Fit = Fit()
-
-    def __post_init__(self):
-        if self.crystal is not None:  # the bases that `bands` and `modes` solve on
-            lattice = self.crystal.lattice(self.crystal.hole_ratio_values[0])
-            try:
-                PlaneWaveBasis.bulk(lattice, self.bands.cutoff)
-                PlaneWaveBasis.supercell(lattice, self.modes.supercell_size, self.modes.cutoff)
-            except ValueError as exc:
-                raise ValueError(f"crystal.period_nm: {exc}") from exc
 
     def require(self, section: str):
         if getattr(self, section) is None:
@@ -471,10 +458,7 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
         modes = solve_h1_modes(lattice, basis, gap=gaps[ra],
                                grid_per_period=settings.grid_per_period)
         pairs = dipole_doublets(modes)
-        try:
-            volumes = [mode_volume(mode, slab) for mode in modes]
-        except ValueError as exc:
-            raise ConfigError(f"crystal.period_nm: {exc}") from None
+        volumes = [mode_volume(mode, slab) for mode in modes]
         bundle.results[ra] = [((a.frequency, b.frequency), volumes[modes.index(a)])
                               for a, b in pairs]
         tag = _ra_tag(ra)
@@ -501,10 +485,10 @@ def cmd_modes(cfg: Config, out_dir: Path, gaps: dict[float, BandGap | None]) -> 
 
 def _simulate_histogram(spec: Histogram, bundle, seed):
     model, irf, grid = spec.tcspc()
-    try:  # more bins than memory holds, or a curve that is 0 in every bin
+    try:  # a curve that is 0 in every bin
         hist = sample_histogram(expected_curve(model, irf, grid), spec.total_counts, seed,
                                 grid=grid, irf=irf, background_rate=spec.background_rate_per_bin)
-    except (MemoryError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"simulate.histogram: {exc}") from None
     bundle.note(
         f"simulate: histogram with {hist.total_counts} counts over "
@@ -527,13 +511,13 @@ def _simulate_scan(spec: Scan, bundle, seed):
     fps = list(spec.purcell_factors)
     centers = [m.lambda_c for m in modes]
     scan_seed = seed + 1
-    try:  # a grid beyond numpy's arrays, or a lifetime that is not finite
-        lam = np.arange(min(centers) - spec.span_nm,
-                        max(centers) + spec.span_nm + spec.step_nm / 2.0, spec.step_nm)
+    lam = np.arange(min(centers) - spec.span_nm,
+                    max(centers) + spec.span_nm + spec.step_nm / 2.0, spec.step_nm)
+    try:  # a lifetime that is not finite
         scan = synthesize_spectral_scan(
             modes, fps, spec.alpha, spec.tau0_ps, lam, spec.noise_fraction, scan_seed
         )
-    except (MemoryError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"simulate.spectral_scan: {exc}") from None
     bundle.note(
         f"simulate: spectral scan of {len(lam)} points around "

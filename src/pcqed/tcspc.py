@@ -59,14 +59,6 @@ class InstrumentResponse:
         terms are below resolution there. It grows as tau shrinks."""
         return _far_offset(self.sigma, self.sigma * (1.0 / tau))
 
-    def check_lifetime(self, tau: float) -> None:
-        """ValueError when `decay_terms` would overflow squaring sigma/tau for
-        a component of lifetime `tau`."""
-        ratio = self.sigma * (1.0 / tau)
-        if not math.isfinite(ratio * ratio):
-            raise ValueError(f"lifetime {tau} ps against the IRF sigma {self.sigma} ps: "
-                             f"(sigma/tau)^2 overflows")
-
     def check_grid(self, grid: BinGrid) -> None:
         """ValueError when `decay_terms` would overflow squaring u/sigma, u =
         t - t0, on `grid`: at the first bin centre, if it lies before t0 (bins

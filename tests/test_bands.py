@@ -280,6 +280,27 @@ def test_band_solve_frees_each_segment_before_the_next():
     assert peak < 12e6
 
 
+def test_long_segments_are_solved_in_bounded_stacks(monkeypatch):
+    # With stacks of at most four operators, a segment is solved in several
+    # stacks to the same bits as in one, and the traced peak does not grow
+    # with the points per segment.
+    lat = device_lattice(0.37)
+    basis = PlaneWaveBasis.bulk(lat, 5)
+    whole = compute_bands(lat, 25, basis, 5).frequencies
+    monkeypatch.setattr("pcqed.bands._STACK_ENTRIES", 4 * len(basis) ** 2)
+    peaks = []
+    for samples in (25, 400):
+        tracemalloc.start()
+        try:
+            split = compute_bands(lat, samples, basis, 5).frequencies
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if samples == 25:
+            np.testing.assert_array_equal(split, whole)
+    assert peaks[1] < 1.5 * peaks[0]
+
+
 def test_periodicity_under_reciprocal_translation():
     lat = device_lattice()
     basis = PlaneWaveBasis.bulk(lat, 5)

@@ -8,13 +8,14 @@ import dataclasses
 import inspect
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcqed import io as pcio
@@ -131,10 +132,16 @@ def _histogram(**changes):
     ("fit", {"fit": {"spectral": {"modes": [{"wavelength_nm": 1031.5, "q_factor": 1950.0,
                                               "v_mode": 1.5}]}}},
      "fit.spectral.modes[0].v_mode: unknown key"),
+    # Rows given by pytest.param keep the id they had when a float-range guard
+    # refused them: it names what the value would break. Each setting's range
+    # now refuses it first, and the message names that range.
     # Settings whose squares overflow the slab's Python floats.
-    ("bands", _slab(thickness_nm=1e-300), "crystal.slab: n_core^2 or (wavelength/2d)^2 overflows"),
-    ("bands", _slab(n_core=1e200), "crystal.slab: n_core^2 or (wavelength/2d)^2 overflows"),
-    # Settings beyond numpy's samplers and arrays.
+    pytest.param("bands", _slab(thickness_nm=1e-300),
+                 "crystal.slab.thickness_nm: must be >= 1.0, got 1e-300",
+                 id="bands-document16-crystal.slab: n_core^2 or (wavelength/2d)^2 overflows"),
+    pytest.param("bands", _slab(n_core=1e200), "crystal.slab.n_core: must be <= 10.0, got 1e+200",
+                 id="bands-document17-crystal.slab: n_core^2 or (wavelength/2d)^2 overflows"),
+    # Settings beyond numpy's samplers and arrays, now beyond a TCSPC setup's ranges.
     ("simulate", _histogram(total_counts=10**20), "simulate.histogram.total_counts: must be <"),
     ("simulate", _histogram(background_rate_per_bin=1e300),
      "simulate.histogram.background_rate_per_bin: must be <="),
@@ -142,21 +149,37 @@ def _histogram(**changes):
     # A core index 1e-13 above the cladding leaves effective_index no bracket.
     ("bands", _slab(n_core=1.0000000000001), "crystal.slab: no bracket for the guided TE mode"),
     # Settings whose squares overflow the EMG kernel: sigma/tau, and u/sigma at the first bin.
-    ("simulate", _histogram(components=[[1.0, 1e-300]]),
-     "simulate.histogram.components: lifetime 1e-300 ps against the IRF sigma"),
-    ("simulate", _histogram(irf={"fwhm_ps": 1e-300}, grid={"n_bins": 64}),
-     "simulate.histogram.irf.fwhm_ps: the first bin lies"),
+    pytest.param("simulate", _histogram(components=[[1.0, 1e-300]]),
+                 "simulate.histogram.components: lifetimes must be >= 0.001 ps, got 1e-300",
+                 id="simulate-document22-simulate.histogram.components: lifetime 1e-300 ps "
+                    "against the IRF sigma"),
+    pytest.param("simulate", _histogram(irf={"fwhm_ps": 1e-300}, grid={"n_bins": 64}),
+                 "simulate.histogram.irf.fwhm_ps: must be >= 0.1, got 1e-300",
+                 id="simulate-document23-simulate.histogram.irf.fwhm_ps: the first bin lies"),
     # Periods whose squared wavevectors overflow, or underflow to 0.
-    ("bands", _period(1e-170), "crystal.period_nm: 1e-170 nm gives squared wavevectors"),
-    ("bands", _period(1e200), "crystal.period_nm: 1e+200 nm gives squared wavevectors"),
-    ("modes", _period(1e-170), "crystal.period_nm: 1e-170 nm gives squared wavevectors"),
-    ("modes", _period(1e200), "crystal.period_nm: 1e+200 nm gives squared wavevectors"),
+    pytest.param("bands", _period(1e-170), "crystal.period_nm: must be >= 1.0, got 1e-170",
+                 id="bands-document24-crystal.period_nm: 1e-170 nm gives squared wavevectors"),
+    pytest.param("bands", _period(1e200), "crystal.period_nm: must be <= 1000000.0, got 1e+200",
+                 id="bands-document25-crystal.period_nm: 1e+200 nm gives squared wavevectors"),
+    pytest.param("modes", _period(1e-170), "crystal.period_nm: must be >= 1.0, got 1e-170",
+                 id="modes-document26-crystal.period_nm: 1e-170 nm gives squared wavevectors"),
+    pytest.param("modes", _period(1e200), "crystal.period_nm: must be <= 1000000.0, got 1e+200",
+                 id="modes-document27-crystal.period_nm: 1e+200 nm gives squared wavevectors"),
     # NaN and Infinity, tokens that Python's json reads.
     ("bands", _period(math.nan), "crystal.period_nm: expected a finite number, got nan"),
     ("simulate", _histogram(background_rate_per_bin=math.inf),
      "simulate.histogram.background_rate_per_bin: expected a finite number, got inf"),
     ("simulate", _histogram(components=[[1.0, -math.inf]]),
      "simulate.histogram.components[0][1]: expected a finite number, got -inf"),
+    # Finite settings that used to end in a MemoryError or OverflowError traceback.
+    ("bands", {**_period(300.0), "bands": {"cutoff": 1000000}}, "bands.cutoff: must be <= 40"),
+    ("modes", {**_period(300.0), "modes": {"cutoff": 100000}}, "modes.cutoff: must be <= 40"),
+    ("modes", {**_period(300.0), "modes": {"grid_per_period": 1000000}},
+     "modes.grid_per_period: must be <= 256"),
+    ("bands", {**_period(300.0), "bands": {"samples_per_segment": 10**12}},
+     "bands.samples_per_segment: must be <= 1000"),
+    ("simulate", _scan_mode(wavelength_nm=1e300),
+     "simulate.spectral_scan.modes[0].wavelength_nm: must be <= 3000.0"),
 ])
 def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document, dotted):
     cfg = tmp_path / "cfg.json"
@@ -172,14 +195,16 @@ def test_bad_config_exits_2_with_dotted_path(tmp_path, capsys, command, document
 
 @pytest.mark.parametrize("grid, message", [
     ({"n_bins": 64, "t_start_ps": 1e7}, "curve must have positive total weight"),
-    ({"n_bins": 2**59}, "Unable to allocate"),  # 4 EiB: refused before any page is touched
+    # 4 EiB of bins, which numpy could not allocate, are more than a TCSPC card has.
+    pytest.param({"n_bins": 2**59}, "simulate.histogram.grid.n_bins: must be <= 65536",
+                 id="grid1-Unable to allocate"),
 ])
 def test_histogram_that_cannot_be_drawn_exits_2(tmp_path, capsys, grid, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_histogram(grid=grid)))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"simulate.histogram: {message}" in err and "Traceback" not in err
+    assert "simulate.histogram" in err and message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -192,8 +217,11 @@ def _scan(**changes):
 
 
 @pytest.mark.parametrize("document, message", [
-    (_scan(span_nm=1e300), "Maximum allowed size exceeded"),  # beyond numpy's arrays
-    (_scan(step_nm=1e-300), "Maximum allowed size exceeded"),
+    # Grids beyond numpy's arrays, refused at the setting's range.
+    pytest.param(_scan(span_nm=1e300), "simulate.spectral_scan.span_nm: must be <= 100.0",
+                 id="document0-Maximum allowed size exceeded"),
+    pytest.param(_scan(step_nm=1e-300), "simulate.spectral_scan.step_nm: must be >= 0.01",
+                 id="document1-Maximum allowed size exceeded"),
     (_scan(purcell_factors=[0.0], alpha=0.0), "lifetime inf ps is not finite"),
     (_scan(noise_fraction=1e308), "lifetime inf ps is not finite"),
 ])
@@ -203,58 +231,84 @@ def test_scan_that_cannot_be_drawn_exits_2(tmp_path, capsys, document, message):
     cfg.write_text(json.dumps(document))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "simulate.spectral_scan: " in err and message in err and "Traceback" not in err
+    assert "simulate.spectral_scan" in err and message in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("period_nm", [1e-150, 1e150])
 def test_extreme_periods_inside_the_float_range_keep_their_bands(period_nm):
     # Frequencies are in a/lambda: a period whose squared wavevectors stay
-    # normal floats solves to the bands of any other.
+    # normal floats solves to the bands of any other. No crystal has such a
+    # period, and the config refuses it.
     bands = []
     for period in (300.0, period_nm):
         lat = TriangularLattice(period, 0.37, 10.0)
         bands.append(compute_bands(lat, 4, PlaneWaveBasis.bulk(lat, 5), 3).frequencies)
     np.testing.assert_allclose(bands[1], bands[0], rtol=1e-9, atol=1e-12)
-    parse_config(_period(period_nm))
+    with pytest.raises(ConfigError, match="crystal.period_nm: must be"):
+        parse_config(_period(period_nm))
 
 
 @pytest.mark.parametrize("period_nm", [1e150, 1e-150])
 def test_modes_refuse_a_period_whose_mode_volume_leaves_the_floats(tmp_path, capsys, period_nm):
-    # The bands solve at these periods; the volume's (wavelength/n_core)^3
-    # in nm^3 overflows or underflows.
+    # The volume's (wavelength/n_core)^3 in nm^3 would overflow or underflow;
+    # the period's range refuses it before any solve.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**_period(period_nm), "modes": {"supercell_size": 5, "cutoff": 9}}))
     assert main(["modes", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "crystal.period_nm: (wavelength/n_core)^3" in err and "Traceback" not in err
+    assert f"{cfg}: crystal.period_nm: must be" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("period_nm", [5e-324, 1e-154, 1e155, 1e308])
 def test_bases_refuse_periods_beyond_the_float_range(period_nm):
-    lat = TriangularLattice(period_nm, 0.37, 10.0)
-    with pytest.raises(ValueError, match="beyond the normal float range"):
-        PlaneWaveBasis.bulk(lat, 7)
+    # The config refuses these periods before a basis is built. Within the
+    # period's range, at the largest cutoff and supercell, the solvers'
+    # squared wavevectors, up to the corner of the `_eps_matrix` table, are
+    # normal floats.
+    with pytest.raises(ConfigError, match="crystal.period_nm: must be"):
+        parse_config(_period(period_nm))
+    for period, size in ((1.0, 1), (1e6, 15)):
+        basis = PlaneWaveBasis.supercell(TriangularLattice(period, 0.37, 10.0), size, 40)
+        g = np.linalg.norm(basis.g1)
+        span = 2 * np.abs(basis.indices).max()
+        assert sys.float_info.min < g * g and (math.sqrt(3.0) * span * g) ** 2 < 1e300
 
 
 def test_sampler_bounds_are_numpys_limits():
-    # The schema admits exactly the counts and Poisson means numpy draws, and
-    # no more bins than a numpy float64 array can have.
+    # The schema's ceilings are a TCSPC setup's, well inside what numpy's
+    # samplers draw: the most counts and the largest background mean draw
+    # on the most bins.
     from pcqed.cli import Grid, Histogram
 
     bounds = {f.name: f.metadata for cls in (Histogram, Grid) for f in dataclasses.fields(cls)}
     rng = np.random.default_rng(0)
-    most = bounds["total_counts"]["below"] - 1
-    assert rng.multinomial(most, [0.5, 0.5]).sum() == most
-    with pytest.raises(OverflowError):
-        rng.multinomial(most + 1, [0.5, 0.5])
+    most = bounds["total_counts"]["maximum"]
+    n_bins = bounds["n_bins"]["maximum"]
+    assert rng.multinomial(most, np.full(n_bins, 1.0 / n_bins)).sum() == most
     lam = bounds["background_rate_per_bin"]["maximum"]
-    rng.poisson(lam)
-    with pytest.raises(ValueError, match="lam value too large"):
-        rng.poisson(np.nextafter(lam, np.inf))
-    with pytest.raises(ValueError, match="array is too big"):
-        np.empty(bounds["n_bins"]["below"])
+    assert np.all(rng.poisson(lam, n_bins) > 0)
+
+
+def test_largest_in_bound_draws_are_simulated(tmp_path):
+    # The upper corners of the histogram's ranges (the most bins, counts and
+    # background) and of the scan's (modes at both wavelength bounds, the
+    # widest span at the finest step) draw and write, with no warning.
+    sim = json.loads(json.dumps(SCAN_SIM))
+    sim["spectral_scan"].update(
+        modes=[{"wavelength_nm": 300.0, "q_factor": 1950.0},
+               {"wavelength_nm": 3000.0, "q_factor": 1950.0}],
+        purcell_factors=[56.0, 56.0], span_nm=100.0, step_nm=0.01)
+    sim["histogram"] = {"components": [[1.0, 400.0]], "total_counts": 10**12,
+                        "background_rate_per_bin": 1e9, "grid": {"n_bins": 2**16}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulate": sim}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    hist = pcio.read_histogram_csv(tmp_path / "out" / "histogram.csv")
+    assert len(hist.counts) == 2**16 and hist.counts.sum() > 10**12
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    assert "spectral scan of 290001 points" in summary  # 200 to 3100 nm
 
 
 @pytest.mark.parametrize("cutoff", range(1, 14))
@@ -379,12 +433,14 @@ _json_values = st.recursive(
     max_leaves=6,
 )
 _known = [("crystal", "period_nm"), ("crystal", "hole_ratio_values"), ("crystal", "slab"),
-          ("bands", "cutoff"), ("modes", "grid_per_period"), ("simulate", "seed"),
+          ("bands", "cutoff"), ("bands", "samples_per_segment"), ("modes", "cutoff"),
+          ("modes", "supercell_size"), ("modes", "grid_per_period"), ("simulate", "seed"),
           ("simulate", "histogram"), ("simulate", "spectral_scan"), ("fit", "model"),
           ("fit", "spectral"), ("output_dir", None)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
+@example([(("bands", "cutoff"), 10**5)])  # the bulk basis of cutoff 1e5 does not fit in memory
 @given(st.lists(st.tuples(st.sampled_from(_known), _json_values), max_size=4))
 def test_parse_config_fails_only_with_config_error(entries):
     document = {}
@@ -472,7 +528,7 @@ def test_time_column_must_be_bin_centres(tmp_path, capsys):
 
 def test_scan_sidecar_modes_follow_the_config_rule(tmp_path, capsys):
     scan = _write_scan(tmp_path / "scan.csv")
-    runs = [tmp_path / run for run in ("valid", "q_factor", "v_mode")]  # a fresh --out each
+    runs = [tmp_path / run for run in ("valid", "q_factor", "v_mode", "wavelength")]  # fresh --out
     for run in runs:
         run.mkdir()
     assert _fit(runs[0], scan) == EXIT_OK
@@ -485,6 +541,11 @@ def test_scan_sidecar_modes_follow_the_config_rule(tmp_path, capsys):
     Path(f"{scan}.meta.json").write_text(json.dumps(meta))
     assert _fit(runs[2], scan) == EXIT_CONFIG
     assert f"{scan}.meta.json:1: modes[0].v_mode: unknown key" in capsys.readouterr().err
+    meta["modes"][0] = {"wavelength_nm": 5000.0, "q_factor": 1950.0}
+    Path(f"{scan}.meta.json").write_text(json.dumps(meta))
+    assert _fit(runs[3], scan) == EXIT_CONFIG
+    assert (f"{scan}.meta.json:1: modes[0].wavelength_nm: must be <= 3000.0, got 5000.0"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("seed", [1, 6])

@@ -194,3 +194,17 @@ def test_every_public_function_is_used_in_the_package():
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert ORACLE_SEAMS <= public
     assert sorted(f for f in public - ORACLE_SEAMS if f.split(".")[1] not in used) == []
+
+
+def test_no_module_but_io_catches_an_overflow():
+    # The config's ranges keep every number the solvers form a normal float
+    # and every array within memory, so only `io`, which reads numbers from
+    # files, may catch an overflow or a failed allocation.
+    guarded = {"MemoryError", "OverflowError", "ArithmeticError"}
+    catches = []
+    for name, tree in _sources().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and name != "io":
+                caught = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
+                catches += [f"{name}:{node.lineno}: {error}" for error in sorted(caught & guarded)]
+    assert catches == []

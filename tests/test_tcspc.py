@@ -165,23 +165,22 @@ def test_merged_tail_must_lie_past_the_irf():
 
 @pytest.mark.parametrize("ratio, fits", [(1e100, True), (1.34e154, True), (1.35e154, False)])
 def test_irf_checks_reject_exactly_the_overflowing_squares(ratio, fits):
-    # sqrt(float64 max) is 1.3408e154: sigma/tau, or u/sigma at a first bin
-    # before t0, of 1.34e154 squares to a finite number, 1.35e154 overflows.
+    # sqrt(float64 max) is 1.3408e154: u/sigma at a first bin before t0 of
+    # 1.34e154 squares to a finite number, 1.35e154 overflows. A histogram
+    # sidecar can hold such an IRF width; a config cannot (irf.fwhm_ps >= 0.1).
     g = grid(64)
-    cases = [(IRF, DecayModel([(1.0, IRF.sigma / ratio)]), IRF.check_lifetime, IRF.sigma / ratio)]
     narrow = InstrumentResponse(fwhm=(600.0 - 6.0) / ratio * 2.355, t0=600.0)
-    cases.append((narrow, DecayModel([(1.0, 400.0)]), narrow.check_grid, g))
-    for irf, model, check, argument in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            if fits:
-                check(argument)
-                assert np.all(np.isfinite(expected_curve(model, irf, g)))
-            else:
-                with pytest.raises(ValueError, match="overflows"):
-                    check(argument)
-                with pytest.raises(RuntimeWarning, match="overflow"):
-                    expected_curve(model, irf, g)
+    model = DecayModel([(1.0, 400.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if fits:
+            narrow.check_grid(g)
+            assert np.all(np.isfinite(expected_curve(model, narrow, g)))
+        else:
+            with pytest.raises(ValueError, match="overflows"):
+                narrow.check_grid(g)
+            with pytest.raises(RuntimeWarning, match="overflow"):
+                expected_curve(model, narrow, g)
 
 
 def test_irf_grid_check_ignores_bins_after_t0():
