@@ -31,6 +31,9 @@ __all__ = [
 
 SPEED_OF_LIGHT_NM_PER_PS = 299_792.458
 
+WAVELENGTH_NM = (300.0, 3000.0)  # quantum dots and other emitters: near UV to mid-infrared
+Q_FACTOR = (10.0, 1e8)  # a linewidth of a tenth of the wavelength, to the best cavities (1e7)
+
 
 @dataclass(frozen=True)
 class CavityMode:

@@ -48,6 +48,8 @@ from .bands import (
     solve_h1_modes,
 )
 from .cavity import (
+    Q_FACTOR,
+    WAVELENGTH_NM,
     CavityMode,
     coupling_efficiency,
     enhanced_lifetime,
@@ -65,8 +67,9 @@ from .fitting import (
     synthesize_spectral_scan,
 )
 from .geometry import SlabWaveguide, TriangularLattice, effective_index
-from .tcspc import (BinGrid, DecayModel, InstrumentResponse, TransientHistogram, expected_curve,
-                    sample_histogram)
+from .tcspc import (BACKGROUND_RATE, BIN_WIDTH_PS, FWHM_PS, LIFETIME_PS, N_BINS, SIGNAL_COUNTS,
+                    TIME_PS, BinGrid, DecayModel, InstrumentResponse, TransientHistogram,
+                    expected_curve, sample_histogram)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,14 +88,17 @@ class ConfigError(ValueError):
 # A field without a default is required; the bounds given to `_setting` apply
 # to every number the field holds: physical ranges, each with its reason, in
 # which every product the solvers form is a normal float and every array fits
-# in memory. `__post_init__` checks cross-field rules.
+# in memory; a range `within`, declared in `tcspc`, `cavity` or `fitting`, holds
+# for the input files too. `__post_init__` checks cross-field rules.
 # ---------------------------------------------------------------------------
 
 _BOUNDS = {"minimum": (operator.ge, ">="), "above": (operator.gt, ">"),
            "below": (operator.lt, "<"), "maximum": (operator.le, "<=")}
 
 
-def _setting(default=MISSING, **bounds):
+def _setting(default=MISSING, within=None, **bounds):
+    if within is not None:
+        bounds.update(minimum=within[0], maximum=within[1])
     return field(default=default, metadata=bounds)
 
 
@@ -116,9 +122,9 @@ class Crystal:
     period_nm: float = _setting(minimum=1.0, maximum=1e6)  # 1 nm to 1 mm lattices
     hole_ratio_values: tuple[float, ...] = _setting(minimum=0.0, below=0.5)  # holes must not touch
     slab: Slab = Slab()
-    # Quantum-dot and other emitters, near UV to mid-infrared.
-    reference_wavelength_nm: float = _setting(1050.0, minimum=300.0, maximum=3000.0)
-    eps_background: float | None = None  # default: the slab's n_eff squared
+    reference_wavelength_nm: float = _setting(1050.0, within=WAVELENGTH_NM)  # an emitter's
+    # Default: the slab's n_eff squared; denser than the holes' air, at most n_core^2.
+    eps_background: float | None = _setting(None, above=1.0, maximum=100.0)
 
     def __post_init__(self):
         tagged = {}
@@ -134,7 +140,6 @@ class Crystal:
                 object.__setattr__(self, "eps_background", n_eff**2)
         except ValueError as exc:
             raise ValueError(f"slab: {exc}") from exc
-        self.lattice(self.hole_ratio_values[0])  # eps_background must exceed 1 (air)
 
     def lattice(self, hole_ratio: float) -> TriangularLattice:
         return TriangularLattice(self.period_nm, hole_ratio, self.eps_background)
@@ -164,9 +169,9 @@ class Modes:
 
 @dataclass(frozen=True, kw_only=True)
 class Mode:
-    # As crystal.reference_wavelength_nm; with span_nm and step_nm it bounds a scan's grid.
-    wavelength_nm: float = _setting(minimum=300.0, maximum=3000.0)
-    q_factor: float = _setting(above=1.0)
+    # With span_nm and step_nm it bounds a scan's grid (`fitting.SCAN_WAVELENGTH_NM`).
+    wavelength_nm: float = _setting(within=WAVELENGTH_NM)
+    q_factor: float = _setting(within=Q_FACTOR)
 
     def cavity(self) -> CavityMode:
         return CavityMode(self.wavelength_nm, self.q_factor)
@@ -174,32 +179,33 @@ class Mode:
 
 @dataclass(frozen=True, kw_only=True)
 class Irf:
-    fwhm_ps: float = _setting(150.0, minimum=0.1, maximum=1e6)  # 100 fs to 1 us
-    t0_ps: float = _setting(600.0, minimum=-1e9, maximum=1e9)  # within 1 ms of time zero
+    fwhm_ps: float = _setting(150.0, within=FWHM_PS)
+    t0_ps: float = _setting(600.0, within=TIME_PS)
 
 
 @dataclass(frozen=True, kw_only=True)
 class Grid:
-    bin_width_ps: float = _setting(12.0, minimum=0.01, maximum=1e6)  # 10 fs to 1 us
-    n_bins: int = _setting(4096, minimum=1, maximum=2**16)  # a TCSPC card's channel count
-    t_start_ps: float = _setting(0.0, minimum=-1e9, maximum=1e9)  # as irf.t0_ps
+    bin_width_ps: float = _setting(12.0, within=BIN_WIDTH_PS)
+    n_bins: int = _setting(4096, within=N_BINS)
+    t_start_ps: float = _setting(0.0, within=TIME_PS)
 
 
 @dataclass(frozen=True, kw_only=True)
 class Histogram:
-    components: tuple[tuple[float, float], ...] = _setting(maximum=1e12)  # [counts/bin, ps]
-    total_counts: int = _setting(minimum=1, maximum=10**12)  # days of counting at 10 MHz
+    # [counts/bin, ps], each up to the lifetimes' ceiling.
+    components: tuple[tuple[float, float], ...] = _setting(minimum=0.0, maximum=LIFETIME_PS[1])
+    total_counts: int = _setting(within=SIGNAL_COUNTS)
     irf: Irf = Irf()
     grid: Grid = Grid()
-    background_rate_per_bin: float = _setting(0.0, minimum=0.0, maximum=1e9)
+    background_rate_per_bin: float = _setting(0.0, within=BACKGROUND_RATE)
 
     def __post_init__(self):
         try:
             DecayModel(self.components)
         except ValueError as exc:
             raise ValueError(f"components: {exc}") from exc
-        if (tau := min(tau for _, tau in self.components)) < 1e-3:  # 1 fs, far below any IRF
-            raise ValueError(f"components: lifetimes must be >= 0.001 ps, got {tau}")
+        if (tau := min(tau for _, tau in self.components)) < LIFETIME_PS[0]:
+            raise ValueError(f"components: lifetimes must be >= {LIFETIME_PS[0]} ps, got {tau}")
 
     def tcspc(self) -> tuple[DecayModel, InstrumentResponse, BinGrid]:
         """The decay model, instrument response and bin grid of this histogram."""
@@ -211,12 +217,12 @@ class Histogram:
 @dataclass(frozen=True, kw_only=True)
 class Scan:
     modes: tuple[Mode, ...]
-    purcell_factors: tuple[float, ...] = _setting(minimum=0.0)
-    alpha: float = _setting(minimum=0.0)
-    tau0_ps: float = _setting(above=0.0)
+    purcell_factors: tuple[float, ...] = _setting(minimum=0.0, maximum=1e4)  # 100x the paper's
+    alpha: float = _setting(minimum=0.0, maximum=10.0)  # leaky modes at most 10x free space
+    tau0_ps: float = _setting(within=LIFETIME_PS)
     span_nm: float = _setting(2.5, above=0.0, maximum=100.0)  # a spectrometer window
     step_nm: float = _setting(0.1, minimum=0.01, maximum=100.0)  # a spectrometer's resolution
-    noise_fraction: float = _setting(0.05, minimum=0.0)
+    noise_fraction: float = _setting(0.05, minimum=0.0, maximum=1.0)  # noise up to the lifetime
 
     def __post_init__(self):
         if len(self.purcell_factors) != len(self.modes):
@@ -233,7 +239,7 @@ class Simulate:
 @dataclass(frozen=True, kw_only=True)
 class Spectral:
     modes: tuple[Mode, ...] | None = None
-    tau0_ps: float | None = _setting(None, above=0.0)
+    tau0_ps: float | None = _setting(None, within=LIFETIME_PS)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -513,7 +519,7 @@ def _simulate_scan(spec: Scan, bundle, seed):
     scan_seed = seed + 1
     lam = np.arange(min(centers) - spec.span_nm,
                     max(centers) + spec.span_nm + spec.step_nm / 2.0, spec.step_nm)
-    try:  # a lifetime that is not finite
+    try:  # a lifetime or uncertainty outside its range
         scan = synthesize_spectral_scan(
             modes, fps, spec.alpha, spec.tau0_ps, lam, spec.noise_fraction, scan_seed
         )
@@ -555,6 +561,11 @@ def cmd_simulate(cfg: Config, out_dir: Path) -> ResultBundle:
     return bundle
 
 
+def _pm(value: float, error: float | None, digits: int, sep: str = " +- ") -> str:
+    """`value` with its error, or n/a for an error the covariance does not give."""
+    return f"{value:.{digits}f}{sep}" + ("n/a" if error is None else f"{error:.{digits}f}")
+
+
 def _fit_histogram(cfg: Config, path: Path, hist: TransientHistogram, bundle):
     if cfg.fit.model == "auto":
         selection = select_model(hist)
@@ -568,16 +579,13 @@ def _fit_histogram(cfg: Config, path: Path, hist: TransientHistogram, bundle):
     else:
         result = fit_biexponential(hist)
     if result.model != "biexponential":
-        bundle.note(
-            f"fit {path.stem}: monoexponential lifetime "
-            f"{result['lifetime_ps']:.1f} +- {result.std_errors['lifetime_ps']:.1f} ps"
-        )
+        bundle.note(f"fit {path.stem}: monoexponential lifetime "
+                    f"{_pm(result['lifetime_ps'], result.std_errors['lifetime_ps'], 1)} ps")
         return result
-    error = result.extras["beta_std_error"]
     bundle.note(
         f"fit {path.stem}: biexponential lifetimes "
         f"{result['lifetime_fast_ps']:.1f}/{result['lifetime_slow_ps']:.1f} ps, "
-        f"beta = {result.extras['beta']:.4f} +- " + ("n/a" if error is None else f"{error:.4f}")
+        f"beta = {_pm(result.extras['beta'], result.extras['beta_std_error'], 4)}"
     )
     return result
 
@@ -585,9 +593,7 @@ def _fit_histogram(cfg: Config, path: Path, hist: TransientHistogram, bundle):
 def _fit_scan(path: Path, scan, modes: tuple[Mode, ...], bundle):
     result = fit_spectral_model(scan, [m.cavity() for m in modes])
     fp_names = [n for n in result.parameter_order if n.startswith("purcell")]
-    fp_text = ", ".join(
-        f"{n}={result[n]:.1f}+-{result.std_errors[n]:.1f}" for n in fp_names
-    )
+    fp_text = ", ".join(f"{n}={_pm(result[n], result.std_errors[n], 1, '+-')}" for n in fp_names)
     bundle.note(
         f"fit {path.stem}: spectral model {fp_text}, alpha={result['alpha']:.3f}, "
         f"tau on resonance "
@@ -859,8 +865,30 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
 
 
+# numpy's bundled OpenBLAS, the only BLAS pcqed loads.
+_OPENBLAS = Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas64_-32a4b2a6.so"
+
+
+@functools.cache  # once per process
+def _one_blas_thread() -> int | None:
+    """Pin OpenBLAS to one thread; the thread count it had, or None where the
+    library is absent. An eigensolve's last bits depend on the thread count,
+    and OpenBLAS reads OPENBLAS_NUM_THREADS only when it loads."""
+    try:
+        blas = ctypes.CDLL(str(_OPENBLAS))
+        get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    threads = get()
+    put(1)
+    return threads
+
+
 def main(argv=None) -> int:
     _keep_freed_memory()
+    _one_blas_thread()
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "reproduce-paper":

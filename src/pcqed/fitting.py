@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from . import tcspc
-from .cavity import (CavityMode, coupling_efficiency, enhanced_lifetime,
+from .cavity import (WAVELENGTH_NM, CavityMode, coupling_efficiency, enhanced_lifetime,
                      lifetime_ratio_multimode, lorentzian_response)
 from .tcspc import TransientHistogram
 
@@ -116,8 +116,9 @@ class FitResult:
 
     @property
     def std_errors(self) -> dict:
-        std = np.sqrt(np.maximum(np.diag(self.covariance), 0.0))
-        return dict(zip(self.parameter_order, map(float, std)))
+        """Each parameter's error; None where its variance is negative or not finite."""
+        return {name: _std_error(v) for name, v in zip(self.parameter_order,
+                                                        np.diag(self.covariance))}
 
     @property
     def goodness(self) -> float:  # the statistic per degree of freedom
@@ -126,6 +127,11 @@ class FitResult:
     @property
     def goodness_kind(self) -> str:
         return "weighted-chi-square" if self.model == "spectral-detuning" else "poisson-deviance"
+
+
+def _std_error(variance) -> float | None:
+    """sqrt(variance), or None where the variance is negative or not finite."""
+    return float(np.sqrt(variance)) if 0.0 <= variance < np.inf else None
 
 
 class FitConvergenceError(RuntimeError):
@@ -153,20 +159,30 @@ class ModelSelection:
         return self.mono if self.choice == "mono" else self.bi
 
 
-def _require_finite(wavelengths, values, problem):
-    """ValueError at the first scan point where `values` is not finite,
-    described by `problem(index)`."""
-    bad = np.flatnonzero(~np.isfinite(values))
+# A scan's ranges, each closed; its lifetimes and tau0 take `tcspc.LIFETIME_PS`.
+# An uncertainty keeps 1/sigma^2 and the spectral fit's normal matrix normal
+# floats; a simulated scan reaches span_nm (100 nm) and half a step_nm past a mode.
+UNCERTAINTY_PS = (1e-9, tcspc.LIFETIME_PS[1])
+SCAN_WAVELENGTH_NM = (WAVELENGTH_NM[0] - 150.0, WAVELENGTH_NM[1] + 150.0)
+
+
+def _require_within(wavelengths, values, within, what, unit):
+    """ValueError at the first scan point where `values` (`what`, in `unit`)
+    lies outside the closed range `within`."""
+    bad = np.flatnonzero(~((values >= within[0]) & (values <= within[1])))
     if bad.size:
         k = bad[0]
-        raise ValueError(f"scan point {k} at {float(wavelengths[k])!r} nm: {problem(k)}")
+        problem = ("is not finite" if not np.isfinite(values[k])
+                   else f"lies outside [{within[0]:g}, {within[1]:g}] {unit}")
+        raise ValueError(f"scan point {k} at {float(wavelengths[k])!r} nm: "
+                         f"{what} {float(values[k])!r} {unit} {problem}")
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralScan:
     """Lifetime vs wavelength points, with uncertainties and the free-space
     lifetime `reference_tau0` (ps, the same at every wavelength) when known.
-    Lifetimes and uncertainties must be finite and positive."""
+    Wavelengths increase, and every number lies in its range."""
 
     wavelengths: np.ndarray
     lifetimes: np.ndarray
@@ -180,17 +196,20 @@ class SpectralScan:
             raise ValueError("wavelengths and lifetimes must be 1D and congruent")
         if np.any(np.diff(w) <= 0):
             raise ValueError("wavelengths must be strictly increasing")
-        _require_finite(w, t, lambda k: f"lifetime {float(t[k])!r} ps is not finite")
-        if np.any(t <= 0):
-            raise ValueError("lifetimes must be positive")
+        _require_within(w, t, tcspc.LIFETIME_PS, "lifetime", "ps")
         object.__setattr__(self, "wavelengths", w)
         object.__setattr__(self, "lifetimes", t)
         if self.errors is not None:
             e = np.asarray(self.errors, dtype=float)
-            if e.shape != w.shape or np.any(e <= 0):
-                raise ValueError("errors must be positive and congruent")
-            _require_finite(w, e, lambda k: f"uncertainty {float(e[k])!r} ps is not finite")
+            if e.shape != w.shape:
+                raise ValueError("errors must be congruent with the wavelengths")
+            _require_within(w, e, UNCERTAINTY_PS, "uncertainty", "ps")
             object.__setattr__(self, "errors", e)
+        tau0 = self.reference_tau0
+        if tau0 is not None and not tcspc.LIFETIME_PS[0] <= tau0 <= tcspc.LIFETIME_PS[1]:
+            raise ValueError(f"tau0 {tau0!r} ps lies outside [{tcspc.LIFETIME_PS[0]:g}, "
+                             f"{tcspc.LIFETIME_PS[1]:g}] ps")
+        _require_within(w, w, SCAN_WAVELENGTH_NM, "wavelength", "nm")
 
 
 def poisson_deviance(counts: np.ndarray, mu: np.ndarray) -> float:
@@ -251,14 +270,6 @@ def _gauss_newton(x, mu, J, y, lower, upper, weights=None, seen=None):
     return free, g, N, scale, newton
 
 
-def _scaled_weights(weights):
-    """Weights over 2**k, and 2**k, for the least k >= 0 that takes them to at
-    most 2**512: near 1e308 (sigma ~1e-150) they overflow the normal matrix
-    and its damping. Exact, and ordinary weights (k = 0) come back bit for bit."""
-    k = max(0, int(np.frexp(weights.max())[1]) - 512)
-    return np.ldexp(weights, -k), 2.0**k
-
-
 def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
     """Bounded Levenberg-Marquardt with an analytic Jacobian.
 
@@ -277,7 +288,6 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
       budget      MAX_ITERATIONS iterations (or damping) exhausted.
     """
     poisson = weights is None
-    weights, weight_scale = (None, 1.0) if poisson else _scaled_weights(weights)
     deviance = _deviance(y) if poisson else None
     seen = np.flatnonzero(y) if poisson else None
 
@@ -343,18 +353,17 @@ def _minimize(x0, evaluate, y, lower, upper, weights=None, initial=None):
                 stop = "stationary"
             break
         x, mu, J, stat = candidate, mu_new, J_new, stat_new
-    return x, mu, J, stat * weight_scale, iterations, stop
+    return x, mu, J, stat, iterations, stop
 
 
 def _covariance(J, mu, weights=None):
     """Inverse Fisher information in the natural parameters."""
-    w, weight_scale = ((1.0 / np.maximum(mu, MU_FLOOR), 1.0) if weights is None
-                       else _scaled_weights(weights))
+    w = 1.0 / np.maximum(mu, MU_FLOOR) if weights is None else weights
     fisher = (J * w) @ J.T
     try:
-        return np.linalg.inv(fisher) / weight_scale
+        return np.linalg.inv(fisher)
     except np.linalg.LinAlgError:
-        return np.linalg.pinv(fisher) / weight_scale
+        return np.linalg.pinv(fisher)
 
 
 def _tail_lifetime_guess(t: np.ndarray, y: np.ndarray, bin_width: float) -> float:
@@ -460,9 +469,7 @@ def _fit_result(model, names, x, mu, J, statistic, iterations, stop, weights=Non
         grad = np.array([0.0, -1.0 / slow, 0.0, fast / slow**2, 0.0, 0.0])  # of beta
         extras["beta"] = coupling_efficiency(fast, slow)
         with np.errstate(invalid="ignore", over="ignore"):  # the covariance may hold inf
-            variance = float(grad @ covariance @ grad)
-        extras["beta_std_error"] = (float(np.sqrt(max(variance, 0.0)))
-                                    if np.isfinite(variance) else None)
+            extras["beta_std_error"] = _std_error(grad @ covariance @ grad)
         ratio = x[3] / x[1]
         degenerate = ratio < DEGENERATE_LIFETIME_RATIO
         if degenerate:
@@ -600,13 +607,7 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
                 f"scan must span at least 3 linewidths around the mode at "
                 f"{mode.lambda_c} nm"
             )
-    if scan.errors is None:
-        weights = np.ones_like(y)
-    else:
-        with np.errstate(over="ignore", divide="ignore"):
-            weights = 1.0 / scan.errors**2
-        _require_finite(lam, weights, lambda k: f"uncertainty {float(scan.errors[k])!r} ps "
-                        "gives a non-finite weight 1/sigma^2")
+    weights = np.ones_like(y) if scan.errors is None else 1.0 / scan.errors**2
     shapes = np.array(
         [lorentzian_response(lam, m.lambda_c, m.linewidth) / 3.0 for m in modes]
     )
@@ -614,12 +615,9 @@ def fit_spectral_model(scan: SpectralScan, modes: Sequence[CavityMode]) -> FitRe
     # Start: the model is linear in (F_m, alpha) in rate space,
     # tau0/tau = sum_m (F_m/3) L_m + alpha; solve it with non-negative
     # parameters and the tau-space weights carried over to rates. The
-    # solution does not depend on a common weight scale, and dividing by the
-    # largest scale keeps the squared weights finite.
-    with np.errstate(over="ignore"):
-        rate_scale = y**2 * np.sqrt(weights) / tau0
-    _require_finite(lam, rate_scale, lambda k: f"lifetime {float(y[k])!r} ps gives a "
-                    "non-finite rate weight tau^2/(sigma*tau0)")
+    # solution does not depend on a common weight scale; dividing by the
+    # largest sets the bits of the start.
+    rate_scale = y**2 * np.sqrt(weights) / tau0
     design = np.vstack([shapes, np.ones_like(lam)])
     n_params = len(design)
     _require_points(len(y), n_params)
@@ -670,11 +668,11 @@ def synthesize_spectral_scan(
 
     The true tau(lambda) from `lifetime_ratio_multimode` gets multiplicative
     Gaussian noise of relative size `noise_fraction`; reported uncertainties
-    are noise_fraction * tau_true. `reference_tau0` is tau0 in ps.
-    Deterministic for a fixed seed. A lifetime that is not finite (a ratio
-    of 0, or a product that overflows) fails in `SpectralScan` as a
-    ValueError, with no warning: a true one makes its sample or its
-    uncertainty infinite.
+    are noise_fraction * tau_true. `reference_tau0` is tau0 in ps. A sample
+    that the noise takes below the shortest lifetime is set to it.
+    Deterministic for a fixed seed. A lifetime or uncertainty outside its
+    range (a ratio of 0, or a product that overflows) fails in `SpectralScan`
+    as a ValueError, with no warning.
     """
     lam = np.asarray(wavelengths, dtype=float)
     rng = np.random.default_rng(seed)
@@ -682,7 +680,7 @@ def synthesize_spectral_scan(
         ratio = lifetime_ratio_multimode(lam, list(modes), list(fps), alpha)
         tau_true = float(reference_tau0) / ratio
         tau = tau_true * (1.0 + noise_fraction * rng.standard_normal(lam.shape))
-        tau = np.maximum(tau, 1e-9)
+        tau = np.maximum(tau, tcspc.LIFETIME_PS[0])
         errors = noise_fraction * tau_true if noise_fraction > 0 else None
     return SpectralScan(
         wavelengths=lam,

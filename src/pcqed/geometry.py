@@ -255,9 +255,11 @@ def effective_index(slab: SlabWaveguide, wavelength: float) -> float:
     kappa = k0*sqrt(n_core^2 - n_eff^2), gamma = k0*sqrt(n_eff^2 - n_clad^2),
     using the continuous equivalent form
     kappa*sin(kappa*d/2) - gamma*cos(kappa*d/2) = 0 on the fundamental-mode
-    bracket, where kappa*d/2 < pi/2 guarantees a single sign change.
-    Raises ValueError when that bracket, narrowed by 1e-12 n_core at each
-    end, is empty or holds no root.
+    bracket, where kappa*d/2 < pi/2 guarantees a single sign change. The
+    bracket is narrowed by 1e-12 n_core at each end; in a slab thousands of
+    wavelengths thick the root lies within that margin of the cutoff end,
+    and the search then starts at the cutoff itself. Raises ValueError when
+    the narrowed bracket is empty or no bracket holds a root.
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
@@ -280,13 +282,15 @@ def effective_index(slab: SlabWaveguide, wavelength: float) -> float:
     if not lo + eps < nco - eps:
         raise ValueError(f"no bracket for the guided TE mode: n_core={nco} lies within "
                          f"2e-12 n_core of its lower end {lo}")
-    f_lo, f_hi = dispersion(lo + eps), dispersion(nco - eps)
-    if not (f_lo > 0 > f_hi or f_lo < 0 < f_hi):
-        raise ValueError(
-            f"no guided TE mode for d={d} nm, n_core={nco}, n_clad={ncl}, "
-            f"wavelength={wavelength} nm"
-        )
-    return _brentq(dispersion, lo + eps, nco - eps, xtol=1e-14, rtol=8.9e-16)
+    f_hi = dispersion(nco - eps)
+    for a in (lo + eps, lo) if cutoff > ncl**2 else (lo + eps,):
+        f_lo = dispersion(a)
+        if f_lo > 0 > f_hi or f_lo < 0 < f_hi:
+            return _brentq(dispersion, a, nco - eps, xtol=1e-14, rtol=8.9e-16)
+    raise ValueError(
+        f"no guided TE mode for d={d} nm, n_core={nco}, n_clad={ncl}, "
+        f"wavelength={wavelength} nm"
+    )
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:

@@ -22,8 +22,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fitting import FitResult, SpectralScan
-from .tcspc import BinGrid, InstrumentResponse, TransientHistogram
+from .fitting import SCAN_WAVELENGTH_NM, UNCERTAINTY_PS, FitResult, SpectralScan
+from .tcspc import (BIN_WIDTH_PS, FWHM_PS, LIFETIME_PS, N_BINS, TIME_PS, TOTAL_COUNTS, BinGrid,
+                    InstrumentResponse, TransientHistogram)
 
 if TYPE_CHECKING:  # annotations only: reading a file needs no band solver
     from .bands import BandGap, BandStructure, CavityModeProfile
@@ -198,12 +199,12 @@ def write_histogram_csv(path, hist: TransientHistogram, metadata: dict | None = 
     return meta
 
 
-def _number(value, name: str, path, line: int, kind=(int, float), positive=False):
-    """`value` if it is a finite number of `kind` (and > 0 if `positive`)."""
-    if (isinstance(value, bool) or not isinstance(value, kind)
-            or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
-        wanted = "a positive" if positive else "a finite"
-        raise ParseError(path, line, f"{name}: expected {wanted} number, got {value!r}")
+def _number(value, name: str, path, line: int, within=None, kind=(int, float)):
+    """`value` if it is a number of `kind` in the closed range `within` (None: finite)."""
+    low, high = within or (-sys.float_info.max, sys.float_info.max)
+    if isinstance(value, bool) or not isinstance(value, kind) or not low <= value <= high:
+        wanted = "a finite number" if within is None else f"a number in [{low:g}, {high:g}]"
+        raise ParseError(path, line, f"{name}: expected {wanted}, got {value!r}")
     return value
 
 
@@ -257,9 +258,9 @@ def _row_walk(path, text, n_fields):
     return numbers, [cells[j::n_fields] for j in range(n_fields)]
 
 
-def _column(path, numbers, name, cells, dtype=float, positive=False) -> np.ndarray:
-    """One CSV column as an array of finite (and, if asked, positive) values;
-    the first bad cell is named by its line and column."""
+def _column(path, numbers, name, cells, within=None, dtype=float) -> np.ndarray:
+    """One CSV column as an array of numbers in the closed range `within`
+    (None: finite); the first bad cell is named by its line and column."""
     try:
         values = np.array(cells, dtype=dtype)
     except (ValueError, OverflowError):
@@ -269,50 +270,42 @@ def _column(path, numbers, name, cells, dtype=float, positive=False) -> np.ndarr
             except (ValueError, OverflowError) as exc:
                 raise ParseError(path, i, f"{name}: bad value {cell!r}") from exc
         raise
-    ok = np.isfinite(values)
-    if positive:
-        ok &= values > 0
-    bad = np.flatnonzero(~ok)
+    low, high = within or (-sys.float_info.max, sys.float_info.max)
+    bad = np.flatnonzero(~((values >= low) & (values <= high)))
     if bad.size:  # _number rejects it with the message of a sidecar value
-        _number(values[bad[0]].item(), name, path, numbers[bad[0]], positive=positive)
+        _number(values[bad[0]].item(), name, path, numbers[bad[0]], within)
     return values
 
 
 def read_histogram_csv(path, files=None) -> TransientHistogram:
     """Reconstruct a TransientHistogram from CSV + sidecar.
 
-    The rows must match the sidecar: `n_bins` rows summing to `total_counts`,
-    each `time_ps` at its bin centre on the sidecar's grid. `files` is the
-    cache of bytes already read, as for `_read`.
+    Every number lies in its range in `tcspc`. The rows must match the sidecar:
+    `n_bins` rows summing to `total_counts`, each `time_ps` at its bin centre on
+    the sidecar's grid. `files` is the cache of bytes already read, as for `_read`.
     """
     meta_path = sidecar_path(path)
     meta = read_json_object(meta_path, files)
-    width, fwhm = (_number(meta.get(key), key, meta_path, 1, positive=True)
-                   for key in ("bin_width_ps", "irf_fwhm_ps"))
-    t_start, irf_t0 = (_number(meta.get(key), key, meta_path, 1)
-                       for key in ("t_start_ps", "irf_t0_ps"))
+    width, fwhm, t_start, irf_t0 = (
+        _number(meta.get(key), key, meta_path, 1, within) for key, within in (
+            ("bin_width_ps", BIN_WIDTH_PS), ("irf_fwhm_ps", FWHM_PS),
+            ("t_start_ps", TIME_PS), ("irf_t0_ps", TIME_PS)))
     numbers, (time_cells, count_cells) = _table(path, HISTOGRAM_HEADER, "histogram", files)
     times = _column(path, numbers, "time_ps", time_cells)
-    counts = _column(path, numbers, "counts", count_cells, np.int64)
+    counts = _column(path, numbers, "counts", count_cells, (0, TOTAL_COUNTS[1]), np.int64)
     grid = BinGrid(float(width), len(numbers), float(t_start))
     centres = grid.centers()
-    bad = np.flatnonzero((counts < 0) | ~(np.abs(times - centres) <= 1e-6 * width))
+    bad = np.flatnonzero(~(np.abs(times - centres) <= 1e-6 * width))
     if bad.size:
         k = bad[0]
-        raise ParseError(path, numbers[k], f"negative count {int(counts[k])}" if counts[k] < 0
-                         else f"time_ps {float(times[k])!r} is not the bin centre "
+        raise ParseError(path, numbers[k], f"time_ps {float(times[k])!r} is not the bin centre "
                          f"{float(centres[k])!r}")
-    n_bins = _number(meta.get("n_bins"), "n_bins", meta_path, 1, kind=int)
-    total = _number(meta.get("total_counts"), "total_counts", meta_path, 1, kind=int)
+    n_bins = _number(meta.get("n_bins"), "n_bins", meta_path, 1, N_BINS, int)
+    total = _number(meta.get("total_counts"), "total_counts", meta_path, 1, TOTAL_COUNTS, int)
     if len(numbers) != n_bins or int(counts.sum()) != total:
         raise ParseError(path, numbers[-1], f"{len(numbers)} rows with {int(counts.sum())} "
                          f"counts, sidecar says n_bins {n_bins}, total_counts {total}")
-    irf = InstrumentResponse(fwhm=float(fwhm), t0=float(irf_t0))
-    try:
-        irf.check_grid(grid)
-    except ValueError as exc:
-        raise ParseError(meta_path, 1, f"irf_fwhm_ps: {exc}") from None
-    return TransientHistogram(counts=counts, grid=grid, irf=irf)
+    return TransientHistogram(counts, grid, InstrumentResponse(float(fwhm), float(irf_t0)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,15 +469,15 @@ def write_scan_csv(path, scan: SpectralScan, metadata: dict | None = None) -> di
 
 
 def read_scan_csv(path, files=None) -> tuple[SpectralScan, dict]:
-    """Scan and sidecar metadata; wavelengths must increase, lifetimes and
-    uncertainties be positive, and a tau0 reference be positive. `files` is
-    the cache of bytes already read, as for `_read`."""
+    """Scan and sidecar metadata; wavelengths must increase, and every
+    number, a sidecar's tau0 reference included, lie in its range in
+    `fitting`. `files` is the cache of bytes already read, as for `_read`."""
     meta_path = sidecar_path(path)
     meta = read_json_object(meta_path, files) if meta_path.exists() else {}
     numbers, (lam_cells, tau_cells, err_cells) = _table(path, SCAN_HEADER, "spectral-scan",
                                                         files)
-    lams = _column(path, numbers, "wavelength_nm", lam_cells, positive=True)
-    taus = _column(path, numbers, "lifetime_ps", tau_cells, positive=True)
+    lams = _column(path, numbers, "wavelength_nm", lam_cells, SCAN_WAVELENGTH_NM)
+    taus = _column(path, numbers, "lifetime_ps", tau_cells, LIFETIME_PS)
     bad = np.flatnonzero(~(np.diff(lams) > 0))
     if bad.size:
         k = bad[0] + 1
@@ -494,9 +487,9 @@ def read_scan_csv(path, files=None) -> tuple[SpectralScan, dict]:
     if mixed:
         raise ParseError(path, numbers[mixed[0]], "mixed present/absent uncertainties")
     if err_cells[0]:
-        errors = _column(path, numbers, "lifetime_err_ps", err_cells, positive=True)
+        errors = _column(path, numbers, "lifetime_err_ps", err_cells, UNCERTAINTY_PS)
     tau0 = meta.get("tau0_ps")
     if "tau0_ps" in meta:
-        _number(tau0, "tau0_ps", meta_path, 1, positive=True)
+        _number(tau0, "tau0_ps", meta_path, 1, LIFETIME_PS)
     scan = SpectralScan(wavelengths=lams, lifetimes=taus, errors=errors, reference_tau0=tau0)
     return scan, meta

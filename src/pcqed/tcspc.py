@@ -37,6 +37,17 @@ __all__ = [
 # the exact value would move sigma by only 0.008%.
 FWHM_TO_SIGMA = 2.355
 
+# A measurement's physical ranges, each closed: the config and the histogram
+# reader hold every number to them, and in them `decay_terms` forms normal floats.
+FWHM_PS = (0.1, 1e6)  # IRF widths: 100 fs to 1 us
+TIME_PS = (-1e9, 1e9)  # an IRF peak or a grid start: within 1 ms of time zero
+BIN_WIDTH_PS = (0.01, 1e6)  # 10 fs to 1 us
+N_BINS = (1, 2**16)  # a TCSPC card's channel count
+LIFETIME_PS = (1e-3, 1e12)  # 1 fs, far below any IRF, to 1 s
+SIGNAL_COUNTS = (1, 10**12)  # photons drawn: days of counting at 10 MHz
+BACKGROUND_RATE = (0.0, 1e9)  # mean background counts per bin
+TOTAL_COUNTS = (1, 10**14)  # in a histogram, or a bin: signal and background, 6.6e13 at most
+
 
 @dataclass(frozen=True)
 class InstrumentResponse:
@@ -58,15 +69,6 @@ class InstrumentResponse:
         lifetime `tau` as its plain exponential: erfc == 2 and the Gaussian
         terms are below resolution there. It grows as tau shrinks."""
         return _far_offset(self.sigma, self.sigma * (1.0 / tau))
-
-    def check_grid(self, grid: BinGrid) -> None:
-        """ValueError when `decay_terms` would overflow squaring u/sigma, u =
-        t - t0, on `grid`: at the first bin centre, if it lies before t0 (bins
-        after t0 are squared only up to u/sigma of about sigma/tau)."""
-        lead = min(grid.t_start + 0.5 * grid.bin_width - self.t0, 0.0) / self.sigma
-        if not math.isfinite(lead * lead):
-            raise ValueError(f"the first bin lies {-lead} IRF sigmas before t0: "
-                             f"(u/sigma)^2 overflows")
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,11 @@ from pcqed.cli import (
     main,
     parse_config,
 )
-from pcqed.fitting import SpectralScan, synthesize_spectral_scan
+from pcqed.fitting import (SCAN_WAVELENGTH_NM, UNCERTAINTY_PS, SpectralScan,
+                           synthesize_spectral_scan)
 from pcqed.geometry import TriangularLattice
-from pcqed.tcspc import (BinGrid, DecayModel, InstrumentResponse, TransientHistogram,
+from pcqed.tcspc import (BIN_WIDTH_PS, FWHM_PS, LIFETIME_PS, N_BINS, TIME_PS, TOTAL_COUNTS,
+                         BinGrid, DecayModel, InstrumentResponse, TransientHistogram,
                          expected_curve, sample_histogram)
 
 SCAN_SIM = {
@@ -223,7 +225,10 @@ def _scan(**changes):
     pytest.param(_scan(step_nm=1e-300), "simulate.spectral_scan.step_nm: must be >= 0.01",
                  id="document1-Maximum allowed size exceeded"),
     (_scan(purcell_factors=[0.0], alpha=0.0), "lifetime inf ps is not finite"),
-    (_scan(noise_fraction=1e308), "lifetime inf ps is not finite"),
+    # Noise that overflowed the lifetimes, refused at the setting's range.
+    pytest.param(_scan(noise_fraction=1e308),
+                 "simulate.spectral_scan.noise_fraction: must be <= 1.0, got 1e+308",
+                 id="document3-lifetime inf ps is not finite"),
 ])
 def test_scan_that_cannot_be_drawn_exits_2(tmp_path, capsys, document, message):
     # Pytest turns a RuntimeWarning into a failure: none may leak.
@@ -309,6 +314,54 @@ def test_largest_in_bound_draws_are_simulated(tmp_path):
     assert len(hist.counts) == 2**16 and hist.counts.sum() > 10**12
     summary = (tmp_path / "out" / "summary.txt").read_text()
     assert "spectral scan of 290001 points" in summary  # 200 to 3100 nm
+
+
+def _ends_scan(**changes):
+    scan = {**SCAN_SIM["spectral_scan"], **changes}
+    return {"seed": 1, "spectral_scan": scan}
+
+
+@pytest.mark.parametrize("simulate", [
+    # The most counts and background on the most bins.
+    {"seed": 1, "histogram": {"components": [[1.0, 400.0]], "total_counts": 10**12,
+                              "background_rate_per_bin": 1e9, "grid": {"n_bins": 2**16}}},
+    # Modes at both wavelength ends with the widest span, and Q, F, alpha and
+    # tau0 at their ceilings (F and Q at their floors on the second mode).
+    _ends_scan(modes=[{"wavelength_nm": 300.0, "q_factor": 1e8},
+                      {"wavelength_nm": 3000.0, "q_factor": 10.0}],
+               purcell_factors=[1e4, 0.0], alpha=10.0, tau0_ps=1e12, span_nm=100.0),
+    # Both ends of noise_fraction, at the floors of tau0 and alpha: lifetimes
+    # below 1 fs are drawn, and set to it.
+    _ends_scan(noise_fraction=0.0, tau0_ps=1e-3, alpha=0.0),
+    _ends_scan(noise_fraction=1.0, tau0_ps=1e-3, alpha=0.0),
+], ids=["histogram", "scan-wavelengths", "noise-0", "noise-1"])
+def test_files_simulated_at_the_ranges_ends_are_read(tmp_path, recwarn, simulate):
+    # The writer's ranges and the reader's agree: every file `pcqed
+    # simulate` writes at in-range settings is a valid `pcqed fit` input.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulate": simulate}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    inputs = list((tmp_path / "out").glob("*.csv"))
+    assert len(inputs) == 1
+    data, _ = pcio.read_fit_input(inputs[0])
+    if "histogram" in simulate:
+        assert len(data.counts) == 2**16 and data.counts.max() <= 10**14
+    else:
+        scan, _ = data
+        assert (scan.errors is None) == (simulate["spectral_scan"].get("noise_fraction") == 0.0)
+        assert SCAN_WAVELENGTH_NM[0] <= scan.wavelengths[0] < scan.wavelengths[-1] \
+            <= SCAN_WAVELENGTH_NM[1]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_slab_thousands_of_wavelengths_thick_runs(tmp_path):
+    # At the ends of the thickness and index ranges the guided mode's n_eff
+    # lies within 1e-12 n_core of the fundamental bracket's cutoff end.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_slab(thickness_nm=1e6, n_core=10.0),
+                               "bands": {"cutoff": 3, "samples_per_segment": 2, "n_bands": 3}}))
+    assert main(["bands", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert 99.99 < parse_config(json.loads(cfg.read_text())).crystal.eps_background < 100.0
 
 
 @pytest.mark.parametrize("cutoff", range(1, 14))
@@ -479,25 +532,95 @@ def test_sidecar_missing_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["bin_width_ps", "irf_fwhm_ps"])
 def test_sidecar_width_must_be_positive(tmp_path, capsys, key):
+    # A width of 0 lies below the width's range.
     hist = _write_histogram(tmp_path / "h.csv")
     meta = json.loads(Path(f"{hist}.meta.json").read_text())
     meta[key] = 0.0
     Path(f"{hist}.meta.json").write_text(json.dumps(meta))
     assert _fit(tmp_path, hist) == EXIT_CONFIG
-    assert f"{hist}.meta.json:1: {key}: expected a positive number, got 0.0" in capsys.readouterr().err
+    low, high = {"bin_width_ps": BIN_WIDTH_PS, "irf_fwhm_ps": FWHM_PS}[key]
+    assert (f"{hist}.meta.json:1: {key}: expected a number in [{low:g}, {high:g}], got 0.0"
+            in capsys.readouterr().err)
 
 
 def test_sidecar_irf_too_narrow_for_the_grid(tmp_path, capsys):
     # The first bin centre would sit 1.4e303 IRF sigmas before t0, whose
-    # square overflows in the fit's EMG kernel.
+    # square would overflow in the fit's EMG kernel; the width's range
+    # refuses the sidecar first.
     hist = _write_histogram(tmp_path / "h.csv", n_bins=64)
     meta = json.loads(Path(f"{hist}.meta.json").read_text())
     meta["irf_fwhm_ps"] = 1e-300
     Path(f"{hist}.meta.json").write_text(json.dumps(meta))
     assert _fit(tmp_path, hist) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"{hist}.meta.json:1: irf_fwhm_ps: the first bin lies" in err
+    assert f"{hist}.meta.json:1: irf_fwhm_ps: expected a number in [0.1, 1e+06], got 1e-300" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def _outside(within, end):
+    """The nearest number beyond the `end` (0 or 1) of the closed range `within`."""
+    bound = within[end]
+    if isinstance(bound, int):
+        return bound + (1 if end else -1)
+    return math.nextafter(bound, math.inf if end else -math.inf)
+
+
+_FILE_RANGES = [  # (kind, key, range): a sidecar key, or a CSV column
+    *[("histogram", key, within) for key, within in (
+        ("bin_width_ps", BIN_WIDTH_PS), ("irf_fwhm_ps", FWHM_PS), ("t_start_ps", TIME_PS),
+        ("irf_t0_ps", TIME_PS), ("n_bins", N_BINS), ("total_counts", TOTAL_COUNTS),
+        ("counts", (0, TOTAL_COUNTS[1])))],
+    ("scan", "wavelength_nm", SCAN_WAVELENGTH_NM), ("scan", "lifetime_ps", LIFETIME_PS),
+    ("scan", "lifetime_err_ps", UNCERTAINTY_PS), ("scan", "tau0_ps", LIFETIME_PS),
+]
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["below", "above"])
+@pytest.mark.parametrize("kind, key, within", _FILE_RANGES,
+                         ids=[f"{kind}-{key}" for kind, key, _ in _FILE_RANGES])
+def test_file_value_just_outside_its_range_exits_2_at_its_line(tmp_path, capsys, recwarn, kind,
+                                                               key, within, end):
+    path = (_write_histogram if kind == "histogram" else _write_scan)(tmp_path / "t.csv")
+    value = _outside(within, end)
+    lines = path.read_text().splitlines()
+    names = lines[0].split(",")
+    if key in names:  # a cell: the first row's wavelength below the range, the last's above
+        row = (len(lines) - 1 if end else 1) if key == "wavelength_nm" else 4
+        cells = lines[row].split(",")
+        cells[names.index(key)] = repr(value)
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        where = f"{path}:{row + 1}"
+    else:
+        meta_path = Path(f"{path}.meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta[key] = value
+        meta_path.write_text(json.dumps(meta))
+        where = f"{meta_path}:1"
+    assert _fit(tmp_path, path) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert (f"error: {where}: {key}: expected a number in [{within[0]:g}, {within[1]:g}], "
+            f"got {value!r}\n") == err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "out").exists()
+
+
+def test_files_at_the_ends_of_their_ranges_are_read(tmp_path):
+    for end in (0, 1):
+        grid = BinGrid(BIN_WIDTH_PS[end], N_BINS[end], TIME_PS[end])
+        irf = InstrumentResponse(fwhm=FWHM_PS[end], t0=TIME_PS[end])
+        counts = np.zeros(grid.n_bins, dtype=np.int64)
+        counts[-1] = TOTAL_COUNTS[end]
+        pcio.write_histogram_csv(tmp_path / f"h{end}.csv", TransientHistogram(counts, grid, irf))
+        hist, _ = pcio.read_fit_input(tmp_path / f"h{end}.csv")
+        assert (hist.grid, hist.irf, hist.total_counts) == (grid, irf, TOTAL_COUNTS[end])
+        n = 3
+        scan = SpectralScan(np.linspace(*SCAN_WAVELENGTH_NM, n), np.full(n, LIFETIME_PS[end]),
+                            np.full(n, UNCERTAINTY_PS[end]), LIFETIME_PS[end])
+        pcio.write_scan_csv(tmp_path / f"s{end}.csv", scan)
+        (back, _), _ = pcio.read_fit_input(tmp_path / f"s{end}.csv")
+        assert (back.wavelengths.tolist(), back.errors.tolist(), back.reference_tau0) == \
+            (scan.wavelengths.tolist(), scan.errors.tolist(), LIFETIME_PS[end])
 
 
 def test_negative_count(tmp_path, capsys):
@@ -715,16 +838,19 @@ def _set_uncertainty(scan, row, sigma):
 
 
 def test_vanishing_scan_uncertainty_exits_2_without_warnings(tmp_path, capsys, recwarn):
-    # 1/sigma^2 overflows to inf below about 1e-154 ps.
+    # 1/sigma^2 would overflow to inf below about 1e-154 ps; the
+    # uncertainty's range refuses the row first.
     scan = _write_scan(tmp_path / "scan.csv")
     _set_uncertainty(scan, 4, 1e-200)
     assert _fit(tmp_path, scan) == EXIT_CONFIG
-    assert f"{scan}: scan point 3 at " in capsys.readouterr().err
+    assert (f"{scan}:5: lifetime_err_ps: expected a number in [1e-09, 1e+12], got 1e-200"
+            in capsys.readouterr().err)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_huge_scan_lifetime_exits_2_without_warnings(tmp_path, capsys, recwarn):
-    # tau^2 overflows to inf above about 1.3e154 ps.
+    # tau^2 would overflow to inf above about 1.3e154 ps; the lifetime's
+    # range refuses the row first.
     scan = _write_scan(tmp_path / "scan.csv")
     lines = scan.read_text().splitlines()
     cells = lines[4].split(",")
@@ -732,7 +858,7 @@ def test_huge_scan_lifetime_exits_2_without_warnings(tmp_path, capsys, recwarn):
     scan.write_text("\n".join(lines) + "\n")
     assert _fit(tmp_path, scan) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"{scan}: scan point 3 at " in err and "lifetime 1e+200 ps" in err
+    assert f"{scan}:5: lifetime_ps: expected a number in [0.001, 1e+12], got 1e+200" in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -746,10 +872,15 @@ def test_scan_sidecar_tau0_table_is_not_a_reference(tmp_path, capsys):
     assert "tau0" in capsys.readouterr().err
 
 
-def test_tiny_finite_weight_still_fits(tmp_path):
+def test_tiny_finite_weight_still_fits(tmp_path, capsys):
+    # A weight 1/sigma^2 of 1e280 is finite, but no lifetime is known to
+    # 1e-140 ps: the uncertainty's range refuses it.
     scan = _write_scan(tmp_path / "scan.csv")
     _set_uncertainty(scan, 4, 1e-140)
-    assert _fit(tmp_path, scan) == EXIT_OK
+    assert _fit(tmp_path, scan) == EXIT_CONFIG
+    assert (f"{scan}:5: lifetime_err_ps: expected a number in [1e-09, 1e+12], got 1e-140"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_tau0_overrides_the_scan_sidecar(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import erfc, erfcx
@@ -233,6 +235,18 @@ def test_a_covariance_holding_inf_leaves_beta_without_an_error_and_warns_nothing
         assert not np.isfinite(result.covariance).all()
         fast, slow = result["lifetime_fast_ps"], result["lifetime_slow_ps"]
         assert result.extras == {"beta": coupling_efficiency(fast, slow), "beta_std_error": None}
+
+
+def test_a_negative_or_infinite_variance_has_no_standard_error():
+    # One rule for every error a fit reports, beta's included: None where
+    # the variance is negative or not finite, never a clipped 0.0.
+    with pytest.raises(FitConvergenceError) as err:
+        fit_biexponential(late_grid_histogram())
+    result = err.value.result
+    assert result.covariance[0, 0] == -np.inf  # amplitude_fast
+    assert result.std_errors["amplitude_fast"] is None
+    errors = [fitting._std_error(v) for v in (4.0, 0.0, -1e-300, -np.inf, np.inf, np.nan)]
+    assert errors == [2.0, 0.0, None, None, None, None]
 
 
 def _emg(t, amplitude, lifetime, sigma, t0):
@@ -559,9 +573,16 @@ def test_spectral_fit_out_of_budget_raises_with_its_result(monkeypatch):
 def test_spectral_fit_never_divides_by_a_zero_ratio(huge):
     # The huge row pulls every F_m and alpha towards their bound 0, where the
     # model tau0 / ratio is undefined; pytest turns a RuntimeWarning into a failure.
+    # Rows beyond the lifetimes' range (1e12 ps) are refused by the scan.
     scan = synthesize_spectral_scan([M2], [56.0], 0.47, 840.0, scan_wavelengths(), 0.05, seed=5)
     lifetimes = scan.lifetimes.copy()
     lifetimes[3] = huge
+    if huge > tcspc.LIFETIME_PS[1]:
+        with pytest.raises(ValueError, match=rf"scan point 3 at .* nm: lifetime "
+                                             rf"{re.escape(repr(huge))} ps lies outside "
+                                             r"\[0\.001, 1e\+12\] ps"):
+            SpectralScan(scan.wavelengths, lifetimes, scan.errors, scan.reference_tau0)
+        return
     result = fit_spectral_model(
         SpectralScan(scan.wavelengths, lifetimes, scan.errors, scan.reference_tau0), [M2]
     )
@@ -570,28 +591,19 @@ def test_spectral_fit_never_divides_by_a_zero_ratio(huge):
 
 
 def test_spectral_fit_with_an_uncertainty_near_the_float_limit_converges():
-    # One uncertainty of 1e-130..1e-154 ps gives a weight 1/sigma^2 up to
-    # 1e308; the normal matrix (weight times squared derivatives) and its
-    # damping must stay finite. Pytest turns a RuntimeWarning into a failure.
+    # One uncertainty of 1e-130..1e-154 ps would give a weight 1/sigma^2 up
+    # to 1e308, overflowing the normal matrix and its damping; the
+    # uncertainty's range refuses the scan before any fit.
     lam = 1029.0 + 0.1 * np.arange(51)
     taus = 840.0 / (56.0 / 3.0 / (1.0 + (2.0 * (lam - 1031.5) / 0.529) ** 2) + 0.47)
     for row in (3, 20, 25):
         for exponent in range(130, 155):
             errors = 0.05 * taus
             errors[row] = 10.0**-exponent
-            result = fit_spectral_model(SpectralScan(lam, taus, errors, 840.0), [M2])
-            assert result.converged, (row, exponent)
-            assert np.isfinite(result.statistic) and np.all(np.isfinite(result.covariance))
-
-
-def test_weight_scaling_leaves_ordinary_weights_alone():
-    weights = 1.0 / (0.05 * np.linspace(40.0, 800.0, 51)) ** 2
-    scaled, factor = fitting._scaled_weights(weights)
-    assert factor == 1.0 and np.array_equal(scaled, weights)
-    weights[7] = 1e300
-    scaled, factor = fitting._scaled_weights(weights)
-    assert scaled.max() <= 2.0**512
-    assert np.array_equal(scaled * factor, weights)  # a power of two: exact
+            with pytest.raises(ValueError, match=rf"scan point {row} at .* nm: uncertainty "
+                                                 rf"{re.escape(repr(float(errors[row])))} ps lies "
+                                                 r"outside \[1e-09, 1e\+12\] ps"):
+                SpectralScan(lam, taus, errors, 840.0)
 
 
 @pytest.mark.parametrize("weights", [None, np.ones(3)])

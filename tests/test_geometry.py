@@ -175,9 +175,10 @@ def test_kpath_validation():
 # Effective index
 # ---------------------------------------------------------------------------
 
-def _effective_index_oracle(slab, wavelength, scan_points=20001, tol=1e-8):
+def _effective_index_oracle(slab, wavelength, scan_points=20001, tol=1e-8, bottom=None):
     """Independent check: dense scan from the top of the bracket (n_clad,
-    n_core), then bisection on the continuous dispersion form."""
+    n_core) down to `bottom` (default: its foot), then bisection on the
+    continuous dispersion form."""
     k0 = 2.0 * np.pi / wavelength
     d, nco, ncl = slab.thickness, slab.n_core, slab.n_clad
 
@@ -186,7 +187,7 @@ def _effective_index_oracle(slab, wavelength, scan_points=20001, tol=1e-8):
         gamma = k0 * np.sqrt(max(n_eff**2 - ncl**2, 0.0))
         return kappa * np.sin(kappa * d / 2.0) - gamma * np.cos(kappa * d / 2.0)
 
-    grid = np.linspace(nco - 1e-9, ncl + 1e-9, scan_points)
+    grid = np.linspace(nco - 1e-9, ncl + 1e-9 if bottom is None else bottom, scan_points)
     values = [g(x) for x in grid]
     lo = hi = None
     for x0, x1, v0, v1 in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
@@ -218,6 +219,17 @@ def test_effective_index_against_bisection_oracle():
 def test_effective_index_thick_slab_limit():
     slab = SlabWaveguide(thickness=10.0 * 1000.0 * 3.4, n_core=3.4, n_clad=1.0)
     assert abs(effective_index(slab, 1000.0) - 3.4) < 1e-3
+
+
+@pytest.mark.parametrize("wavelength", [300.0, 1050.0, 3000.0])
+def test_effective_index_of_a_slab_thousands_of_wavelengths_thick(wavelength):
+    # In a 1 mm slab of index 10 the fundamental root lies within 1e-12
+    # n_core of the bracket's cutoff end. Its neighbour modes lie as little
+    # as 1e-8 apart in n_eff, so the oracle scans only the top 2e-7 of the
+    # bracket, where the fundamental is the first sign change.
+    slab = SlabWaveguide(1e6, 10.0, 1.0)
+    oracle = _effective_index_oracle(slab, wavelength, bottom=slab.n_core - 2e-7)
+    assert effective_index(slab, wavelength) == pytest.approx(oracle, abs=1e-11)
 
 
 def test_effective_index_thin_slab_limit():

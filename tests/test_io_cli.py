@@ -102,6 +102,29 @@ def test_histogram_parse_error_line_number(tmp_path):
     assert err.value.line_number == 3
 
 
+def test_an_error_without_a_variance_is_null_and_n_a(tmp_path, monkeypatch, capsys):
+    # A fit whose covariance gives a parameter a negative variance writes
+    # its error as null and prints n/a for it.
+    grid = BinGrid(bin_width=12.0, n_bins=256)
+    hist = sample_histogram(expected_curve(DecayModel([(1.0, 400.0)]), IRF, grid), 20_000, 5,
+                            grid=grid, irf=IRF)
+    pcio.write_histogram_csv(tmp_path / "h.csv", hist)
+    fitted = fit_monoexponential(hist)
+    covariance = fitted.covariance.copy()
+    covariance[1, 1] = -1.0  # lifetime_ps
+    monkeypatch.setattr(cli, "fit_monoexponential",
+                        lambda h: dataclasses.replace(fitted, covariance=covariance))
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({"fit": {"model": "mono"}}))
+    assert main(["fit", "--config", str(config), "--out", str(tmp_path / "out"),
+                 str(tmp_path / "h.csv")]) == 0
+    doc = json.loads((tmp_path / "out" / "fit_h.json").read_text())
+    assert doc["std_errors"]["lifetime_ps"] is None
+    assert doc["std_errors"]["amplitude"] == fitted.std_errors["amplitude"]
+    assert f"monoexponential lifetime {fitted['lifetime_ps']:.1f} +- n/a ps" in \
+        capsys.readouterr().out
+
+
 def test_band_csv_round_trip(tmp_path):
     from pcqed.bands import PlaneWaveBasis, compute_bands
     from pcqed.geometry import TriangularLattice

@@ -1,15 +1,23 @@
-"""The package's import surface: each public name has one home, its submodule."""
+"""The package as a whole: each public name has one home, its submodule, and the
+rules every module keeps (its imports, its ranges, its BLAS threads)."""
 
 import ast
+import ctypes
+import dataclasses
 import importlib
 import inspect
+import json
+import math
 import os
 import subprocess
 import sys
+import types
+import typing
 
 import pytest
 
 import pcqed
+from pcqed import cli
 
 MODULES = ("geometry", "bands", "cavity", "tcspc", "fitting", "io", "cli")
 
@@ -208,3 +216,120 @@ def test_no_module_but_io_catches_an_overflow():
                 caught = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.type)}
                 catches += [f"{name}:{node.lineno}: {error}" for error in sorted(caught & guarded)]
     assert catches == []
+
+
+# Numeric settings without an upper bound in the schema, each for its reason:
+# a seed is any non-negative integer, and `Bands.__post_init__` bounds
+# n_bands by the size of the bulk basis.
+UNBOUNDED_ABOVE = {"simulate.seed", "bands.n_bands"}
+
+
+def _slots(hint):
+    """The types a config field of type `hint` holds, its None and tuples unwrapped."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (types.UnionType, tuple):
+        return [slot for arg in args if arg not in (type(None), Ellipsis) for slot in _slots(arg)]
+    return [hint]
+
+
+def _numeric_settings(cls, prefix=""):
+    """(dotted key, schema bounds) of every numeric setting under the config class `cls`."""
+    hints = typing.get_type_hints(cls)
+    for spec in dataclasses.fields(cls):
+        slots = _slots(hints[spec.name])
+        if dataclasses.is_dataclass(slots[0]):
+            yield from _numeric_settings(slots[0], f"{prefix}{spec.name}.")
+        elif {int, float} & set(slots):
+            yield prefix + spec.name, spec.metadata
+
+
+def test_every_numeric_setting_has_a_physical_range():
+    # A setting without both ends lets a finite value overflow a solver; the
+    # range, not a guard in the solver, refuses it.
+    settings = dict(_numeric_settings(cli.Config))
+    assert {"crystal.eps_background", "simulate.spectral_scan.noise_fraction",
+            "simulate.histogram.components", "fit.spectral.modes.q_factor"} <= set(settings)
+    lower, upper = {"minimum", "above"}, {"maximum", "below"}
+    assert sorted(key for key, bounds in settings.items() if not bounds.keys() & lower) == []
+    assert sorted(key for key, bounds in settings.items()
+                  if not bounds.keys() & upper and key not in UNBOUNDED_ABOVE) == []
+    assert UNBOUNDED_ABOVE <= set(settings)
+
+
+def _just_outside(kind, bound):
+    """The nearest value beyond the schema bound `kind`: `bound`."""
+    if kind in ("above", "below"):
+        return bound
+    if isinstance(bound, int):
+        return bound - 1 if kind == "minimum" else bound + 1
+    return math.nextafter(bound, -math.inf if kind == "minimum" else math.inf)
+
+
+def _place(document, key, value):
+    """Set the setting `key` of `document` (its first number, where it holds
+    a list) to `value`; the dotted path that names that number."""
+    *parents, leaf = key.split(".")
+    node, path = document, ""
+    for part in parents:
+        node, path = node.setdefault(part, {}), path + part
+        if isinstance(node, list):  # a tuple of modes: the first
+            node, path = node[0], path + "[0]"
+        path += "."
+    holder, index, path = node, leaf, path + leaf
+    while isinstance(holder.get(index) if isinstance(holder, dict) else holder[index], list):
+        holder, index, path = holder[index], 0, path + "[0]"
+    holder[index] = value
+    return path
+
+
+def _bounds():
+    for key, bounds in _numeric_settings(cli.Config):
+        for kind, bound in bounds.items():
+            yield pytest.param(key, kind, bound, id=f"{key}-{kind}")
+
+
+@pytest.mark.parametrize("key, kind, bound", list(_bounds()))
+def test_a_config_value_just_outside_its_range_names_its_key(key, kind, bound):
+    document = json.loads(json.dumps({**cli.REPRODUCE_CONFIG, "fit": {"spectral": {
+        "modes": [{"wavelength_nm": 1031.5, "q_factor": 1950.0}], "tau0_ps": 840.0}}}))
+    value = _just_outside(kind, bound)
+    path = _place(document, key, value)
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config(document)
+    assert str(err.value) == f"{path}: must be {cli._BOUNDS[kind][1]} {bound}, got {value}"
+
+
+def test_main_pins_one_blas_thread_whatever_the_environment(tmp_path):
+    # At 2 BLAS threads the eigensolvers' last bits differ from 1 thread, and
+    # with them 5 of this run's 7 files; `main` pins one thread.
+    config = tmp_path / "modes.json"
+    config.write_text(json.dumps({"crystal": {"period_nm": 300.0, "hole_ratio_values": [0.37]},
+                                  "modes": {"supercell_size": 5}}))
+    src = os.path.dirname(os.path.dirname(pcqed.__file__))
+    code = ("import ctypes, sys; from pcqed import cli; "
+            "exit = cli.main(['modes', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+            "print(exit, ctypes.CDLL(str(cli._OPENBLAS)).scipy_openblas_get_num_threads64_())")
+    written = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = tmp_path / threads
+        run = subprocess.run([sys.executable, "-c", code, str(config), str(out)], env=env,
+                             capture_output=True, timeout=120, text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "0 1"
+        written[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(written["1"]) == 7 and written["1"] == written["2"]
+
+
+def test_blas_pin_does_nothing_without_the_library(monkeypatch, tmp_path):
+    # Another numpy build bundles another BLAS, or none: the pin finds no
+    # library and leaves the thread count alone.
+    blas = ctypes.CDLL(str(cli._OPENBLAS))
+    assert blas.scipy_openblas_get_num_threads64_() == 1  # pinned for the session
+    monkeypatch.setattr(cli, "_OPENBLAS", tmp_path / "no-such-blas.so")
+    blas.scipy_openblas_set_num_threads64_(2)
+    try:
+        assert cli._one_blas_thread.__wrapped__() is None
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+    finally:
+        blas.scipy_openblas_set_num_threads64_(1)

@@ -166,28 +166,24 @@ def test_merged_tail_must_lie_past_the_irf():
 @pytest.mark.parametrize("ratio, fits", [(1e100, True), (1.34e154, True), (1.35e154, False)])
 def test_irf_checks_reject_exactly_the_overflowing_squares(ratio, fits):
     # sqrt(float64 max) is 1.3408e154: u/sigma at a first bin before t0 of
-    # 1.34e154 squares to a finite number, 1.35e154 overflows. A histogram
-    # sidecar can hold such an IRF width; a config cannot (irf.fwhm_ps >= 0.1).
+    # 1.34e154 squares to a finite number, 1.35e154 overflows. Neither a
+    # config nor a histogram sidecar can hold such an IRF width (>= 0.1 ps).
     g = grid(64)
     narrow = InstrumentResponse(fwhm=(600.0 - 6.0) / ratio * 2.355, t0=600.0)
     model = DecayModel([(1.0, 400.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         if fits:
-            narrow.check_grid(g)
             assert np.all(np.isfinite(expected_curve(model, narrow, g)))
         else:
-            with pytest.raises(ValueError, match="overflows"):
-                narrow.check_grid(g)
             with pytest.raises(RuntimeWarning, match="overflow"):
                 expected_curve(model, narrow, g)
 
 
 def test_irf_grid_check_ignores_bins_after_t0():
     # Bins after t0 at a tiny IRF width are never squared: the curve is the
-    # plain exponential there, and the grid passes.
+    # plain exponential there.
     narrow = InstrumentResponse(fwhm=1e-300, t0=0.0)
-    narrow.check_grid(grid(64))
     curve = expected_curve(DecayModel([(1.0, 400.0)]), narrow, grid(64))
     np.testing.assert_allclose(curve, np.exp(-grid(64).centers() / 400.0), rtol=1e-15)
 
